@@ -1,13 +1,14 @@
 """Benchmark: fault-injection overhead on the counts engine.
 
-The oblivious adversaries (crash, omission, random-liar) keep the
-counts-tier sufficient-statistics reduction: a faulted phase adds one
-ball-delta histogram per round on top of the fault-free delivery law, so
-the per-round cost stays ``O(k^2)`` per trial regardless of ``n``.  The
+Every adversary keeps the counts-tier sufficient-statistics reduction: a
+faulted phase adds one ball-delta histogram on top of the fault-free
+delivery law, so the per-phase cost stays ``O(k^2)`` per trial regardless
+of ``n``.  This benchmark times the crash, omission and random-liar
+families.  The
 acceptance target of the fault subsystem's performance story:
 
 * at ``n = 10^5``, ``R = 64`` (rumor workload, uniform noise
-  ``eps = 0.3``, ``k = 3``) every oblivious faulted counts run must stay
+  ``eps = 0.3``, ``k = 3``) every timed faulted counts run must stay
   within **2x** of the fault-free counts wall time.
 
 All per-family timings are recorded to ``BENCH_faults.json`` in one
@@ -73,7 +74,7 @@ def best_of(scenario: Scenario, repeats: int = REPEATS) -> float:
 
 
 def test_faulted_counts_overhead():
-    """Oblivious faulted counts runs stay within 2x of fault-free."""
+    """Crash, omission and liar counts runs stay within 2x of fault-free."""
     fault_free = base_scenario()
     baseline = best_of(fault_free)
 

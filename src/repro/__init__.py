@@ -85,7 +85,7 @@ from repro.dynamics import (
     make_dynamics,
     make_ensemble_dynamics,
 )
-from repro.network.balls_bins import BallsIntoBinsProcess, CountsDeliveryModel
+from repro.network.balls_bins import BallsIntoBinsProcess
 from repro.network.mailbox import EnsembleReceivedMessages, ReceivedMessages
 from repro.network.poisson_model import PoissonizedProcess
 from repro.network.pull_model import (
@@ -131,7 +131,6 @@ except PackageNotFoundError:  # pragma: no cover - source checkout
 
 __all__ = [
     "BallsIntoBinsProcess",
-    "CountsDeliveryModel",
     "CountsDynamicsResult",
     "CountsProtocol",
     "CountsPullModel",

@@ -24,22 +24,12 @@ from repro.core.protocol import CountsProtocol, ProtocolResult, TwoStageProtocol
 from repro.core.rumor import RumorSpreading, RumorSpreadingInstance
 from repro.core.sampling import ReservoirSampler
 from repro.core.schedule import ProtocolSchedule, Stage1Schedule, Stage2Schedule
-from repro.core.stage1 import (
-    CountsStage1Executor,
-    Stage1Executor,
-    Stage1PhaseRecord,
-)
-from repro.core.stage2 import (
-    CountsStage2Executor,
-    Stage2Executor,
-    Stage2PhaseRecord,
-)
+from repro.core.stage1 import Stage1Executor, Stage1PhaseRecord
+from repro.core.stage2 import Stage2Executor, Stage2PhaseRecord
 from repro.core.state import CountsState, EnsembleCountsState, PopulationState
 
 __all__ = [
     "CountsProtocol",
-    "CountsStage1Executor",
-    "CountsStage2Executor",
     "CountsState",
     "EnsembleCountsState",
     "MemoryUsage",

@@ -22,14 +22,12 @@ import numpy as np
 
 from repro.core.schedule import ProtocolSchedule
 from repro.core.stage1 import (
-    CountsStage1Executor,
     EnsembleStage1Executor,
     EnsembleStage1PhaseRecord,
     Stage1Executor,
     Stage1PhaseRecord,
 )
 from repro.core.stage2 import (
-    CountsStage2Executor,
     EnsembleStage2Executor,
     EnsembleStage2PhaseRecord,
     Stage2Executor,
@@ -42,7 +40,8 @@ from repro.core.state import (
     PopulationState,
     coerce_to_ensemble_counts,
 )
-from repro.network.balls_bins import CountsDeliveryModel
+from repro.faults.injection import FaultedPhaseSampler
+from repro.network.balls_bins import HeterogeneousCountsDeliveryModel
 from repro.network.delivery import make_delivery_engine
 from repro.noise.matrix import NoiseMatrix
 from repro.utils.rng import (
@@ -628,18 +627,19 @@ class CountsProtocol:
     ``batched``/``sequential`` engines.  This is the engine that runs
     ``n = 10^6`` (and beyond) protocol ensembles in seconds.
 
-    The constructor mirrors :class:`EnsembleProtocol` minus the delivery
-    knobs that require per-node state: there is no ``process``/``engine``
-    choice (delivery is always the counts model) and the Stage-2 sampling
-    ablations are rejected by :class:`~repro.core.stage2.CountsStage2Executor`.
+    :meth:`run` is a one-task :func:`run_heterogeneous_counts_protocol`
+    call, the counts tier's only implementation.  The Stage-2 sampling
+    ablations need per-node arrival totals and are served by the batched
+    and sequential engines.
 
     Parameters
     ----------
-    num_nodes, noise, schedule, epsilon, round_scale:
-        As in :class:`TwoStageProtocol`.
-    random_state, rng_mode:
-        As in :class:`EnsembleProtocol` (per-trial child streams by
-        default, so a counts batch is bitwise reproducible trial by trial).
+    num_nodes, noise, epsilon, round_scale:
+        As in :class:`TwoStageProtocol`; the schedule is built from
+        ``epsilon`` at run time.
+    random_state:
+        One source (spawned into per-trial child streams, so a counts batch
+        is bitwise reproducible trial by trial) or one source per trial.
     """
 
     def __init__(
@@ -647,52 +647,15 @@ class CountsProtocol:
         num_nodes: int,
         noise: NoiseMatrix,
         *,
-        schedule: Optional[ProtocolSchedule] = None,
-        epsilon: Optional[float] = None,
+        epsilon: float,
         random_state: EnsembleRandomState = None,
-        rng_mode: str = "per_trial",
         round_scale: float = 1.0,
-        delivery: Optional[CountsDeliveryModel] = None,
     ) -> None:
-        if schedule is None and epsilon is None:
-            raise ValueError("either schedule or epsilon must be provided")
-        if rng_mode not in {"per_trial", "shared"}:
-            raise ValueError(
-                f"rng_mode must be 'per_trial' or 'shared', got {rng_mode!r}"
-            )
         self.num_nodes = int(num_nodes)
         self.noise = noise
         self.epsilon = epsilon
-        self.rng_mode = rng_mode
         self.round_scale = round_scale
-        self._schedule = schedule
         self._random_state = random_state
-        if delivery is None:
-            delivery = CountsDeliveryModel(self.num_nodes, noise)
-        elif not isinstance(delivery, CountsDeliveryModel):
-            raise TypeError(
-                f"delivery must be a CountsDeliveryModel, got "
-                f"{type(delivery).__name__}"
-            )
-        # A fault-injecting delivery may span more bins than the (honest)
-        # state the protocol tracks, so num_nodes equality is not enforced.
-        self.delivery = delivery
-
-    def build_schedule(self, initial_opinionated: int = 1) -> ProtocolSchedule:
-        """The schedule used by :meth:`run` (built lazily when not supplied)."""
-        if self._schedule is not None:
-            return self._schedule
-        return ProtocolSchedule.for_population(
-            self.num_nodes,
-            float(self.epsilon),
-            initial_opinionated=max(1, initial_opinionated),
-            round_scale=self.round_scale,
-        )
-
-    def _trial_randomness(self, num_trials: int) -> EnsembleRandomState:
-        return resolve_trial_randomness(
-            self._random_state, num_trials, self.rng_mode
-        )
 
     def run(
         self,
@@ -711,48 +674,18 @@ class CountsProtocol:
         :class:`~repro.core.state.EnsembleCountsState` as ``final_states``
         (same accessor API as the batched result).
         """
-        ensemble = coerce_to_ensemble_counts(initial_state, num_trials)
-        if ensemble.num_nodes != self.num_nodes:
-            raise ValueError(
-                f"initial state has {ensemble.num_nodes} nodes but the "
-                f"protocol was built for {self.num_nodes}"
-            )
-        if ensemble.num_opinions != self.noise.num_opinions:
-            raise ValueError(
-                "initial state and noise matrix disagree on the number of "
-                f"opinions ({ensemble.num_opinions} vs {self.noise.num_opinions})"
-            )
-        if target_opinion is None:
-            target_opinion = ensemble.pooled_plurality_opinion()
-        if target_opinion <= 0:
-            raise ValueError(
-                "target_opinion could not be inferred: the initial ensemble "
-                "has no opinionated node"
-            )
-        schedule = self.build_schedule(
-            int(ensemble.opinionated_counts().min())
-        )
-        randomness = self._trial_randomness(ensemble.num_trials)
-        stage1 = CountsStage1Executor(self.delivery, schedule.stage1, randomness)
-        state_after_stage1, stage1_records = stage1.run(
-            ensemble, track_opinion=target_opinion
-        )
-        stage2 = CountsStage2Executor(self.delivery, schedule.stage2, randomness)
-        final_states, stage2_records = stage2.run(
-            state_after_stage1, track_opinion=target_opinion
-        )
-        total_rounds = int(
-            sum(record.num_rounds for record in stage1_records)
-            + sum(record.num_rounds for record in stage2_records)
-        )
-        return EnsembleResult(
-            final_states=final_states,
+        task = CountsProtocolTask(
+            num_nodes=self.num_nodes,
+            noise=self.noise,
+            initial_state=initial_state,
+            num_trials=num_trials,
+            epsilon=self.epsilon,
             target_opinion=target_opinion,
-            successes=final_states.consensus_mask(target_opinion),
-            total_rounds=total_rounds,
-            stage1_records=stage1_records,
-            stage2_records=stage2_records,
+            random_state=self._random_state,
+            round_scale=self.round_scale,
         )
+        (result,) = run_heterogeneous_counts_protocol([task])
+        return result
 
 
 # reprolint: counts-tier
@@ -760,9 +693,13 @@ class CountsProtocol:
 class CountsProtocolTask:
     """One grid point of a heterogeneous counts-protocol batch.
 
-    Carries exactly the arguments a serial per-point run would pass to
-    :class:`CountsProtocol` and :meth:`CountsProtocol.run`; see
-    :func:`run_heterogeneous_counts_protocol` for the equivalence contract.
+    ``num_nodes`` is the population the protocol state tracks.  A faulted
+    point carries the phase sampler of its faulty sub-population as
+    ``fault_sampler``: the state then holds the ``n_h`` honest nodes only,
+    every phase appends the sampler's ball deltas to the honest message
+    histogram before recoloring, and the Poissonized throw spans
+    :attr:`num_bins` ``= n_h + m`` bins.  The sampler counts the rounds it
+    has seen, so a faulted task runs once.
     """
 
     num_nodes: int
@@ -776,6 +713,14 @@ class CountsProtocolTask:
     target_opinion: Optional[int] = None
     random_state: EnsembleRandomState = None
     round_scale: float = 1.0
+    fault_sampler: Optional[FaultedPhaseSampler] = None
+
+    @property
+    def num_bins(self) -> int:
+        """Bins of the Poissonized throw: every node, faulty ones included."""
+        if self.fault_sampler is None:
+            return int(self.num_nodes)
+        return int(self.num_nodes) + self.fault_sampler.num_faulty
 
 
 def _block_bias(distributions: np.ndarray, target: int) -> np.ndarray:
@@ -809,7 +754,7 @@ class _PreparedPoint:
 def _prepare_point(
     task: CountsProtocolTask, *, spawn_generators: bool = True
 ) -> _PreparedPoint:
-    """Replicate :meth:`CountsProtocol.run`'s entry work for one point.
+    """Validate one task and resolve its initial state, target and plan.
 
     ``spawn_generators=False`` skips resolving the per-trial streams —
     batched-draw runs never touch them (only the shared stream of the
@@ -833,10 +778,15 @@ def _prepare_point(
     target_opinion = task.target_opinion
     if target_opinion is None:
         target_opinion = ensemble.pooled_plurality_opinion()
-    if target_opinion <= 0:
+        if target_opinion <= 0:
+            raise ValueError(
+                "target_opinion could not be inferred: the initial ensemble "
+                "has no opinionated node"
+            )
+    if not 1 <= target_opinion <= ensemble.num_opinions:
         raise ValueError(
-            "target_opinion could not be inferred: the initial ensemble "
-            "has no opinionated node"
+            f"opinion must be in [1, {ensemble.num_opinions}], "
+            f"got {target_opinion}"
         )
     if task.schedule is not None:
         schedule = task.schedule
@@ -871,21 +821,18 @@ def _prepare_point(
     )
 
 
-def _gather_submodel(parts, cache=None):
-    """Gathered rows, local slices and a delivery model for one substep.
+def _gather_submodel(parts, cache):
+    """Gathered rows, local slices, delivery model and per-row tracked
+    population (``n_h`` under faults) for one substep.
 
     The active point set is stable across most substeps (points retire only
-    when their schedule ends), so callers pass a ``cache`` dict and the
-    rows/slices/model triple is rebuilt only when the participating points
-    change — the lazy-assembly rebuild that used to run every substep.
+    when their schedule ends), so the gathered tuple is cached in ``cache``
+    and rebuilt only when the participating points change.
     """
-    from repro.network.balls_bins import HeterogeneousCountsDeliveryModel
-
     key = tuple(id(point) for point in parts)
-    if cache is not None:
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
+    cached = cache.get(key)
+    if cached is not None:
+        return cached
     rows = []
     local_slices = []
     offset = 0
@@ -897,12 +844,15 @@ def _gather_submodel(parts, cache=None):
         offset += size
     sub_model = HeterogeneousCountsDeliveryModel(
         local_slices,
-        [point.task.num_nodes for point in parts],
+        [point.task.num_bins for point in parts],
         [point.task.noise for point in parts],
     )
-    gathered = (np.concatenate(rows), local_slices, sub_model)
-    if cache is not None:
-        cache[key] = gathered
+    tracked = np.repeat(
+        np.asarray([point.task.num_nodes for point in parts], dtype=np.int64),
+        [sl.stop - sl.start for sl in local_slices],
+    )
+    gathered = (np.concatenate(rows), local_slices, sub_model, tracked)
+    cache[key] = gathered
     return gathered
 
 
@@ -918,18 +868,39 @@ def _substep_randomness(generators, rows):
     return generators
 
 
-def _run_stage1_substep(counts, generators, parts, step, cache=None) -> None:
-    """One merged Stage-1 phase over every block whose plan says "s1" now."""
-    rows, local_slices, sub_model = _gather_submodel(parts, cache)
+def _phase_histograms(counts_sub, generators, parts, local_slices, step):
+    """The merged substep's message histograms, faulty balls included.
+
+    Every opinionated node pushes once per round of its point's phase; a
+    faulted point then appends its sampler's ball deltas, drawn from the
+    point's own rows' streams before anything else in the phase.
+    """
     num_rounds = np.repeat(
         np.asarray([point.plan[step][2] for point in parts], dtype=np.int64),
         [sl.stop - sl.start for sl in local_slices],
     )
-    counts_sub = counts[rows]
     histograms = counts_sub * num_rounds[:, np.newaxis]
+    for point, lsl in zip(parts, local_slices):
+        sampler = point.task.fault_sampler
+        if sampler is not None:
+            histograms[lsl] += sampler.phase_ball_deltas(
+                counts_sub[lsl],
+                point.plan[step][2],
+                generators[lsl] if isinstance(generators, list) else generators,
+            )
+    return histograms
+
+
+def _run_stage1_substep(counts, generators, parts, step, cache) -> None:
+    """One merged Stage-1 phase over every block whose plan says "s1" now."""
+    rows, local_slices, sub_model, tracked = _gather_submodel(parts, cache)
+    counts_sub = counts[rows]
     gens_sub = _substep_randomness(generators, rows)
+    histograms = _phase_histograms(
+        counts_sub, gens_sub, parts, local_slices, step
+    )
     noisy = sub_model.recolor(histograms, gens_sub)
-    undecided = sub_model.num_nodes - counts_sub.sum(axis=1, dtype=np.int64)
+    undecided = tracked - counts_sub.sum(axis=1, dtype=np.int64)
     adopted = sub_model.sample_adoptions(noisy, undecided, gens_sub)
     new_counts = counts_sub + adopted[:, 1:]
     counts[rows] = new_counts
@@ -950,25 +921,23 @@ def _run_stage1_substep(counts, generators, parts, step, cache=None) -> None:
         )
 
 
-def _run_stage2_substep(counts, generators, parts, step, cache=None) -> None:
+def _run_stage2_substep(counts, generators, parts, step, cache) -> None:
     """One merged Stage-2 phase over every block whose plan says "s2" now."""
-    rows, local_slices, sub_model = _gather_submodel(parts, cache)
-    sizes = [sl.stop - sl.start for sl in local_slices]
-    num_rounds = np.repeat(
-        np.asarray([point.plan[step][2] for point in parts], dtype=np.int64),
-        sizes,
-    )
+    rows, local_slices, sub_model, tracked = _gather_submodel(parts, cache)
     sample_sizes = [point.plan[step][3] for point in parts]
     sample_sizes_rows = np.repeat(
-        np.asarray(sample_sizes, dtype=np.int64), sizes
+        np.asarray(sample_sizes, dtype=np.int64),
+        [sl.stop - sl.start for sl in local_slices],
     )
     counts_sub = counts[rows]
-    distributions_before = counts_sub / sub_model.num_nodes[:, np.newaxis]
-    histograms = counts_sub * num_rounds[:, np.newaxis]
+    distributions_before = counts_sub / tracked[:, np.newaxis]
     gens_sub = _substep_randomness(generators, rows)
+    histograms = _phase_histograms(
+        counts_sub, gens_sub, parts, local_slices, step
+    )
     noisy = sub_model.recolor(histograms, gens_sub)
     update_probability = sub_model.update_probability(noisy, sample_sizes_rows)
-    undecided = sub_model.num_nodes - counts_sub.sum(axis=1, dtype=np.int64)
+    undecided = tracked - counts_sub.sum(axis=1, dtype=np.int64)
     group_sizes = np.concatenate([undecided[:, np.newaxis], counts_sub], axis=1)
     updaters = sub_model.sample_updaters(
         group_sizes, update_probability, gens_sub
@@ -1009,25 +978,19 @@ def run_heterogeneous_counts_protocol(
 ) -> List[EnsembleResult]:
     """Run many counts-protocol grid points as one merged batched computation.
 
-    The sweep engine's protocol executor.  Each task is one grid point; the
-    per-point :class:`EnsembleResult` is **bitwise identical** to what
-
-    .. code-block:: python
-
-        CountsProtocol(
-            task.num_nodes, task.noise,
-            schedule=task.schedule, epsilon=task.epsilon,
-            random_state=task.random_state, round_scale=task.round_scale,
-        ).run(task.initial_state, task.num_trials,
-              target_opinion=task.target_opinion)
-
-    would return — same values, same random draws.  The equivalence holds
-    because randomness is always per-trial (trial ``r`` of point ``g`` draws
-    only from its own spawned generator, in the same order as serially) and
-    every merged floating-point operation is row-stable; the one op that is
-    not (the wide ``maj()`` composition matmul) is evaluated per block at
-    the block's own row shape by
-    :class:`~repro.network.balls_bins.HeterogeneousCountsDeliveryModel`.
+    The counts tier's protocol engine: :meth:`CountsProtocol.run`,
+    ``simulate()``'s counts runner and ``simulate_sweep``'s fused batches
+    all come here.  Each task is one grid point; the per-point
+    :class:`EnsembleResult` is **bitwise identical** to running that task
+    alone (``run_heterogeneous_counts_protocol([task])``) — same values,
+    same random draws.  The equivalence holds because randomness is always
+    per-trial (trial ``r`` of point ``g`` draws only from its own spawned
+    generator, in the same order as alone) and every merged floating-point
+    operation is row-stable; the one op that is not (the wide ``maj()``
+    composition matmul) is evaluated per block at the block's own row shape
+    by :class:`~repro.network.balls_bins.HeterogeneousCountsDeliveryModel`.
+    Faulted points (``task.fault_sampler``) merge with fault-free ones:
+    each phase adds the point's faulty ball deltas before recoloring.
 
     Points advance phase-synchronously: at global step ``p`` every point
     still owning a ``p``-th phase executes it (Stage-1 and Stage-2 phases in
@@ -1080,8 +1043,12 @@ def run_heterogeneous_counts_protocol(
         generators = [
             generator for point in points for generator in point.generators
         ]
-    step = 0
     submodel_cache = {}
+    _, _, model, _ = _gather_submodel(points, submodel_cache)
+    model.build_vote_law_tables(
+        [entry[3] for point in points for entry in point.plan if entry[0] == "s2"]
+    )
+    step = 0
     while True:
         active = [point for point in points if step < len(point.plan)]
         if not active:

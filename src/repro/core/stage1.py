@@ -24,8 +24,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core.schedule import Stage1Schedule
-from repro.core.state import EnsembleCountsState, EnsembleState, PopulationState
-from repro.network.balls_bins import CountsDeliveryModel
+from repro.core.state import EnsembleState, PopulationState
 from repro.network.delivery import (
     deliver_ensemble_phase,
     deliver_phase,
@@ -44,7 +43,6 @@ __all__ = [
     "Stage1PhaseRecord",
     "EnsembleStage1Executor",
     "EnsembleStage1PhaseRecord",
-    "CountsStage1Executor",
 ]
 
 
@@ -300,98 +298,4 @@ class EnsembleStage1Executor:
             opinion_distributions=state.opinion_distributions(),
             bias=bias,
             messages_sent=received.total_messages(),
-        )
-
-
-# reprolint: counts-tier
-class CountsStage1Executor:
-    """Run Stage 1 on ``(R, k)`` sufficient statistics — never ``(R, n)``.
-
-    The counts-engine executor: each phase reduces to its message histogram
-    (``num_rounds`` balls per opinionated node, Claim 1), applies the noise
-    re-coloring *exactly* (one multinomial per color), and draws the
-    end-of-phase adoptions of the undecided nodes from the closed-form
-    per-node outcome law of the Poissonized throw (Definition 4) — one
-    multinomial per trial.  Per-phase cost is ``O(k^2)`` per trial,
-    independent of ``n``; see
-    :class:`~repro.network.balls_bins.CountsDeliveryModel` for the
-    exactness discussion.
-
-    Parameters
-    ----------
-    delivery:
-        A :class:`~repro.network.balls_bins.CountsDeliveryModel`.
-    schedule:
-        The Stage-1 phase schedule, shared by every trial.
-    random_state:
-        One shared randomness source, or a sequence with one source per
-        trial (trial ``r`` then consumes draws from its own source only).
-    """
-
-    def __init__(
-        self,
-        delivery: CountsDeliveryModel,
-        schedule: Stage1Schedule,
-        random_state: EnsembleRandomState = None,
-    ) -> None:
-        if not isinstance(delivery, CountsDeliveryModel):
-            raise TypeError(
-                "delivery must be a CountsDeliveryModel, got "
-                f"{type(delivery).__name__}"
-            )
-        self.delivery = delivery
-        self.schedule = schedule
-        self._random_state = normalize_ensemble_random_state(random_state)
-
-    def run(
-        self,
-        state: EnsembleCountsState,
-        *,
-        track_opinion: Optional[int] = None,
-    ) -> Tuple[EnsembleCountsState, List[EnsembleStage1PhaseRecord]]:
-        """Execute every Stage-1 phase on a copy of ``state``."""
-        current = state.copy()
-        if track_opinion is None:
-            pooled = current.pooled_plurality_opinion()
-            track_opinion = pooled if pooled > 0 else None
-        records: List[EnsembleStage1PhaseRecord] = []
-        for phase_index, num_rounds in enumerate(self.schedule.phase_lengths):
-            record = self.run_phase(
-                current, phase_index, num_rounds, track_opinion=track_opinion
-            )
-            records.append(record)
-        return current, records
-
-    def run_phase(
-        self,
-        state: EnsembleCountsState,
-        phase_index: int,
-        num_rounds: int,
-        *,
-        track_opinion: Optional[int] = None,
-    ) -> EnsembleStage1PhaseRecord:
-        """Execute a single counts Stage-1 phase, mutating ``state`` in place."""
-        opinionated_before = state.opinionated_counts()
-        histograms = self.delivery.phase_histograms(
-            state.counts, num_rounds, self._random_state
-        )
-        # The histogram is validated once here (recolor); the adoption
-        # sampler reuses the validated post-noise array without re-checking.
-        noisy = self.delivery.recolor(histograms, self._random_state)
-        adopted = self.delivery.sample_adoptions(
-            noisy, state.undecided_counts(), self._random_state, validate=False
-        )
-        state.counts += adopted[:, 1:]
-        bias = (
-            state.bias_toward(track_opinion) if track_opinion is not None else None
-        )
-        return EnsembleStage1PhaseRecord(
-            phase_index=phase_index,
-            num_rounds=num_rounds,
-            opinionated_before=opinionated_before,
-            opinionated_after=state.opinionated_counts(),
-            newly_opinionated=adopted[:, 1:].sum(axis=1, dtype=np.int64),
-            opinion_distributions=state.opinion_distributions(),
-            bias=bias,
-            messages_sent=histograms.sum(axis=1, dtype=np.int64),
         )

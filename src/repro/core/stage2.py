@@ -23,8 +23,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core.schedule import Stage2Schedule
-from repro.core.state import EnsembleCountsState, EnsembleState, PopulationState
-from repro.network.balls_bins import CompiledPhaseLaw, CountsDeliveryModel
+from repro.core.state import EnsembleState, PopulationState
 from repro.network.delivery import (
     deliver_ensemble_phase,
     deliver_phase,
@@ -35,8 +34,6 @@ from repro.utils.rng import (
     EnsembleRandomState,
     RandomState,
     as_generator,
-    as_trial_generators,
-    is_generator_sequence,
     normalize_ensemble_random_state,
 )
 
@@ -45,7 +42,6 @@ __all__ = [
     "Stage2PhaseRecord",
     "EnsembleStage2Executor",
     "EnsembleStage2PhaseRecord",
-    "CountsStage2Executor",
 ]
 
 
@@ -354,197 +350,5 @@ class EnsembleStage2Executor:
             bias_before=bias_before,
             bias_after=bias_after,
             messages_sent=received.total_messages(),
-            consensus_after=consensus_after,
-        )
-
-
-# reprolint: counts-tier
-class CountsStage2Executor:
-    """Run Stage 2 on ``(R, k)`` sufficient statistics — never ``(R, n)``.
-
-    The counts-engine executor.  Each phase re-colors the message histogram
-    exactly (Claim 1) and summarizes the Poissonized delivery (Definition
-    4) per node class:
-
-    * a node re-votes iff it received at least ``L`` messages — probability
-      ``P(Poisson(Lambda) >= L)``, so the number of re-voters per
-      current-opinion group is one binomial draw per group;
-    * by Poisson splitting, a re-voter's size-``L`` sample is ``L`` i.i.d.
-      draws from the noisy histogram's color law *independent of its own
-      opinion*, so the re-voters' ``maj()`` tallies are one multinomial
-      over the closed-form vote law (or the bounded-chunk fallback when
-      the composition table is intractable — see
-      :meth:`~repro.network.balls_bins.CountsDeliveryModel.sample_vote_counts`).
-
-    The executor supports only the faithful Stage-2 rule: the sampling
-    ablations (``with_replacement``, ``use_full_multiset``) condition on
-    per-node arrival totals and are served by the sequential and batched
-    engines.
-
-    Parameters
-    ----------
-    delivery:
-        A :class:`~repro.network.balls_bins.CountsDeliveryModel`.
-    schedule:
-        The Stage-2 phase schedule (lengths and sample sizes).
-    random_state:
-        One shared randomness source, or a sequence with one per trial.
-    sampling_method, use_full_multiset:
-        Accepted for interface parity; anything but the defaults raises
-        ``ValueError``.
-    """
-
-    def __init__(
-        self,
-        delivery: CountsDeliveryModel,
-        schedule: Stage2Schedule,
-        random_state: EnsembleRandomState = None,
-        *,
-        sampling_method: str = "without_replacement",
-        use_full_multiset: bool = False,
-    ) -> None:
-        if not isinstance(delivery, CountsDeliveryModel):
-            raise TypeError(
-                "delivery must be a CountsDeliveryModel, got "
-                f"{type(delivery).__name__}"
-            )
-        if sampling_method != "without_replacement":
-            raise ValueError(
-                "the counts engine implements only the faithful "
-                "'without_replacement' Stage-2 sampling; use the batched or "
-                f"sequential engine for {sampling_method!r}"
-            )
-        if use_full_multiset:
-            raise ValueError(
-                "the counts engine implements only the size-L sample rule; "
-                "use the batched or sequential engine for use_full_multiset"
-            )
-        self.delivery = delivery
-        self.schedule = schedule
-        self.sampling_method = sampling_method
-        self.use_full_multiset = use_full_multiset
-        self._random_state = normalize_ensemble_random_state(random_state)
-
-    def run(
-        self,
-        state: EnsembleCountsState,
-        *,
-        track_opinion: Optional[int] = None,
-    ) -> Tuple[EnsembleCountsState, List[EnsembleStage2PhaseRecord]]:
-        """Execute every Stage-2 phase on a copy of ``state``."""
-        current = state.copy()
-        if track_opinion is None:
-            pooled = current.pooled_plurality_opinion()
-            track_opinion = pooled if pooled > 0 else None
-        # Compile each distinct (num_rounds, sample_size) once up front:
-        # phases sharing a sample size (all the "short" Stage-2 phases do)
-        # then share one law object, tail table and vote-path decision.
-        compiled_laws = {}
-        for num_rounds, sample_size in zip(
-            self.schedule.phase_lengths, self.schedule.sample_sizes
-        ):
-            key = (int(num_rounds), int(sample_size))
-            if key not in compiled_laws:
-                compiled_laws[key] = self.delivery.compile_phase(
-                    num_rounds, sample_size
-                )
-        records: List[EnsembleStage2PhaseRecord] = []
-        for phase_index, (num_rounds, sample_size) in enumerate(
-            zip(self.schedule.phase_lengths, self.schedule.sample_sizes)
-        ):
-            record = self.run_phase(
-                current,
-                phase_index,
-                num_rounds,
-                sample_size,
-                track_opinion=track_opinion,
-                compiled=compiled_laws[(int(num_rounds), int(sample_size))],
-            )
-            records.append(record)
-        return current, records
-
-    def _sample_updaters(
-        self, group_sizes: np.ndarray, update_probability: np.ndarray
-    ) -> np.ndarray:
-        """Eligible re-voters per current-opinion group, shape ``(R, k+1)``.
-
-        One binomial per group; in per-trial mode trial ``r`` consumes
-        exactly ``k + 1`` binomial draws from its own generator.
-        """
-        num_trials = group_sizes.shape[0]
-        if is_generator_sequence(self._random_state):
-            generators = as_trial_generators(self._random_state, num_trials)
-            updaters = np.empty(group_sizes.shape, dtype=np.int64)
-            for trial, generator in enumerate(generators):
-                updaters[trial] = generator.binomial(
-                    group_sizes[trial], update_probability[trial]
-                )
-            return updaters
-        rng = as_generator(self._random_state)
-        return rng.binomial(
-            group_sizes, update_probability[:, np.newaxis]
-        ).astype(np.int64, copy=False)
-
-    def run_phase(
-        self,
-        state: EnsembleCountsState,
-        phase_index: int,
-        num_rounds: int,
-        sample_size: int,
-        *,
-        track_opinion: Optional[int] = None,
-        compiled: Optional[CompiledPhaseLaw] = None,
-    ) -> EnsembleStage2PhaseRecord:
-        """Execute a single counts Stage-2 phase, mutating ``state`` in place.
-
-        ``compiled`` carries the phase's precomputed law constants (vote
-        path, warmed tables); :meth:`run` builds one per distinct phase
-        shape.  The phase's message histogram is validated once on entry
-        (in :meth:`~repro.network.balls_bins.CountsDeliveryModel.recolor`);
-        the downstream law/sampler calls reuse the validated arrays without
-        re-checking.
-        """
-        if compiled is None:
-            compiled = self.delivery.compile_phase(num_rounds, sample_size)
-        bias_before = (
-            state.bias_toward(track_opinion) if track_opinion is not None else None
-        )
-        histograms = self.delivery.phase_histograms(
-            state.counts, num_rounds, self._random_state
-        )
-        noisy = self.delivery.recolor(histograms, self._random_state)
-        update_probability = self.delivery.update_probability(
-            noisy, sample_size, validate=False
-        )
-        group_sizes = np.concatenate(
-            [state.undecided_counts()[:, np.newaxis], state.counts], axis=1
-        )
-        updaters = self._sample_updaters(group_sizes, update_probability)
-        votes = self.delivery.sample_vote_counts(
-            noisy,
-            updaters.sum(axis=1, dtype=np.int64),
-            sample_size,
-            self._random_state,
-            vote_path=compiled.vote_path,
-            validate=False,
-        )
-        state.counts += votes - updaters[:, 1:]
-        bias_after = (
-            state.bias_toward(track_opinion) if track_opinion is not None else None
-        )
-        consensus_after = (
-            state.consensus_mask(track_opinion)
-            if track_opinion is not None
-            else np.zeros(state.num_trials, dtype=bool)
-        )
-        return EnsembleStage2PhaseRecord(
-            phase_index=phase_index,
-            num_rounds=num_rounds,
-            sample_size=sample_size,
-            updated_nodes=updaters.sum(axis=1, dtype=np.int64),
-            opinion_distributions=state.opinion_distributions(),
-            bias_before=bias_before,
-            bias_after=bias_after,
-            messages_sent=histograms.sum(axis=1, dtype=np.int64),
             consensus_after=consensus_after,
         )

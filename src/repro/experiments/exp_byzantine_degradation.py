@@ -18,16 +18,13 @@ reference point leads each sweep).  Expectations:
   mostly *remove* useful messages, the random liar adds unbiased noise
   that the epsilon-noise analysis already tolerates;
 * the adaptive adversary is strictly more damaging at equal ``f``
-  because its balls are concentrated on the plurality's strongest rival;
-* the adaptive family admits no counts-tier sufficient statistic, so on
-  the counts (or auto-resolved-counts) engine those grid points
-  *degrade* to the batched tier; the table records the degraded engine
-  and the provenance reason instead of erroring — the graceful-
-  degradation contract this PR introduces.
+  because its balls are concentrated on the plurality's strongest rival.
 
-Registered as E15 with quick/full configurations; the repeated trials
-run on any sampling tier (``trial_engine``), with the degradation rule
-above applying per grid point.
+Every family runs on every sampling tier: the adaptive target is the
+runner-up of the honest ``(R, k)`` histogram, which is exactly the counts
+tier's state.  Registered as E15 with quick/full configurations; the
+repeated trials run on the requested sampling tier (``trial_engine``), and
+each sweep fuses all of its counts points into one batch.
 """
 
 from __future__ import annotations
@@ -63,9 +60,8 @@ class ByzantineDegradationConfig:
 
     ``fractions`` are the faulty fractions ``f`` swept per adversary
     family; every sweep is led by a fault-free reference point.
-    ``trial_engine`` is the *requested* sampling tier — adaptive grid
-    points degrade counts to batched per the fault-degradation rule, and
-    the table records the engine each point actually ran on.
+    ``trial_engine`` is the sampling tier; the table records the engine
+    each point ran on.
     """
 
     num_nodes: int = 200
@@ -142,7 +138,6 @@ def run(
         experiment_id="E15", title=_TITLE, paper_claim=_PAPER_CLAIM
     )
 
-    degraded_points = 0
     for workload_index, workload in enumerate(("rumor", "plurality")):
         grid = _workload_grid(
             config, workload, derive_seed(random_state, workload_index)
@@ -150,9 +145,6 @@ def run(
         sweep = simulate_sweep(grid)
         for index, result in enumerate(sweep):
             faults = grid.point_overrides(index)["faults"]
-            reason = result.provenance.get("engine_degraded_reason")
-            if reason is not None:
-                degraded_points += 1
             table.add_record(
                 workload=workload,
                 adversary=faults.kind if faults is not None else "none",
@@ -160,7 +152,6 @@ def run(
                 num_nodes=config.num_nodes,
                 num_trials=result.num_trials,
                 engine=result.provenance["engine"],
-                engine_degraded_reason=reason,
                 success_rate=float(np.mean(result.successes)),
                 mean_rounds=float(np.mean(result.rounds)),
             )
@@ -168,11 +159,6 @@ def run(
     table.add_note(
         f"requested trial engine: {config.trial_engine}; adversary order: "
         + ", ".join(ADVERSARIES)
-    )
-    table.add_note(
-        f"{degraded_points} adaptive grid points degraded counts -> batched "
-        "(engine_degraded_reason column); oblivious families keep their "
-        "counts-tier sufficient statistics"
     )
     if "crash" in ADVERSARIES:
         table.add_note(

@@ -49,12 +49,17 @@ from typing import (
 
 import numpy as np
 
-from repro.core.protocol import CountsProtocol, EnsembleProtocol, TwoStageProtocol
-from repro.core.schedule import Stage1Schedule, Stage2Schedule
-from repro.core.stage1 import CountsStage1Executor, EnsembleStage1Executor, Stage1Executor
-from repro.core.stage2 import CountsStage2Executor, EnsembleStage2Executor, Stage2Executor
+from repro.core.protocol import (
+    CountsProtocol,
+    CountsProtocolTask,
+    EnsembleProtocol,
+    TwoStageProtocol,
+    run_heterogeneous_counts_protocol,
+)
+from repro.core.schedule import ProtocolSchedule, Stage1Schedule, Stage2Schedule
+from repro.core.stage1 import EnsembleStage1Executor, Stage1Executor
+from repro.core.stage2 import EnsembleStage2Executor, Stage2Executor
 from repro.core.state import CountsState, EnsembleCountsState, EnsembleState, PopulationState
-from repro.network.balls_bins import CountsDeliveryModel
 from repro.network.push_model import UniformPushModel
 from repro.noise.matrix import NoiseMatrix
 from repro.sim.engines import build_dynamics
@@ -593,29 +598,22 @@ def stage1_trial_trajectories(
     )
     phase_lengths = tuple(int(length) for length in schedule.phase_lengths)
 
-    if trial_engine == "batched":
-        ensemble = EnsembleState.from_state(initial_state, num_trials)
-        engine = UniformPushModel(num_nodes, noise, None)
-        randomness = resolve_trial_randomness(
-            random_state, num_trials, "per_trial"
-        )
-        executor = EnsembleStage1Executor(engine, schedule, randomness)
-        _, records = executor.run(ensemble, track_opinion=track_opinion)
-        fractions = np.stack(
-            [record.opinionated_after / num_nodes for record in records],
-            axis=1,
-        )
-        biases = np.stack([record.bias for record in records], axis=1)
-        return Stage1TrajectoryResult(phase_lengths, fractions, biases)
-
-    if trial_engine == "counts":
-        ensemble = EnsembleCountsState.from_state(initial_state, num_trials)
-        delivery = CountsDeliveryModel(num_nodes, noise)
-        randomness = resolve_trial_randomness(
-            random_state, num_trials, "per_trial"
-        )
-        executor = CountsStage1Executor(delivery, schedule, randomness)
-        _, records = executor.run(ensemble, track_opinion=track_opinion)
+    if trial_engine in ("batched", "counts"):
+        if trial_engine == "batched":
+            executor = EnsembleStage1Executor(
+                UniformPushModel(num_nodes, noise, None),
+                schedule,
+                resolve_trial_randomness(random_state, num_trials, "per_trial"),
+            )
+            _, records = executor.run(
+                EnsembleState.from_state(initial_state, num_trials),
+                track_opinion=track_opinion,
+            )
+        else:
+            records = _run_counts_schedule(
+                initial_state, noise, num_trials, random_state, track_opinion,
+                ProtocolSchedule(schedule, Stage2Schedule([], [], epsilon)),
+            ).stage1_records
         fractions = np.stack(
             [record.opinionated_after / num_nodes for record in records],
             axis=1,
@@ -637,6 +635,23 @@ def stage1_trial_trajectories(
         ]
         biases[trial] = [record.bias for record in records]
     return Stage1TrajectoryResult(phase_lengths, fractions, biases)
+
+
+def _run_counts_schedule(
+    initial_state, noise, num_trials, random_state, track_opinion, schedule
+):
+    """One counts-tier run of ``schedule`` (one of its stages left empty)."""
+    task = CountsProtocolTask(
+        num_nodes=initial_state.num_nodes,
+        noise=noise,
+        initial_state=initial_state,
+        num_trials=num_trials,
+        schedule=schedule,
+        target_opinion=track_opinion,
+        random_state=random_state,
+    )
+    (result,) = run_heterogeneous_counts_protocol([task])
+    return result
 
 
 @dataclass(frozen=True)
@@ -709,38 +724,41 @@ def stage2_trial_trajectories(
     phase_lengths = tuple(int(length) for length in schedule.phase_lengths)
     sample_sizes = tuple(int(size) for size in schedule.sample_sizes)
 
-    if trial_engine in ("batched", "counts"):
-        randomness = resolve_trial_randomness(
-            random_state, num_trials, "per_trial"
+    if trial_engine == "counts":
+        if sampling_method != "without_replacement":
+            raise ValueError(
+                "the counts engine implements only the faithful "
+                "'without_replacement' Stage-2 sampling; use the batched or "
+                f"sequential engine for {sampling_method!r}"
+            )
+        if use_full_multiset:
+            raise ValueError(
+                "the counts engine implements only the size-L sample rule; "
+                "use the batched or sequential engine for use_full_multiset"
+            )
+        result = _run_counts_schedule(
+            initial_state, noise, num_trials, random_state, track_opinion,
+            ProtocolSchedule(Stage1Schedule([], epsilon), schedule),
         )
-        if trial_engine == "batched":
-            if isinstance(initial_state, PopulationState):
-                ensemble = EnsembleState.from_state(initial_state, num_trials)
-            else:
-                ensemble = initial_state
-            engine = UniformPushModel(num_nodes, noise, None)
-            executor = EnsembleStage2Executor(
-                engine,
-                schedule,
-                randomness,
-                sampling_method=sampling_method,
-                use_full_multiset=use_full_multiset,
-            )
+        biases = np.stack(
+            [record.bias_after for record in result.stage2_records], axis=1
+        )
+        return Stage2TrajectoryResult(
+            phase_lengths, sample_sizes, biases, result.successes
+        )
+
+    if trial_engine == "batched":
+        if isinstance(initial_state, PopulationState):
+            ensemble = EnsembleState.from_state(initial_state, num_trials)
         else:
-            if isinstance(initial_state, PopulationState):
-                ensemble = EnsembleCountsState.from_state(
-                    initial_state, num_trials
-                )
-            else:
-                ensemble = EnsembleCountsState.from_ensemble(initial_state)
-            delivery = CountsDeliveryModel(num_nodes, noise)
-            executor = CountsStage2Executor(
-                delivery,
-                schedule,
-                randomness,
-                sampling_method=sampling_method,
-                use_full_multiset=use_full_multiset,
-            )
+            ensemble = initial_state
+        executor = EnsembleStage2Executor(
+            UniformPushModel(num_nodes, noise, None),
+            schedule,
+            resolve_trial_randomness(random_state, num_trials, "per_trial"),
+            sampling_method=sampling_method,
+            use_full_multiset=use_full_multiset,
+        )
         final_states, records = executor.run(
             ensemble, track_opinion=track_opinion
         )

@@ -1,19 +1,16 @@
-"""Delivery engines that weave faulty emissions into honest phases.
+"""The per-node delivery engine that weaves faulty emissions into phases.
 
 The honest-reduction architecture: protocol state machines only ever hold
 the ``n_h = n - m`` honest nodes, but every phase's balls — honest *and*
 faulty — are thrown into the full ``n`` bins, and only the honest bins'
-mailboxes are handed back.  This keeps all three sampling tiers exact for
-oblivious adversaries (the faulty sub-population is a frozen emission law,
-not evolving state) at the cost of a simple slice.
+mailboxes are handed back.  The faulty sub-population is a frozen emission
+law, not evolving state, so the reduction costs a simple slice.
 
-* :class:`FaultedDeliveryEngine` backs the sequential and batched tiers via
-  the standard ``run_phase_from_senders`` / ``run_ensemble_phase_from_senders``
-  delivery protocol.
-* :class:`FaultedCountsDeliveryModel` subclasses the counts tier's
-  :class:`CountsDeliveryModel` (the executors type-check on it), overriding
-  only :meth:`phase_histograms` so the Poissonized per-node laws see the
-  fault-augmented ball totals with ``lam = B / n`` over the full population.
+:class:`FaultedDeliveryEngine` backs the sequential and batched tiers via
+the standard ``run_phase_from_senders`` / ``run_ensemble_phase_from_senders``
+delivery protocol.  The counts tier takes the same
+:class:`~repro.faults.injection.FaultedPhaseSampler` as a per-point hook of
+its merged batch (``CountsProtocolTask.fault_sampler``).
 """
 
 from __future__ import annotations
@@ -21,13 +18,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.faults.injection import FaultedPhaseSampler
-from repro.network.balls_bins import CountsDeliveryModel, ensemble_recolor_and_throw
+from repro.network.balls_bins import ensemble_recolor_and_throw
 from repro.network.mailbox import EnsembleReceivedMessages, ReceivedMessages
 from repro.noise.matrix import NoiseMatrix
 from repro.utils.rng import EnsembleRandomState, RandomState, as_generator
 from repro.utils.validation import require_positive_int
 
-__all__ = ["FaultedDeliveryEngine", "FaultedCountsDeliveryModel"]
+__all__ = ["FaultedDeliveryEngine"]
 
 
 class FaultedDeliveryEngine:
@@ -118,46 +115,3 @@ class FaultedDeliveryEngine:
         return EnsembleReceivedMessages(
             np.ascontiguousarray(received.counts[:, : self.num_nodes, :])
         )
-
-
-class FaultedCountsDeliveryModel(CountsDeliveryModel):
-    """Counts-tier delivery over the full ``n`` bins with faulty emissions.
-
-    Constructed with ``num_nodes`` = the *total* population (so the
-    Poissonized rate ``lam = B / n`` stays correct) while the protocol's
-    state tracks honest counts only.  The single override folds the faulty
-    ball deltas into each phase's message histogram; recoloring, adoption,
-    and vote laws are inherited unchanged.  Only oblivious adversaries may
-    use this class — the adaptive family's runner-up targeting conditions
-    on per-node information the counts reduction has discarded, which is
-    exactly why the engine resolver degrades it to the batched tier.
-    """
-
-    def __init__(
-        self,
-        num_nodes: int,
-        noise: NoiseMatrix,
-        sampler: FaultedPhaseSampler,
-    ) -> None:
-        super().__init__(num_nodes, noise)
-        if not isinstance(sampler, FaultedPhaseSampler):
-            raise TypeError(
-                f"sampler must be a FaultedPhaseSampler, got {type(sampler).__name__}"
-            )
-        if not sampler.model.is_oblivious:
-            raise ValueError(
-                "the counts tier is only exact for oblivious adversaries "
-                f"(crash/omission/liar), got kind={sampler.model.kind!r}; "
-                "use the batched tier (or allow_degradation=True)"
-            )
-        self.sampler = sampler
-
-    def phase_histograms(
-        self,
-        counts: np.ndarray,
-        num_rounds: int,
-        random_state: EnsembleRandomState = None,
-    ) -> np.ndarray:
-        honest = np.asarray(counts, dtype=np.int64)
-        deltas = self.sampler.phase_ball_deltas(honest, num_rounds, random_state)
-        return honest * np.int64(num_rounds) + deltas

@@ -17,11 +17,9 @@ population of faulty nodes.  Four adversary families are supported:
     *runner-up* opinion among honest senders (second-largest support), trying
     to flip the plurality.
 
-The first three families are *oblivious*: their emissions depend only on
-counts of the honest population (or on nothing at all), so the counts-tier
-sufficient statistics survive.  The adaptive family conditions on the full
-current configuration and is only exact at the per-node tiers; the engine
-resolver degrades ``counts`` to ``batched`` for it (see ``repro.sim.facade``).
+Every family's emissions are a function of the honest senders' opinion
+histogram (the adaptive target is its runner-up) or of nothing at all, so
+all four run on every sampling tier, the counts tier included.
 """
 
 from __future__ import annotations
@@ -29,13 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional
 
-__all__ = ["FAULT_KINDS", "OBLIVIOUS_FAULT_KINDS", "FaultModel"]
+__all__ = ["FAULT_KINDS", "FaultModel"]
 
 FAULT_KINDS = ("crash", "omission", "liar", "adaptive")
-
-#: Families whose emissions are a function of honest-population counts only;
-#: these admit exact counts-tier sufficient statistics.
-OBLIVIOUS_FAULT_KINDS = ("crash", "omission", "liar")
 
 
 @dataclass(frozen=True)
@@ -57,18 +51,12 @@ class FaultModel:
     drop_rate:
         (``omission`` only) Independent per-message drop probability in
         ``(0, 1]``.  Default 0.5.
-    allow_degradation:
-        When the requested engine tier cannot represent this adversary
-        exactly (``counts`` + ``adaptive``), degrade to the batched tier and
-        record ``provenance["engine_degraded_reason"]`` instead of raising.
-        Default True.
     """
 
     kind: str
     fraction: float
     crash_round: int = 0
     drop_rate: float = 0.5
-    allow_degradation: bool = True
 
     def __post_init__(self) -> None:
         self.validate()
@@ -118,20 +106,10 @@ class FaultModel:
                 "faults.drop_rate only applies to kind='omission', got "
                 f"drop_rate={drop} with kind={self.kind!r}"
             )
-        if not isinstance(self.allow_degradation, bool):
-            raise ValueError(
-                "faults.allow_degradation must be a bool, got "
-                f"{self.allow_degradation!r}"
-            )
 
     # ------------------------------------------------------------------
     # Derived quantities
     # ------------------------------------------------------------------
-    @property
-    def is_oblivious(self) -> bool:
-        """Whether the counts tier is exact for this adversary."""
-        return self.kind in OBLIVIOUS_FAULT_KINDS
-
     def faulty_count(self, num_nodes: int) -> int:
         """Head-count ``m = round(f * n)`` of faulty nodes."""
         if num_nodes < 2:
@@ -155,7 +133,6 @@ class FaultModel:
             "fraction": float(self.fraction),
             "crash_round": int(self.crash_round),
             "drop_rate": float(self.drop_rate),
-            "allow_degradation": bool(self.allow_degradation),
         }
 
     @classmethod
@@ -164,7 +141,7 @@ class FaultModel:
             raise ValueError(
                 f"faults payload must be a mapping, got {type(payload).__name__}"
             )
-        known = {"kind", "fraction", "crash_round", "drop_rate", "allow_degradation"}
+        known = {"kind", "fraction", "crash_round", "drop_rate"}
         unknown = sorted(set(payload) - known)
         if unknown:
             raise ValueError(
@@ -181,8 +158,6 @@ class FaultModel:
             kwargs["crash_round"] = payload["crash_round"]
         if "drop_rate" in payload:
             kwargs["drop_rate"] = payload["drop_rate"]
-        if "allow_degradation" in payload:
-            kwargs["allow_degradation"] = payload["allow_degradation"]
         return cls(**kwargs)
 
 

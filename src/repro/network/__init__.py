@@ -25,7 +25,7 @@ classically stated in terms of pulling a few random opinions per round.
 
 from repro.network.balls_bins import (
     BallsIntoBinsProcess,
-    CountsDeliveryModel,
+    HeterogeneousCountsDeliveryModel,
     poisson_tail_probability,
 )
 from repro.network.delivery import deliver_phase, supports_population_delivery
@@ -41,10 +41,10 @@ from repro.network.topology import GraphPushModel, standard_topology
 
 __all__ = [
     "BallsIntoBinsProcess",
-    "CountsDeliveryModel",
     "CountsPullModel",
     "EnsemblePullModel",
     "GraphPushModel",
+    "HeterogeneousCountsDeliveryModel",
     "PoissonizedProcess",
     "PushPhaseStatistics",
     "ReceivedMessages",

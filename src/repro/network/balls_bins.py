@@ -16,9 +16,8 @@ compare the two empirically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -36,8 +35,6 @@ from repro.utils.validation import require_positive_int
 __all__ = [
     "BallsIntoBinsProcess",
     "ensemble_recolor_and_throw",
-    "CompiledPhaseLaw",
-    "CountsDeliveryModel",
     "HeterogeneousCountsDeliveryModel",
     "poisson_tail_probability",
 ]
@@ -99,30 +96,10 @@ def poisson_tail_probability(threshold: int, lam: np.ndarray) -> np.ndarray:
 
 
 # reprolint: counts-tier
-@dataclass(frozen=True)
-class CompiledPhaseLaw:
-    """Everything about a counts phase that is constant across its rounds.
-
-    Built once per distinct ``(num_rounds, sample_size)`` by
-    :meth:`CountsDeliveryModel.compile_phase` and reused for every round and
-    trial of the phase: the vote-law path decision (closed-form table, dense
-    large-sample table, or bounded-chunk fallback) is made once, and the
-    backing tables (Poisson-tail log-factorial, ``maj()`` composition
-    tables) are warmed into their caches at compile time, so the phase
-    samplers do no re-derivation.  ``sample_size`` is ``None`` for Stage-1
-    phases, which have no vote step.
-    """
-
-    num_rounds: int
-    sample_size: Optional[int] = None
-    vote_path: Optional[str] = None
-
-
-# reprolint: counts-tier
-class CountsDeliveryModel:
+class HeterogeneousCountsDeliveryModel:
     """Counts-native phase delivery: Claim-1 recoloring + Poissonized bins.
 
-    The counts engine's substitute for a per-node delivery engine.  A phase
+    The counts tier's substitute for a per-node delivery engine.  A phase
     is reduced to its message histogram (Claim 1's balls-into-bins
     reformulation, Definition 3): step 1 — every ball is re-colored through
     the noise matrix — is sampled *exactly* with one multinomial per color
@@ -131,7 +108,7 @@ class CountsDeliveryModel:
     paper's own analysis device): every node independently receives
     ``Poisson(h_i / n)`` copies of opinion ``i``, which makes the per-node
     outcomes i.i.d. and therefore reducible to ``O(k)`` closed-form
-    probabilities per trial:
+    probabilities per row:
 
     * Stage-1 adoption (:meth:`adoption_probabilities`): by Poisson
       splitting, a node that received at least one ball adopts color ``j``
@@ -144,380 +121,22 @@ class CountsDeliveryModel:
       ``P(Poisson(Lambda) >= L)``.
     * Stage-2 votes (:meth:`vote_probabilities`): a size-``L`` uniform
       subsample of i.i.d.-colored arrivals is ``L`` i.i.d. draws from
-      ``h / B`` — exactly the observation law the closed-form ``maj()``
-      table consumes.
+      ``h / B`` — exactly the observation law the ``maj()`` vote law
+      consumes.
 
     Lemma 2 bounds the distance between process P and the real push process
     O, so protocol runs under this model agree with the per-node engines
-    statistically (checked by the engine-agreement test-suite); the
-    dynamics' counts engines do not use this class and are exact outright.
-    """
+    statistically (checked by the engine-agreement test-suite).
 
-    def __init__(self, num_nodes: int, noise: NoiseMatrix) -> None:
-        self.num_nodes = require_positive_int(num_nodes, "num_nodes")
-        if not isinstance(noise, NoiseMatrix):
-            raise TypeError(
-                f"noise must be a NoiseMatrix, got {type(noise).__name__}"
-            )
-        self.noise = noise
-
-    @property
-    def num_opinions(self) -> int:
-        """Number of ball colors ``k``."""
-        return self.noise.num_opinions
-
-    def _validate_histograms(self, histograms: np.ndarray) -> np.ndarray:
-        array = np.asarray(histograms, dtype=np.int64)
-        if array.ndim != 2 or array.shape[1] != self.num_opinions:
-            raise ValueError(
-                f"histograms must have shape (R, {self.num_opinions}), "
-                f"got shape {array.shape}"
-            )
-        if array.size and array.min() < 0:
-            raise ValueError("histogram entries must be non-negative")
-        return array
-
-    def phase_histograms(
-        self,
-        counts: np.ndarray,
-        num_rounds: int,
-        random_state: EnsembleRandomState = None,
-    ) -> np.ndarray:
-        """The phase's message histograms from the senders' opinion counts.
-
-        Every opinionated node pushes once per round, so the base model
-        returns ``counts * num_rounds``.  Fault-injecting subclasses
-        override this to append adversarial balls (``random_state`` exists
-        for their benefit; the base draw is deterministic).
-        """
-        return np.asarray(counts, dtype=np.int64) * np.int64(num_rounds)
-
-    def resolve_vote_path(self, sample_size: int) -> str:
-        """Which sampler :meth:`sample_vote_counts` uses for ``sample_size``.
-
-        ``"table"`` — the closed-form composition table over
-        {no opinion, 1, …, k} (small samples); ``"dense"`` — the exact dense
-        table over opinionated observations only (large samples, any ``k=2``
-        and thousands for ``k=3``); ``"chunk"`` — the bounded-chunk
-        per-voter fallback (``O(num_voters)`` work).  The decision depends
-        only on ``(sample_size, k)``, so phase compilers hoist it.
-        """
-        from repro.network.pull_model import (  # local: avoid import cycle
-            dense_vote_law_is_tractable,
-            vote_table_is_tractable,
-        )
-
-        if vote_table_is_tractable(sample_size, self.num_opinions):
-            return "table"
-        if dense_vote_law_is_tractable(sample_size, self.num_opinions):
-            return "dense"
-        return "chunk"
-
-    def compile_phase(
-        self, num_rounds: int, sample_size: Optional[int] = None
-    ) -> CompiledPhaseLaw:
-        """Hoist a phase's round/trial-invariant law work into one object.
-
-        Decides the vote-law path once and warms the caches the phase
-        samplers read (the Poisson-tail log-factorial table and, on the
-        dense path, the ``maj()`` composition table), so that per-phase
-        execution touches only batch-sized arrays.
-        """
-        if sample_size is None:
-            return CompiledPhaseLaw(num_rounds=int(num_rounds))
-        sample_size = int(sample_size)
-        vote_path = self.resolve_vote_path(sample_size)
-        _poisson_tail_tables(sample_size)
-        if vote_path == "dense":
-            from repro.network.pull_model import _dense_majority_vote_table
-
-            _dense_majority_vote_table(sample_size, self.num_opinions)
-        return CompiledPhaseLaw(
-            num_rounds=int(num_rounds),
-            sample_size=sample_size,
-            vote_path=vote_path,
-        )
-
-    def recolor(
-        self,
-        histograms: np.ndarray,
-        random_state: EnsembleRandomState = None,
-        *,
-        validate: bool = True,
-    ) -> np.ndarray:
-        """Step 1 of Definition 3 for ``R`` trials: exact noise re-coloring.
-
-        ``histograms`` has shape ``(R, k)``; the result is the post-noise
-        histogram matrix (same shape, int64, row sums preserved).  With a
-        per-trial randomness sequence trial ``r`` consumes exactly the
-        draws :meth:`NoiseMatrix.apply_to_counts` would make for its row.
-        Executors that built the histograms themselves pass
-        ``validate=False`` to skip the redundant shape/sign re-checks.
-        """
-        if validate:
-            histograms = self._validate_histograms(histograms)
-        return self.noise.apply_to_count_matrix(
-            histograms, random_state
-        ).astype(np.int64, copy=False)
-
-    def adoption_probabilities(
-        self, noisy_histograms: np.ndarray, *, validate: bool = True
-    ) -> np.ndarray:
-        """Per-undecided-node Stage-1 outcome law, shape ``(R, k + 1)``.
-
-        Column 0 is "received nothing, stay undecided"; columns ``1..k``
-        are the adoption probabilities of each opinion.
-        """
-        noisy = (
-            self._validate_histograms(noisy_histograms)
-            if validate
-            else noisy_histograms
-        )
-        totals = noisy.sum(axis=1, dtype=np.int64)
-        lam = totals / self.num_nodes
-        none_mass = np.exp(-lam)
-        shares = np.divide(
-            noisy,
-            totals[:, np.newaxis],
-            out=np.zeros(noisy.shape, dtype=float),
-            where=totals[:, np.newaxis] > 0,
-        )
-        probabilities = (1.0 - none_mass)[:, np.newaxis] * shares
-        return np.concatenate(
-            [none_mass[:, np.newaxis], probabilities], axis=1
-        )
-
-    def update_probability(
-        self,
-        noisy_histograms: np.ndarray,
-        sample_size: int,
-        *,
-        validate: bool = True,
-    ) -> np.ndarray:
-        """Per-node probability of receiving at least ``sample_size``
-        messages during the phase, shape ``(R,)``."""
-        noisy = (
-            self._validate_histograms(noisy_histograms)
-            if validate
-            else noisy_histograms
-        )
-        totals = noisy.sum(axis=1, dtype=np.int64)
-        return poisson_tail_probability(
-            int(sample_size), totals / self.num_nodes
-        )
-
-    def vote_probabilities(
-        self, noisy_histograms: np.ndarray, *, validate: bool = True
-    ) -> np.ndarray:
-        """The i.i.d. color law of a re-voting node's sample, shape ``(R, k)``.
-
-        Rows with an empty histogram come back all-zero (no node can be
-        eligible there, so the law is never used).
-        """
-        noisy = (
-            self._validate_histograms(noisy_histograms)
-            if validate
-            else noisy_histograms
-        )
-        totals = noisy.sum(axis=1, keepdims=True, dtype=np.int64)
-        return np.divide(
-            noisy,
-            totals,
-            out=np.zeros(noisy.shape, dtype=float),
-            where=totals > 0,
-        )
-
-    def sample_adoptions(
-        self,
-        noisy_histograms: np.ndarray,
-        undecided_counts: np.ndarray,
-        random_state: EnsembleRandomState = None,
-        *,
-        validate: bool = True,
-    ) -> np.ndarray:
-        """Stage-1 end-of-phase adoptions, shape ``(R, k + 1)`` int64.
-
-        Entry ``(r, 0)`` is the number of trial-``r`` undecided nodes that
-        received nothing and stay undecided; entry ``(r, j)`` the number
-        adopting opinion ``j`` — one multinomial per trial over the
-        :meth:`adoption_probabilities` law.
-        """
-        if validate:
-            noisy = self._validate_histograms(noisy_histograms)
-            undecided = np.asarray(undecided_counts, dtype=np.int64)
-            if undecided.shape != (noisy.shape[0],):
-                raise ValueError(
-                    f"undecided_counts must have shape ({noisy.shape[0]},), "
-                    f"got {undecided.shape}"
-                )
-            if undecided.size and undecided.min() < 0:
-                raise ValueError("undecided counts must be non-negative")
-        else:
-            noisy = noisy_histograms
-            undecided = undecided_counts
-        probabilities = self.adoption_probabilities(noisy, validate=False)
-        if is_generator_sequence(random_state):
-            generators = as_trial_generators(random_state, noisy.shape[0])
-            adopted = np.empty(
-                (noisy.shape[0], self.num_opinions + 1), dtype=np.int64
-            )
-            for trial, generator in enumerate(generators):
-                adopted[trial] = generator.multinomial(
-                    int(undecided[trial]), probabilities[trial]
-                )
-            return adopted
-        rng = as_generator(random_state)
-        return rng.multinomial(undecided, probabilities).astype(
-            np.int64, copy=False
-        )
-
-    #: Bounded chunk size of the per-voter fallback sampler: keeps every
-    #: intermediate array ``O(chunk * k)`` regardless of how many of the
-    #: ``n`` nodes re-vote in a phase.
-    VOTE_CHUNK = 32_768
-
-    def sample_vote_counts(
-        self,
-        noisy_histograms: np.ndarray,
-        num_voters: np.ndarray,
-        sample_size: int,
-        random_state: EnsembleRandomState = None,
-        *,
-        vote_path: Optional[str] = None,
-        validate: bool = True,
-    ) -> np.ndarray:
-        """Per-trial tallies of ``num_voters`` i.i.d. ``maj()`` votes.
-
-        Each eligible node's vote is ``maj()`` of ``sample_size`` i.i.d.
-        draws from the trial's :meth:`vote_probabilities` law (the exact
-        Stage-2 sample law under Poissonization).  Three samplers, chosen
-        by :meth:`resolve_vote_path` (or the precomputed ``vote_path`` of a
-        :class:`CompiledPhaseLaw`):
-
-        * ``"table"`` — the closed-form vote law; one multinomial per trial;
-        * ``"dense"`` — the dense large-sample vote law (exact, evaluated in
-          log space over opinionated compositions only); one multinomial per
-          trial, so the phase cost is independent of ``num_voters``.  The
-          dense law is the *same distribution* as the chunk fallback it
-          replaces but consumes different raw draws, so enabling it on a
-          formerly chunked phase is a distributional (not bitwise) change —
-          see ``docs/performance.md``;
-        * ``"chunk"`` — bounded chunks of :data:`VOTE_CHUNK` per-voter
-          compositions (``O(num_voters)`` work but never an ``n``-sized
-          array), for ``(sample_size, k)`` beyond both table budgets.
-
-        Returns an ``(R, k)`` int64 matrix.
-        """
-        from repro.network.pull_model import (  # local: avoid import cycle
-            dense_majority_vote_law,
-            majority_vote_law,
-        )
-
-        if validate:
-            noisy = self._validate_histograms(noisy_histograms)
-            voters = np.asarray(num_voters, dtype=np.int64)
-            if voters.shape != (noisy.shape[0],):
-                raise ValueError(
-                    f"num_voters must have shape ({noisy.shape[0]},), "
-                    f"got {voters.shape}"
-                )
-            if voters.size and voters.min() < 0:
-                raise ValueError("voter counts must be non-negative")
-        else:
-            noisy = noisy_histograms
-            voters = num_voters
-        sample_size = int(sample_size)
-        if sample_size < 1:
-            raise ValueError(f"sample_size must be >= 1, got {sample_size}")
-        num_trials, num_opinions = noisy.shape
-        vote_law_probabilities = self.vote_probabilities(noisy, validate=False)
-        if vote_path is None:
-            vote_path = self.resolve_vote_path(sample_size)
-        if vote_path == "table":
-            observation_law = np.concatenate(
-                [np.zeros((num_trials, 1)), vote_law_probabilities], axis=1
-            )
-            vote_pmf = np.clip(
-                majority_vote_law(observation_law, sample_size), 0.0, 1.0
-            )[:, 1:]
-            # Renormalize away the rounding dust; the no-vote column is
-            # exactly zero because every sampled message carries an opinion.
-            row_sums = vote_pmf.sum(axis=1, keepdims=True)
-            vote_pmf = np.divide(
-                vote_pmf,
-                row_sums,
-                out=np.full(vote_pmf.shape, 1.0 / num_opinions),
-                where=row_sums > 0,
-            )
-        elif vote_path == "dense":
-            vote_pmf = dense_majority_vote_law(
-                vote_law_probabilities, sample_size
-            )
-        elif vote_path != "chunk":
-            raise ValueError(
-                f"vote_path must be 'table', 'dense' or 'chunk', got "
-                f"{vote_path!r}"
-            )
-        if vote_path != "chunk":
-            if is_generator_sequence(random_state):
-                generators = as_trial_generators(random_state, num_trials)
-                votes = np.empty((num_trials, num_opinions), dtype=np.int64)
-                for trial, generator in enumerate(generators):
-                    votes[trial] = generator.multinomial(
-                        int(voters[trial]), vote_pmf[trial]
-                    )
-                return votes
-            rng = as_generator(random_state)
-            return rng.multinomial(voters, vote_pmf).astype(
-                np.int64, copy=False
-            )
-        # Chunked per-voter fallback: enumerate each voter's sample
-        # composition directly (a k-cell multinomial) and tally the argmax
-        # with uniform tie-break keys — distribution-identical to the
-        # closed form, with every array bounded by VOTE_CHUNK.
-        if is_generator_sequence(random_state):
-            generators = as_trial_generators(random_state, num_trials)
-        else:
-            generators = [as_generator(random_state)] * num_trials
-        votes = np.zeros((num_trials, num_opinions), dtype=np.int64)
-        for trial, generator in enumerate(generators):
-            remaining = int(voters[trial])
-            if remaining == 0:
-                continue
-            pvals = vote_law_probabilities[trial]
-            if pvals.sum() <= 0:
-                raise ValueError(
-                    "cannot sample votes from an empty message histogram"
-                )
-            while remaining > 0:
-                chunk = min(remaining, self.VOTE_CHUNK)
-                compositions = generator.multinomial(
-                    sample_size, pvals, size=chunk
-                )
-                tie_keys = generator.random(compositions.shape)
-                winners = (compositions + tie_keys).argmax(axis=1)
-                votes[trial] += np.bincount(
-                    winners, minlength=num_opinions
-                ).astype(np.int64, copy=False)
-                remaining -= chunk
-        return votes
-
-
-# reprolint: counts-tier
-class HeterogeneousCountsDeliveryModel:
-    """Counts-native phase delivery for rows with *per-row parameters*.
-
-    The sweep engine's delivery model: rows of one merged ``(A, k)``
-    histogram matrix belong to contiguous blocks (one block per grid
-    point), each with its own population size ``n``, noise channel and
-    Stage-2 sample size.  Every method reproduces, row for row, exactly
-    the values and random draws that a homogeneous
-    :class:`CountsDeliveryModel` built for that row's block would produce
-    on the block alone — merged evaluation is used only for operations
-    whose floating-point result is row-stable (elementwise arithmetic and
-    per-row reductions), while the ``maj()`` vote law (a wide matmul whose
+    Rows of one ``(A, k)`` histogram matrix belong to contiguous blocks
+    (one block per grid point), each with its own bin count ``n``, noise
+    channel and Stage-2 sample size.  Every method gives each row exactly
+    the values and random draws a model built for that row's block alone
+    would give it: merged evaluation is used only for operations whose
+    floating-point result is row-stable (elementwise arithmetic and per-row
+    reductions), while the ``maj()`` vote law (a wide matmul whose
     summation tree depends on the batch shape) is always evaluated per
-    block at the block's own row count.  This is what makes the sweep's
+    block at the block's own row count.  This is what makes a sweep's
     per-point results bitwise identical to a serial per-scenario loop.
 
     Parameters
@@ -526,7 +145,8 @@ class HeterogeneousCountsDeliveryModel:
         Contiguous, non-overlapping slices partitioning ``range(A)``, one
         per grid point.
     num_nodes:
-        One population size per block.
+        One bin count per block: the whole population, faulty nodes
+        included.
     noises:
         One :class:`~repro.noise.matrix.NoiseMatrix` per block; all blocks
         must share the same number of opinions ``k``.
@@ -571,8 +191,9 @@ class HeterogeneousCountsDeliveryModel:
                 np.full(sl.stop - sl.start, self.block_num_nodes[block], dtype=np.int64)
             )
         self.num_rows = total
-        #: Per-row population size, shape ``(A,)``.
+        #: Per-row bin count, shape ``(A,)``.
         self.num_nodes = np.concatenate(rows_nodes)
+        self._vote_paths: Dict[int, str] = {}
 
     def _validate_histograms(self, histograms: np.ndarray) -> np.ndarray:
         array = np.asarray(histograms, dtype=np.int64)
@@ -586,21 +207,50 @@ class HeterogeneousCountsDeliveryModel:
         return array
 
     def _resolve_vote_path(self, sample_size: int) -> str:
-        """Cached per-``L`` vote-path decision (see ``resolve_vote_path``).
+        """Which sampler :meth:`sample_vote_counts` uses for ``sample_size``.
 
-        The decision depends only on ``(sample_size, num_opinions)``, so it
-        is resolved once per distinct sample size and reused by every phase
-        substep instead of re-probing the tractability predicates per call.
+        ``"table"`` — the closed-form composition table over
+        {no opinion, 1, …, k} (small samples); ``"dense"`` — the exact dense
+        table over opinionated observations only (large samples, any ``k=2``
+        and thousands for ``k=3``); ``"chunk"`` — the bounded-chunk
+        per-voter sampler (``O(num_voters)`` work).  The decision depends
+        only on ``(sample_size, k)``, so it is made once per sample size.
         """
-        cache = self.__dict__.setdefault("_vote_path_cache", {})
-        path = cache.get(sample_size)
+        from repro.network.pull_model import (  # local: avoid import cycle
+            dense_vote_law_is_tractable,
+            vote_table_is_tractable,
+        )
+
+        path = self._vote_paths.get(sample_size)
         if path is None:
-            probe = CountsDeliveryModel(
-                self.block_num_nodes[0], self.noises[0]
-            )
-            path = probe.resolve_vote_path(sample_size)
-            cache[sample_size] = path
+            if vote_table_is_tractable(sample_size, self.num_opinions):
+                path = "table"
+            elif dense_vote_law_is_tractable(sample_size, self.num_opinions):
+                path = "dense"
+            else:
+                path = "chunk"
+            self._vote_paths[sample_size] = path
         return path
+
+    def build_vote_law_tables(self, sample_sizes: Sequence[int]) -> None:
+        """Build now the dense ``maj()`` tables that ``sample_sizes`` need.
+
+        The dense tables outlive the run (an LRU in
+        :mod:`repro.network.pull_model`).  Built in the final phase instead,
+        after the closed-form path's large per-phase temporaries, they
+        fragment the heap: one ``n = 10^6``, ``k = 3`` run then peaks about
+        10% higher in resident memory.  When more tables are needed than
+        the LRU holds, they are left to be built in their phases, so none is
+        evicted before use.
+        """
+        from repro.network.pull_model import _dense_majority_vote_table
+
+        dense = sorted(
+            {size for size in sample_sizes if self._resolve_vote_path(size) == "dense"}
+        )
+        if len(dense) <= _dense_majority_vote_table.cache_info().maxsize:
+            for sample_size in dense:
+                _dense_majority_vote_table(sample_size, self.num_opinions)
 
     def recolor(
         self, histograms: np.ndarray, generators
@@ -759,9 +409,14 @@ class HeterogeneousCountsDeliveryModel:
         sizes); the clip/renormalization and the per-row multinomials are
         merged.  Blocks beyond the closed-form table budget use the dense
         large-sample law (evaluated row by row, hence row-stable) when
-        tractable, and otherwise fall back to the homogeneous model's
-        bounded-chunk sampler on their slice, consuming exactly the serial
-        draws.
+        tractable, and otherwise the bounded-chunk per-voter sampler
+        (:meth:`_sample_chunk_votes`).  The dense law is the *same
+        distribution* as the chunk sampler but consumes different raw
+        draws, so moving a phase from one to the other is a distributional
+        (not bitwise) change — see ``docs/performance.md``.
+
+        ``generators`` is one source per row (each row consumes exactly its
+        serial draws) or a single shared stream.
         """
         from repro.network.pull_model import (  # local: avoid import cycle
             dense_majority_vote_law,
@@ -793,14 +448,13 @@ class HeterogeneousCountsDeliveryModel:
                 )
                 dense_rows[sl] = True
             else:
-                fallback = CountsDeliveryModel(
-                    self.block_num_nodes[block], self.noises[block]
-                )
-                votes[sl] = fallback.sample_vote_counts(
-                    noisy[sl],
+                votes[sl] = self._sample_chunk_votes(
+                    vote_law_probabilities[sl],
                     voters[sl],
                     sample_size,
-                    list(generators[sl]) if per_trial else shared_rng,
+                    generators[sl]
+                    if per_trial
+                    else [shared_rng] * (sl.stop - sl.start),
                 )
         law_rows = tractable_rows | dense_rows
         if law_rows.any():
@@ -824,6 +478,47 @@ class HeterogeneousCountsDeliveryModel:
                 votes[law_rows] = shared_rng.multinomial(
                     voters[law_rows], vote_pmf[law_rows]
                 )
+        return votes
+
+    #: Bounded chunk size of the per-voter sampler: keeps every
+    #: intermediate array ``O(chunk * k)`` regardless of how many of the
+    #: ``n`` nodes re-vote in a phase.
+    VOTE_CHUNK = 32_768
+
+    def _sample_chunk_votes(
+        self,
+        vote_law_probabilities: np.ndarray,
+        num_voters: np.ndarray,
+        sample_size: int,
+        generators: Sequence[np.random.Generator],
+    ) -> np.ndarray:
+        """Per-voter ``maj()`` tallies for the rows of one block.
+
+        Enumerates each voter's sample composition directly (a ``k``-cell
+        multinomial) and tallies the argmax with uniform tie-break keys —
+        distribution-identical to the closed form, with every array bounded
+        by :attr:`VOTE_CHUNK` voters.  Row ``r`` draws from
+        ``generators[r]``.
+        """
+        votes = np.zeros(vote_law_probabilities.shape, dtype=np.int64)
+        for row, generator in enumerate(generators):
+            remaining = int(num_voters[row])
+            if remaining == 0:
+                continue
+            pvals = vote_law_probabilities[row]
+            if pvals.sum() <= 0:
+                raise ValueError(
+                    "cannot sample votes from an empty message histogram"
+                )
+            while remaining > 0:
+                chunk = min(remaining, self.VOTE_CHUNK)
+                compositions = generator.multinomial(
+                    sample_size, pvals, size=chunk
+                )
+                tie_keys = generator.random(compositions.shape)
+                winners = (compositions + tie_keys).argmax(axis=1)
+                votes[row] += np.bincount(winners, minlength=self.num_opinions)
+                remaining -= chunk
         return votes
 
 

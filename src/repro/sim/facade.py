@@ -26,9 +26,10 @@ from repro.core.analytic import (
     exact_protocol_is_tractable,
 )
 from repro.core.protocol import (
-    CountsProtocol,
+    CountsProtocolTask,
     EnsembleProtocol,
     TwoStageProtocol,
+    run_heterogeneous_counts_protocol,
 )
 from repro.core.state import PopulationState
 from repro.dynamics.analytic import (
@@ -36,11 +37,7 @@ from repro.dynamics.analytic import (
     MeanFieldDynamics,
     exact_dynamics_is_tractable,
 )
-from repro.faults import (
-    FaultedCountsDeliveryModel,
-    FaultedDeliveryEngine,
-    FaultedPhaseSampler,
-)
+from repro.faults import FaultedDeliveryEngine, FaultedPhaseSampler
 from repro.network.pull_model import vote_law_cache_info
 from repro.network.topology import GraphPushModel, standard_topology
 from repro.noise.matrix import NoiseMatrix
@@ -119,27 +116,6 @@ def _exactly_tractable(scenario: Scenario) -> bool:
     )
 
 
-def _degrade_for_faults(scenario: Scenario, engine: str) -> Tuple[str, Optional[str]]:
-    """Swap the counts tier out when the adversary defeats its statistics.
-
-    The adaptive plurality-targeting adversary conditions on per-node
-    information the counts reduction has discarded, so a counts resolution
-    gracefully degrades to the batched tier (``allow_degradation=False``
-    was already rejected at scenario validation).  Returns the possibly
-    demoted engine and a human-readable reason for provenance.
-    """
-    if (
-        scenario.faults is not None
-        and scenario.faults.kind == "adaptive"
-        and engine == "counts"
-    ):
-        return "batched", (
-            "adaptive adversary admits no counts-tier sufficient "
-            "statistics; degraded counts -> batched"
-        )
-    return engine, None
-
-
 def _resolve_engine(scenario: Scenario) -> Tuple[str, Optional[str]]:
     """The concrete tier for the scenario's engine policy, plus the
     degradation reason (``None`` when the policy was served as asked).
@@ -157,7 +133,7 @@ def _resolve_engine(scenario: Scenario) -> Tuple[str, Optional[str]]:
     mean-field law covers them.
     """
     if scenario.engine != "auto":
-        return _degrade_for_faults(scenario, scenario.engine)
+        return scenario.engine, None
     from repro.experiments.runner import resolve_trial_engine
 
     engine = resolve_trial_engine(
@@ -184,7 +160,7 @@ def _resolve_engine(scenario: Scenario) -> Tuple[str, Optional[str]]:
                 f"{scenario.num_opinions} opinions exceeds the closed-form "
                 "maj() table budget; degraded counts -> batched"
             )
-    return _degrade_for_faults(scenario, engine)
+    return engine, None
 
 
 def simulate(scenario: Scenario) -> SimulationResult:
@@ -389,41 +365,48 @@ def _protocol_batched(
     )
 
 
+def _counts_protocol_task(
+    scenario: Scenario, noise: NoiseMatrix
+) -> CountsProtocolTask:
+    """The counts-tier task of one protocol scenario.
+
+    The single scenario-to-task translation behind both ``simulate()``'s
+    counts runner (a one-task batch) and ``simulate_sweep``'s fused
+    batches, so a sweep point is bitwise its serial run by construction.
+    The entry state is counts-native (same opinion counts as the per-node
+    construction, but ``O(k)`` — ``n`` never gets an array axis on this
+    tier).  Faulted scenarios track the honest ``n_h`` nodes only and hand
+    the batch a fresh phase sampler; the Poissonized throw then spans all
+    ``n`` bins, faulty mailboxes included.
+    """
+    if scenario.faults is None:
+        initial_counts = scenario.initial_counts_state()
+        sampler = None
+    else:
+        initial_counts, _ = scenario.fault_split()
+        sampler = _fault_sampler(scenario)
+    return CountsProtocolTask(
+        num_nodes=initial_counts.num_nodes,
+        noise=noise,
+        initial_state=initial_counts,
+        num_trials=scenario.num_trials,
+        epsilon=scenario.epsilon,
+        target_opinion=scenario.target_opinion(),
+        random_state=scenario.seed,
+        round_scale=scenario.round_scale,
+        fault_sampler=sampler,
+    )
+
+
 @ENGINE_REGISTRY.register("rumor", "counts")
 @ENGINE_REGISTRY.register("plurality", "counts")
 def _protocol_counts(
     scenario: Scenario, noise: NoiseMatrix, engine: str
 ) -> SimulationResult:
-    """The ``(R, k)`` sufficient-statistics tier: :class:`CountsProtocol`.
-
-    Faulted scenarios keep honest-only counts as state while the delivery
-    model spans the full ``n`` bins (so the Poissonized rate ``B / n``
-    counts faulty balls and faulty mailboxes alike); only oblivious
-    adversaries reach this tier.
-    """
-    faulted = scenario.faults is not None
-    if faulted:
-        initial_counts, _ = scenario.fault_split()
-        delivery = FaultedCountsDeliveryModel(
-            scenario.num_nodes, noise, _fault_sampler(scenario)
-        )
-    else:
-        initial_counts = scenario.initial_counts_state()
-        delivery = None
-    protocol = CountsProtocol(
-        initial_counts.num_nodes,
-        noise,
-        epsilon=scenario.epsilon,
-        random_state=scenario.seed,
-        round_scale=scenario.round_scale,
-        delivery=delivery,
-    )
-    # Counts-native entry state: same opinion counts as the per-node
-    # construction, but O(k) — n never gets an array axis on this tier.
-    result = protocol.run(
-        initial_counts,
-        scenario.num_trials,
-        target_opinion=scenario.target_opinion(),
+    """The ``(R, k)`` sufficient-statistics tier: a one-task batch of
+    :func:`~repro.core.protocol.run_heterogeneous_counts_protocol`."""
+    (result,) = run_heterogeneous_counts_protocol(
+        [_counts_protocol_task(scenario, noise)]
     )
     return SimulationResult.from_ensemble_result(
         result, workload=scenario.workload, engine=engine

@@ -429,18 +429,6 @@ class Scenario:
                 "balls-into-bins process, so process must stay 'push' "
                 f"(got {self.process!r})"
             )
-        if (
-            self.faults.kind == "adaptive"
-            and not self.faults.allow_degradation
-            and self.engine in ("counts", "auto")
-        ):
-            raise ScenarioError(
-                "the adaptive adversary has no counts-tier sufficient "
-                f"statistics, and engine {self.engine!r} with "
-                "allow_degradation=False forbids the counts->batched "
-                "fallback; use engine='batched' (or 'sequential'), or set "
-                "faults.allow_degradation=True"
-            )
 
     # ------------------------------------------------------------------ #
     # Derived objects

@@ -46,10 +46,7 @@ from typing import (
 
 import numpy as np
 
-from repro.core.protocol import (
-    CountsProtocolTask,
-    run_heterogeneous_counts_protocol,
-)
+from repro.core.protocol import run_heterogeneous_counts_protocol
 from repro.dynamics.base import (
     CountsDynamicsTask,
     run_heterogeneous_counts_dynamics,
@@ -58,6 +55,7 @@ from repro.sim.engines import build_dynamics
 from repro.network.pull_model import vote_law_cache_info
 from repro.sim.facade import (
     _cache_delta,
+    _counts_protocol_task,
     _resolve_engine,
     sim_code_version,
     simulate,
@@ -252,25 +250,6 @@ def _point_identity(scenario: Scenario, code_version: str) -> Dict[str, Any]:
     return {"scenario": scenario.to_dict(), "code_version": code_version}
 
 
-def _protocol_task(scenario: Scenario) -> CountsProtocolTask:
-    """The heterogeneous-batch task mirroring the facade's counts runner.
-
-    Field-for-field the arguments ``_protocol_counts`` hands to
-    :class:`~repro.core.protocol.CountsProtocol` — the batch entry point
-    replicates its ``run`` preamble, so the draws are identical.
-    """
-    return CountsProtocolTask(
-        num_nodes=scenario.num_nodes,
-        noise=scenario.build_noise(),
-        initial_state=scenario.initial_counts_state(),
-        num_trials=scenario.num_trials,
-        epsilon=scenario.epsilon,
-        target_opinion=scenario.target_opinion(),
-        random_state=scenario.seed,
-        round_scale=scenario.round_scale,
-    )
-
-
 def _dynamics_task(scenario: Scenario) -> CountsDynamicsTask:
     """The heterogeneous-batch task mirroring ``_dynamics_ensemble``."""
     dynamics = build_dynamics(
@@ -389,13 +368,7 @@ def simulate_sweep(
         scenario = scenarios[index]
         engine, _ = _resolve_engine(scenario)
         engines[index] = engine
-        if scenario.faults is not None:
-            # Faulted points run per-point: the merged counts batch knows
-            # nothing about fault samplers, and simulate() already owns the
-            # honest-reduction construction (bitwise equality to the serial
-            # loop is then trivial).
-            serial_points.append(index)
-        elif engine == "counts" and scenario.workload in ("rumor", "plurality"):
+        if engine == "counts" and scenario.workload in ("rumor", "plurality"):
             protocol_groups.setdefault(scenario.num_opinions, []).append(index)
         elif engine == "counts" and scenario.workload == "dynamics":
             dynamics_batch.append(index)
@@ -405,7 +378,10 @@ def simulate_sweep(
     for _, indices in sorted(protocol_groups.items()):
         batch_started = time.perf_counter()
         cache_before = vote_law_cache_info()
-        tasks = [_protocol_task(scenarios[index]) for index in indices]
+        tasks = [
+            _counts_protocol_task(scenarios[index], scenarios[index].build_noise())
+            for index in indices
+        ]
         batch_results = run_heterogeneous_counts_protocol(
             tasks, draw_mode=draw_mode
         )

@@ -1,10 +1,11 @@
-"""Tests for the counts-engine protocol executors and driver.
+"""Tests for the counts-tier protocol engine.
 
-Covers the Stage-1/Stage-2 counts executors' bookkeeping (records,
-conservation, edge cases), the :class:`CountsProtocol` driver contract
-(state coercion, schedules, result API, reproducibility), and the rejection
-of the per-node-only ablation knobs.  Cross-engine statistical agreement
-lives in ``tests/integration/test_engine_agreement.py``.
+Covers the counts delivery model's laws and samplers, the merged
+heterogeneous batch run one stage at a time (records, conservation), the
+per-point fault hook, the :class:`CountsProtocol` one-task front end (state
+coercion, schedules, result API, reproducibility, validation), and the
+rejection of the per-node-only ablation knobs.  Cross-engine statistical
+agreement lives in ``tests/integration/test_engine_agreement.py``.
 """
 
 from __future__ import annotations
@@ -12,12 +13,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.protocol import CountsProtocol, EnsembleResult
+from repro.core.protocol import (
+    CountsProtocol,
+    CountsProtocolTask,
+    EnsembleResult,
+    run_heterogeneous_counts_protocol,
+)
 from repro.core.schedule import ProtocolSchedule, Stage1Schedule, Stage2Schedule
-from repro.core.stage1 import CountsStage1Executor
-from repro.core.stage2 import CountsStage2Executor
 from repro.core.state import CountsState, EnsembleCountsState, PopulationState
-from repro.network.balls_bins import CountsDeliveryModel, poisson_tail_probability
+from repro.experiments.runner import stage2_trial_trajectories
+from repro.faults import FaultedPhaseSampler, FaultModel
+from repro.network.balls_bins import (
+    HeterogeneousCountsDeliveryModel,
+    poisson_tail_probability,
+)
 from repro.noise.families import identity_matrix, uniform_noise_matrix
 
 NUM_NODES = 800
@@ -29,9 +38,16 @@ def noise():
     return uniform_noise_matrix(3, EPSILON)
 
 
-@pytest.fixture
-def delivery(noise):
-    return CountsDeliveryModel(NUM_NODES, noise)
+def one_block(noise, rows=1, num_nodes=NUM_NODES):
+    """A delivery model whose ``rows`` rows all belong to one block."""
+    return HeterogeneousCountsDeliveryModel(
+        [slice(0, rows)], [num_nodes], [noise]
+    )
+
+
+def run_one(task):
+    (result,) = run_heterogeneous_counts_protocol([task])
+    return result
 
 
 class TestPoissonTail:
@@ -61,21 +77,21 @@ class TestPoissonTail:
         assert 0.4 < near_half < 0.6
 
 
-class TestCountsDeliveryModel:
-    def test_recolor_preserves_totals(self, delivery, rng):
+class TestCountsDelivery:
+    def test_recolor_preserves_totals(self, noise, rng):
         histograms = np.array([[100, 50, 0], [0, 0, 0]], dtype=np.int64)
-        noisy = delivery.recolor(histograms, rng)
+        noisy = one_block(noise, rows=2).recolor(histograms, rng)
         assert noisy.dtype == np.int64
         assert np.array_equal(noisy.sum(axis=1), histograms.sum(axis=1))
 
     def test_identity_recolor_is_exact(self, rng):
-        delivery = CountsDeliveryModel(NUM_NODES, identity_matrix(3))
         histograms = np.array([[7, 3, 2]], dtype=np.int64)
+        delivery = one_block(identity_matrix(3))
         assert np.array_equal(delivery.recolor(histograms, rng), histograms)
 
-    def test_adoption_probabilities_sum_to_one(self, delivery):
+    def test_adoption_probabilities_sum_to_one(self, noise):
         noisy = np.array([[400, 100, 0], [0, 0, 0]], dtype=np.int64)
-        probabilities = delivery.adoption_probabilities(noisy)
+        probabilities = one_block(noise, rows=2).adoption_probabilities(noisy)
         assert probabilities.shape == (2, 4)
         assert np.allclose(probabilities.sum(axis=1), 1.0)
         # An empty phase leaves everyone undecided with certainty.
@@ -84,48 +100,77 @@ class TestCountsDeliveryModel:
         assert probabilities[0, 1] / probabilities[0, 2] == pytest.approx(4.0)
 
     def test_sample_adoptions_accounts_for_every_undecided_node(
-        self, delivery, rng
+        self, noise, rng
     ):
         noisy = np.array([[4000, 1000, 500]], dtype=np.int64)
-        adopted = delivery.sample_adoptions(noisy, np.array([300]), rng)
+        adopted = one_block(noise).sample_adoptions(noisy, np.array([300]), rng)
         assert adopted.shape == (1, 4)
         assert adopted.sum() == 300
 
     def test_sample_vote_counts_tractable_and_chunked_agree_in_mean(
-        self, delivery
+        self, noise
     ):
         """The closed-form and chunked vote samplers draw from the same
         law; with a strongly biased histogram both concentrate on the
         plurality color."""
+        from repro.network.pull_model import vote_table_is_tractable
+
         noisy = np.array([[9000, 500, 500]], dtype=np.int64)
         voters = np.array([4000])
-        tractable = delivery.sample_vote_counts(
-            noisy, voters, 5, np.random.default_rng(0)
+        tractable = one_block(noise).sample_vote_counts(
+            noisy, voters, [5], np.random.default_rng(0)
         )
-        delivery_small_chunks = CountsDeliveryModel(NUM_NODES, delivery.noise)
-        delivery_small_chunks.VOTE_CHUNK = 256
-        chunked = delivery_small_chunks.sample_vote_counts(
-            noisy, voters, 201, np.random.default_rng(1)
+        chunked_model = one_block(uniform_noise_matrix(6, EPSILON))
+        chunked_model.VOTE_CHUNK = 256
+        # L = 201 with k = 6 is beyond both table budgets -> chunk sampler.
+        assert chunked_model._resolve_vote_path(201) == "chunk"
+        chunked = chunked_model.sample_vote_counts(
+            np.array([[9000, 200, 200, 200, 200, 200]]),
+            voters,
+            [201],
+            np.random.default_rng(1),
         )
         for votes in (tractable, chunked):
             assert votes.sum() == 4000
             assert votes[0, 0] > 3500
-        # L = 201 with k = 3 is beyond the composition-table budget, so the
-        # second draw exercised the chunked path.
-        from repro.network.pull_model import vote_table_is_tractable
-        assert not vote_table_is_tractable(201, 3)
         assert vote_table_is_tractable(5, 3)
 
+    def test_build_vote_law_tables_builds_the_dense_tables_only(self, noise):
+        """Closed-form sizes are left to their phases; a request past the
+        dense LRU's capacity builds nothing, so no table is evicted before
+        its phase runs."""
+        from repro.network import pull_model
 
-class TestCountsStageExecutors:
-    def test_stage1_grows_opinionated_set(self, delivery):
+        pull_model.clear_vote_law_cache(tables=True)
+        model = one_block(noise)
+        model.build_vote_law_tables([20, 300, 300])
+        info = pull_model.vote_law_cache_info()
+        assert (info["table_misses"], info["dense_table_misses"]) == (0, 1)
+        model.build_vote_law_tables(range(200, 240))
+        assert pull_model.vote_law_cache_info()["dense_table_misses"] == 1
+
+
+class TestSingleStageRuns:
+    """The merged batch with one stage of the schedule left empty."""
+
+    def test_stage1_grows_opinionated_set(self, noise):
         schedule = Stage1Schedule.for_population(NUM_NODES, EPSILON)
-        executor = CountsStage1Executor(delivery, schedule, random_state=0)
-        initial = EnsembleCountsState.from_counts_state(
-            CountsState.single_source(NUM_NODES, 3, 1), 4
+        result = run_one(
+            CountsProtocolTask(
+                num_nodes=NUM_NODES,
+                noise=noise,
+                initial_state=CountsState.single_source(NUM_NODES, 3, 1),
+                num_trials=4,
+                schedule=ProtocolSchedule(
+                    schedule, Stage2Schedule([], [], EPSILON)
+                ),
+                random_state=0,
+            )
         )
-        final, records = executor.run(initial, track_opinion=1)
+        records = result.stage1_records
+        final = result.final_states
         assert len(records) == schedule.num_phases
+        assert result.stage2_records == []
         assert np.all(final.opinionated_counts() >= 1)
         assert np.all(
             records[-1].opinionated_after >= records[0].opinionated_before
@@ -135,35 +180,108 @@ class TestCountsStageExecutors:
         assert records[0].messages_sent.shape == (4,)
         assert records[0].messages_sent[0] == schedule.phase_lengths[0]
 
-    def test_stage2_amplifies_bias(self, delivery):
+    def test_stage2_amplifies_bias(self, noise):
         schedule = Stage2Schedule.for_population(NUM_NODES, EPSILON)
-        executor = CountsStage2Executor(delivery, schedule, random_state=0)
         biased = EnsembleCountsState(
             np.tile([360, 240, 200], (6, 1)), NUM_NODES
         )
-        final, records = executor.run(biased, track_opinion=1)
-        assert len(records) == schedule.num_phases
+        result = run_one(
+            CountsProtocolTask(
+                num_nodes=NUM_NODES,
+                noise=noise,
+                initial_state=biased,
+                schedule=ProtocolSchedule(Stage1Schedule([], EPSILON), schedule),
+                target_opinion=1,
+                random_state=0,
+            )
+        )
+        final = result.final_states
+        assert len(result.stage2_records) == schedule.num_phases
         assert float(final.bias_toward(1).mean()) > float(
             biased.bias_toward(1).mean()
         )
         assert np.all(final.counts.sum(axis=1) == NUM_NODES)
-        assert records[-1].consensus_after.shape == (6,)
+        assert result.stage2_records[-1].consensus_after.shape == (6,)
 
-    def test_stage2_rejects_ablation_knobs(self, delivery):
-        schedule = Stage2Schedule.for_population(NUM_NODES, EPSILON)
+    def test_stage2_trajectories_reject_ablation_knobs(self, noise):
+        initial = PopulationState.from_counts(
+            NUM_NODES, {1: 360, 2: 240, 3: 200}, 3, random_state=0
+        )
         with pytest.raises(ValueError, match="with_replacement"):
-            CountsStage2Executor(
-                delivery, schedule, sampling_method="with_replacement"
+            stage2_trial_trajectories(
+                initial, noise, EPSILON, 2, 0, trial_engine="counts",
+                sampling_method="with_replacement",
             )
         with pytest.raises(ValueError, match="full_multiset"):
-            CountsStage2Executor(delivery, schedule, use_full_multiset=True)
+            stage2_trial_trajectories(
+                initial, noise, EPSILON, 2, 0, trial_engine="counts",
+                use_full_multiset=True,
+            )
 
-    def test_executors_reject_wrong_delivery_type(self, noise):
-        schedule = ProtocolSchedule.for_population(NUM_NODES, EPSILON)
-        with pytest.raises(TypeError):
-            CountsStage1Executor(noise, schedule.stage1)
-        with pytest.raises(TypeError):
-            CountsStage2Executor(noise, schedule.stage2)
+
+class TestFaultHook:
+    """A task's fault sampler adds its balls to every phase histogram."""
+
+    def task(self, noise, faults, num_faulty=80):
+        honest = CountsState.single_source(NUM_NODES - num_faulty, 3, 1)
+        sampler = FaultedPhaseSampler(
+            faults, num_faulty, np.array([num_faulty, 0, 0]), 3
+        )
+        return CountsProtocolTask(
+            num_nodes=honest.num_nodes,
+            noise=noise,
+            initial_state=honest,
+            num_trials=3,
+            epsilon=EPSILON,
+            target_opinion=1,
+            random_state=0,
+            fault_sampler=sampler,
+        )
+
+    def test_bins_span_the_faulty_nodes_too(self, noise):
+        task = self.task(noise, FaultModel(kind="liar", fraction=0.1))
+        assert task.num_bins == NUM_NODES
+        assert task.num_nodes == NUM_NODES - 80
+
+    def test_liar_balls_join_every_phase(self, noise):
+        result = run_one(self.task(noise, FaultModel(kind="liar", fraction=0.1)))
+        first = result.stage1_records[0]
+        expected = (first.opinionated_before + 80) * first.num_rounds
+        assert np.array_equal(first.messages_sent, expected)
+        assert result.final_states.num_nodes == NUM_NODES - 80
+        assert np.all(result.final_states.counts.sum(axis=1) <= NUM_NODES - 80)
+
+    def test_silent_crash_adds_no_balls(self, noise):
+        result = run_one(self.task(noise, FaultModel(kind="crash", fraction=0.1)))
+        for record in result.stage1_records:
+            assert np.array_equal(
+                record.messages_sent,
+                record.opinionated_before * record.num_rounds,
+            )
+
+    def test_faulted_point_matches_its_run_alone_inside_a_batch(self, noise):
+        faults = FaultModel(kind="omission", fraction=0.1)
+        alone = run_one(self.task(noise, faults))
+        clean = CountsProtocolTask(
+            num_nodes=NUM_NODES,
+            noise=noise,
+            initial_state=CountsState.single_source(NUM_NODES, 3, 1),
+            num_trials=2,
+            epsilon=EPSILON,
+            random_state=9,
+        )
+        _, merged = run_heterogeneous_counts_protocol(
+            [clean, self.task(noise, faults)]
+        )
+        assert np.array_equal(
+            merged.final_states.counts, alone.final_states.counts
+        )
+        for left, right in zip(
+            merged.stage2_records, alone.stage2_records
+        ):
+            assert np.array_equal(
+                left.opinion_distributions, right.opinion_distributions
+            )
 
 
 class TestCountsProtocol:
@@ -240,10 +358,17 @@ class TestCountsProtocol:
             )
 
     def test_validation(self, noise):
-        with pytest.raises(ValueError):
-            CountsProtocol(NUM_NODES, noise)  # schedule or epsilon required
-        with pytest.raises(ValueError):
-            CountsProtocol(NUM_NODES, noise, epsilon=EPSILON, rng_mode="bad")
+        with pytest.raises(TypeError):
+            CountsProtocol(NUM_NODES, noise)  # epsilon required
+        with pytest.raises(ValueError, match="schedule or epsilon"):
+            run_one(
+                CountsProtocolTask(
+                    num_nodes=NUM_NODES,
+                    noise=noise,
+                    initial_state=CountsState.single_source(NUM_NODES, 3, 1),
+                    num_trials=2,
+                )
+            )
         protocol = CountsProtocol(NUM_NODES, noise, epsilon=EPSILON)
         with pytest.raises(ValueError):
             protocol.run(
@@ -251,6 +376,29 @@ class TestCountsProtocol:
             )
         with pytest.raises(ValueError):
             protocol.run(CountsState([0, 0, 0], NUM_NODES), 2)
+
+    def test_out_of_range_target_is_rejected(self, noise):
+        protocol = CountsProtocol(NUM_NODES, noise, epsilon=EPSILON)
+        initial = CountsState.single_source(NUM_NODES, 3, 1)
+        with pytest.raises(ValueError, match=r"opinion must be in \[1, 3\], got 4"):
+            protocol.run(initial, 2, target_opinion=4)
+
+    def test_out_of_range_target_is_rejected_in_a_batch(self, noise):
+        def task(target):
+            return CountsProtocolTask(
+                num_nodes=NUM_NODES,
+                noise=noise,
+                initial_state=CountsState.single_source(NUM_NODES, 3, 1),
+                num_trials=2,
+                epsilon=EPSILON,
+                target_opinion=target,
+                random_state=0,
+            )
+
+        with pytest.raises(ValueError, match=r"opinion must be in \[1, 3\], got 4"):
+            run_heterogeneous_counts_protocol([task(1), task(4)])
+        with pytest.raises(ValueError, match=r"opinion must be in \[1, 3\], got 0"):
+            run_heterogeneous_counts_protocol([task(0)])
 
     def test_million_node_protocol_runs_fast(self, noise):
         """The tier's point for the protocol: n = 10^6 trials in seconds."""

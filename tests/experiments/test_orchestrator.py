@@ -256,9 +256,11 @@ class TestRunAll:
             record for record in e15.table.records
             if record["adversary"] == "adaptive"
         ]
+        # Every family, adaptive included, runs on the requested counts tier.
         assert adaptive and all(
-            record["engine_degraded_reason"] for record in adaptive
+            record["engine"] == "counts" for record in e15.table.records
         )
+        assert "engine_degraded_reason" not in e15.table.records[0]
 
     def test_multi_seed_replication_sweep(self, tmp_path):
         reports = run_all(

@@ -1,8 +1,10 @@
 """Cross-engine agreement under fault injection.
 
-The oblivious adversaries (crash, omission, random-liar) admit counts-tier
-sufficient statistics, so the three sampling tiers must stay statistically
-indistinguishable on faulted runs exactly as they are on fault-free ones:
+Every adversary (crash, omission, random-liar and the adaptive
+runner-up targeter) emits a function of the honest senders' ``(R, k)``
+histogram, so the counts tier is exact for all of them and the three
+sampling tiers must stay statistically indistinguishable on faulted runs
+exactly as they are on fault-free ones:
 
 * **success-rate agreement** at ``f in {0.05, 0.2}`` across all three
   tiers, bounded by a four-sigma binomial tolerance on the smallest
@@ -15,11 +17,6 @@ indistinguishable on faulted runs exactly as they are on fault-free ones:
   distributions must be within the *sum* of their sampling TVD thresholds
   (triangle inequality through the common true distribution — a
   distribution-free bound, so a failure is an engine bug).
-
-The adaptive plurality-targeting adversary has no counts reduction; the
-facade must degrade ``counts -> batched`` with a recorded provenance
-reason instead of raising, and the batched and sequential tiers must
-still agree with each other.
 """
 
 from __future__ import annotations
@@ -34,14 +31,13 @@ from repro.analytic import (
     total_variation_distance,
     wilson_interval,
 )
-from repro.core.protocol import CountsProtocol, EnsembleProtocol
-from repro.core.state import PopulationState
-from repro.faults import (
-    FaultedCountsDeliveryModel,
-    FaultedDeliveryEngine,
-    FaultedPhaseSampler,
-    FaultModel,
+from repro.core.protocol import (
+    CountsProtocolTask,
+    EnsembleProtocol,
+    run_heterogeneous_counts_protocol,
 )
+from repro.core.state import PopulationState
+from repro.faults import FaultedDeliveryEngine, FaultedPhaseSampler, FaultModel
 from repro.noise.families import uniform_noise_matrix
 from repro.sim import Scenario, simulate
 
@@ -50,13 +46,15 @@ pytestmark = pytest.mark.agreement
 #: c(alpha) of the two-sample KS critical value at alpha = 0.001.
 KS_COEFFICIENT_001 = 1.9495
 
-OBLIVIOUS_CASES = [
+FAULT_CASES = [
     (FaultModel(kind="crash", fraction=0.05, crash_round=3), "crash:0.05"),
     (FaultModel(kind="crash", fraction=0.2, crash_round=3), "crash:0.2"),
     (FaultModel(kind="omission", fraction=0.05, drop_rate=0.5), "omission:0.05"),
     (FaultModel(kind="omission", fraction=0.2, drop_rate=0.5), "omission:0.2"),
     (FaultModel(kind="liar", fraction=0.05), "liar:0.05"),
     (FaultModel(kind="liar", fraction=0.2), "liar:0.2"),
+    (FaultModel(kind="adaptive", fraction=0.05), "adaptive:0.05"),
+    (FaultModel(kind="adaptive", fraction=0.2), "adaptive:0.2"),
 ]
 
 
@@ -81,16 +79,16 @@ def faulted_scenario(workload, faults, engine, num_trials, seed=11):
     )
 
 
-class TestObliviousFaultTierAgreement:
-    """All three sampling tiers on crash / omission / random-liar faults."""
+class TestFaultTierAgreement:
+    """All three sampling tiers on every adversary family."""
 
     COUNTS_TRIALS = 600
     BATCHED_TRIALS = 300
     SEQUENTIAL_TRIALS = 40
 
     @pytest.mark.parametrize(
-        "faults", [case for case, _ in OBLIVIOUS_CASES],
-        ids=[label for _, label in OBLIVIOUS_CASES],
+        "faults", [case for case, _ in FAULT_CASES],
+        ids=[label for _, label in FAULT_CASES],
     )
     @pytest.mark.parametrize("workload", ["rumor", "plurality"])
     def test_success_rates_agree_across_tiers(self, workload, faults):
@@ -103,6 +101,7 @@ class TestObliviousFaultTierAgreement:
         ):
             result = simulate(faulted_scenario(workload, faults, engine, trials))
             assert result.num_trials == trials
+            assert result.provenance["engine"] == engine
             assert "engine_degraded_reason" not in result.provenance
             rates[engine] = result.success_count / trials
         tolerance = 4.0 * np.sqrt(0.25 / smallest)
@@ -112,8 +111,8 @@ class TestObliviousFaultTierAgreement:
         )
 
     @pytest.mark.parametrize(
-        "faults", [case for case, _ in OBLIVIOUS_CASES],
-        ids=[label for _, label in OBLIVIOUS_CASES],
+        "faults", [case for case, _ in FAULT_CASES],
+        ids=[label for _, label in FAULT_CASES],
     )
     def test_wilson_intervals_overlap_counts_vs_batched(self, faults):
         counts = simulate(
@@ -154,8 +153,10 @@ class TestFaultedFinalStateTVD:
             FaultModel(kind="crash", fraction=0.2, crash_round=2),
             FaultModel(kind="omission", fraction=0.2, drop_rate=0.5),
             FaultModel(kind="liar", fraction=0.2),
+            FaultModel(kind="adaptive", fraction=0.1),
+            FaultModel(kind="adaptive", fraction=0.2),
         ],
-        ids=["crash", "omission", "liar"],
+        ids=["crash", "omission", "liar", "adaptive:0.1", "adaptive:0.2"],
     )
     def test_counts_vs_batched_final_states(self, faults):
         scenario = Scenario(
@@ -168,15 +169,20 @@ class TestFaultedFinalStateTVD:
         honest, faulty_histogram = scenario.fault_split()
         num_faulty = scenario.faulty_count()
 
-        counts_result = CountsProtocol(
-            honest.num_nodes, noise, epsilon=self.EPSILON, random_state=7,
-            delivery=FaultedCountsDeliveryModel(
-                self.NUM_NODES, noise,
-                FaultedPhaseSampler(
+        (counts_result,) = run_heterogeneous_counts_protocol([
+            CountsProtocolTask(
+                num_nodes=honest.num_nodes,
+                noise=noise,
+                initial_state=honest,
+                num_trials=self.COUNTS_TRIALS,
+                epsilon=self.EPSILON,
+                target_opinion=1,
+                random_state=7,
+                fault_sampler=FaultedPhaseSampler(
                     faults, num_faulty, faulty_histogram, self.NUM_OPINIONS
                 ),
-            ),
-        ).run(honest, self.COUNTS_TRIALS, target_opinion=1)
+            )
+        ])
 
         initial = PopulationState.from_counts(
             honest.num_nodes,
@@ -217,17 +223,16 @@ class TestFaultedFinalStateTVD:
         )
 
 
-class TestAdaptiveDegradation:
-    """The adaptive adversary on the counts policy: degrade, never raise."""
+class TestAdaptiveOnCounts:
+    """The adaptive adversary runs on the counts tier it resolves to."""
 
-    def test_counts_policy_degrades_to_batched_with_reason(self):
+    def test_counts_policy_runs_on_counts(self):
         faults = FaultModel(kind="adaptive", fraction=0.1)
         result = simulate(faulted_scenario("plurality", faults, "counts", 8))
-        assert result.provenance["engine"] == "batched"
-        reason = result.provenance["engine_degraded_reason"]
-        assert "adaptive" in reason and "counts" in reason
+        assert result.provenance["engine"] == "counts"
+        assert "engine_degraded_reason" not in result.provenance
 
-    def test_auto_policy_above_threshold_degrades_with_reason(self):
+    def test_auto_policy_above_threshold_resolves_counts(self):
         faults = FaultModel(kind="adaptive", fraction=0.1)
         scenario = Scenario(
             workload="rumor", num_nodes=120, num_opinions=3, epsilon=0.3,
@@ -235,17 +240,8 @@ class TestAdaptiveDegradation:
             faults=faults,
         )
         result = simulate(scenario)
-        assert result.provenance["engine"] == "batched"
-        assert "engine_degraded_reason" in result.provenance
-
-    def test_degraded_run_matches_explicit_batched_run(self):
-        faults = FaultModel(kind="adaptive", fraction=0.1)
-        degraded = simulate(faulted_scenario("plurality", faults, "counts", 16))
-        explicit = simulate(
-            faulted_scenario("plurality", faults, "batched", 16)
-        )
-        assert np.array_equal(degraded.successes, explicit.successes)
-        assert np.array_equal(degraded.rounds, explicit.rounds)
+        assert result.provenance["engine"] == "counts"
+        assert "engine_degraded_reason" not in result.provenance
 
     def test_adaptive_batched_vs_sequential_agreement(self):
         faults = FaultModel(kind="adaptive", fraction=0.2)

@@ -101,7 +101,7 @@ def test_allocations_scale_with_phases_not_rounds(allocation_counter):
 
 def test_allocations_are_bounded_per_phase(allocation_counter):
     """A generous absolute ceiling so per-phase cost cannot silently
-    balloon either (each phase builds one compiled law + fixed buffers)."""
+    balloon either (each phase evaluates its laws once over (R, k) buffers)."""
     _run_protocol(1.0)  # warm caches
     allocation_counter.calls = 0
     result = _run_protocol(1.0)

@@ -84,12 +84,15 @@ class TestTractability:
 
 class TestVotePathResolution:
     def test_paths_partition_the_sample_size_axis(self):
-        from repro.network.balls_bins import CountsDeliveryModel
+        from repro.network.balls_bins import HeterogeneousCountsDeliveryModel
         from repro.noise.families import uniform_noise_matrix
 
-        model = CountsDeliveryModel(1000, uniform_noise_matrix(3, 0.3))
-        assert model.resolve_vote_path(20) == "table"
-        assert model.resolve_vote_path(200) == "dense"
+        def model(num_opinions):
+            return HeterogeneousCountsDeliveryModel(
+                [slice(0, 1)], [1000], [uniform_noise_matrix(num_opinions, 0.3)]
+            )
+
+        assert model(3)._resolve_vote_path(20) == "table"
+        assert model(3)._resolve_vote_path(200) == "dense"
         # Past both budgets only the bounded chunk sampler remains.
-        big = CountsDeliveryModel(1000, uniform_noise_matrix(6, 0.3))
-        assert big.resolve_vote_path(5000) == "chunk"
+        assert model(6)._resolve_vote_path(5000) == "chunk"

@@ -1,8 +1,8 @@
 """Seed-reproducibility regressions for the bounded ``VOTE_CHUNK`` sampler.
 
-``CountsDeliveryModel.sample_vote_counts`` falls back to chunked
-per-voter composition sampling whenever the closed-form ``maj()`` table
-is intractable (``sample_size > 170``).  The main closed-form path is
+``HeterogeneousCountsDeliveryModel.sample_vote_counts`` falls back to
+chunked per-voter composition sampling whenever neither the closed-form
+nor the dense ``maj()`` table is tractable.  The main closed-form path is
 pinned elsewhere; these tests pin the *fallback*: bitwise-identical
 results under a fixed seed for voter counts on every side of a chunk
 boundary, per-trial stream isolation, and golden draws that freeze the
@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.network import pull_model
-from repro.network.balls_bins import CountsDeliveryModel
+from repro.network.balls_bins import HeterogeneousCountsDeliveryModel
 from repro.network.pull_model import (
     dense_vote_law_is_tractable,
     vote_table_is_tractable,
@@ -36,11 +36,30 @@ SMALL_CHUNK = 8
 
 @pytest.fixture
 def model(monkeypatch):
-    monkeypatch.setattr(CountsDeliveryModel, "VOTE_CHUNK", SMALL_CHUNK)
-    # Force resolve_vote_path past "dense" so the chunk loop stays the
+    """``model(histograms, voters, random_state)``: one block's vote tallies.
+
+    ``random_state`` is a shared generator or one seed per row.
+    """
+    monkeypatch.setattr(
+        HeterogeneousCountsDeliveryModel, "VOTE_CHUNK", SMALL_CHUNK
+    )
+    # Force the vote-path choice past "dense" so the chunk loop stays the
     # sampler under test.
     monkeypatch.setattr(pull_model, "_DENSE_VOTE_LAW_MAX_COMPOSITIONS", 0)
-    return CountsDeliveryModel(50, uniform_noise_matrix(3, 0.3))
+    noise = uniform_noise_matrix(3, 0.3)
+
+    def sample(histograms, voters, random_state):
+        rows = len(histograms)
+        delivery = HeterogeneousCountsDeliveryModel(
+            [slice(0, rows)], [50], [noise]
+        )
+        if isinstance(random_state, list):
+            random_state = [np.random.default_rng(seed) for seed in random_state]
+        return delivery.sample_vote_counts(
+            histograms, voters, [FALLBACK_SAMPLE_SIZE], random_state
+        )
+
+    return sample
 
 
 def test_operating_point_actually_uses_the_fallback():
@@ -58,12 +77,8 @@ def test_shared_generator_is_bitwise_reproducible_at_chunk_boundaries(
 ):
     histograms = np.array([[40, 30, 20]])
     voters = np.array([num_voters])
-    first = model.sample_vote_counts(
-        histograms, voters, FALLBACK_SAMPLE_SIZE, np.random.default_rng(7)
-    )
-    second = model.sample_vote_counts(
-        histograms, voters, FALLBACK_SAMPLE_SIZE, np.random.default_rng(7)
-    )
+    first = model(histograms, voters, np.random.default_rng(7))
+    second = model(histograms, voters, np.random.default_rng(7))
     assert np.array_equal(first, second)
     assert first.sum() == num_voters
 
@@ -76,12 +91,8 @@ def test_per_trial_seeds_are_bitwise_reproducible_at_chunk_boundaries(
 ):
     histograms = np.array([[40, 30, 20], [25, 25, 10]])
     voters = np.array([num_voters, 2 * SMALL_CHUNK + 1])
-    first = model.sample_vote_counts(
-        histograms, voters, FALLBACK_SAMPLE_SIZE, [3, 5]
-    )
-    second = model.sample_vote_counts(
-        histograms, voters, FALLBACK_SAMPLE_SIZE, [3, 5]
-    )
+    first = model(histograms, voters, [3, 5])
+    second = model(histograms, voters, [3, 5])
     assert np.array_equal(first, second)
     assert np.array_equal(first.sum(axis=1), voters)
 
@@ -89,16 +100,14 @@ def test_per_trial_seeds_are_bitwise_reproducible_at_chunk_boundaries(
 def test_per_trial_streams_are_isolated_across_trials(model):
     """Trial 0's votes must not depend on how much trial 1 samples."""
     histograms = np.array([[40, 30, 20], [25, 25, 10]])
-    few = model.sample_vote_counts(
+    few = model(
         histograms,
         np.array([2 * SMALL_CHUNK + 1, 3]),
-        FALLBACK_SAMPLE_SIZE,
         [17, 19],
     )
-    many = model.sample_vote_counts(
+    many = model(
         histograms,
         np.array([2 * SMALL_CHUNK + 1, 3 * SMALL_CHUNK]),
-        FALLBACK_SAMPLE_SIZE,
         [17, 19],
     )
     assert np.array_equal(few[0], many[0])
@@ -107,12 +116,8 @@ def test_per_trial_streams_are_isolated_across_trials(model):
 def test_zero_voters_consume_no_randomness(model):
     """A zero-voter trial leaves its per-trial stream untouched."""
     histograms = np.array([[40, 30, 20], [25, 25, 10]])
-    with_empty = model.sample_vote_counts(
-        histograms, np.array([0, SMALL_CHUNK + 1]), FALLBACK_SAMPLE_SIZE, [23, 29]
-    )
-    alone = model.sample_vote_counts(
-        histograms[1:], np.array([SMALL_CHUNK + 1]), FALLBACK_SAMPLE_SIZE, [29]
-    )
+    with_empty = model(histograms, np.array([0, SMALL_CHUNK + 1]), [23, 29])
+    alone = model(histograms[1:], np.array([SMALL_CHUNK + 1]), [29])
     assert np.array_equal(with_empty[0], np.zeros(3, dtype=np.int64))
     assert np.array_equal(with_empty[1], alone[0])
 
@@ -129,16 +134,13 @@ class TestGoldenDraws:
     VOTERS = np.array([20, 9])  # chunks of 8, 8, 4 and 8, 1
 
     def test_shared_generator_golden(self, model):
-        votes = model.sample_vote_counts(
+        votes = model(
             self.HISTOGRAMS,
             self.VOTERS,
-            FALLBACK_SAMPLE_SIZE,
             np.random.default_rng(123),
         )
         assert votes.tolist() == [[18, 2, 0], [5, 4, 0]]
 
     def test_per_trial_seeds_golden(self, model):
-        votes = model.sample_vote_counts(
-            self.HISTOGRAMS, self.VOTERS, FALLBACK_SAMPLE_SIZE, [7, 11]
-        )
+        votes = model(self.HISTOGRAMS, self.VOTERS, [7, 11])
         assert votes.tolist() == [[19, 1, 0], [4, 5, 0]]

@@ -334,20 +334,15 @@ class TestActionableErrorMessages:
             )
         assert "approximate-consensus" in str(excinfo.value)
 
-    def test_adaptive_without_degradation_names_both_fixes(self):
+    def test_adaptive_faults_are_valid_on_the_counts_policies(self):
         from repro.faults import FaultModel
-        from repro.sim.scenario import ScenarioError
 
-        with pytest.raises(ScenarioError) as excinfo:
-            scenario_for(
-                "rumor", "counts",
-                faults=FaultModel(
-                    kind="adaptive", fraction=0.1, allow_degradation=False
-                ),
+        for engine in ("counts", "auto"):
+            scenario = scenario_for(
+                "rumor", engine,
+                faults=FaultModel(kind="adaptive", fraction=0.1),
             )
-        message = str(excinfo.value)
-        assert "allow_degradation" in message
-        assert "batched" in message  # the alternative engine is named
+            assert scenario.faults.kind == "adaptive"
 
     def test_fault_model_errors_surface_as_scenario_errors(self):
         """Model-level failures (here: a fraction leaving no honest node

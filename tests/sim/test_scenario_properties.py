@@ -31,13 +31,8 @@ SEEDS = st.one_of(st.none(), st.integers(min_value=0, max_value=2**31 - 1))
 
 
 @st.composite
-def fault_models(draw, engine: str) -> FaultModel:
-    """A valid :class:`FaultModel` for a scenario running on ``engine``.
-
-    The adaptive adversary on the counts-capable policies must keep the
-    degradation fallback enabled to stay a *valid* combination (the
-    rejection of the disabled fallback is pinned separately).
-    """
+def fault_models(draw) -> FaultModel:
+    """A valid :class:`FaultModel` (every kind runs on every sampling tier)."""
     kind = draw(st.sampled_from(FAULT_KINDS))
     knobs = {
         "kind": kind,
@@ -53,10 +48,6 @@ def fault_models(draw, engine: str) -> FaultModel:
         knobs["drop_rate"] = draw(
             st.floats(min_value=0.05, max_value=1.0, allow_nan=False)
         )
-    if kind == "adaptive" and engine in ("counts", "auto"):
-        knobs["allow_degradation"] = True
-    else:
-        knobs["allow_degradation"] = draw(st.booleans())
     return FaultModel(**knobs)
 
 
@@ -132,7 +123,7 @@ def valid_scenarios(draw) -> Scenario:
             and "topology" not in knobs
             and draw(st.booleans())
         ):
-            knobs["faults"] = draw(fault_models(engine))
+            knobs["faults"] = draw(fault_models())
 
     if workload in ("plurality", "dynamics"):
         if draw(st.booleans()):
@@ -313,19 +304,13 @@ class TestEngineKnobRejection:
         scenario=valid_scenarios(),
         engine=st.sampled_from(["counts", "auto"]),
     )
-    def test_adaptive_without_degradation_is_rejected_on_counts(
-        self, scenario, engine
-    ):
+    def test_adaptive_is_valid_on_counts(self, scenario, engine):
         if scenario.workload == "dynamics":
             return
         document = {
             **scenario.to_dict(),
             "engine": engine,
-            "faults": {
-                "kind": "adaptive",
-                "fraction": 0.1,
-                "allow_degradation": False,
-            },
+            "faults": {"kind": "adaptive", "fraction": 0.1},
         }
         document.update(
             sampling_method="without_replacement", use_full_multiset=False,
@@ -333,8 +318,7 @@ class TestEngineKnobRejection:
         )
         if engine != "auto":
             document.pop("counts_threshold", None)
-        with pytest.raises(ValueError, match="allow_degradation"):
-            Scenario.from_dict(document)
+        assert Scenario.from_dict(document).faults.kind == "adaptive"
 
     @settings(max_examples=40, deadline=None)
     @given(

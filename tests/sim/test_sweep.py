@@ -369,10 +369,56 @@ class TestFallbackTiers:
         assert sweep.engines == ["batched", "counts"]
 
 
-class TestFaultedSweep:
-    """Faulted points route to the serial path and stay bitwise exact."""
+def count_point_calls(monkeypatch) -> list:
+    """Record every per-point ``simulate()`` call ``simulate_sweep`` makes."""
+    import repro.sim.sweep as sweep_module
 
-    def test_faults_axis_counts_engine(self):
+    calls: list = []
+    original = sweep_module.simulate
+
+    def counting(scenario):
+        calls.append(scenario)
+        return original(scenario)
+
+    monkeypatch.setattr(sweep_module, "simulate", counting)
+    return calls
+
+
+class TestFaultedSweep:
+    """Faulted counts points fuse into the batch and stay bitwise exact."""
+
+    @pytest.mark.parametrize("num_opinions", [3, 5])
+    def test_every_adversary_fuses_on_counts_and_matches_serial(
+        self, monkeypatch, num_opinions
+    ):
+        from repro.faults import FaultModel
+
+        grid = ScenarioGrid(
+            protocol_base(
+                workload="plurality", bias=0.3, num_opinions=num_opinions,
+                num_nodes=200, num_trials=2,
+            ),
+            {
+                "faults": (
+                    None,
+                    FaultModel(kind="crash", fraction=0.1, crash_round=30),
+                    FaultModel(kind="omission", fraction=0.1, drop_rate=0.4),
+                    FaultModel(kind="liar", fraction=0.1),
+                    FaultModel(kind="adaptive", fraction=0.1),
+                ),
+                "epsilon": (0.3, 0.4),
+            },
+        )
+        serial = [simulate(scenario) for scenario in grid.scenarios()]
+        calls = count_point_calls(monkeypatch)
+        sweep = simulate_sweep(grid)
+        assert calls == []
+        assert sweep.engines == ["counts"] * grid.size
+        for index, (left, right) in enumerate(zip(serial, sweep)):
+            assert_results_equal(left, right, f"point {index}")
+            assert right.provenance["rng_draw_order"] == "per-trial"
+
+    def test_batched_draw_mode_fuses_faulted_points(self, monkeypatch):
         from repro.faults import FaultModel
 
         grid = ScenarioGrid(
@@ -380,15 +426,20 @@ class TestFaultedSweep:
             {
                 "faults": (
                     None,
-                    FaultModel(kind="liar", fraction=0.1),
-                    FaultModel(kind="crash", fraction=0.1, crash_round=2),
-                    FaultModel(kind="omission", fraction=0.1, drop_rate=0.4),
+                    FaultModel(kind="omission", fraction=0.1),
+                    FaultModel(kind="adaptive", fraction=0.1),
                 )
             },
         )
-        sweep = assert_sweep_matches_serial(grid)
-        # The fault-free point still fuses on counts; faulted ones serial.
-        assert sweep.engines == ["counts"] * 4
+        calls = count_point_calls(monkeypatch)
+        sweep = simulate_sweep(grid, draw_mode="batched")
+        assert calls == []
+        for scenario, result in zip(grid.scenarios(), sweep):
+            assert result.provenance["engine"] == "counts"
+            assert result.provenance["rng_draw_order"] == "batched"
+            honest = scenario.num_nodes - scenario.faulty_count()
+            assert result.num_nodes == honest
+            assert np.all(result.final_opinion_counts.sum(axis=1) <= honest)
 
     def test_fraction_axis_batched_engine(self):
         from repro.faults import FaultModel
@@ -407,7 +458,7 @@ class TestFaultedSweep:
         )
         assert_sweep_matches_serial(grid)
 
-    def test_adaptive_on_counts_degrades_inside_the_sweep(self):
+    def test_adaptive_fuses_on_counts_and_matches_serial(self, monkeypatch):
         from repro.faults import FaultModel
 
         grid = ScenarioGrid(
@@ -417,9 +468,12 @@ class TestFaultedSweep:
             ),
             {"epsilon": (0.3, 0.4)},
         )
+        calls = count_point_calls(monkeypatch)
         sweep = assert_sweep_matches_serial(grid)
+        assert calls == []
+        assert sweep.engines == ["counts", "counts"]
         for result in sweep:
-            assert "engine_degraded_reason" in result.provenance
+            assert "engine_degraded_reason" not in result.provenance
 
 
 # --------------------------------------------------------------------- #
