@@ -1,17 +1,27 @@
-"""Golden pins of the counts-protocol tier.
+"""Golden pins of the counts tier, protocol and dynamics.
 
 ``counts_golden.json`` records per-seed ``simulate()`` outputs of the counts
 tier (final counts, rounds, successes and a digest of every phase record's
-opinion distributions) for a fixed set of points, plus the runner's counts
-Stage-1 and Stage-2 trajectories.  The values were captured before the
-counts tier was collapsed onto the heterogeneous batch, so these tests pin
-today's engine to the numbers of the previous implementation rather than to
-itself.
+opinion distributions) for a fixed set of protocol points, plus the
+runner's counts Stage-1 and Stage-2 trajectories.  The protocol values were
+captured before the counts protocol was collapsed onto the heterogeneous
+batch, so these tests pin today's engine to the numbers of the previous
+implementation rather than to itself.
 
-The points cover every vote-law path of the counts tier: rumor ``k = 2``,
-plurality ``k = 3`` on the table and dense paths, plurality ``k = 5`` whose
-final phase takes the bounded-chunk sampler, and the crash, omission and
-liar adversaries.
+The protocol points cover every vote-law path of the counts tier: rumor
+``k = 2``, plurality ``k = 3`` on the table and dense paths, plurality
+``k = 5`` whose final phase takes the bounded-chunk sampler, and the crash,
+omission and liar adversaries.
+
+The dynamics points (final counts, rounds, convergence, successes and a
+digest of the bias history) were captured from the per-rule counts round
+loop, before every counts-dynamics run went through the merged loop of
+``run_heterogeneous_counts_dynamics``.  They cover all six rules at
+``k = 3``, voter / 3-majority / median rule at ``k = 2`` and ``k = 5``, and
+approximate consensus at ``n = 7``, where its midpoint law stays random for
+the whole phase budget, each with and without early stopping; plus one
+direct ``EnsembleCountsDynamics.run`` per rule from distinct per-trial rows
+with an explicit per-trial seed list.
 
 Regenerate (only when a change to the draw order or to a law value is
 intended and has passed ``pytest -m agreement``) with::
@@ -30,7 +40,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.state import PopulationState
+from repro.core.state import EnsembleCountsState, PopulationState
 from repro.experiments.runner import (
     stage1_trial_trajectories,
     stage2_trial_trajectories,
@@ -38,6 +48,7 @@ from repro.experiments.runner import (
 from repro.faults import FaultModel
 from repro.noise.families import uniform_noise_matrix
 from repro.sim import Scenario, simulate
+from repro.sim.engines import build_dynamics
 from repro.sim.result import SimulationResult
 
 GOLDEN_PATH = Path(__file__).with_name("counts_golden.json")
@@ -66,6 +77,44 @@ POINTS = {
     "liar-plurality-k3": dict(workload="plurality", num_nodes=2000,
                               num_opinions=3, epsilon=0.3, bias=0.2,
                               faults=FaultModel(kind="liar", fraction=0.1)),
+}
+
+
+#: label -> dynamics Scenario keyword arguments; each runs with early
+#: stopping on and off (the ``-stop`` / ``-nostop`` suffix of its key).
+DYNAMICS_BASE = dict(workload="dynamics", num_nodes=200, epsilon=0.6,
+                     bias=0.3, max_rounds=40)
+DYNAMICS_POINTS = {
+    **{
+        f"{rule}-k3": dict(DYNAMICS_BASE, rule=rule, num_opinions=3)
+        for rule in ("voter", "3-majority", "undecided-state", "median-rule",
+                     "approximate-consensus")
+    },
+    "h-majority-h5-k3": dict(DYNAMICS_BASE, rule="h-majority",
+                             sample_size=5, num_opinions=3),
+    **{
+        f"{rule}-k{k}": dict(DYNAMICS_BASE, rule=rule, num_opinions=k,
+                             epsilon=epsilon)
+        for k, epsilon in ((2, 0.45), (5, 0.75))
+        for rule in ("voter", "3-majority", "median-rule")
+    },
+    "approximate-consensus-n7-k4": dict(
+        workload="dynamics", rule="approximate-consensus", num_nodes=7,
+        num_opinions=4, epsilon=0.3, bias=0.1, max_rounds=8,
+    ),
+}
+
+#: Distinct per-trial starting rows (``n = 200``, ``k = 3``): a biased
+#: row, a near-tie, a row already at consensus and a mostly undecided one.
+ENSEMBLE_ROWS = [[120, 50, 30], [60, 70, 40], [200, 0, 0], [10, 10, 10]]
+ENSEMBLE_SEEDS = [11, 12, 13, 14]
+ENSEMBLE_RULES = {
+    "voter": None,
+    "3-majority": None,
+    "h-majority": 5,
+    "undecided-state": None,
+    "median-rule": None,
+    "approximate-consensus": None,
 }
 
 
@@ -133,6 +182,47 @@ def trajectory_records(seed: int) -> dict:
     }
 
 
+def dynamics_record(label: str, stop: bool, seed: int) -> dict:
+    result = simulate(Scenario(
+        engine="counts", num_trials=NUM_TRIALS, seed=seed,
+        stop_at_consensus=stop, record_trajectories=True,
+        **DYNAMICS_POINTS[label],
+    ))
+    return {
+        "final_counts": np.asarray(result.final_opinion_counts).tolist(),
+        "rounds": np.asarray(result.rounds).tolist(),
+        "converged": np.asarray(result.converged).tolist(),
+        "successes": np.asarray(result.successes).tolist(),
+        "bias_history_sha256": _digest([result.trajectories]),
+    }
+
+
+def ensemble_rows_record(rule: str) -> dict:
+    dynamic = build_dynamics(
+        "counts", rule, 200, uniform_noise_matrix(3, 0.6), ENSEMBLE_SEEDS,
+        sample_size=ENSEMBLE_RULES[rule],
+    )
+    result = dynamic.run(
+        EnsembleCountsState(np.array(ENSEMBLE_ROWS), 200), 30,
+        target_opinion=1,
+    )
+    return {
+        "final_counts": result.final_states.counts.tolist(),
+        "rounds": result.rounds_executed.tolist(),
+        "converged": result.converged.tolist(),
+        "successes": result.successes.tolist(),
+        "bias_history_sha256": _digest([result.bias_history]),
+    }
+
+
+def _dynamics_keys():
+    return [
+        (label, stop, f"{label}-{'stop' if stop else 'nostop'}")
+        for label in DYNAMICS_POINTS
+        for stop in (True, False)
+    ]
+
+
 def compute_golden() -> dict:
     return {
         "points": {
@@ -140,6 +230,16 @@ def compute_golden() -> dict:
             for label in POINTS
         },
         "trajectories": {str(seed): trajectory_records(seed) for seed in SEEDS},
+        "dynamics": {
+            key: {
+                str(seed): dynamics_record(label, stop, seed)
+                for seed in SEEDS
+            }
+            for label, stop, key in _dynamics_keys()
+        },
+        "dynamics_ensemble_rows": {
+            rule: ensemble_rows_record(rule) for rule in ENSEMBLE_RULES
+        },
     }
 
 
@@ -157,6 +257,22 @@ def test_simulate_counts_matches_golden(golden, label, seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_runner_counts_trajectories_match_golden(golden, seed):
     assert trajectory_records(seed) == golden["trajectories"][str(seed)]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize(
+    "label,stop,key", _dynamics_keys(), ids=[key for *_, key in _dynamics_keys()]
+)
+def test_simulate_counts_dynamics_matches_golden(golden, label, stop, key,
+                                                 seed):
+    assert (
+        dynamics_record(label, stop, seed) == golden["dynamics"][key][str(seed)]
+    )
+
+
+@pytest.mark.parametrize("rule", list(ENSEMBLE_RULES))
+def test_counts_dynamics_run_from_ensemble_rows_matches_golden(golden, rule):
+    assert ensemble_rows_record(rule) == golden["dynamics_ensemble_rows"][rule]
 
 
 if __name__ == "__main__":
