@@ -89,7 +89,6 @@ from repro.network.balls_bins import BallsIntoBinsProcess
 from repro.network.mailbox import EnsembleReceivedMessages, ReceivedMessages
 from repro.network.poisson_model import PoissonizedProcess
 from repro.network.pull_model import (
-    CountsPullModel,
     EnsemblePullModel,
     UniformPullModel,
 )
@@ -133,7 +132,6 @@ __all__ = [
     "BallsIntoBinsProcess",
     "CountsDynamicsResult",
     "CountsProtocol",
-    "CountsPullModel",
     "CountsState",
     "DYNAMICS_RULES",
     "EnsembleCountsDynamics",

@@ -30,7 +30,10 @@ subclasses (the reference implementations), the batched
 trials over an ``(R, n)`` matrix at once, and the counts-based
 :class:`EnsembleCountsDynamics` subclasses that evolve only the ``(R, k)``
 opinion-count sufficient statistics — ``O(k^2)`` per round independent of
-``n``, which is what scales the baselines to millions of nodes.
+``n``, which is what scales the baselines to millions of nodes.  The counts
+classes carry no round code of their own: every counts run, single or
+swept, goes through the merged round loop of
+:func:`repro.dynamics.base.run_heterogeneous_counts_dynamics`.
 
 Engines are built by the unified ``(tier, rule)`` registry of
 :func:`repro.sim.engines.build_dynamics` (or, one level up, by

@@ -69,8 +69,9 @@ def observation_law(opinion_shares: np.ndarray, noise: NoiseMatrix) -> np.ndarra
     """One node's noisy-observation law, shape ``(k + 1,)``.
 
     Entry 0 is the probability of observing an undecided node; entries
-    ``1..k`` the noisy opinion masses ``c P`` — the same arithmetic as
-    :meth:`~repro.network.pull_model.CountsPullModel.observation_probabilities`,
+    ``1..k`` the noisy opinion masses ``c P`` — the same arithmetic as the
+    per-row observation pmf of the counts tier's merged round loop
+    (:func:`~repro.dynamics.base.run_heterogeneous_counts_dynamics`),
     taken on a single share vector.
     """
     shares = np.asarray(opinion_shares, dtype=float)

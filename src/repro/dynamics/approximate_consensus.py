@@ -42,7 +42,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.core.state import EnsembleCountsState, EnsembleState, PopulationState
+from repro.core.state import EnsembleState, PopulationState
 from repro.dynamics.base import (
     EnsembleCountsDynamics,
     EnsembleOpinionDynamics,
@@ -266,10 +266,13 @@ class EnsembleCountsApproximateConsensusDynamics(EnsembleCountsDynamics):
     All ``n`` nodes of a trial resample i.i.d. from the same midpoint law,
     so the new counts are exactly one ``multinomial(n, law)`` draw — no
     per-group decomposition is needed (a node's own opinion does not enter
-    the update).
+    the update).  The merged round loop takes the phase of a run from its
+    round index: rounds ``1..phase_budget`` resample, later rounds leave
+    the counts unchanged.
     """
 
     name = "approximate-consensus"
+    rule_family = "approximate"
 
     def __init__(
         self,
@@ -277,38 +280,12 @@ class EnsembleCountsApproximateConsensusDynamics(EnsembleCountsDynamics):
         noise: NoiseMatrix,
         random_state: EnsembleRandomState = None,
         *,
-        rng_mode: str = "per_trial",
         epsilon: float = 0.1,
     ) -> None:
-        super().__init__(num_nodes, noise, random_state, rng_mode=rng_mode)
+        super().__init__(num_nodes, noise, random_state)
         self.epsilon = _validate_epsilon(epsilon)
         self.fault_tolerance = byzantine_fault_tolerance(self.num_nodes)
         self.acceptance = self.num_nodes - self.fault_tolerance
         self.phase_budget = phase_budget(
             self.num_nodes, self.num_opinions, self.epsilon
         )
-        self._phases_done = 0
-
-    def _begin(self, *args, **kwargs):
-        self._phases_done = 0
-        return super()._begin(*args, **kwargs)
-
-    def step(
-        self, state: EnsembleCountsState, random_state: EnsembleRandomState
-    ) -> None:
-        """One phase, exactly in distribution, O(k^2) per trial."""
-        if self._phases_done >= self.phase_budget:
-            return
-        self._phases_done += 1
-        law, has_mass = interval_midpoint_law(
-            state.counts, self.num_nodes, self.noise, self.acceptance
-        )
-        per_trial = is_generator_sequence(random_state)
-        shared = None if per_trial else as_generator(random_state)
-        for row in range(state.num_trials):
-            if not has_mass[row]:
-                continue
-            generator = random_state[row] if per_trial else shared
-            state.counts[row] = generator.multinomial(
-                self.num_nodes, law[row]
-            )

@@ -20,13 +20,22 @@ ensemble protocol gives.  Agreement with the sequential
 engine samples the compound observation channel; see
 :mod:`repro.network.pull_model`) and is checked statistically by the
 test-suite.
+
+:class:`EnsembleCountsDynamics` is the counts tier: ``(R, k)`` opinion
+counts, one multinomial per current-opinion group per round, ``O(k^2)``
+per trial independent of ``n``.  Its rule classes declare only a rule
+family and parameters; the one round loop is
+:func:`run_heterogeneous_counts_dynamics`, which advances any number of
+counts runs (a single :meth:`EnsembleCountsDynamics.run`, or a whole sweep
+grid) as merged per-family batches.  Counts trials always draw from
+per-trial streams.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from typing import ClassVar, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -38,9 +47,9 @@ from repro.core.state import (
     coerce_to_ensemble_counts,
 )
 from repro.network.pull_model import (
-    CountsPullModel,
     EnsemblePullModel,
     UniformPullModel,
+    majority_vote_law,
 )
 from repro.noise.matrix import NoiseMatrix
 from repro.utils.multiset import opinion_counts_matrix
@@ -48,10 +57,11 @@ from repro.utils.rng import (
     EnsembleRandomState,
     RandomState,
     as_generator,
+    as_trial_generators,
     is_generator_sequence,
     resolve_trial_randomness,
 )
-from repro.utils.validation import require_positive_int
+from repro.utils.validation import require_opinion, require_positive_int
 
 __all__ = [
     "OpinionDynamics",
@@ -181,12 +191,10 @@ class OpinionDynamics(ABC):
         state = initial_state.copy()
         if target_opinion is None:
             target_opinion = state.plurality_opinion()
-        target_opinion = int(target_opinion)
-        if target_opinion > self.num_opinions:
-            raise ValueError(
-                f"target_opinion must be in [0, {self.num_opinions}], "
-                f"got {target_opinion}"
-            )
+        target_opinion = require_opinion(
+            target_opinion, "target_opinion", self.num_opinions,
+            allow_undecided=True,
+        )
         bias_history: List[float] = []
         rounds_executed = 0
         for _ in range(max_rounds):
@@ -462,12 +470,10 @@ class EnsembleOpinionDynamics(ABC):
         num_trials = ensemble.num_trials
         if target_opinion is None:
             target_opinion = ensemble.pooled_plurality_opinion()
-        target_opinion = int(target_opinion)
-        if target_opinion > self.num_opinions:
-            raise ValueError(
-                f"target_opinion must be in [0, {self.num_opinions}], "
-                f"got {target_opinion}"
-            )
+        target_opinion = require_opinion(
+            target_opinion, "target_opinion", self.num_opinions,
+            allow_undecided=True,
+        )
         randomness = self._trial_randomness(num_trials)
         per_trial = is_generator_sequence(randomness)
         opinions = ensemble.opinions
@@ -589,7 +595,7 @@ class CountsDynamicsResult:
 
 
 # reprolint: counts-tier
-class EnsembleCountsDynamics(ABC):
+class EnsembleCountsDynamics:
     """Run ``R`` independent trials of a dynamic on sufficient statistics.
 
     The third engine tier.  Every trial follows exactly the rule of the
@@ -598,56 +604,44 @@ class EnsembleCountsDynamics(ABC):
     :class:`~repro.core.state.EnsembleCountsState`: on the complete graph
     the per-node opinion vector is exchangeable, so one grouped-multinomial
     draw per current-opinion group reproduces each round's aggregate
-    update *exactly in distribution* (see
-    :class:`~repro.network.pull_model.CountsPullModel`).  Per-round cost is
-    ``O(k^2)`` per trial — independent of ``n`` — and no method allocates
-    an array with an ``n``-sized axis, which is what lets the engine
-    simulate millions (or billions) of nodes at fixed cost.
+    update *exactly in distribution*.  Per-round cost is ``O(k^2)`` per
+    trial — independent of ``n`` — and nothing allocates an array with an
+    ``n``-sized axis, which is what lets the engine simulate millions (or
+    billions) of nodes at fixed cost.
 
-    Randomness follows the ensemble convention: with per-trial sources
-    (the default) trial ``r`` consumes draws from its own generator only,
-    so a counts batch is bitwise identical to ``R`` batch-size-1 counts
-    runs with the same sources; agreement with the ``sequential`` and
-    ``batched`` per-node engines is distributional and is checked by the
-    statistical engine-agreement test-suite.
+    A rule class declares only its :attr:`rule_family` and parameters
+    (``sample_size``, ``phase_budget``, ...).  The round itself lives in the
+    merged loop of :func:`run_heterogeneous_counts_dynamics`; :meth:`run`
+    is a one-task call into it.
+
+    Trial ``r`` consumes draws from its own generator only (spawned from
+    ``random_state``, or taken from a per-trial sequence), so a counts batch
+    is bitwise identical to ``R`` batch-size-1 counts runs with the same
+    sources; agreement with the ``sequential`` and ``batched`` per-node
+    engines is distributional and is checked by the statistical
+    engine-agreement test-suite.
     """
 
     #: Human-readable name used in comparison tables.
     name: str = "counts-opinion-dynamics"
+
+    #: The merged-loop update of the rule, one of ``_RULE_FAMILIES``.
+    rule_family: ClassVar[str]
 
     def __init__(
         self,
         num_nodes: int,
         noise: NoiseMatrix,
         random_state: EnsembleRandomState = None,
-        *,
-        rng_mode: str = "per_trial",
     ) -> None:
-        if rng_mode not in {"per_trial", "shared"}:
-            raise ValueError(
-                f"rng_mode must be 'per_trial' or 'shared', got {rng_mode!r}"
-            )
         self.num_nodes = require_positive_int(num_nodes, "num_nodes")
         self.noise = noise
-        self.rng_mode = rng_mode
         self._random_state = random_state
-        self.pull = CountsPullModel(self.num_nodes, noise)
 
     @property
     def num_opinions(self) -> int:
         """Number of opinions ``k``."""
         return self.noise.num_opinions
-
-    @abstractmethod
-    def step(
-        self, state: EnsembleCountsState, random_state: EnsembleRandomState
-    ) -> None:
-        """One synchronous round over every trial of ``state``, in place.
-
-        Implementations mutate ``state.counts`` (an ``(R, k)`` int64
-        matrix) and must consume randomness per trial only from that
-        trial's generator when ``random_state`` is a per-trial sequence.
-        """
 
     def reset_randomness(self, random_state: EnsembleRandomState) -> None:
         """Replace the default randomness source of subsequent runs.
@@ -656,11 +650,6 @@ class EnsembleCountsDynamics(ABC):
         grid cells while keeping each cell's seed explicit.
         """
         self._random_state = random_state
-
-    def _trial_randomness(self, num_trials: int) -> EnsembleRandomState:
-        return resolve_trial_randomness(
-            self._random_state, num_trials, self.rng_mode
-        )
 
     def _check_state(self, state: EnsembleCountsState) -> None:
         if state.num_nodes != self.num_nodes:
@@ -674,83 +663,32 @@ class EnsembleCountsDynamics(ABC):
                 f"has {self.num_opinions}"
             )
 
-    def _begin(
-        self,
-        initial_state: Union[
-            PopulationState, EnsembleState, CountsState, EnsembleCountsState
-        ],
-        max_rounds: int,
-        num_trials: Optional[int] = None,
-        *,
-        target_opinion: Optional[int] = None,
-        stop_at_consensus: bool = True,
-        record_history: bool = True,
-    ) -> "_CountsRunState":
-        """Validate inputs and set up the run-loop state of :meth:`run`."""
-        max_rounds = require_positive_int(max_rounds, "max_rounds")
-        ensemble = coerce_to_ensemble_counts(initial_state, num_trials)
+    def _begin(self, task: "CountsDynamicsTask") -> "_CountsRunState":
+        """Validate one task's inputs and set up its loop state."""
+        max_rounds = require_positive_int(task.max_rounds, "max_rounds")
+        ensemble = coerce_to_ensemble_counts(
+            task.initial_state, task.num_trials
+        )
         self._check_state(ensemble)
         num_trials = ensemble.num_trials
+        target_opinion = task.target_opinion
         if target_opinion is None:
             target_opinion = ensemble.pooled_plurality_opinion()
-        target_opinion = int(target_opinion)
-        if target_opinion > self.num_opinions:
-            raise ValueError(
-                f"target_opinion must be in [0, {self.num_opinions}], "
-                f"got {target_opinion}"
-            )
-        randomness = self._trial_randomness(num_trials)
+        target_opinion = require_opinion(
+            target_opinion, "target_opinion", self.num_opinions,
+            allow_undecided=True,
+        )
         return _CountsRunState(
             ensemble=ensemble,
             max_rounds=max_rounds,
             target_opinion=target_opinion,
-            stop_at_consensus=stop_at_consensus,
-            record_history=record_history,
-            randomness=randomness,
-            per_trial=is_generator_sequence(randomness),
+            stop_at_consensus=task.stop_at_consensus,
+            record_history=task.record_history,
+            randomness=as_trial_generators(self._random_state, num_trials),
             rounds_executed=np.zeros(num_trials, dtype=np.int64),
             active=np.arange(num_trials),
             last_bias=np.zeros(num_trials, dtype=float),
         )
-
-    def _advance(self, run: "_CountsRunState") -> bool:
-        """Execute one round of :meth:`run`'s loop; ``True`` while unfinished.
-
-        The exact body of the historical monolithic loop, factored out so
-        the heterogeneous sweep runner
-        (:func:`run_heterogeneous_counts_dynamics`) can interleave many
-        grid points round by round while each point stays bitwise
-        identical to its own standalone :meth:`run`.
-        """
-        if run.rounds_done >= run.max_rounds or run.active.size == 0:
-            return False
-        ensemble, counts, active = run.ensemble, run.ensemble.counts, run.active
-        if active.size == ensemble.num_trials:
-            self.step(ensemble, run.randomness)
-            active_counts = counts
-        else:
-            sub_randomness = (
-                [run.randomness[index] for index in active]
-                if run.per_trial
-                else run.randomness
-            )
-            sub_state = EnsembleCountsState(counts[active], self.num_nodes)
-            self.step(sub_state, sub_randomness)
-            counts[active] = sub_state.counts
-            active_counts = sub_state.counts
-        run.rounds_executed[active] += 1
-        if run.record_history and run.target_opinion > 0:
-            run.last_bias = run.last_bias.copy()
-            run.last_bias[active] = _bias_from_counts(
-                active_counts, run.target_opinion, self.num_nodes
-            )
-            run.bias_rows.append(run.last_bias)
-        if run.stop_at_consensus:
-            done = active_counts.max(axis=1) == self.num_nodes
-            if done.any():
-                run.active = run.active[~done]
-        run.rounds_done += 1
-        return run.rounds_done < run.max_rounds and run.active.size > 0
 
     def _finish(self, run: "_CountsRunState") -> CountsDynamicsResult:
         """Assemble the :class:`CountsDynamicsResult` of a completed loop."""
@@ -795,35 +733,36 @@ class EnsembleCountsDynamics(ABC):
         types; per-node states are reduced to their sufficient statistics
         on entry.
         """
-        run = self._begin(
-            initial_state,
-            max_rounds,
-            num_trials,
-            target_opinion=target_opinion,
-            stop_at_consensus=stop_at_consensus,
-            record_history=record_history,
+        (result,) = run_heterogeneous_counts_dynamics(
+            [
+                CountsDynamicsTask(
+                    dynamics=self,
+                    initial_state=initial_state,
+                    max_rounds=max_rounds,
+                    num_trials=num_trials,
+                    target_opinion=target_opinion,
+                    stop_at_consensus=stop_at_consensus,
+                    record_history=record_history,
+                )
+            ]
         )
-        while self._advance(run):
-            pass
-        return self._finish(run)
+        return result
 
 
 @dataclass
 class _CountsRunState:
-    """The loop state of one :meth:`EnsembleCountsDynamics.run` in flight."""
+    """The loop state of one counts-dynamics run in flight."""
 
     ensemble: EnsembleCountsState
     max_rounds: int
     target_opinion: int
     stop_at_consensus: bool
     record_history: bool
-    randomness: EnsembleRandomState
-    per_trial: bool
+    randomness: List[np.random.Generator]
     rounds_executed: np.ndarray
     active: np.ndarray
     last_bias: np.ndarray
     bias_rows: List[np.ndarray] = field(default_factory=list)
-    rounds_done: int = 0
 
 
 # reprolint: counts-tier
@@ -832,7 +771,8 @@ class CountsDynamicsTask:
     """One grid point of a heterogeneous counts-dynamics batch.
 
     Carries exactly the arguments a serial per-point loop would pass to
-    :meth:`EnsembleCountsDynamics.run` on ``dynamics``.
+    :meth:`EnsembleCountsDynamics.run` on ``dynamics``; several tasks may
+    share one ``dynamics`` object, as a serial loop may reuse one engine.
     """
 
     dynamics: EnsembleCountsDynamics
@@ -846,66 +786,56 @@ class CountsDynamicsTask:
     record_history: bool = True
 
 
-def _merge_kind(dynamics: EnsembleCountsDynamics) -> Optional[str]:
-    """The merged-step family of ``dynamics``, or ``None`` if unmergeable.
-
-    Only the exact stock counts classes qualify (a subclass may override
-    :meth:`step`, which the merged round cannot reproduce); they all share
-    the grouped-observation structure — a row-stable observation pmf, one
-    multinomial per trial, then exact integer algebra — which is what lets
-    many grid points advance as one ``(sum of trials, k)`` computation
-    while staying bitwise identical to their standalone runs.
-    """
-    from repro.dynamics.h_majority import (
-        EnsembleCountsHMajorityDynamics,
-        EnsembleCountsThreeMajorityDynamics,
-    )
-    from repro.dynamics.median_rule import EnsembleCountsMedianRuleDynamics
-    from repro.dynamics.undecided_state import (
-        EnsembleCountsUndecidedStateDynamics,
-    )
-    from repro.dynamics.voter import EnsembleCountsVoterDynamics
-
-    concrete = type(dynamics)
-    if concrete is EnsembleCountsVoterDynamics:
-        return "voter"
-    if concrete in (
-        EnsembleCountsHMajorityDynamics,
-        EnsembleCountsThreeMajorityDynamics,
-    ):
-        return "majority"
-    if concrete is EnsembleCountsUndecidedStateDynamics:
-        return "undecided"
-    if concrete is EnsembleCountsMedianRuleDynamics:
-        return "median"
-    return None
+#: The update families of the merged round loop (see
+#: :func:`_run_merged_counts_group`).
+_RULE_FAMILIES = ("voter", "majority", "undecided", "median", "approximate")
 
 
+# reprolint: counts-tier
 def _run_merged_counts_group(
     kind: str,
     tasks: List[CountsDynamicsTask],
-    states: List["_CountsRunState"],
+    states: List[_CountsRunState],
 ) -> None:
     """Advance a group of same-``(kind, k)`` points as one merged batch.
 
-    All heterogeneity is per row or per block: per-row population sizes
-    (the merged state's ``num_nodes`` vector), per-block noise matrices
-    and ``maj()`` sample sizes, per-row generators, per-point round
-    budgets and convergence masks.  Every floating-point operation either
-    is elementwise / a per-row reduction (row-stable by construction) or
-    runs on exactly the slice shape the standalone run would use (the
-    per-block matmul and vote-law calls), and every draw comes from the
-    same generator with the same arguments — so each point's trajectory is
-    bitwise identical to its own :meth:`EnsembleCountsDynamics.run`.
-    Mutates ``states`` in place; callers finish with ``_finish``.
-    """
-    from repro.network.pull_model import majority_vote_law
+    The rule families:
 
+    * ``voter`` / ``majority``: each node draws one observation (or one
+      ``maj()`` vote over ``sample_size`` observations) and adopts the
+      opinion it got; a node that got none keeps its own.
+    * ``undecided``: the undecided-state rule over one observation.
+    * ``median``: median of the own value and two observations, through
+      the one-hot transition tensor of the median rule.
+    * ``approximate``: in each of its first ``phase_budget`` rounds every
+      node of a trial resamples from the trial's midpoint-of-extremes law,
+      one ``multinomial(n, law)`` per row; afterwards the point holds
+      still.  A point's phase is its round index, so points (and tasks
+      sharing one dynamics object) never share a phase counter.
+
+    The first four draw one multinomial per current-opinion group, since
+    only a node's reaction to an observation depends on its own opinion.
+
+    All heterogeneity is per row or per block: per-row population sizes,
+    per-block noise matrices, ``maj()`` sample sizes and phase budgets,
+    per-row generators, per-point round budgets and convergence masks.
+    Every floating-point operation either is elementwise / a per-row
+    reduction (row-stable by construction) or runs on exactly one point's
+    active rows (the per-block matmul and law calls), and every draw comes
+    from the row's own generator — so a point's trajectory does not depend
+    on what else shares its batch.  Mutates ``states`` in place; callers
+    finish with ``_finish``.
+    """
     num_opinions = tasks[0].dynamics.num_opinions
+    # Imported lazily: the rule modules import this one.
     if kind == "median":
         from repro.dynamics.median_rule import _median_transition_tensor
 
         transition = _median_transition_tensor(num_opinions)
+    elif kind == "approximate":
+        from repro.dynamics.approximate_consensus import (
+            interval_midpoint_law,
+        )
     live = list(range(len(tasks)))
     global_round = 0
     rebuild = True
@@ -956,67 +886,85 @@ def _run_merged_counts_group(
                 if entry[1].record_history and entry[1].target_opinion > 0
             ]
             num_rows = counts_active.shape[0]
-            deadline = min(tasks[index].max_rounds for index in live)
+            deadline = min(states[index].max_rounds for index in live)
             rebuild = False
-        # Observation pmf with per-row n and per-block noise — identical
-        # arithmetic to CountsPullModel.observation_probabilities.
-        shares = counts_active / nodes_active[:, np.newaxis]
-        none_mass = 1.0 - shares.sum(axis=1, keepdims=True)
-        noisy = np.empty((num_rows, num_opinions), dtype=float)
-        for index, state, dynamics, block, noise_matrix in blocks:
-            np.matmul(shares[block], noise_matrix, out=noisy[block])
-        pmf = np.clip(np.concatenate([none_mass, noisy], axis=1), 0.0, 1.0)
-        undecided = nodes_active - counts_active.sum(axis=1, dtype=np.int64)
-        sizes = np.concatenate(
-            [undecided[:, np.newaxis], counts_active], axis=1
-        )
-        if kind == "majority":
-            draw_pmf = np.empty_like(pmf)
+        if kind == "approximate":
             for index, state, dynamics, block, noise_matrix in blocks:
-                draw_pmf[block] = majority_vote_law(
-                    pmf[block], dynamics.sample_size
+                if global_round >= dynamics.phase_budget:
+                    continue
+                law, has_mass = interval_midpoint_law(
+                    counts_active[block],
+                    dynamics.num_nodes,
+                    dynamics.noise,
+                    dynamics.acceptance,
                 )
-            out_dim = num_opinions + 1
-        elif kind == "median":
-            draw_pmf = (
-                pmf[:, :, np.newaxis] * pmf[:, np.newaxis, :]
-            ).reshape(num_rows, -1)
-            out_dim = (num_opinions + 1) ** 2
+                # A row with no opinion mass has no law and holds still.
+                for row in np.flatnonzero(has_mass):
+                    counts_active[block.start + row] = generators[
+                        block.start + row
+                    ](dynamics.num_nodes, law[row])
         else:
-            draw_pmf = pmf
-            out_dim = num_opinions + 1
-        drawn = np.empty(
-            (num_rows, num_opinions + 1, out_dim), dtype=np.int64
-        )
-        # One scalar-n multinomial per observing group instead of one
-        # vector-n call per row: numpy's broadcasting path costs ~5x more
-        # per call, draws the same bits in the same order, and empty
-        # groups (n = 0) consume no bits at all, so both decompositions
-        # are bitwise identical to the serial _grouped_multinomial.
-        for out_row, draw, size_row, pmf_row in zip(
-            drawn, generators, sizes, draw_pmf
-        ):
-            for group in range(num_opinions + 1):
-                group_size = size_row[group]
-                if group_size:
-                    out_row[group] = draw(group_size, pmf_row)
-                else:
-                    out_row[group] = 0
-        if kind in ("voter", "majority"):
-            counts_active = drawn[:, :, 1:].sum(axis=1) + drawn[:, 1:, 0]
-        elif kind == "undecided":
-            diagonal = np.arange(num_opinions)
-            counts_active = (
-                drawn[:, 0, 1:]
-                + drawn[:, 1:, 0]
-                + drawn[:, diagonal + 1, diagonal + 1]
+            # Observation pmf over {no opinion, 1..k} with per-row n and
+            # per-block noise; the clip drops float dust (a fully
+            # opinionated row can leave none_mass at -1e-16, which numpy's
+            # multinomial rejects).
+            shares = counts_active / nodes_active[:, np.newaxis]
+            none_mass = 1.0 - shares.sum(axis=1, keepdims=True)
+            noisy = np.empty((num_rows, num_opinions), dtype=float)
+            for index, state, dynamics, block, noise_matrix in blocks:
+                np.matmul(shares[block], noise_matrix, out=noisy[block])
+            pmf = np.clip(np.concatenate([none_mass, noisy], axis=1), 0.0, 1.0)
+            undecided = nodes_active - counts_active.sum(axis=1, dtype=np.int64)
+            sizes = np.concatenate(
+                [undecided[:, np.newaxis], counts_active], axis=1
             )
-        else:  # median
-            # Same unsafe cast the serial step performs when assigning the
-            # float transition product into the int64 counts matrix.
-            counts_active = np.einsum("rgp,gpv->rv", drawn, transition)[
-                :, 1:
-            ].astype(np.int64)
+            if kind == "majority":
+                draw_pmf = np.empty_like(pmf)
+                for index, state, dynamics, block, noise_matrix in blocks:
+                    draw_pmf[block] = majority_vote_law(
+                        pmf[block], dynamics.sample_size
+                    )
+                out_dim = num_opinions + 1
+            elif kind == "median":
+                # Ordered observation pairs, indexed first * (k + 1) + second.
+                draw_pmf = (
+                    pmf[:, :, np.newaxis] * pmf[:, np.newaxis, :]
+                ).reshape(num_rows, -1)
+                out_dim = (num_opinions + 1) ** 2
+            else:
+                draw_pmf = pmf
+                out_dim = num_opinions + 1
+            # drawn[r, g, o]: row-r nodes of current-opinion group g (0 =
+            # undecided) whose draw came out o (0 = no opinion seen).  One
+            # scalar-n multinomial per group instead of one vector-n call
+            # per row: numpy's broadcasting path costs ~5x more per call,
+            # and an empty group (n = 0) consumes no bits, so skipping it
+            # leaves the stream unchanged.
+            drawn = np.empty(
+                (num_rows, num_opinions + 1, out_dim), dtype=np.int64
+            )
+            for out_row, draw, size_row, pmf_row in zip(
+                drawn, generators, sizes, draw_pmf
+            ):
+                for group in range(num_opinions + 1):
+                    group_size = size_row[group]
+                    if group_size:
+                        out_row[group] = draw(group_size, pmf_row)
+                    else:
+                        out_row[group] = 0
+            if kind in ("voter", "majority"):
+                counts_active = drawn[:, :, 1:].sum(axis=1) + drawn[:, 1:, 0]
+            elif kind == "undecided":
+                diagonal = np.arange(num_opinions)
+                counts_active = (
+                    drawn[:, 0, 1:]
+                    + drawn[:, 1:, 0]
+                    + drawn[:, diagonal + 1, diagonal + 1]
+                )
+            else:  # median
+                counts_active = np.einsum(
+                    "rgp,gpv->rv", drawn, transition
+                )[:, 1:]
         global_round += 1
         for index, state, dynamics, block, noise_matrix in bias_blocks:
             state.last_bias = state.last_bias.copy()
@@ -1042,13 +990,11 @@ def _run_merged_counts_group(
                         ] = global_round
                         state.active = state.active[~local_done]
                 if (
-                    global_round >= tasks[index].max_rounds
+                    global_round >= state.max_rounds
                     or state.active.size == 0
                 ):
-                    # Rows stepped in every round so far finish with the
-                    # same count the serial per-round increment would give.
+                    # Rows still active stepped in every round so far.
                     state.rounds_executed[state.active] = global_round
-                    state.rounds_done = global_round
                     continue
                 still_live.append(index)
             live = still_live
@@ -1061,50 +1007,35 @@ def run_heterogeneous_counts_dynamics(
 ) -> List[CountsDynamicsResult]:
     """Run many counts-dynamics grid points in one shared round loop.
 
-    The sweep engine's dynamics executor.  Points whose dynamics are stock
-    counts rules are grouped by ``(rule family, k)`` and advanced as one
+    The only counts-dynamics round loop: :meth:`EnsembleCountsDynamics.run`
+    is a one-task call, and the sweep engine passes a whole grid.  Points
+    are grouped by ``(rule family, k)`` and each group advances as one
     merged ``(sum of trials, k)`` batch per round — per-row population
-    sizes, per-block noise matrices and vote laws, per-block convergence
-    masks, early retirement of finished points (see
-    :func:`_run_merged_counts_group`).  Anything else (custom subclasses,
-    shared-generator randomness) falls back to round-robin interleaving of
-    the factored ``_begin`` / ``_advance`` / ``_finish`` loop.  Either
-    way every point's :class:`CountsDynamicsResult` is **bitwise
-    identical** to ``task.dynamics.run(...)`` with the same arguments.
+    sizes, per-block noise matrices and laws, per-block convergence masks,
+    early retirement of finished points (see
+    :func:`_run_merged_counts_group`).  Every point's
+    :class:`CountsDynamicsResult` is **bitwise identical** to
+    ``task.dynamics.run(...)`` with the same arguments, whatever else
+    shares the batch.
     """
-    states = [
-        task.dynamics._begin(
-            task.initial_state,
-            task.max_rounds,
-            task.num_trials,
-            target_opinion=task.target_opinion,
-            stop_at_consensus=task.stop_at_consensus,
-            record_history=task.record_history,
+    states = [task.dynamics._begin(task) for task in tasks]
+    groups: Dict[Tuple[str, int], List[int]] = {}
+    for index, task in enumerate(tasks):
+        kind = getattr(task.dynamics, "rule_family", None)
+        if kind not in _RULE_FAMILIES:
+            raise TypeError(
+                f"{type(task.dynamics).__name__} declares no counts rule "
+                f"family; rule_family must be one of {_RULE_FAMILIES}"
+            )
+        groups.setdefault((kind, task.dynamics.num_opinions), []).append(
+            index
         )
-        for task in tasks
-    ]
-    groups: dict = {}
-    loners: List[int] = []
-    for index, (task, state) in enumerate(zip(tasks, states)):
-        kind = _merge_kind(task.dynamics)
-        if kind is not None and is_generator_sequence(state.randomness):
-            key = (kind, task.dynamics.num_opinions)
-            groups.setdefault(key, []).append(index)
-        else:
-            loners.append(index)
     for (kind, _), indices in groups.items():
         _run_merged_counts_group(
             kind,
             [tasks[index] for index in indices],
             [states[index] for index in indices],
         )
-    pending = list(loners)
-    while pending:
-        pending = [
-            index
-            for index in pending
-            if tasks[index].dynamics._advance(states[index])
-        ]
     return [
         task.dynamics._finish(state) for task, state in zip(tasks, states)
     ]

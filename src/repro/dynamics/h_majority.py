@@ -16,7 +16,7 @@ opinion); a node that observes no opinion keeps its current one.
 
 from __future__ import annotations
 
-from repro.core.state import EnsembleCountsState, EnsembleState, PopulationState
+from repro.core.state import EnsembleState, PopulationState
 from repro.dynamics.base import (
     EnsembleCountsDynamics,
     EnsembleOpinionDynamics,
@@ -136,16 +136,16 @@ class EnsembleCountsHMajorityDynamics(EnsembleCountsDynamics):
     huge-sample corner.
     """
 
+    rule_family = "majority"
+
     def __init__(
         self,
         num_nodes: int,
         noise: NoiseMatrix,
         sample_size: int,
         random_state: EnsembleRandomState = None,
-        *,
-        rng_mode: str = "per_trial",
     ) -> None:
-        super().__init__(num_nodes, noise, random_state, rng_mode=rng_mode)
+        super().__init__(num_nodes, noise, random_state)
         self.sample_size = require_positive_int(sample_size, "sample_size")
         if not vote_table_is_tractable(self.sample_size, self.num_opinions):
             raise ValueError(
@@ -154,17 +154,6 @@ class EnsembleCountsHMajorityDynamics(EnsembleCountsDynamics):
                 f"k={self.num_opinions}; use the batched engine instead"
             )
         self.name = f"{self.sample_size}-majority"
-
-    def step(
-        self, state: EnsembleCountsState, random_state: EnsembleRandomState
-    ) -> None:
-        """One round of the majority rule, exactly in distribution, O(k^2)."""
-        votes = self.pull.observe_majority_grouped(
-            state.counts, self.sample_size, random_state
-        )
-        adopters = votes[:, :, 1:].sum(axis=1)
-        keepers = votes[:, 1:, 0]
-        state.counts[:] = adopters + keepers
 
 
 class EnsembleCountsThreeMajorityDynamics(EnsembleCountsHMajorityDynamics):
@@ -175,11 +164,8 @@ class EnsembleCountsThreeMajorityDynamics(EnsembleCountsHMajorityDynamics):
         num_nodes: int,
         noise: NoiseMatrix,
         random_state: EnsembleRandomState = None,
-        *,
-        rng_mode: str = "per_trial",
     ) -> None:
         super().__init__(
-            num_nodes, noise, sample_size=3, random_state=random_state,
-            rng_mode=rng_mode,
+            num_nodes, noise, sample_size=3, random_state=random_state
         )
         self.name = "3-majority"

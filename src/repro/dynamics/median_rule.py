@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.core.state import EnsembleCountsState, EnsembleState, PopulationState
+from repro.core.state import EnsembleState, PopulationState
 from repro.dynamics.base import (
     EnsembleCountsDynamics,
     EnsembleOpinionDynamics,
@@ -122,12 +122,4 @@ class EnsembleCountsMedianRuleDynamics(EnsembleCountsDynamics):
     """
 
     name = "median-rule"
-
-    def step(
-        self, state: EnsembleCountsState, random_state: EnsembleRandomState
-    ) -> None:
-        """One round of the median-of-three rule, exactly in distribution."""
-        pairs = self.pull.observe_pair_grouped(state.counts, random_state)
-        transition = _median_transition_tensor(state.num_opinions)
-        new_values = np.einsum("rgp,gpv->rv", pairs, transition)
-        state.counts[:] = new_values[:, 1:]
+    rule_family = "median"

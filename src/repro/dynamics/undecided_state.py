@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.state import EnsembleCountsState, EnsembleState, PopulationState
+from repro.core.state import EnsembleState, PopulationState
 from repro.dynamics.base import (
     EnsembleCountsDynamics,
     EnsembleOpinionDynamics,
@@ -84,15 +84,4 @@ class EnsembleCountsUndecidedStateDynamics(EnsembleCountsDynamics):
     """
 
     name = "undecided-state"
-
-    def step(
-        self, state: EnsembleCountsState, random_state: EnsembleRandomState
-    ) -> None:
-        """One round of the undecided-state rule, exactly in distribution."""
-        observed = self.pull.observe_single_grouped(state.counts, random_state)
-        num_opinions = state.num_opinions
-        diagonal = np.arange(num_opinions)
-        adopted = observed[:, 0, 1:]
-        kept_nothing = observed[:, 1:, 0]
-        kept_same = observed[:, diagonal + 1, diagonal + 1]
-        state.counts[:] = adopted + kept_nothing + kept_same
+    rule_family = "undecided"

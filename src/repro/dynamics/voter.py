@@ -11,7 +11,7 @@ or without noise.
 
 from __future__ import annotations
 
-from repro.core.state import EnsembleCountsState, EnsembleState, PopulationState
+from repro.core.state import EnsembleState, PopulationState
 from repro.dynamics.base import (
     EnsembleCountsDynamics,
     EnsembleOpinionDynamics,
@@ -63,12 +63,4 @@ class EnsembleCountsVoterDynamics(EnsembleCountsDynamics):
     """
 
     name = "voter"
-
-    def step(
-        self, state: EnsembleCountsState, random_state: EnsembleRandomState
-    ) -> None:
-        """One round of the copy rule, exactly in distribution, O(k^2)."""
-        observed = self.pull.observe_single_grouped(state.counts, random_state)
-        adopters = observed[:, :, 1:].sum(axis=1)
-        keepers = observed[:, 1:, 0]
-        state.counts[:] = adopters + keepers
+    rule_family = "voter"

@@ -32,7 +32,6 @@ from repro.network.delivery import deliver_phase, supports_population_delivery
 from repro.network.mailbox import ReceivedMessages
 from repro.network.poisson_model import PoissonizedProcess
 from repro.network.pull_model import (
-    CountsPullModel,
     EnsemblePullModel,
     UniformPullModel,
 )
@@ -41,7 +40,6 @@ from repro.network.topology import GraphPushModel, standard_topology
 
 __all__ = [
     "BallsIntoBinsProcess",
-    "CountsPullModel",
     "EnsemblePullModel",
     "GraphPushModel",
     "HeterogeneousCountsDeliveryModel",

@@ -51,7 +51,6 @@ from repro.utils.validation import require_positive_int
 __all__ = [
     "UniformPullModel",
     "EnsemblePullModel",
-    "CountsPullModel",
     "majority_vote_law",
     "vote_table_is_tractable",
     "dense_majority_vote_law",
@@ -783,218 +782,3 @@ class EnsemblePullModel:
             (opinions.shape[0], self.num_nodes), random_state
         )
         return self._categorical(cumulative, uniforms)
-
-
-# reprolint: counts-tier
-class CountsPullModel:
-    """Counts-native noisy uniform pull: sufficient-statistics observation.
-
-    The third engine tier.  On the complete graph every node of a trial
-    observes i.i.d. draws from the same compound channel (uniform target
-    composed with per-message noise), so the number of nodes seeing each
-    outcome is fully described by *grouped multinomial draws*: one
-    multinomial per current-opinion group (undecided, opinion 1, …, opinion
-    k), because only the node's *reaction* to an observation — never the
-    observation law itself — depends on its own opinion.  A round therefore
-    costs ``O(k^2)`` work per trial (``O(k^3)`` for the two-observation
-    median rule), independent of ``n``, and is **exact in distribution**:
-    the grouped counts have exactly the law of the per-node engines'
-    aggregated outcomes.
-
-    All inputs and outputs are ``(R, …)`` int64 count arrays; no method
-    allocates an array with an ``n``-sized axis.
-
-    Parameters
-    ----------
-    num_nodes:
-        Number of nodes ``n`` per trial (a plain integer — only used as a
-        scalar normalizer, so populations beyond ``2**31`` are fine).
-    noise:
-        Noise matrix applied independently to every observed opinion.
-    random_state:
-        Default randomness: one shared source or a per-trial sequence
-        (trial ``r`` then consumes draws from its own source only).
-    """
-
-    def __init__(
-        self,
-        num_nodes: int,
-        noise: NoiseMatrix,
-        random_state: EnsembleRandomState = None,
-    ) -> None:
-        self.num_nodes = require_positive_int(num_nodes, "num_nodes")
-        if not isinstance(noise, NoiseMatrix):
-            raise TypeError(
-                f"noise must be a NoiseMatrix, got {type(noise).__name__}"
-            )
-        self.noise = noise
-        self._random_state: EnsembleRandomState = (
-            random_state
-            if is_generator_sequence(random_state)
-            else as_generator(random_state)
-        )
-
-    @property
-    def num_opinions(self) -> int:
-        """Number of opinions ``k``."""
-        return self.noise.num_opinions
-
-    def _randomness(self, random_state: EnsembleRandomState):
-        return self._random_state if random_state is None else random_state
-
-    def _validate_counts(self, counts: np.ndarray) -> np.ndarray:
-        array = np.asarray(counts, dtype=np.int64)
-        if array.ndim != 2 or array.shape[1] != self.num_opinions:
-            raise ValueError(
-                f"counts must be an (R, {self.num_opinions}) matrix, got "
-                f"shape {array.shape}"
-            )
-        if array.size and array.min() < 0:
-            raise ValueError("opinion counts must be non-negative")
-        return array
-
-    def group_sizes(self, counts: np.ndarray) -> np.ndarray:
-        """Current-opinion group sizes, shape ``(R, k + 1)`` (column 0 =
-        undecided nodes)."""
-        counts = self._validate_counts(counts)
-        undecided = np.int64(self.num_nodes) - counts.sum(
-            axis=1, dtype=np.int64
-        )
-        if undecided.min() < 0:
-            raise ValueError(
-                "opinion counts exceed num_nodes in at least one trial"
-            )
-        return np.concatenate([undecided[:, np.newaxis], counts], axis=1)
-
-    def observation_probabilities(
-        self, counts: np.ndarray, *, include_undecided: bool = True
-    ) -> np.ndarray:
-        """Per-trial observation distribution, shape ``(R, k + 1)``.
-
-        Identical arithmetic to
-        :meth:`EnsemblePullModel.observation_probabilities`, but computed
-        straight from the ``(R, k)`` count matrix — the per-node opinion
-        matrix never exists.
-        """
-        counts = self._validate_counts(counts)
-        if include_undecided:
-            shares = counts / self.num_nodes
-            none_mass = 1.0 - shares.sum(axis=1, keepdims=True)
-        else:
-            totals = counts.sum(axis=1, keepdims=True, dtype=np.int64)
-            has_support = totals > 0
-            shares = np.divide(
-                counts,
-                totals,
-                out=np.zeros(counts.shape, dtype=float),
-                where=has_support,
-            )
-            none_mass = np.where(has_support, 0.0, 1.0)
-        # Clip the float-rounding dust: fully-opinionated trials can leave
-        # none_mass at -1e-16, which numpy's multinomial rejects as pvals<0.
-        return np.clip(
-            np.concatenate([none_mass, shares @ self.noise.matrix], axis=1),
-            0.0,
-            1.0,
-        )
-
-    def _grouped_multinomial(
-        self,
-        sizes: np.ndarray,
-        pmf: np.ndarray,
-        random_state: EnsembleRandomState,
-    ) -> np.ndarray:
-        """Grouped draws: entry ``(r, g, o)`` counts the trial-``r`` nodes of
-        group ``g`` whose (independent) draw from ``pmf[r]`` came out ``o``.
-
-        ``sizes`` has shape ``(R, G)`` and ``pmf`` shape ``(R, O)``; the
-        result has shape ``(R, G, O)`` and is int64.  In per-trial mode
-        trial ``r`` consumes exactly ``G`` multinomial draws from its own
-        generator (in group order) — the whole randomness budget of the
-        step, which is what makes a counts batch bitwise identical to
-        batch-size-1 counts runs with the same per-trial sources.
-        """
-        sizes = np.asarray(sizes, dtype=np.int64)
-        num_trials, num_groups = sizes.shape
-        if is_generator_sequence(random_state):
-            generators = as_trial_generators(random_state, num_trials)
-            drawn = np.empty(
-                (num_trials, num_groups, pmf.shape[1]), dtype=np.int64
-            )
-            for trial, generator in enumerate(generators):
-                drawn[trial] = generator.multinomial(
-                    sizes[trial], pmf[trial]
-                )
-            return drawn
-        rng = as_generator(random_state)
-        return rng.multinomial(
-            sizes, pmf[:, np.newaxis, :]
-        ).astype(np.int64, copy=False)
-
-    def observe_single_grouped(
-        self,
-        counts: np.ndarray,
-        random_state: EnsembleRandomState = None,
-    ) -> np.ndarray:
-        """One observation per node, grouped by the observer's own opinion.
-
-        Returns an ``(R, k + 1, k + 1)`` int64 tensor: entry ``(r, g, o)``
-        is the number of trial-``r`` nodes currently in group ``g`` (0 =
-        undecided) that observed outcome ``o`` (0 = saw an undecided node).
-        Exactly the aggregated law of
-        :meth:`EnsemblePullModel.observe_single`.
-        """
-        counts = self._validate_counts(counts)
-        random_state = self._randomness(random_state)
-        pmf = self.observation_probabilities(counts)
-        return self._grouped_multinomial(
-            self.group_sizes(counts), pmf, random_state
-        )
-
-    def observe_pair_grouped(
-        self,
-        counts: np.ndarray,
-        random_state: EnsembleRandomState = None,
-    ) -> np.ndarray:
-        """Two i.i.d. observations per node, grouped by the observer's opinion.
-
-        Returns an ``(R, k + 1, (k + 1)**2)`` int64 tensor whose last axis
-        indexes the ordered pair ``first * (k + 1) + second``.  This backs
-        the counts-native median rule, whose update needs the joint of both
-        observations and the node's own value.
-        """
-        counts = self._validate_counts(counts)
-        random_state = self._randomness(random_state)
-        pmf = self.observation_probabilities(counts)
-        pair_pmf = (pmf[:, :, np.newaxis] * pmf[:, np.newaxis, :]).reshape(
-            counts.shape[0], -1
-        )
-        return self._grouped_multinomial(
-            self.group_sizes(counts), pair_pmf, random_state
-        )
-
-    def observe_majority_grouped(
-        self,
-        counts: np.ndarray,
-        sample_size: int,
-        random_state: EnsembleRandomState = None,
-    ) -> np.ndarray:
-        """Grouped ``maj()`` votes over ``sample_size`` observations per node.
-
-        Returns an ``(R, k + 1, k + 1)`` int64 tensor: entry ``(r, g, v)``
-        is the number of trial-``r`` group-``g`` nodes whose majority vote
-        came out ``v`` (0 = observed no opinion, cast no vote).  The vote
-        law is the exact closed form of :func:`majority_vote_law`; for
-        ``(sample_size, k)`` beyond the composition-table budget the counts
-        engine has no per-message fallback, so a ``ValueError`` is raised —
-        use the batched engine for huge per-round sample sizes.
-        """
-        sample_size = require_positive_int(sample_size, "sample_size")
-        counts = self._validate_counts(counts)
-        random_state = self._randomness(random_state)
-        vote_pmf = majority_vote_law(
-            self.observation_probabilities(counts), sample_size
-        )
-        return self._grouped_multinomial(
-            self.group_sizes(counts), vote_pmf, random_state
-        )

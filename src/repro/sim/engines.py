@@ -135,14 +135,20 @@ def build_dynamics(
     :data:`DYNAMICS_RULES`; ``sample_size`` is required for (and only
     accepted by) ``"h-majority"``, and ``epsilon`` (the target agreement
     precision) is only accepted by ``"approximate-consensus"``.
-    ``rng_mode`` applies to the batched and counts tiers only (the
-    sequential classes take a single source).  The construction is
+    ``rng_mode`` applies to the batched tier only: the sequential classes
+    take a single source, and the counts tier always draws per-trial
+    streams (``rng_mode="shared"`` raises there).  The construction is
     identical to what the legacy per-tier factories produced, so seeded
     runs are bitwise reproducible across the migration.
     """
     if tier not in ENGINE_TIERS:
         raise ValueError(
             f"tier must be one of {ENGINE_TIERS}, got {tier!r}"
+        )
+    if tier == "counts" and rng_mode != "per_trial":
+        raise ValueError(
+            f"the counts tier draws per-trial streams only, got rng_mode="
+            f"{rng_mode!r}; use the batched tier for shared-stream runs"
         )
     _validate_rule(rule, sample_size)
     if epsilon is not None and rule != "approximate-consensus":
@@ -158,13 +164,12 @@ def build_dynamics(
         if rule == "h-majority":
             return dynamics_cls(num_nodes, noise, sample_size, random_state)
         return dynamics_cls(num_nodes, noise, random_state, **extra)
+    options = {} if tier == "counts" else {"rng_mode": rng_mode}
     if rule == "h-majority":
         return dynamics_cls(
-            num_nodes, noise, sample_size, random_state, rng_mode=rng_mode
+            num_nodes, noise, sample_size, random_state, **options
         )
-    return dynamics_cls(
-        num_nodes, noise, random_state, rng_mode=rng_mode, **extra
-    )
+    return dynamics_cls(num_nodes, noise, random_state, **options, **extra)
 
 
 class EngineRegistry:

@@ -82,6 +82,27 @@ def test_rule_passes_conforming_fixture(bad_name, good_name, expected):
     assert lint(good_name) == []
 
 
+def test_counts_tier_rule_covers_merged_dynamics_loop(tmp_path):
+    """The merged counts-dynamics round loop carries the counts-tier marker:
+    an n-sized allocation injected into it is flagged."""
+    import repro.dynamics.base as dynamics_base
+
+    source = Path(dynamics_base.__file__).read_text()
+    anchor = source.index(
+        "    live = list(range(len(tasks)))\n",
+        source.index("def _run_merged_counts_group("),
+    )
+    injected = (
+        source[:anchor] + "    np.zeros(num_nodes)\n" + source[anchor:]
+    )
+    target = tmp_path / "base.py"
+    target.write_text(injected)
+    findings, _ = run_lint([str(target)], select=["counts-tier-n-free"])
+    assert locations(findings) == [
+        ("counts-tier-n-free", source.count("\n", 0, anchor) + 1)
+    ]
+
+
 # --------------------------------------------------------------------- #
 # The cross-file rule needs its package fixture directories
 # --------------------------------------------------------------------- #

@@ -190,16 +190,27 @@ class TestInt64DtypeSafety:
         assert full.has_consensus_on(2)
         assert full.opinionated_count() == 2**33
 
-    def test_group_sizes_and_pmf_are_exact_at_huge_n(self):
-        from repro.network.pull_model import CountsPullModel
-        from repro.noise.families import identity_matrix
+    def test_counts_voter_round_is_exact_at_huge_n(self):
+        from repro.noise.families import uniform_noise_matrix
+        from repro.sim.engines import build_dynamics
 
-        pull = CountsPullModel(self.HUGE_NODES, identity_matrix(3))
-        sizes = pull.group_sizes(self.HUGE)
-        assert sizes.dtype == np.int64
-        assert int(sizes.sum(axis=1)[0]) == self.HUGE_NODES
-        pmf = pull.observation_probabilities(self.HUGE)
-        assert np.all(pmf >= 0) and np.allclose(pmf.sum(axis=1), 1.0)
+        # Fully opinionated rows: under the voter rule every node ends the
+        # round opinionated, so the new counts must sum to n exactly.
+        start = EnsembleCountsState(
+            np.array(
+                [[2**33, 2**32 + 5, 2**32 - 5], [2**32, 2**32, 2**33]],
+                dtype=np.int64,
+            ),
+            self.HUGE_NODES,
+        )
+        dynamic = build_dynamics(
+            "counts", "voter", self.HUGE_NODES, uniform_noise_matrix(3, 0.3), 0
+        )
+        result = dynamic.run(start, 1, stop_at_consensus=False)
+        counts = result.final_states.counts
+        assert counts.dtype == np.int64
+        assert counts.sum(axis=1).tolist() == [self.HUGE_NODES] * 2
+        assert result.rounds_executed.tolist() == [1, 1]
 
     def test_opinion_counts_matrix_returns_int64(self):
         opinions = np.array([[0, 1, 2, 2], [1, 1, 1, 0]])

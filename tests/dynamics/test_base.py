@@ -8,7 +8,8 @@ import pytest
 from repro.core.state import PopulationState
 from repro.dynamics.base import OpinionDynamics
 from repro.dynamics.voter import VoterDynamics
-from repro.noise.families import identity_matrix, uniform_noise_matrix
+from repro.noise.families import uniform_noise_matrix
+from repro.sim.engines import build_dynamics
 
 
 class ConstantDynamics(OpinionDynamics):
@@ -91,3 +92,16 @@ class TestRunLoop:
 
     def test_num_opinions_property(self, uniform3, rng):
         assert VoterDynamics(10, uniform3, rng).num_opinions == 3
+
+
+@pytest.mark.parametrize("tier", ["sequential", "batched", "counts"])
+@pytest.mark.parametrize("target_opinion", [-1, 4])
+def test_out_of_range_target_opinion_rejected(tier, target_opinion):
+    dynamic = build_dynamics(tier, "voter", 20, uniform_noise_matrix(3, 0.3), 0)
+    initial = PopulationState.from_counts(20, {1: 10, 2: 6, 3: 4}, 3, 0)
+    trials = () if tier == "sequential" else (2,)
+    with pytest.raises(
+        ValueError,
+        match=rf"target_opinion must be in \[0, 3\], got {target_opinion}",
+    ):
+        dynamic.run(initial, 5, *trials, target_opinion=target_opinion)

@@ -2,9 +2,9 @@
 
 Covers the per-rule update arithmetic (conservation laws, absorbing
 noise-free consensus), trial-by-trial bitwise reproducibility of the
-grouped-multinomial randomness contract, the registry, and the result API.
-Cross-engine statistical agreement lives in
-``tests/integration/test_engine_agreement.py``.
+per-trial randomness contract, the merged round loop's independence from
+what shares its batch, the registry, and the result API.  Cross-engine
+statistical agreement lives in ``tests/integration/test_engine_agreement.py``.
 """
 
 from __future__ import annotations
@@ -12,16 +12,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.state import CountsState, EnsembleCountsState, PopulationState
+from repro.core.state import CountsState, EnsembleCountsState
 from repro.dynamics import (
     DYNAMICS_RULES,
     CountsDynamicsResult,
     EnsembleCountsHMajorityDynamics,
     EnsembleCountsThreeMajorityDynamics,
-    make_counts_dynamics,
+)
+from repro.dynamics.base import (
+    CountsDynamicsTask,
+    run_heterogeneous_counts_dynamics,
 )
 from repro.experiments.workloads import biased_population
 from repro.noise.families import identity_matrix, uniform_noise_matrix
+from repro.sim.engines import build_dynamics
 
 NUM_NODES = 600
 NUM_TRIALS = 6
@@ -39,8 +43,8 @@ def initial_state():
 
 def run_counts(rule, sample_size, channel, initial, seed, trials,
                max_rounds=30, **kwargs):
-    dynamic = make_counts_dynamics(
-        rule, NUM_NODES, channel, seed, sample_size=sample_size
+    dynamic = build_dynamics(
+        "counts", rule, NUM_NODES, channel, seed, sample_size=sample_size
     )
     kwargs.setdefault("target_opinion", 1)
     return dynamic.run(initial, max_rounds, trials, **kwargs)
@@ -53,6 +57,7 @@ class TestCountsUpdateInvariants:
         ("h-majority", 5),
         ("undecided-state", None),
         ("median-rule", None),
+        ("approximate-consensus", None),
     ])
     def test_population_is_conserved(self, rule, sample_size, noise,
                                      initial_state):
@@ -73,6 +78,7 @@ class TestCountsUpdateInvariants:
         ("h-majority", 5),
         ("undecided-state", None),
         ("median-rule", None),
+        ("approximate-consensus", None),
     ])
     def test_noise_free_consensus_is_absorbing(self, rule, sample_size):
         consensus = CountsState([NUM_NODES, 0, 0], NUM_NODES)
@@ -100,21 +106,22 @@ class TestReproducibility:
         ("3-majority", None),
         ("undecided-state", None),
         ("median-rule", None),
+        ("approximate-consensus", None),
     ])
     def test_batch_matches_batch_size_one_runs(self, rule, sample_size,
                                                noise, initial_state):
         """With per-trial sources, a counts batch is bitwise identical to
         batch-size-1 counts runs with the same sources."""
         seeds = [101, 102, 103]
-        batched = make_counts_dynamics(
-            rule, NUM_NODES, noise,
+        batched = build_dynamics(
+            "counts", rule, NUM_NODES, noise,
             [np.random.default_rng(seed) for seed in seeds],
             sample_size=sample_size,
         ).run(initial_state, 12, len(seeds), target_opinion=1)
         for trial, seed in enumerate(seeds):
-            single = make_counts_dynamics(
-                rule, NUM_NODES, noise, [np.random.default_rng(seed)],
-                sample_size=sample_size,
+            single = build_dynamics(
+                "counts", rule, NUM_NODES, noise,
+                [np.random.default_rng(seed)], sample_size=sample_size,
             ).run(initial_state, 12, 1, target_opinion=1)
             assert np.array_equal(
                 batched.final_states.counts[trial],
@@ -138,22 +145,73 @@ class TestReproducibility:
         )
 
 
+class TestSharedBatch:
+    """A task's result does not depend on what else shares its batch."""
+
+    @pytest.mark.parametrize("num_opinions", [3, 4, 5])
+    @pytest.mark.parametrize("num_nodes", [4, 5, 7, 10])
+    def test_approximate_consensus_tasks_sharing_one_engine(
+        self, num_nodes, num_opinions
+    ):
+        # A serial loop may reuse one engine, so two batch tasks may share
+        # it; each must still get its full phase budget.
+        noise = uniform_noise_matrix(num_opinions, 0.3)
+        low = [num_nodes - 1] + [0] * (num_opinions - 2) + [1]
+        high = [1] + [0] * (num_opinions - 2) + [num_nodes - 1]
+        for seed in range(5):
+            dynamic = build_dynamics(
+                "counts", "approximate-consensus", num_nodes, noise, seed,
+                epsilon=0.1,
+            )
+            tasks = [
+                CountsDynamicsTask(
+                    dynamics=dynamic,
+                    initial_state=CountsState(counts, num_nodes),
+                    max_rounds=15,
+                    num_trials=4,
+                    target_opinion=1,
+                    stop_at_consensus=False,
+                )
+                for counts in (low, high)
+            ]
+            batched = run_heterogeneous_counts_dynamics(tasks)
+            for task, fused in zip(tasks, batched):
+                serial = dynamic.run(
+                    task.initial_state, 15, 4, target_opinion=1,
+                    stop_at_consensus=False,
+                )
+                assert np.array_equal(
+                    fused.final_states.counts, serial.final_states.counts
+                )
+                assert np.array_equal(fused.bias_history,
+                                      serial.bias_history)
+
+
 class TestRegistryAndApi:
     def test_all_rules_construct(self, noise):
         for rule in DYNAMICS_RULES:
             sample_size = 5 if rule == "h-majority" else None
-            dynamic = make_counts_dynamics(
-                rule, NUM_NODES, noise, 0, sample_size=sample_size
+            dynamic = build_dynamics(
+                "counts", rule, NUM_NODES, noise, 0, sample_size=sample_size
             )
             assert dynamic.num_opinions == 3
 
     def test_rejects_unknown_rule(self, noise):
         with pytest.raises(ValueError):
-            make_counts_dynamics("gossip", NUM_NODES, noise)
+            build_dynamics("counts", "gossip", NUM_NODES, noise)
 
     def test_h_majority_requires_sample_size(self, noise):
         with pytest.raises(ValueError):
-            make_counts_dynamics("h-majority", NUM_NODES, noise)
+            build_dynamics("counts", "h-majority", NUM_NODES, noise)
+
+    @pytest.mark.parametrize("rule", DYNAMICS_RULES)
+    def test_shared_stream_mode_rejected(self, noise, rule):
+        sample_size = 5 if rule == "h-majority" else None
+        with pytest.raises(ValueError, match="batched tier"):
+            build_dynamics(
+                "counts", rule, NUM_NODES, noise, 0,
+                sample_size=sample_size, rng_mode="shared",
+            )
 
     def test_intractable_vote_table_rejected_eagerly(self, noise):
         with pytest.raises(ValueError, match="intractable"):

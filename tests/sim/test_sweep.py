@@ -239,6 +239,7 @@ class TestDynamicsCountsEquivalence:
             ("h-majority", 5),
             ("undecided-state", None),
             ("median-rule", None),
+            ("approximate-consensus", None),
         ],
     )
     def test_epsilon_axis_per_rule(self, rule, sample_size):
@@ -255,7 +256,15 @@ class TestDynamicsCountsEquivalence:
         # into per-family merged ensembles and must still match serially.
         grid = ScenarioGrid(
             dynamics_base(),
-            {"rule": ("voter", "3-majority", "undecided-state", "median-rule")},
+            {
+                "rule": (
+                    "voter",
+                    "3-majority",
+                    "undecided-state",
+                    "median-rule",
+                    "approximate-consensus",
+                )
+            },
         )
         assert_sweep_matches_serial(grid)
 
