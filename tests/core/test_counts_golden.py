@@ -1,4 +1,4 @@
-"""Golden pins of the counts tier, protocol and dynamics.
+"""Golden pins of ``simulate()``: the counts tier, plus the per-node tiers.
 
 ``counts_golden.json`` records per-seed ``simulate()`` outputs of the counts
 tier (final counts, rounds, successes and a digest of every phase record's
@@ -22,6 +22,17 @@ approximate consensus at ``n = 7``, where its midpoint law stays random for
 the whole phase budget, each with and without early stopping; plus one
 direct ``EnsembleCountsDynamics.run`` per rule from distinct per-trial rows
 with an explicit per-trial seed list.
+
+The per-node points pin the sequential and batched tiers of ``simulate()``
+(successes, rounds, final counts, final biases, end-of-Stage-1 biases and a
+digest of the trajectories) for rumor ``k = 2``, plurality ``k = 3`` from a
+partial biased support, and all six dynamics rules (five at ``n = 200``,
+``k = 3``; approximate consensus at its random ``n = 7`` point).
+They were captured while the per-trial runner helpers
+(``protocol_trial_outcomes`` / ``dynamics_trial_outcomes``) still existed
+and matched these runs bitwise (approximate consensus aside: the dynamics
+helper could not set its precision target), so they keep pinning these
+tiers to an independent reference after those helpers were removed.
 
 Regenerate (only when a change to the draw order or to a law value is
 intended and has passed ``pytest -m agreement``) with::
@@ -115,6 +126,24 @@ ENSEMBLE_RULES = {
     "undecided-state": None,
     "median-rule": None,
     "approximate-consensus": None,
+}
+
+
+#: label -> Scenario keyword arguments run on every per-node tier.
+PER_NODE_TIERS = ("sequential", "batched")
+PER_NODE_TRIALS = 3
+PER_NODE_POINTS = {
+    "rumor-k2": dict(workload="rumor", num_nodes=400, num_opinions=2,
+                     epsilon=0.3),
+    "plurality-k3-support": dict(workload="plurality", num_nodes=400,
+                                 num_opinions=3, epsilon=0.3,
+                                 support_size=200, bias=0.3),
+    **{
+        label: DYNAMICS_POINTS[label]
+        for label in ("voter-k3", "3-majority-k3", "undecided-state-k3",
+                      "median-rule-k3", "h-majority-h5-k3",
+                      "approximate-consensus-n7-k4")
+    },
 }
 
 
@@ -215,6 +244,25 @@ def ensemble_rows_record(rule: str) -> dict:
     }
 
 
+def per_node_record(label: str, tier: str, seed: int) -> dict:
+    result = simulate(Scenario(
+        engine=tier, num_trials=PER_NODE_TRIALS, seed=seed,
+        **PER_NODE_POINTS[label],
+    ))
+    stage1 = result.bias_after_stage1
+    return {
+        "successes": np.asarray(result.successes).tolist(),
+        "rounds": np.asarray(result.rounds).tolist(),
+        "final_counts": np.asarray(result.final_opinion_counts).tolist(),
+        "final_biases": np.asarray(result.final_biases).tolist(),
+        "bias_after_stage1": None if stage1 is None else stage1.tolist(),
+        "trajectories_sha256": (
+            None if result.trajectories is None
+            else _digest([result.trajectories])
+        ),
+    }
+
+
 def _dynamics_keys():
     return [
         (label, stop, f"{label}-{'stop' if stop else 'nostop'}")
@@ -239,6 +287,14 @@ def compute_golden() -> dict:
         },
         "dynamics_ensemble_rows": {
             rule: ensemble_rows_record(rule) for rule in ENSEMBLE_RULES
+        },
+        "per_node": {
+            f"{label}-{tier}": {
+                str(seed): per_node_record(label, tier, seed)
+                for seed in SEEDS
+            }
+            for label in PER_NODE_POINTS
+            for tier in PER_NODE_TIERS
         },
     }
 
@@ -273,6 +329,16 @@ def test_simulate_counts_dynamics_matches_golden(golden, label, stop, key,
 @pytest.mark.parametrize("rule", list(ENSEMBLE_RULES))
 def test_counts_dynamics_run_from_ensemble_rows_matches_golden(golden, rule):
     assert ensemble_rows_record(rule) == golden["dynamics_ensemble_rows"][rule]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("tier", PER_NODE_TIERS)
+@pytest.mark.parametrize("label", list(PER_NODE_POINTS))
+def test_simulate_per_node_tiers_match_golden(golden, label, tier, seed):
+    assert (
+        per_node_record(label, tier, seed)
+        == golden["per_node"][f"{label}-{tier}"][str(seed)]
+    )
 
 
 if __name__ == "__main__":
