@@ -126,7 +126,8 @@ def main() -> None:
     print(
         "Dense topologies behave like the paper's complete graph; once the degree "
         "drops to a small constant the complete-graph analysis no longer applies "
-        "and the rumor can be lost (see experiment E14 in EXPERIMENTS.md)."
+        "and the rumor can be lost (see experiment E14: "
+        "python -m repro run-experiment E14)."
     )
 
 

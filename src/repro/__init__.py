@@ -65,7 +65,6 @@ from repro.core.protocol import (
     EnsembleResult,
     ProtocolResult,
     TwoStageProtocol,
-    make_engine,
 )
 from repro.core.rumor import RumorSpreading, RumorSpreadingInstance
 from repro.core.schedule import ProtocolSchedule, Stage1Schedule, Stage2Schedule
@@ -81,9 +80,6 @@ from repro.dynamics import (
     EnsembleCountsDynamics,
     EnsembleDynamicsResult,
     EnsembleOpinionDynamics,
-    make_counts_dynamics,
-    make_dynamics,
-    make_ensemble_dynamics,
 )
 from repro.network.balls_bins import BallsIntoBinsProcess
 from repro.network.mailbox import EnsembleReceivedMessages, ReceivedMessages
@@ -173,10 +169,6 @@ __all__ = [
     "estimate_noise_matrix",
     "estimation_error",
     "identity_matrix",
-    "make_counts_dynamics",
-    "make_dynamics",
-    "make_engine",
-    "make_ensemble_dynamics",
     "memory_bound_bits",
     "near_uniform_matrix",
     "protocol_memory_usage",

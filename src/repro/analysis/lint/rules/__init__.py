@@ -11,7 +11,6 @@ from repro.analysis.lint.rules import (  # noqa: F401  (imported for rule regist
     dtype,
     wallclock,
     serialization,
-    deprecation,
     registry_completeness,
 )
 
@@ -21,6 +20,5 @@ __all__ = [
     "dtype",
     "wallclock",
     "serialization",
-    "deprecation",
     "registry_completeness",
 ]

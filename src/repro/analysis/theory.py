@@ -72,8 +72,7 @@ def central_binomial_bounds(r: int) -> Tuple[float, float, float]:
 
     The discrepancy only affects constant factors and none of the paper's
     conclusions; see :func:`paper_central_binomial_bounds` for the literal
-    values as printed in the paper, and EXPERIMENTS.md for the record of the
-    observation.
+    values as printed in the paper.
 
     Returns ``(lower_bound, exact_value, upper_bound)``.
     """

@@ -23,34 +23,24 @@ The CLI exposes the most common workflows without writing Python:
   run a whole parameter grid as one batched
   :func:`~repro.sim.simulate_sweep` call (repeat ``--axis NAME=V1,V2,...``
   per swept Scenario field; ``--store DIR`` resumes cached points,
-  ``--json`` emits the per-point summaries);
-* ``python -m repro rumor --nodes 2000 --opinions 4 --epsilon 0.3`` — run one
-  rumor-spreading instance and print the outcome;
-* ``python -m repro plurality --nodes 2000 --opinions 3 --epsilon 0.3
-  --support 400 --bias 0.2`` — run one plurality-consensus instance;
-* ``python -m repro ensemble --nodes 2000 --opinions 3 --epsilon 0.3
-  --trials 32`` — run a batch of independent rumor-spreading trials through
-  the vectorized ensemble engine (``--engine counts`` for the
-  sufficient-statistics engine that scales to millions of nodes,
-  ``--engine sequential`` for the reference loop, ``--engine analytic``
-  for the sampling-free exact-Markov/mean-field tier, ``--engine auto``
-  to prefer analytic when exactly tractable and otherwise switch to
-  counts above ``--counts-threshold`` nodes) and print the batch
-  statistics plus throughput;
-* ``python -m repro dynamics --rule 3-majority --nodes 2000 --trials 32`` —
-  run a batch of independent baseline-dynamics trials (voter, 3-majority,
-  h-majority, undecided-state, median rule) on the noisy pull substrate,
-  with the same ``--engine`` choices.
+  ``--json`` emits the per-point summaries).
 
-``rumor``, ``plurality``, ``ensemble`` and ``dynamics`` are thin wrappers
-over Scenario construction — every one of them routes through
-``simulate(Scenario(...))``; they only differ in defaults and in what the
-summary prints.
+``simulate`` covers single runs and batches of every workload:
+``--workload plurality --support 400 --bias 0.2`` starts from a partial,
+biased support; ``--workload dynamics --rule 3-majority`` runs a baseline
+dynamic on the noisy pull substrate (``--rule h-majority`` needs
+``--sample-size``); ``--trials 1 --engine sequential`` is one reference run.
+``--engine`` picks the tier: ``batched`` (vectorized ensemble), ``counts``
+(sufficient statistics, scales to millions of nodes), ``sequential``
+(reference loop), ``analytic`` (exact Markov chain / mean-field, no
+sampling), or ``auto`` (the default: analytic when exactly tractable, else
+counts from ``--counts-threshold`` nodes up, else batched).
 
 ``run-experiment`` and ``run-all`` accept the same ``--engine`` /
 ``--counts-threshold`` pair and override the experiment configs' trial
-engine with it; an engine an experiment does not support is rejected with
-an explicit error naming the supported engines (``run-all`` skips such
+engine with it (there ``auto`` means batched or counts by population
+size); an engine an experiment does not support is rejected with an
+explicit error naming the supported engines (``run-all`` skips such
 experiments instead).  Every command accepts ``--seed`` for
 reproducibility.  The CLI is a thin layer over the public API; anything it
 prints can also be obtained programmatically (see README).
@@ -66,8 +56,6 @@ import sys
 import time
 from typing import Optional, Sequence
 
-import numpy as np
-
 import repro.experiments  # noqa: F401  (imports populate the spec registry)
 from repro.dynamics import DYNAMICS_RULES
 from repro.faults import FAULT_KINDS, FaultModel
@@ -78,9 +66,16 @@ from repro.experiments.orchestrator import (
     job_seed,
     run_all,
 )
-from repro.experiments.runner import TRIAL_ENGINE_CHOICES
 from repro.experiments.spec import all_specs, get_spec, registered_ids
-from repro.sim import WORKLOADS, Scenario, ScenarioGrid, simulate, simulate_sweep
+from repro.sim import (
+    ENGINE_POLICIES,
+    WORKLOADS,
+    Scenario,
+    ScenarioGrid,
+    set_default_counts_threshold,
+    simulate,
+    simulate_sweep,
+)
 
 __all__ = ["main", "build_parser"]
 
@@ -282,92 +277,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_engine_arguments(sweep_parser, default="auto")
 
-    rumor_parser = subparsers.add_parser(
-        "rumor", help="run one noisy rumor-spreading instance"
-    )
-    _add_common_instance_arguments(rumor_parser)
-    rumor_parser.add_argument(
-        "--correct-opinion", type=int, default=1,
-        help="the opinion held by the source (default 1)",
-    )
-
-    plurality_parser = subparsers.add_parser(
-        "plurality", help="run one noisy plurality-consensus instance"
-    )
-    _add_common_instance_arguments(plurality_parser)
-    plurality_parser.add_argument(
-        "--support", type=int, default=None,
-        help="number of initially opinionated nodes (default: all nodes)",
-    )
-    plurality_parser.add_argument(
-        "--bias", type=float, default=0.2,
-        help="plurality bias within the support (default 0.2)",
-    )
-
-    ensemble_parser = subparsers.add_parser(
-        "ensemble",
-        help="run a batch of independent rumor-spreading trials at once",
-    )
-    _add_common_instance_arguments(ensemble_parser)
-    ensemble_parser.add_argument(
-        "--trials", type=int, default=32,
-        help="number of independent trials R (default 32)",
-    )
-    _add_engine_arguments(ensemble_parser)
-
-    dynamics_parser = subparsers.add_parser(
-        "dynamics",
-        help="run a batch of independent baseline-dynamics trials at once",
-    )
-    _add_common_instance_arguments(dynamics_parser)
-    dynamics_parser.add_argument(
-        "--rule", choices=DYNAMICS_RULES, default="3-majority",
-        help="the baseline update rule (default 3-majority)",
-    )
-    dynamics_parser.add_argument(
-        "--sample-size", type=int, default=None,
-        help="observations per round for the h-majority rule",
-    )
-    dynamics_parser.add_argument(
-        "--bias", type=float, default=0.1,
-        help="initial bias toward opinion 1 (default 0.1)",
-    )
-    dynamics_parser.add_argument(
-        "--max-rounds", type=int, default=300,
-        help="round budget per trial (default 300)",
-    )
-    dynamics_parser.add_argument(
-        "--trials", type=int, default=32,
-        help="number of independent trials R (default 32)",
-    )
-    _add_engine_arguments(dynamics_parser)
     return parser
 
 
 def _add_engine_arguments(
-    parser: argparse.ArgumentParser, default: Optional[str] = "batched"
+    parser: argparse.ArgumentParser, default: Optional[str]
 ) -> None:
     """The shared ``--engine`` / ``--counts-threshold`` options.
 
-    Every trial-running subcommand (``ensemble``, ``dynamics``,
+    Every trial-running subcommand (``simulate``, ``sweep``,
     ``run-experiment``, ``run-all``) accepts the same engine vocabulary;
     for ``run-experiment`` and ``run-all`` the default is ``None`` (keep
     the experiment configs' own engine choice).
     """
     parser.add_argument(
-        "--engine", choices=TRIAL_ENGINE_CHOICES, default=default,
-        help="trial engine: batched (R,n) vectorized ensemble, counts "
+        "--engine", choices=ENGINE_POLICIES, default=default,
+        help="engine tier: batched (R,n) vectorized ensemble, counts "
              "(R,k) sufficient statistics, sequential reference loop, "
              "analytic (exact Markov chain / mean-field, no sampling; "
-             "simulate/ensemble/dynamics only), or auto (analytic when "
-             "exactly tractable, else counts above --counts-threshold "
-             "nodes)"
+             "simulate/sweep only), or auto (simulate/sweep: analytic when "
+             "exactly tractable; everywhere: counts from --counts-threshold "
+             "nodes up, else batched)"
              + ("" if default is None else f" (default {default})"),
     )
     parser.add_argument(
         "--counts-threshold", type=int, default=None, metavar="N",
-        help="population size at which --engine auto switches to the "
-             "counts engine (default: runner.DEFAULT_COUNTS_THRESHOLD)",
+        help="population size from which --engine auto picks the counts "
+             "engine (default: repro.sim.DEFAULT_COUNTS_THRESHOLD)",
     )
 
 
@@ -435,8 +371,6 @@ def _apply_engine_override(
 def _command_run_experiment(
     args: argparse.Namespace, parser: argparse.ArgumentParser
 ) -> int:
-    from repro.experiments import runner as runner_module
-
     spec = get_spec(args.experiment)
     config = spec.build_config(args.full)
     config = _apply_engine_override(spec, config, args.engine, parser)
@@ -445,11 +379,11 @@ def _command_run_experiment(
             # Experiment configs only carry an engine name, so the auto
             # switch-over point goes through the process default — restored
             # afterwards so programmatic main() callers are unaffected.
-            runner_module.set_default_counts_threshold(args.counts_threshold)
+            set_default_counts_threshold(args.counts_threshold)
         table = spec.run_fn(config, random_state=args.seed)
     finally:
         if args.counts_threshold is not None:
-            runner_module.set_default_counts_threshold(None)
+            set_default_counts_threshold(None)
     print(table.to_text())
     return 0
 
@@ -727,146 +661,6 @@ def _command_sweep(
     return 0
 
 
-def _command_rumor(
-    args: argparse.Namespace, parser: argparse.ArgumentParser
-) -> int:
-    scenario = Scenario(
-        workload="rumor",
-        num_nodes=args.nodes,
-        num_opinions=args.opinions,
-        epsilon=args.epsilon,
-        engine="sequential",
-        num_trials=1,
-        seed=args.seed,
-        correct_opinion=args.correct_opinion,
-    )
-    result = _run_scenario(scenario, parser)
-    success = bool(result.successes[0])
-    print(f"nodes                 : {args.nodes}")
-    print(f"opinions              : {args.opinions}")
-    print(f"noise matrix          : {scenario.build_noise().name}")
-    print(f"rounds                : {int(result.rounds[0])}")
-    print(f"bias after Stage 1    : {float(result.bias_after_stage1[0]):.4f}")
-    print(f"success               : {success}")
-    print(f"correct fraction      : {float(result.correct_fractions()[0]):.4f}")
-    return 0 if success else 1
-
-
-def _command_plurality(
-    args: argparse.Namespace, parser: argparse.ArgumentParser
-) -> int:
-    scenario = Scenario(
-        workload="plurality",
-        num_nodes=args.nodes,
-        num_opinions=args.opinions,
-        epsilon=args.epsilon,
-        engine="sequential",
-        num_trials=1,
-        seed=args.seed,
-        support_size=args.support,
-        bias=args.bias,
-    )
-    instance = scenario.plurality_instance()
-    result = _run_scenario(scenario, parser)
-    success = bool(result.successes[0])
-    print(f"nodes                 : {args.nodes}")
-    print(f"initially opinionated : {instance.support_size}")
-    print(f"plurality opinion     : {instance.plurality_opinion()}")
-    print(f"bias within support   : {instance.plurality_bias_within_support():.4f}")
-    print(f"rounds                : {int(result.rounds[0])}")
-    print(f"success               : {success}")
-    print(f"correct fraction      : {float(result.correct_fractions()[0]):.4f}")
-    return 0 if success else 1
-
-
-def _command_ensemble(
-    args: argparse.Namespace, parser: argparse.ArgumentParser
-) -> int:
-    scenario = Scenario(
-        workload="rumor",
-        num_nodes=args.nodes,
-        num_opinions=args.opinions,
-        epsilon=args.epsilon,
-        engine=args.engine,
-        counts_threshold=args.counts_threshold,
-        num_trials=args.trials,
-        seed=args.seed,
-    )
-    result = _run_scenario(scenario, parser)
-    elapsed = result.provenance["wall_time_seconds"]
-    print(f"nodes                 : {args.nodes}")
-    print(f"opinions              : {args.opinions}")
-    print(f"noise matrix          : {scenario.build_noise().name}")
-    print(f"trials                : {args.trials}")
-    print(f"engine                : {result.engine}")
-    if result.is_analytic:
-        print(f"analytic method       : {result.analytic_method}")
-    print(f"success rate          : {result.success_rate:.4f}")
-    print(f"mean rounds           : {result.mean_rounds:.1f}")
-    if result.bias_after_stage1 is not None:
-        print(
-            "mean Stage-1 bias     : "
-            f"{float(np.mean(result.bias_after_stage1)):.4f}"
-        )
-    elif result.expected_bias_after_stage1 is not None:
-        print(
-            "mean Stage-1 bias     : "
-            f"{result.expected_bias_after_stage1:.4f}"
-        )
-    print(f"wall time             : {elapsed:.3f} s")
-    if not result.is_analytic:
-        print(f"throughput            : {args.trials / elapsed:.2f} trials/s")
-    return _result_exit_code(result)
-
-
-def _command_dynamics(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.rule == "h-majority" and args.sample_size is None:
-        parser.error("--rule h-majority requires --sample-size")
-    if args.rule != "h-majority" and args.sample_size is not None:
-        parser.error(
-            f"--sample-size only applies to --rule h-majority (got {args.rule})"
-        )
-    # The engine policy (including "auto") goes straight into the scenario:
-    # an explicit --engine counts with an intractable maj() table is a
-    # validation error, while "auto" degrades to the batched tier exactly
-    # like `repro simulate` does.
-    try:
-        scenario = Scenario(
-            workload="dynamics",
-            num_nodes=args.nodes,
-            num_opinions=args.opinions,
-            epsilon=args.epsilon,
-            engine=args.engine,
-            counts_threshold=args.counts_threshold,
-            num_trials=args.trials,
-            seed=args.seed,
-            bias=args.bias,
-            rule=args.rule,
-            sample_size=args.sample_size,
-            max_rounds=args.max_rounds,
-        )
-    except ValueError as error:
-        parser.error(str(error))
-    result = _run_scenario(scenario, parser)
-    elapsed = result.provenance["wall_time_seconds"]
-    print(f"nodes                 : {args.nodes}")
-    print(f"opinions              : {args.opinions}")
-    print(f"noise matrix          : {scenario.build_noise().name}")
-    print(f"rule                  : {args.rule}")
-    print(f"trials                : {args.trials}")
-    print(f"engine                : {result.engine}")
-    if result.is_analytic:
-        print(f"analytic method       : {result.analytic_method}")
-    print(f"convergence rate      : {result.convergence_rate:.4f}")
-    print(f"success rate          : {result.success_rate:.4f}")
-    print(f"mean rounds           : {result.mean_rounds:.1f}")
-    print(f"mean final bias       : {result.mean_final_bias:.4f}")
-    print(f"wall time             : {elapsed:.3f} s")
-    if not result.is_analytic:
-        print(f"throughput            : {args.trials / elapsed:.2f} trials/s")
-    return _result_exit_code(result)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
@@ -883,14 +677,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _command_simulate(args, parser)
     if args.command == "sweep":
         return _command_sweep(args, parser)
-    if args.command == "rumor":
-        return _command_rumor(args, parser)
-    if args.command == "plurality":
-        return _command_plurality(args, parser)
-    if args.command == "ensemble":
-        return _command_ensemble(args, parser)
-    if args.command == "dynamics":
-        return _command_dynamics(args, parser)
     parser.error(f"unknown command {args.command!r}")  # pragma: no cover
     return 2  # pragma: no cover
 

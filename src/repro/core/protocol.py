@@ -59,34 +59,7 @@ __all__ = [
     "CountsProtocol",
     "CountsProtocolTask",
     "run_heterogeneous_counts_protocol",
-    "make_engine",
 ]
-
-
-def make_engine(
-    process: str,
-    num_nodes: int,
-    noise: NoiseMatrix,
-    random_state: RandomState = None,
-):
-    """Deprecated alias of
-    :func:`repro.network.delivery.make_delivery_engine`.
-
-    Kept for backwards compatibility; new code should build engines through
-    the :mod:`repro.sim` facade (or call ``make_delivery_engine`` directly).
-    The returned engine is identical to what this function always produced,
-    so existing seeded runs stay bitwise reproducible.
-    """
-    import warnings
-
-    warnings.warn(
-        "repro.core.protocol.make_engine is deprecated; use "
-        "repro.network.delivery.make_delivery_engine or the repro.sim "
-        "facade (simulate(Scenario(...))) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return make_delivery_engine(process, num_nodes, noise, random_state)
 
 
 @dataclass

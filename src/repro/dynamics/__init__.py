@@ -37,17 +37,10 @@ swept, goes through the merged round loop of
 
 Engines are built by the unified ``(tier, rule)`` registry of
 :func:`repro.sim.engines.build_dynamics` (or, one level up, by
-``simulate(Scenario(workload="dynamics", rule=...))``).  The historical
-per-tier factories :func:`make_dynamics` / :func:`make_ensemble_dynamics` /
-:func:`make_counts_dynamics` remain as deprecation shims over that
-registry: they construct exactly the same classes with exactly the same
-arguments, so existing seeded runs stay bitwise reproducible.
+``simulate(Scenario(workload="dynamics", rule=...))``).
 """
 
 from __future__ import annotations
-
-import warnings
-from typing import Optional
 
 from repro.dynamics.approximate_consensus import (
     ApproximateConsensusDynamics,
@@ -85,9 +78,6 @@ from repro.dynamics.voter import (
     EnsembleVoterDynamics,
     VoterDynamics,
 )
-from repro.noise.matrix import NoiseMatrix
-from repro.utils.rng import EnsembleRandomState, RandomState
-
 __all__ = [
     "DYNAMICS_RULES",
     "ApproximateConsensusDynamics",
@@ -114,12 +104,9 @@ __all__ = [
     "ThreeMajorityDynamics",
     "UndecidedStateDynamics",
     "VoterDynamics",
-    "make_dynamics",
-    "make_ensemble_dynamics",
-    "make_counts_dynamics",
 ]
 
-#: Rule names accepted by :func:`make_dynamics` / :func:`make_ensemble_dynamics`.
+#: Rule names accepted by :func:`repro.sim.engines.build_dynamics`.
 DYNAMICS_RULES = (
     "voter",
     "3-majority",
@@ -128,97 +115,3 @@ DYNAMICS_RULES = (
     "median-rule",
     "approximate-consensus",
 )
-
-
-def _deprecated_build(
-    tier: str,
-    legacy_name: str,
-    rule: str,
-    num_nodes: int,
-    noise: NoiseMatrix,
-    random_state,
-    sample_size: Optional[int],
-    **kwargs,
-):
-    """Shared body of the three deprecated per-tier factory shims."""
-    warnings.warn(
-        f"repro.dynamics.{legacy_name} is deprecated; use "
-        "repro.sim.engines.build_dynamics (or the repro.sim facade: "
-        "simulate(Scenario(workload='dynamics', ...))) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    # Imported lazily: repro.sim.engines imports this package's submodules.
-    from repro.sim.engines import build_dynamics
-
-    return build_dynamics(
-        tier,
-        rule,
-        num_nodes,
-        noise,
-        random_state,
-        sample_size=sample_size,
-        **kwargs,
-    )
-
-
-def make_dynamics(
-    rule: str,
-    num_nodes: int,
-    noise: NoiseMatrix,
-    random_state: RandomState = None,
-    *,
-    sample_size: Optional[int] = None,
-) -> OpinionDynamics:
-    """Deprecated: build a sequential baseline dynamic by rule name.
-
-    A shim over :func:`repro.sim.engines.build_dynamics` (tier
-    ``"sequential"``); it constructs the identical class with identical
-    arguments, so seeded runs stay bitwise reproducible.
-    """
-    return _deprecated_build(
-        "sequential", "make_dynamics", rule, num_nodes, noise,
-        random_state, sample_size,
-    )
-
-
-def make_ensemble_dynamics(
-    rule: str,
-    num_nodes: int,
-    noise: NoiseMatrix,
-    random_state: EnsembleRandomState = None,
-    *,
-    sample_size: Optional[int] = None,
-    rng_mode: str = "per_trial",
-) -> EnsembleOpinionDynamics:
-    """Deprecated: build a batched baseline dynamic by rule name.
-
-    A shim over :func:`repro.sim.engines.build_dynamics` (tier
-    ``"batched"``); it constructs the identical class with identical
-    arguments, so seeded runs stay bitwise reproducible.
-    """
-    return _deprecated_build(
-        "batched", "make_ensemble_dynamics", rule, num_nodes, noise,
-        random_state, sample_size, rng_mode=rng_mode,
-    )
-
-
-def make_counts_dynamics(
-    rule: str,
-    num_nodes: int,
-    noise: NoiseMatrix,
-    random_state: EnsembleRandomState = None,
-    *,
-    sample_size: Optional[int] = None,
-    rng_mode: str = "per_trial",
-) -> EnsembleCountsDynamics:
-    """Deprecated: build a counts-engine baseline dynamic by rule name.
-
-    A shim over :func:`repro.sim.engines.build_dynamics` (tier
-    ``"counts"``); it constructs the identical class with identical
-    arguments, so seeded runs stay bitwise reproducible.
-    """
-    return _deprecated_build(
-        "counts", "make_counts_dynamics", rule, num_nodes, noise,
-        random_state, sample_size, rng_mode=rng_mode,
-    )

@@ -1,14 +1,15 @@
 """The experiment harness: one module per reproduced quantitative statement.
 
 The paper has no numbered tables or figures; its evaluation is the set of
-theorems, lemmas, claims and worked examples listed in DESIGN.md Section 6.
+theorems, lemmas, claims and worked examples mapped in ``docs/paper_map.md``.
 Each ``exp_*`` module here regenerates the empirical counterpart of one of
 those statements and returns an :class:`~repro.experiments.results.
-ExperimentTable` whose rows are recorded in EXPERIMENTS.md and printed by the
-corresponding benchmark in ``benchmarks/``.
+ExperimentTable` (``python -m repro run-experiment E<n>`` prints it).
+Experiments that run whole protocols or dynamics build a
+:class:`~repro.sim.Scenario` and call :func:`~repro.sim.simulate`.
 
 All experiments accept a configuration dataclass with a ``quick()``
-constructor (minutes on a laptop, used by the benchmark suite) and a
+constructor (minutes on a laptop, the ``run-all`` default) and a
 ``full()`` constructor (closer to the asymptotic regime).
 
 Each module registers itself in the declarative spec registry
@@ -20,7 +21,7 @@ content-keyed result persistence (``python -m repro run-all``).
 """
 
 from repro.experiments.results import ExperimentTable
-from repro.experiments.runner import repeat_trials, sweep_product
+from repro.experiments.runner import sweep_product
 from repro.experiments.spec import ExperimentSpec, all_specs, get_spec, registered_ids
 
 from repro.experiments import (  # noqa: F401  (re-exported experiment modules)
@@ -66,6 +67,5 @@ __all__ = [
     "exp_stage1_growth",
     "exp_stage2_trajectory",
     "exp_topologies",
-    "repeat_trials",
     "sweep_product",
 ]

@@ -1,6 +1,6 @@
 """Experiment E13 — ablations of two implementation decisions.
 
-Two design choices called out in DESIGN.md are ablated here:
+Two implementation choices are ablated here:
 
 1. **Sampling rule.**  Stage 2 has nodes vote on a bounded uniform sample of
    size ``L`` (reservoir semantics, "without replacement"); the ablation
@@ -45,7 +45,7 @@ __all__ = ["AblationConfig", "run"]
 
 _TITLE = "Ablations: Stage-2 voting rule and delivery-engine implementation"
 _PAPER_CLAIM = (
-    "Design decisions (DESIGN.md): reservoir sampling keeps the memory bound "
+    "Design decisions: reservoir sampling keeps the memory bound "
     "without hurting convergence; the vectorized engine is what makes "
     "laptop-scale sweeps feasible"
 )

@@ -16,10 +16,10 @@ one-shot dynamics lose the plurality (or fail to converge within the round
 budget) while the paper's two-stage protocol still succeeds, at the cost of
 its ``O(log n / eps^2)`` round budget.
 
-All repeated trials route through the shared trial runner
-(:func:`~repro.experiments.runner.protocol_trial_outcomes` and
-:func:`~repro.experiments.runner.dynamics_trial_outcomes`), so the whole
-comparison runs on the batched ensemble engines by default; set
+Every algorithm on a channel is one ``simulate(Scenario(...))`` call (the
+``plurality`` workload for the protocol, ``dynamics`` for the baselines),
+seeded with ``derive_seed(random_state, channel)``, so the whole comparison
+runs on the batched ensemble engines by default; set
 ``trial_engine="sequential"`` in the configuration to cross-check against
 the reference loops.
 """
@@ -30,17 +30,10 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-import numpy as np
-
-from repro.analysis.convergence import estimate_success_probability
 from repro.experiments.results import ExperimentTable
-from repro.experiments.runner import (
-    dynamics_trial_outcomes,
-    protocol_trial_outcomes,
-)
 from repro.experiments.spec import register_experiment
-from repro.experiments.workloads import biased_population
 from repro.noise.families import identity_matrix, uniform_noise_matrix
+from repro.sim import Scenario, SimulationResult, resolve_trial_engine, simulate
 from repro.utils.rng import RandomState, derive_seed
 from repro.utils.validation import require_positive_int
 
@@ -82,7 +75,7 @@ class BaselineComparisonConfig:
 
 
 def _baseline_rules() -> List[Tuple[str, str, Optional[int]]]:
-    """(table name, runner rule, sample_size) for every baseline dynamic."""
+    """(table name, dynamics rule, sample_size) for every baseline dynamic."""
     return [
         ("3-majority", "3-majority", None),
         ("5-majority", "h-majority", 5),
@@ -112,74 +105,48 @@ def run(
         title=_TITLE,
         paper_claim=_PAPER_CLAIM,
     )
+    engine = resolve_trial_engine(config.trial_engine, config.num_nodes)
     noiseless = identity_matrix(config.num_opinions)
     noisy = uniform_noise_matrix(config.num_opinions, config.epsilon)
+
+    def add_record(algorithm: str, channel: str, result: SimulationResult):
+        table.add_record(
+            algorithm=algorithm,
+            channel=channel,
+            success_rate=result.success_rate,
+            mean_rounds=result.mean_rounds,
+            mean_final_bias=result.mean_final_bias,
+        )
 
     for channel_index, (channel_name, channel) in enumerate(
         (("noise-free", noiseless), ("noisy", noisy))
     ):
         # Every algorithm on this channel starts from the same weakly biased,
-        # fully opinionated population (the node placement is irrelevant on
-        # the complete graph; a fixed per-channel seed keeps it reproducible).
-        initial = biased_population(
-            config.num_nodes,
-            config.num_opinions,
-            config.initial_bias,
-            random_state=derive_seed(random_state, channel_index),
+        # fully opinionated population: one seed per channel fixes its node
+        # placement (irrelevant on the complete graph) and the trial streams.
+        common = dict(
+            num_nodes=config.num_nodes,
+            num_opinions=config.num_opinions,
+            epsilon=config.epsilon,
+            noise=channel,
+            bias=config.initial_bias,
+            engine=engine,
+            num_trials=config.num_trials,
+            seed=derive_seed(random_state, channel_index),
         )
-
-        # --- The paper's protocol ------------------------------------------------
-        outcomes = protocol_trial_outcomes(
-            initial,
-            channel,
-            config.epsilon,
-            config.num_trials,
-            random_state,
-            target_opinion=1,
-            trial_engine=config.trial_engine,
+        add_record(
+            "two-stage protocol (this paper)",
+            channel_name,
+            simulate(Scenario(workload="plurality", **common)),
         )
-        success_rate, _ = estimate_success_probability(
-            [outcome.success for outcome in outcomes]
-        )
-        table.add_record(
-            algorithm="two-stage protocol (this paper)",
-            channel=channel_name,
-            success_rate=success_rate,
-            mean_rounds=float(
-                np.mean([outcome.total_rounds for outcome in outcomes])
-            ),
-            mean_final_bias=float(
-                np.mean([outcome.final_bias for outcome in outcomes])
-            ),
-        )
-
-        # --- Baseline dynamics ---------------------------------------------------
         for name, rule, sample_size in _baseline_rules():
-            outcomes = dynamics_trial_outcomes(
-                initial,
-                channel,
-                rule,
-                config.max_rounds_dynamics,
-                config.num_trials,
-                random_state,
+            add_record(name, channel_name, simulate(Scenario(
+                workload="dynamics",
+                rule=rule,
                 sample_size=sample_size,
-                target_opinion=1,
-                trial_engine=config.trial_engine,
-            )
-            success_rate, _ = estimate_success_probability(
-                [outcome.success for outcome in outcomes]
-            )
-            table.add_record(
-                algorithm=name,
-                channel=channel_name,
-                success_rate=success_rate,
-                mean_rounds=float(
-                    np.mean([outcome.rounds_executed for outcome in outcomes])
-                ),
-                mean_final_bias=float(
-                    np.mean([outcome.final_bias for outcome in outcomes])
-                ),
-            )
+                max_rounds=config.max_rounds_dynamics,
+                **common,
+            )))
     table.add_note(
         f"all runs start {config.initial_bias:.0%}-biased toward opinion 1 with every "
         f"node opinionated; dynamics are capped at {config.max_rounds_dynamics} rounds "

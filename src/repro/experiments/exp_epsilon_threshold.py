@@ -25,7 +25,7 @@ from repro.analysis.convergence import estimate_success_probability
 from repro.analysis.theory import theoretical_bias_after_stage1
 from repro.experiments.results import ExperimentTable
 from repro.experiments.spec import register_experiment
-from repro.sim import Scenario, ScenarioGrid, simulate_sweep
+from repro.sim import Scenario, ScenarioGrid, resolve_trial_engine, simulate_sweep
 from repro.utils.rng import RandomState, derive_seed
 
 __all__ = ["EpsilonThresholdConfig", "run"]
@@ -107,7 +107,7 @@ def run(
             num_nodes=config.num_nodes,
             num_opinions=config.num_opinions,
             epsilon=epsilons[0],
-            engine=config.trial_engine,
+            engine=resolve_trial_engine(config.trial_engine, config.num_nodes),
             num_trials=config.num_trials,
             seed=derive_seed(random_state, 0),
             correct_opinion=1,

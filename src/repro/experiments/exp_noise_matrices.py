@@ -14,10 +14,11 @@ Definition 2 and, where applicable, the Eq. (17)/(18) sufficient condition:
 For the counterexample the experiment additionally runs the full protocol to
 show the *dynamic* consequence: consensus on the original plurality opinion
 is not reached, matching Section 4's argument that no anonymous protocol can
-recover it.  That repeated-trial check routes through the shared trial
-runner (:func:`~repro.experiments.runner.protocol_trial_outcomes`), so it
-runs on the batched ensemble engine by default; set
-``trial_engine="sequential"`` to cross-check against the reference loop.
+recover it.  That repeated-trial check is one
+``simulate(Scenario(workload="plurality", noise=..., shares=...))`` call
+seeded with ``derive_seed(random_state, 0)``.  It runs on the batched
+ensemble engine by default; set ``trial_engine="sequential"`` to
+cross-check against the reference loop.
 """
 
 from __future__ import annotations
@@ -27,10 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.analysis.convergence import estimate_success_probability
-from repro.core.plurality import PluralityInstance
 from repro.experiments.results import ExperimentTable
-from repro.experiments.runner import protocol_trial_outcomes
 from repro.noise.families import (
     cyclic_shift_matrix,
     diagonally_dominant_counterexample,
@@ -45,7 +43,8 @@ from repro.noise.majority_preserving import (
     worst_case_distribution,
 )
 from repro.experiments.spec import register_experiment
-from repro.utils.rng import RandomState, as_generator
+from repro.sim import Scenario, resolve_trial_engine, simulate
+from repro.utils.rng import RandomState, as_generator, derive_seed
 
 __all__ = ["NoiseMatrixConfig", "run"]
 
@@ -131,27 +130,25 @@ def run(
 
     # Dynamic consequence of the counterexample: run the protocol from the
     # worst-case delta-biased distribution returned by the LP (the paper's
-    # Section-4 example written in the row-vector convention of Eq. (2); see
-    # EXPERIMENTS.md for the convention note).
+    # Section-4 example written in the row-vector convention of Eq. (2)).
     counterexample = diagonally_dominant_counterexample(config.epsilon)
     delta = 0.1
     adversarial_shares = worst_case_distribution(counterexample, delta, 1)
     adversarial_shares = adversarial_shares / adversarial_shares.sum()
-    instance = PluralityInstance.from_support_fractions(
-        config.dynamic_num_nodes, config.dynamic_num_nodes, adversarial_shares
-    )
-    outcomes = protocol_trial_outcomes(
-        instance.initial_state(rng),
-        counterexample,
-        config.epsilon,
-        config.dynamic_trials,
-        rng,
-        target_opinion=instance.plurality_opinion(),
-        trial_engine=config.trial_engine,
-    )
-    failure_rate, _ = estimate_success_probability(
-        [not outcome.success for outcome in outcomes]
-    )
+    result = simulate(Scenario(
+        workload="plurality",
+        num_nodes=config.dynamic_num_nodes,
+        num_opinions=counterexample.num_opinions,
+        epsilon=config.epsilon,
+        noise=counterexample,
+        shares=tuple(float(share) for share in adversarial_shares),
+        engine=resolve_trial_engine(
+            config.trial_engine, config.dynamic_num_nodes
+        ),
+        num_trials=config.dynamic_trials,
+        seed=derive_seed(random_state, 0),
+    ))
+    failure_rate = 1.0 - result.success_rate
     table.add_note(
         "dynamic check: under the diagonally-dominant counterexample the protocol "
         "failed to reach consensus on the original plurality in "

@@ -11,10 +11,11 @@ The reproduced trend: configurations whose bias clears the
 ``sqrt(log n / |S|)`` requirement succeed (nearly) always, while
 configurations well below the requirement degrade toward chance.
 
-Repeated trials route through the shared trial runner
-(:func:`~repro.experiments.runner.protocol_trial_outcomes`), so the sweep
-runs on the batched ensemble engine by default; set
-``trial_engine="sequential"`` to cross-check against the reference loop.
+Every row is one ``simulate(Scenario(workload="plurality", ...))`` call
+seeded with ``derive_seed(random_state, row)`` (node placement and trial
+streams alike).  The sweep runs on the batched ensemble engine by default;
+set ``trial_engine="sequential"`` to cross-check against the reference
+loop.
 """
 
 from __future__ import annotations
@@ -23,14 +24,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from repro.analysis.convergence import estimate_success_probability
 from repro.experiments.results import ExperimentTable
-from repro.experiments.runner import protocol_trial_outcomes
 from repro.experiments.spec import register_experiment
-from repro.experiments.workloads import plurality_instance_with_bias
-from repro.noise.families import uniform_noise_matrix
+from repro.sim import Scenario, resolve_trial_engine, simulate
 from repro.utils.rng import RandomState, derive_seed
 
 __all__ = ["PluralityConsensusConfig", "run"]
@@ -96,38 +93,29 @@ def run(
         title=_TITLE,
         paper_claim=_PAPER_CLAIM,
     )
-    noise = uniform_noise_matrix(config.num_opinions, config.epsilon)
+    engine = resolve_trial_engine(config.trial_engine, config.num_nodes)
     log_n = math.log(config.num_nodes)
     minimum_support = log_n / (config.epsilon**2)
     for support_fraction in config.support_fractions:
         support_size = max(config.num_opinions, int(support_fraction * config.num_nodes))
         required_bias = math.sqrt(log_n / support_size)
         for multiplier in config.bias_multipliers:
-            bias_within_support = min(0.9, multiplier * required_bias)
-            instance = plurality_instance_with_bias(
-                config.num_nodes,
-                support_size,
-                config.num_opinions,
-                bias_within_support,
-            )
-            initial_state = instance.initial_state(
-                derive_seed(random_state, len(table))
-            )
-            outcomes = protocol_trial_outcomes(
-                initial_state,
-                noise,
-                config.epsilon,
-                config.num_trials,
-                random_state,
-                target_opinion=instance.plurality_opinion(),
+            scenario = Scenario(
+                workload="plurality",
+                num_nodes=config.num_nodes,
+                num_opinions=config.num_opinions,
+                epsilon=config.epsilon,
+                support_size=support_size,
+                bias=min(0.9, multiplier * required_bias),
                 round_scale=config.round_scale,
-                trial_engine=config.trial_engine,
+                engine=engine,
+                num_trials=config.num_trials,
+                seed=derive_seed(random_state, len(table)),
             )
+            instance = scenario.plurality_instance()
+            result = simulate(scenario)
             success_rate, interval = estimate_success_probability(
-                [outcome.success for outcome in outcomes]
-            )
-            mean_rounds = float(
-                np.mean([outcome.total_rounds for outcome in outcomes])
+                result.successes
             )
             table.add_record(
                 n=config.num_nodes,
@@ -140,7 +128,7 @@ def run(
                 success_rate=success_rate,
                 success_low=interval[0],
                 success_high=interval[1],
-                mean_rounds=mean_rounds,
+                mean_rounds=result.mean_rounds,
             )
     table.add_note(
         f"Theorem 2 needs |S| >= ~log(n)/eps^2 = {minimum_support:.0f} nodes here; "

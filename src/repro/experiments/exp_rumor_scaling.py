@@ -13,6 +13,9 @@ A final least-squares fit of mean rounds against the clock summarizes the
 scaling; Theorem 1 predicts a near-constant proportionality factor and
 success probability close to 1 throughout the grid (for ``eps`` well above
 the ``n^(-1/4)`` threshold explored separately in E9).
+
+Every grid point is one ``simulate(Scenario(workload="rumor", ...))`` call
+seeded with ``derive_seed(random_state, row)``.
 """
 
 from __future__ import annotations
@@ -23,11 +26,10 @@ from typing import List, Optional, Sequence
 from repro.analysis.convergence import estimate_success_probability, fit_round_complexity
 from repro.core.schedule import theoretical_round_complexity
 from repro.experiments.results import ExperimentTable
-from repro.experiments.runner import protocol_trial_outcomes, summarize
+from repro.experiments.runner import summarize
 from repro.experiments.spec import register_experiment
-from repro.experiments.workloads import rumor_instance
-from repro.noise.families import uniform_noise_matrix
-from repro.utils.rng import RandomState
+from repro.sim import Scenario, resolve_trial_engine, simulate
+from repro.utils.rng import RandomState, derive_seed
 
 __all__ = ["RumorScalingConfig", "run"]
 
@@ -43,8 +45,9 @@ class RumorScalingConfig:
     """Parameters of the E1 sweep.
 
     ``trial_engine`` selects how the repeated trials of every grid point are
-    executed: ``"batched"`` (the vectorized ensemble, default) or
-    ``"sequential"`` (the reference single-trial loop).
+    executed: ``"batched"`` (the vectorized ensemble, default),
+    ``"sequential"`` (the reference single-trial loop), ``"counts"`` (the
+    sufficient-statistics tier) or ``"auto"`` (batched or counts by ``n``).
     """
 
     num_nodes_grid: Sequence[int] = (500, 1000, 2000)
@@ -99,21 +102,20 @@ def run(
     eps_for_fit: List[float] = []
     for num_nodes in config.num_nodes_grid:
         for epsilon in config.epsilon_grid:
-            noise = uniform_noise_matrix(config.num_opinions, epsilon)
-            outcomes = protocol_trial_outcomes(
-                rumor_instance(num_nodes, config.num_opinions, 1),
-                noise,
-                epsilon,
-                config.num_trials,
-                random_state,
-                target_opinion=1,
+            result = simulate(Scenario(
+                workload="rumor",
+                num_nodes=num_nodes,
+                num_opinions=config.num_opinions,
+                epsilon=epsilon,
                 round_scale=config.round_scale,
-                trial_engine=config.trial_engine,
+                engine=resolve_trial_engine(config.trial_engine, num_nodes),
+                num_trials=config.num_trials,
+                seed=derive_seed(random_state, len(table)),
+            ))
+            success_rate, interval = estimate_success_probability(
+                result.successes
             )
-            successes = [outcome.success for outcome in outcomes]
-            rounds = [outcome.total_rounds for outcome in outcomes]
-            success_rate, interval = estimate_success_probability(successes)
-            rounds_summary = summarize(rounds)
+            rounds_summary = summarize(result.rounds)
             clock = theoretical_round_complexity(num_nodes, epsilon)
             table.add_record(
                 n=num_nodes,

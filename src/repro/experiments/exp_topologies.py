@@ -30,11 +30,10 @@ from repro.analysis.convergence import estimate_success_probability
 from repro.core.protocol import TwoStageProtocol
 from repro.core.state import PopulationState
 from repro.experiments.results import ExperimentTable
-from repro.experiments.runner import repeat_trials
 from repro.experiments.spec import register_experiment
 from repro.network.topology import GraphPushModel, standard_topology
 from repro.noise.families import uniform_noise_matrix
-from repro.utils.rng import RandomState
+from repro.utils.rng import RandomState, spawn_generators
 
 __all__ = ["TopologyConfig", "run"]
 
@@ -126,7 +125,11 @@ def run(
             mean_degree = float(engine.degrees().mean())
             return result.success, result.correct_fraction(), mean_degree
 
-        outcomes = repeat_trials(trial, config.num_trials, random_state)
+        # A fresh random graph per trial (a Scenario draws one per seed).
+        outcomes = [
+            trial(rng)
+            for rng in spawn_generators(config.num_trials, random_state)
+        ]
         success_rate, _ = estimate_success_probability(
             [success for success, _, _ in outcomes]
         )

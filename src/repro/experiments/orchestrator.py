@@ -6,7 +6,8 @@ Three pieces turn the registered experiment specs
 * :class:`ResultStore` — a content-keyed JSON store under a ``results/``
   directory.  A run's key is the SHA-256 of its *identity*: experiment id,
   configuration (as a canonical dictionary), seed, engine override, and the
-  code version of the defining experiment module (plus the shared runner).
+  code version of the defining experiment module (plus the shared stage
+  helpers and the sim layer).
   Identical identities hit the cache; any change to the configuration, the
   seed, the engine, or the experiment code misses and recomputes.
 * :func:`run_experiment_job` — one experiment execution as a plain,
@@ -48,6 +49,7 @@ from repro.experiments import runner as runner_module
 from repro.experiments import spec as spec_module
 from repro.experiments.results import ExperimentTable, jsonify_value
 from repro.experiments.spec import ExperimentSpec, get_spec, registered_ids
+from repro.sim import set_default_counts_threshold
 from repro.utils.rng import derive_seed
 
 __all__ = [
@@ -80,13 +82,14 @@ def _module_source(module) -> str:
 def experiment_code_version(spec: ExperimentSpec) -> str:
     """A short fingerprint of the code a run of ``spec`` executes.
 
-    Hashes the defining experiment module together with the shared trial
-    runner and the :mod:`repro.sim` dispatch layer the runner routes
-    through, so editing any of them invalidates the store entries of the
-    affected experiments (the "code version" component of the content
-    key).  The deeper simulation layers are deliberately not hashed — they
-    are covered by the engine-equivalence test-suite, and hashing the whole
-    package would turn every docstring edit into a full cache flush.
+    Hashes the defining experiment module together with the shared stage
+    helpers of :mod:`~repro.experiments.runner` and the :mod:`repro.sim`
+    dispatch layer the experiments run through, so editing any of them
+    invalidates the store entries of the affected experiments (the "code
+    version" component of the content key).  The deeper simulation layers
+    are deliberately not hashed — they are covered by the golden and
+    engine-agreement test-suites, and hashing the whole package would turn
+    every docstring edit into a full cache flush.
     """
     cached = _code_version_cache.get(spec.module_name)
     if cached is not None:
@@ -260,11 +263,11 @@ def run_experiment_job(job: ExperimentJob) -> ExperimentTable:
     started = time.perf_counter()
     try:
         if job.counts_threshold is not None:
-            runner_module.set_default_counts_threshold(job.counts_threshold)
+            set_default_counts_threshold(job.counts_threshold)
         table = spec.run_fn(config, random_state=job.seed)
     finally:
         if job.counts_threshold is not None:
-            runner_module.set_default_counts_threshold(None)
+            set_default_counts_threshold(None)
     elapsed = time.perf_counter() - started
     table.provenance = {
         **job.identity(),

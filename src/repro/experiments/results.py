@@ -55,7 +55,7 @@ class ExperimentTable:
     Attributes
     ----------
     experiment_id:
-        The DESIGN.md experiment id (``"E1"`` … ``"E14"``).
+        The experiment id (``"E1"`` … ``"E15"``).
     title:
         Human-readable title.
     paper_claim:

@@ -19,9 +19,9 @@ hand-maintained experiment dictionary the CLI used to carry:
     )
     def run(config=None, random_state=0) -> ExperimentTable: ...
 
-``supported_engines`` names the concrete engines of
-:data:`~repro.experiments.runner.TRIAL_ENGINES` the experiment can route its
-repeated trials through.  Experiments whose measurement is inherently
+``supported_engines`` names the concrete engine tiers of
+:data:`~repro.sim.ENGINE_TIERS` the experiment can route its repeated
+trials through.  Experiments whose measurement is inherently
 per-node or analytic (memory traces, exact probability computations,
 topology sweeps over per-node graph engines) declare
 ``supported_engines=("sequential",)``; the CLI rejects any other request
@@ -40,16 +40,9 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.experiments.results import ExperimentTable
-from repro.experiments.runner import TRIAL_ENGINES
-
-#: Engine names an experiment may declare in ``supported_engines``: the
-#: per-trial engines plus the distribution-level ``"analytic"`` tier (for
-#: experiments that compute exact probabilities through ``repro.sim``
-#: instead of sampling trials).
-DECLARABLE_ENGINES = TRIAL_ENGINES + ("analytic",)
+from repro.sim import ENGINE_TIERS
 
 __all__ = [
-    "DECLARABLE_ENGINES",
     "ExperimentSpec",
     "register_experiment",
     "get_spec",
@@ -83,9 +76,10 @@ class ExperimentSpec:
     run_fn:
         ``run(config, random_state) -> ExperimentTable``.
     supported_engines:
-        The concrete trial engines (subset of
-        :data:`~repro.experiments.runner.TRIAL_ENGINES`) the experiment can
-        execute its repeated trials on.
+        The concrete engine tiers (subset of :data:`~repro.sim.ENGINE_TIERS`)
+        the experiment can execute its repeated trials on; ``"analytic"``
+        marks experiments that compute exact probabilities through
+        ``repro.sim`` instead of sampling trials.
     config_cls:
         The configuration dataclass (``None`` for config-free experiments);
         kept so callers can build custom configurations programmatically.
@@ -168,13 +162,13 @@ def register_experiment(
     if not supported_engines:
         raise ValueError(
             f"{experiment_id}: supported_engines must name at least one of "
-            f"{DECLARABLE_ENGINES}"
+            f"{ENGINE_TIERS}"
         )
-    unknown = [e for e in supported_engines if e not in DECLARABLE_ENGINES]
+    unknown = [e for e in supported_engines if e not in ENGINE_TIERS]
     if unknown:
         raise ValueError(
             f"{experiment_id}: unknown engines {unknown}; valid engines are "
-            f"{DECLARABLE_ENGINES}"
+            f"{ENGINE_TIERS}"
         )
     if config_cls is not None and not (
         callable(getattr(config_cls, "quick", None))

@@ -12,10 +12,9 @@ vector (0 = undecided, undecided nodes do not push).
 executors: it prefers the population-aware entry point when the engine
 provides one and falls back to the anonymous one otherwise.
 
-:func:`make_delivery_engine` is the canonical factory for the three
+:func:`make_delivery_engine` is the one factory for the three
 complete-graph engines (processes O, B and P) by name; it backs both the
-protocol drivers and the :mod:`repro.sim` facade's engine registry (the
-legacy :func:`repro.core.protocol.make_engine` is a deprecated alias).
+protocol drivers and the :mod:`repro.sim` facade's engine registry.
 """
 
 from __future__ import annotations

@@ -9,11 +9,12 @@ per-trial verdicts, the measurements and the provenance — across every
 workload and every tier.
 
 The :data:`~repro.sim.engines.ENGINE_REGISTRY` keyed by
-``(workload, engine)`` is the single dispatch table; it absorbed the legacy
-per-tier factories (``make_dynamics`` / ``make_ensemble_dynamics`` /
-``make_counts_dynamics`` and ``core.protocol.make_engine``), which remain
-as deprecation shims.  Under a fixed seed, ``simulate()`` is bitwise
-identical to the legacy entry point it supersedes, tier by tier.
+``(workload, engine)`` is the single dispatch table, and
+:func:`resolve_trial_engine` the single owner of the ``auto`` policy (the
+batched/counts switch-over at :data:`DEFAULT_COUNTS_THRESHOLD` nodes).
+Every experiment that runs whole protocols or dynamics goes through
+``simulate()``; under a fixed seed a scenario is bitwise reproducible per
+engine tier.
 
 >>> from repro.sim import Scenario, simulate
 >>> result = simulate(Scenario(
@@ -32,7 +33,13 @@ from repro.sim.engines import (
     build_dynamics,
     make_delivery_engine,
 )
-from repro.sim.facade import sim_code_version, simulate
+from repro.sim.facade import (
+    DEFAULT_COUNTS_THRESHOLD,
+    resolve_trial_engine,
+    set_default_counts_threshold,
+    sim_code_version,
+    simulate,
+)
 from repro.sim.result import SimulationResult
 from repro.sim.sweep import ScenarioGrid, SweepResult, simulate_sweep
 from repro.sim.scenario import (
@@ -44,6 +51,7 @@ from repro.sim.scenario import (
 )
 
 __all__ = [
+    "DEFAULT_COUNTS_THRESHOLD",
     "DELIVERY_PROCESSES",
     "ENGINE_POLICIES",
     "ENGINE_REGISTRY",
@@ -58,6 +66,8 @@ __all__ = [
     "WORKLOADS",
     "build_dynamics",
     "make_delivery_engine",
+    "resolve_trial_engine",
+    "set_default_counts_threshold",
     "sim_code_version",
     "simulate",
     "simulate_sweep",

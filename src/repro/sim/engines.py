@@ -3,11 +3,7 @@
 Two layers live here:
 
 * :func:`build_dynamics` — the single factory for every baseline-dynamics
-  engine, keyed ``(tier, rule)``.  It absorbs the three legacy registries
-  (``make_dynamics`` / ``make_ensemble_dynamics`` / ``make_counts_dynamics``,
-  now deprecation shims over this function) into one table, constructing
-  exactly the same classes with exactly the same arguments, so seeded runs
-  built through either path are bitwise identical.
+  engine, keyed ``(tier, rule)``: one table over all three sampling tiers.
 * :class:`EngineRegistry` — the ``(workload, engine)`` dispatch table the
   facade consults: every supported pair maps to one runner function
   producing a :class:`~repro.sim.result.SimulationResult`.  The concrete
@@ -16,8 +12,7 @@ Two layers live here:
   call site.
 
 The complete-graph delivery engines are built by
-:func:`repro.network.delivery.make_delivery_engine` (re-exported here),
-which absorbed the legacy :func:`repro.core.protocol.make_engine`.
+:func:`repro.network.delivery.make_delivery_engine` (re-exported here).
 """
 
 from __future__ import annotations
@@ -137,9 +132,7 @@ def build_dynamics(
     precision) is only accepted by ``"approximate-consensus"``.
     ``rng_mode`` applies to the batched tier only: the sequential classes
     take a single source, and the counts tier always draws per-trial
-    streams (``rng_mode="shared"`` raises there).  The construction is
-    identical to what the legacy per-tier factories produced, so seeded
-    runs are bitwise reproducible across the migration.
+    streams (``rng_mode="shared"`` raises there).
     """
     if tier not in ENGINE_TIERS:
         raise ValueError(

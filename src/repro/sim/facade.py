@@ -6,11 +6,15 @@ up the ``(workload, engine)`` runner in the
 result with provenance (resolved engine, seed, facade code version, wall
 time, the scenario itself).
 
-Every runner reproduces the exact randomness discipline of the legacy entry
-point it supersedes — the protocol classes and the dynamics engines are
-constructed with the same arguments and consume the same draws — so under a
-fixed seed ``simulate()`` is *bitwise identical* to the corresponding
-legacy path (the equivalence test-suite pins this per workload × engine).
+Every runner derives its per-trial streams from the scenario's seed alone,
+so under a fixed seed a scenario is bitwise reproducible per engine tier
+(``tests/core/test_counts_golden.py`` pins per-seed outputs of every
+sampling tier).
+
+The ``auto`` policy resolves through :func:`resolve_trial_engine`, the one
+owner of the batched/counts switch-over population size
+(:data:`DEFAULT_COUNTS_THRESHOLD`, overridable process-wide with
+:func:`set_default_counts_threshold`).
 """
 
 from __future__ import annotations
@@ -38,24 +42,105 @@ from repro.dynamics.analytic import (
     exact_dynamics_is_tractable,
 )
 from repro.faults import FaultedDeliveryEngine, FaultedPhaseSampler
-from repro.network.pull_model import vote_law_cache_info
+from repro.network.pull_model import vote_law_cache_info, vote_table_is_tractable
 from repro.network.topology import GraphPushModel, standard_topology
 from repro.noise.matrix import NoiseMatrix
 from repro.sim.engines import ENGINE_REGISTRY, build_dynamics
 from repro.sim.result import SimulationResult
-from repro.sim.scenario import Scenario
+from repro.sim.scenario import ENGINE_POLICIES, Scenario
 from repro.utils.rng import RandomState, as_trial_generators, spawn_generators
 
-__all__ = ["simulate", "sim_code_version"]
+__all__ = [
+    "DEFAULT_COUNTS_THRESHOLD",
+    "resolve_trial_engine",
+    "set_default_counts_threshold",
+    "simulate",
+    "sim_code_version",
+]
 
 _code_version: Optional[str] = None
+
+#: Population size at which ``engine="auto"`` switches from the batched
+#: ``(R, n)`` tier to the counts tier.  At ``n = 10^5`` the counts tier is
+#: already >= 20x faster (see ``benchmarks/bench_counts_engine.py``); below
+#: ~10^4 either tier finishes in milliseconds and the batched one stays the
+#: default because it also supports the ablation knobs.
+DEFAULT_COUNTS_THRESHOLD = 50_000
+
+_active_counts_threshold = DEFAULT_COUNTS_THRESHOLD
+
+
+def set_default_counts_threshold(counts_threshold: Optional[int]) -> int:
+    """Override the process-wide ``"auto"`` switch-over population size.
+
+    ``None`` restores :data:`DEFAULT_COUNTS_THRESHOLD`.  Returns the now
+    active value.  Used by the CLI's ``--counts-threshold`` so experiment
+    configs (which carry only a ``trial_engine`` name) pick it up too.
+    """
+    global _active_counts_threshold
+    if counts_threshold is None:
+        _active_counts_threshold = DEFAULT_COUNTS_THRESHOLD
+    else:
+        if counts_threshold < 1:
+            raise ValueError(
+                f"counts_threshold must be >= 1, got {counts_threshold}"
+            )
+        _active_counts_threshold = int(counts_threshold)
+    return _active_counts_threshold
+
+
+def resolve_trial_engine(
+    trial_engine: str,
+    num_nodes: int,
+    counts_threshold: Optional[int] = None,
+    *,
+    allow_analytic: bool = False,
+) -> str:
+    """The concrete engine tier for ``trial_engine`` at population size ``n``.
+
+    Concrete tier names pass through unchanged (after validation against
+    :data:`~repro.sim.scenario.ENGINE_POLICIES`); ``"auto"`` resolves to
+    ``"counts"`` when ``num_nodes`` is at least ``counts_threshold``
+    (default: the active threshold, normally
+    :data:`DEFAULT_COUNTS_THRESHOLD`) and to ``"batched"`` otherwise.
+
+    The boundary is inclusive on the counts side: at *exactly*
+    ``num_nodes == counts_threshold`` the counts tier wins (``>=``, not
+    ``>``).  The threshold is the smallest population the n-independent
+    tier should serve, so ``simulate()``, the CLI and the experiment
+    configs all see ``auto(n=threshold) == "counts"``.
+
+    ``allow_analytic=True`` short-circuits ``"auto"`` to ``"analytic"``:
+    the caller asserts the scenario is *exactly tractable* (the count
+    simplex fits the analytic state budget, plus any closed-form vote
+    tables the workload needs), in which case the exact answer beats any
+    amount of sampling.  Only :func:`simulate` sets it; experiments that
+    read per-trial outcomes resolve ``"auto"`` without it, so for them
+    ``"auto"`` always means batched or counts.
+    """
+    if trial_engine not in ENGINE_POLICIES:
+        raise ValueError(
+            f"trial_engine must be one of {ENGINE_POLICIES}, "
+            f"got {trial_engine!r}"
+        )
+    if trial_engine != "auto":
+        return trial_engine
+    if allow_analytic:
+        return "analytic"
+    if counts_threshold is None:
+        counts_threshold = _active_counts_threshold
+    elif counts_threshold < 1:
+        raise ValueError(
+            f"counts_threshold must be >= 1, got {counts_threshold}"
+        )
+    return "counts" if num_nodes >= counts_threshold else "batched"
 
 
 def sim_code_version() -> str:
     """A short fingerprint of the facade's code, recorded in provenance.
 
     Hashes the sim layer's own modules (scenario, engines, result, facade);
-    the engine tiers underneath are covered by the equivalence and
+    the engine tiers underneath are covered by the golden and
     engine-agreement test-suites, exactly like the orchestrator's
     experiment fingerprint.
     """
@@ -120,12 +205,6 @@ def _resolve_engine(scenario: Scenario) -> Tuple[str, Optional[str]]:
     """The concrete tier for the scenario's engine policy, plus the
     degradation reason (``None`` when the policy was served as asked).
 
-    Delegates to :func:`repro.experiments.runner.resolve_trial_engine` (the
-    single owner of the ``auto`` threshold semantics, including the
-    process-wide default installed by ``set_default_counts_threshold``).
-    Imported lazily: the runner imports the sim engine registry, so a
-    module-level import would be circular.
-
     ``auto`` prefers the analytic tier whenever the scenario is exactly
     tractable (tiny ``n * k``): the exact chain answers in one kernel
     evolution with zero sampling noise, which no trial count can beat.
@@ -134,8 +213,6 @@ def _resolve_engine(scenario: Scenario) -> Tuple[str, Optional[str]]:
     """
     if scenario.engine != "auto":
         return scenario.engine, None
-    from repro.experiments.runner import resolve_trial_engine
-
     engine = resolve_trial_engine(
         "auto",
         scenario.num_nodes,
@@ -147,8 +224,6 @@ def _resolve_engine(scenario: Scenario) -> Tuple[str, Optional[str]]:
         and scenario.rule == "h-majority"
         and scenario.sample_size is not None
     ):
-        from repro.network.pull_model import vote_table_is_tractable
-
         # The counts h-majority tier needs a tractable closed-form maj()
         # table; 'auto' degrades to the batched tier instead of failing
         # (an explicit engine='counts' request raises at validation).
@@ -274,9 +349,7 @@ def _protocol_sequential(
 ) -> SimulationResult:
     """The reference loop: one :class:`TwoStageProtocol` run per trial.
 
-    Trial ``r`` consumes randomness from its own spawned child generator —
-    the same discipline (and hence the same draws) as the legacy
-    ``protocol_trial_outcomes(..., trial_engine="sequential")`` path.
+    Trial ``r`` consumes randomness from its own spawned child generator.
 
     Faulted scenarios track only the honest ``n_h`` nodes and route every
     phase through a per-trial :class:`FaultedDeliveryEngine` (fresh crash

@@ -484,8 +484,7 @@ class SimulationResult:
         facade payloads and orchestrator artifacts normalize identically.
         """
         # Imported lazily: the sim facade must stay importable without the
-        # experiments package (which imports the runner, which imports the
-        # sim engine registry).
+        # experiments package, whose modules import repro.sim.
         from repro.experiments.results import jsonify_value
 
         return {

@@ -16,7 +16,7 @@ scenario into a :class:`~repro.sim.result.SimulationResult`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 import numpy as np
@@ -53,7 +53,7 @@ class ScenarioError(ValueError):
 WORKLOADS = ("rumor", "plurality", "dynamics")
 
 #: Engine policies a scenario can request (``"auto"`` resolves to a concrete
-#: tier by population size; see :func:`repro.experiments.runner.
+#: tier by population size; see :func:`repro.sim.facade.
 #: resolve_trial_engine`).  ``"analytic"`` runs no sampling at all: the
 #: exact Markov chain over opinion counts when ``C(n + k, k)`` fits the
 #: state budget, the mean-field ODE with a Gaussian-diffusion correction
@@ -95,8 +95,9 @@ class Scenario:
     num_trials:
         Number of independent trials ``R``.
     seed:
-        Base seed; per-trial child streams derive from it, so a scenario is
-        bitwise reproducible per engine tier.
+        Base seed (``None`` or a non-negative int; numpy integers are
+        stored as ``int``); per-trial child streams derive from it, so a
+        scenario is bitwise reproducible per engine tier.
     counts_threshold:
         The ``"auto"`` switch-over population size (only meaningful with
         ``engine="auto"``; ``None`` uses the process-wide default).
@@ -167,6 +168,8 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.shares is not None and not isinstance(self.shares, tuple):
             object.__setattr__(self, "shares", tuple(self.shares))
+        if isinstance(self.seed, np.integer):
+            object.__setattr__(self, "seed", int(self.seed))
         if self.faults is not None and not isinstance(self.faults, FaultModel):
             try:
                 object.__setattr__(
@@ -203,6 +206,14 @@ class Scenario:
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or value < 1:
                 raise ScenarioError(f"{name} must be a positive int, got {value!r}")
+        if self.seed is not None and (
+            isinstance(self.seed, bool)
+            or not isinstance(self.seed, (int, np.integer))
+            or self.seed < 0
+        ):
+            raise ScenarioError(
+                f"seed must be None or a non-negative int, got {self.seed!r}"
+            )
         if not (0.0 < float(self.epsilon)):
             raise ScenarioError(f"epsilon must be positive, got {self.epsilon!r}")
         if not (0.0 <= float(self.bias) < 1.0):
@@ -473,7 +484,7 @@ class Scenario:
                 random_state=self.seed
             )
         # dynamics: a fully opinionated bias-shaped population by default
-        # (the same construction as the legacy CLI / workloads helper),
+        # (the same construction as workloads.biased_population),
         # or a partially opinionated support when support_size/shares say so.
         if self.support_size is None and self.shares is None:
             distribution = make_biased_distribution(

@@ -1,8 +1,8 @@
 """Plain-text table rendering for experiment and benchmark output.
 
-The benchmark harness prints the rows recorded in ``EXPERIMENTS.md`` as
-simple monospaced tables; this module is the single place that formatting
-lives so that experiments, examples and benches all look the same.
+Experiment tables, examples and benchmarks print their rows as simple
+monospaced tables; this module is the single place that formatting lives so
+that they all look the same.
 """
 
 from __future__ import annotations

@@ -59,12 +59,6 @@ RULE_CASES = [
         [("serialization-contract", 10), ("serialization-contract", 27)],
         id="serialization-contract",
     ),
-    pytest.param(
-        "bad_deprecation.py",
-        "good_deprecation.py",
-        [("deprecation-shim-hygiene", 4)],
-        id="deprecation-shim-hygiene",
-    ),
 ]
 
 
@@ -162,6 +156,5 @@ def test_fixture_tree_totals():
         "int64-dtype-pin": 3,  # bad_dtype (2) + suppressed.py line 13
         "no-wallclock-nondeterminism": 2,
         "serialization-contract": 2,
-        "deprecation-shim-hygiene": 1,
         "experiment-registry-completeness": 1,
     }

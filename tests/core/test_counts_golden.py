@@ -28,11 +28,11 @@ The per-node points pin the sequential and batched tiers of ``simulate()``
 digest of the trajectories) for rumor ``k = 2``, plurality ``k = 3`` from a
 partial biased support, and all six dynamics rules (five at ``n = 200``,
 ``k = 3``; approximate consensus at its random ``n = 7`` point).
-They were captured while the per-trial runner helpers
-(``protocol_trial_outcomes`` / ``dynamics_trial_outcomes``) still existed
-and matched these runs bitwise (approximate consensus aside: the dynamics
-helper could not set its precision target), so they keep pinning these
-tiers to an independent reference after those helpers were removed.
+They were captured while the experiments' former per-trial runner helpers
+still existed and matched these runs bitwise (approximate consensus aside:
+the dynamics helper could not set its precision target), so they keep
+pinning these tiers to an independent reference now that the helpers are
+gone.
 
 Regenerate (only when a change to the draw order or to a law value is
 intended and has passed ``pytest -m agreement``) with::

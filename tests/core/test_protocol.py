@@ -5,30 +5,30 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.protocol import ProtocolResult, TwoStageProtocol, make_engine
+from repro.core.protocol import ProtocolResult, TwoStageProtocol
 from repro.core.schedule import ProtocolSchedule
 from repro.core.state import PopulationState
 from repro.network.balls_bins import BallsIntoBinsProcess
+from repro.network.delivery import make_delivery_engine
 from repro.network.poisson_model import PoissonizedProcess
 from repro.network.push_model import UniformPushModel
-from repro.noise.families import uniform_noise_matrix
 
 
-class TestMakeEngine:
+class TestMakeDeliveryEngine:
     def test_push_engine(self, uniform3):
-        assert isinstance(make_engine("push", 10, uniform3), UniformPushModel)
+        assert isinstance(make_delivery_engine("push", 10, uniform3), UniformPushModel)
 
     def test_balls_bins_engine(self, uniform3):
         assert isinstance(
-            make_engine("balls_bins", 10, uniform3), BallsIntoBinsProcess
+            make_delivery_engine("balls_bins", 10, uniform3), BallsIntoBinsProcess
         )
 
     def test_poisson_engine(self, uniform3):
-        assert isinstance(make_engine("poisson", 10, uniform3), PoissonizedProcess)
+        assert isinstance(make_delivery_engine("poisson", 10, uniform3), PoissonizedProcess)
 
     def test_unknown_engine_rejected(self, uniform3):
         with pytest.raises(ValueError):
-            make_engine("carrier-pigeon", 10, uniform3)
+            make_delivery_engine("carrier-pigeon", 10, uniform3)
 
 
 class TestTwoStageProtocol:

@@ -13,16 +13,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.state import EnsembleState, PopulationState
+from repro.core.state import EnsembleState
 from repro.dynamics import (
     DYNAMICS_RULES,
     EnsembleOpinionDynamics,
     EnsembleThreeMajorityDynamics,
-    make_dynamics,
-    make_ensemble_dynamics,
 )
 from repro.experiments.workloads import biased_population
 from repro.noise.families import identity_matrix, uniform_noise_matrix
+from repro.sim.engines import build_dynamics
 
 NUM_NODES = 250
 SEEDS = [101, 202, 303]
@@ -44,8 +43,8 @@ def initial_state():
 
 def run_batched(rule, sample_size, noise, initial_state, random_state,
                 num_trials, max_rounds=120, **kwargs):
-    dynamic = make_ensemble_dynamics(
-        rule, initial_state.num_nodes, noise, random_state,
+    dynamic = build_dynamics(
+        "batched", rule, initial_state.num_nodes, noise, random_state,
         sample_size=sample_size,
     )
     return dynamic.run(
@@ -128,13 +127,13 @@ class TestStatisticalAgreementWithSequential:
             ("3-majority", None, uniform_noise_matrix(3, 0.6)),
         ]
         for rule, sample_size, channel in grid:
-            batched = make_ensemble_dynamics(
-                rule, 300, channel, 0, sample_size=sample_size
+            batched = build_dynamics(
+                "batched", rule, 300, channel, 0, sample_size=sample_size
             ).run(initial, 400, trials, target_opinion=1)
             sequential_successes = []
             for seed in range(trials):
-                result = make_dynamics(
-                    rule, 300, channel, 1000 + seed, sample_size=sample_size
+                result = build_dynamics(
+                    "sequential", rule, 300, channel, 1000 + seed, sample_size=sample_size
                 ).run(initial, 400, target_opinion=1)
                 sequential_successes.append(result.success)
             assert batched.success_rate == pytest.approx(
@@ -145,12 +144,12 @@ class TestStatisticalAgreementWithSequential:
         """Mean one-round bias change of the batched engine matches the
         sequential engine (both sample the same observation channel)."""
         initial = biased_population(2000, 3, 0.2, random_state=3)
-        batched = make_ensemble_dynamics("3-majority", 2000, noise, 0).run(
+        batched = build_dynamics("batched", "3-majority", 2000, noise, 0).run(
             initial, 1, 24, target_opinion=1, stop_at_consensus=False
         )
         sequential_biases = []
         for seed in range(24):
-            result = make_dynamics("3-majority", 2000, noise, seed).run(
+            result = build_dynamics("sequential", "3-majority", 2000, noise, seed).run(
                 initial, 1, target_opinion=1, stop_at_consensus=False
             )
             sequential_biases.append(result.bias_history[0])
@@ -268,28 +267,28 @@ class TestEnsembleDynamicsApi:
 class TestMakeDynamicsRegistry:
     def test_rejects_unknown_rule(self, noise):
         with pytest.raises(ValueError):
-            make_dynamics("bogus", 10, noise)
+            build_dynamics("sequential", "bogus", 10, noise)
         with pytest.raises(ValueError):
-            make_ensemble_dynamics("bogus", 10, noise)
+            build_dynamics("batched", "bogus", 10, noise)
 
     def test_h_majority_requires_sample_size(self, noise):
         with pytest.raises(ValueError):
-            make_dynamics("h-majority", 10, noise)
+            build_dynamics("sequential", "h-majority", 10, noise)
         with pytest.raises(ValueError):
-            make_ensemble_dynamics("h-majority", 10, noise)
+            build_dynamics("batched", "h-majority", 10, noise)
 
     def test_sample_size_rejected_for_other_rules(self, noise):
         with pytest.raises(ValueError):
-            make_dynamics("voter", 10, noise, sample_size=3)
+            build_dynamics("sequential", "voter", 10, noise, sample_size=3)
         with pytest.raises(ValueError):
-            make_ensemble_dynamics("median-rule", 10, noise, sample_size=3)
+            build_dynamics("batched", "median-rule", 10, noise, sample_size=3)
 
     @pytest.mark.parametrize("rule,sample_size", RULE_PARAMS)
     def test_engines_share_names(self, rule, sample_size, noise):
-        sequential = make_dynamics(
-            rule, 10, noise, sample_size=sample_size
+        sequential = build_dynamics(
+            "sequential", rule, 10, noise, sample_size=sample_size
         )
-        batched = make_ensemble_dynamics(
-            rule, 10, noise, sample_size=sample_size
+        batched = build_dynamics(
+            "batched", rule, 10, noise, sample_size=sample_size
         )
         assert sequential.name == batched.name

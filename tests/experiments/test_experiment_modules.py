@@ -9,7 +9,6 @@ full benchmark run.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.experiments import (
@@ -132,6 +131,9 @@ class TestE7NoiseMatrices:
         assert not any(
             record["preserves_plurality"] for record in counterexample_rows
         )
+        assert not any(
+            record["majority_preserving"] for record in counterexample_rows
+        )
 
 
 class TestE8Poissonization:
@@ -151,6 +153,7 @@ class TestE8Poissonization:
             if record["comparison"] == "push vs balls_bins"
         ][0]
         assert push_vs_bins["tv_total_counts"] < 0.1
+        assert all(record["tv_total_counts"] < 0.15 for record in static_rows)
         dynamic_rows = table.filtered(check="dynamic")
         assert len(dynamic_rows) == 3
         assert all(record["success_rate"] == 1.0 for record in dynamic_rows)
@@ -263,6 +266,30 @@ class TestEngineUniformity:
         )
         table = exp_stage2_trajectory.run(config, random_state=0)
         assert table.records[-1]["mean_bias_after"] > 0.9
+
+    # At n=40, k=2 the E9 and E12 scenarios are exactly tractable: an
+    # experiment's 'auto' must still mean batched or counts, because
+    # simulate()'s own 'auto' would pick the analytic tier, which reports
+    # no trials.
+    def test_e9_auto_samples_trials_at_tiny_n(self):
+        config = exp_epsilon_threshold.EpsilonThresholdConfig(
+            num_nodes=40, num_opinions=2, num_trials=2,
+            epsilon_over_threshold=(2.5,), trial_engine="auto",
+        )
+        table = exp_epsilon_threshold.run(config, random_state=0)
+        assert table.records[0]["success_rate"] in (0.0, 0.5, 1.0)
+
+    @pytest.mark.parametrize("engine", ["batched", "sequential", "counts", "auto"])
+    def test_e12_runs_on_every_engine(self, engine):
+        config = exp_baselines.BaselineComparisonConfig(
+            num_nodes=40, num_opinions=2, max_rounds_dynamics=30,
+            num_trials=2, trial_engine=engine,
+        )
+        table = exp_baselines.run(config, random_state=0)
+        assert len(table) == 12
+        # Empirical frequencies over two trials, not analytic probabilities.
+        assert {record["success_rate"] for record in table} <= {0.0, 0.5, 1.0}
+        assert f"trial engine: {engine}" in table.notes[-1]
 
     @pytest.mark.parametrize("engine", ["batched", "sequential"])
     def test_e8_dynamic_check_runs_on_both_per_node_engines(self, engine):

@@ -74,15 +74,13 @@ class TestResultStoreKeys:
         )
 
     def test_counts_threshold_applies_during_the_job_only(self):
-        from repro.experiments import runner as runner_module
+        from repro.sim import resolve_trial_engine
 
         run_experiment_job(
             ExperimentJob("E3", engine="auto", counts_threshold=100)
         )
         # The process-wide default is restored after the job.
-        assert (
-            runner_module.resolve_trial_engine("auto", 200) == "batched"
-        )
+        assert resolve_trial_engine("auto", 200) == "batched"
 
     def test_changed_config_misses(self, tmp_path):
         spec = get_spec("E11")

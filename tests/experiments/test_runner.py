@@ -1,22 +1,12 @@
-"""Tests for repro.experiments.runner."""
+"""Tests for repro.experiments.runner (stage helpers and summaries)."""
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import pytest
 
-from repro.core.state import EnsembleState
+from repro.core.state import CountsState
 from repro.experiments.runner import (
-    DEFAULT_COUNTS_THRESHOLD,
-    TRIAL_ENGINE_CHOICES,
-    TRIAL_ENGINES,
-    dynamics_trial_outcomes,
-    protocol_trial_outcomes,
-    repeat_trials,
-    resolve_trial_engine,
-    set_default_counts_threshold,
     stage1_trial_trajectories,
     stage2_trial_trajectories,
     summarize,
@@ -27,26 +17,10 @@ from repro.experiments.workloads import (
     ensemble_biased_population,
     rumor_instance,
 )
-from repro.noise.families import identity_matrix, uniform_noise_matrix
+from repro.noise.families import uniform_noise_matrix
 
-
-class TestRepeatTrials:
-    def test_number_of_trials(self):
-        results = repeat_trials(lambda rng: 1, 5, random_state=0)
-        assert results == [1, 1, 1, 1, 1]
-
-    def test_trials_get_independent_generators(self):
-        draws = repeat_trials(lambda rng: rng.integers(0, 10**9), 4, random_state=0)
-        assert len(set(draws)) > 1
-
-    def test_reproducible(self):
-        first = repeat_trials(lambda rng: rng.integers(0, 10**9), 3, random_state=7)
-        second = repeat_trials(lambda rng: rng.integers(0, 10**9), 3, random_state=7)
-        assert first == second
-
-    def test_requires_positive_trials(self):
-        with pytest.raises(ValueError):
-            repeat_trials(lambda rng: 1, 0)
+#: The sampling tiers the stage helpers run on.
+TRIAL_TIERS = ("batched", "sequential", "counts")
 
 
 class TestSweepProduct:
@@ -83,48 +57,6 @@ class TestSummarize:
             summarize([])
 
 
-class TestProtocolTrialOutcomes:
-    NUM_NODES = 250
-    EPSILON = 0.35
-
-    def run_engine(self, trial_engine, num_trials=4, random_state=0):
-        noise = uniform_noise_matrix(3, self.EPSILON)
-        return protocol_trial_outcomes(
-            rumor_instance(self.NUM_NODES, 3, 1),
-            noise,
-            self.EPSILON,
-            num_trials,
-            random_state,
-            target_opinion=1,
-            trial_engine=trial_engine,
-        )
-
-    @pytest.mark.parametrize("trial_engine", TRIAL_ENGINES)
-    def test_returns_one_outcome_per_trial(self, trial_engine):
-        outcomes = self.run_engine(trial_engine)
-        assert len(outcomes) == 4
-        for outcome in outcomes:
-            assert isinstance(outcome.success, bool)
-            assert outcome.total_rounds > 0
-            assert outcome.bias_after_stage1 is not None
-            assert 0.0 <= outcome.correct_fraction <= 1.0
-
-    @pytest.mark.parametrize("trial_engine", TRIAL_ENGINES)
-    def test_reproducible_with_fixed_seed(self, trial_engine):
-        first = self.run_engine(trial_engine, random_state=3)
-        second = self.run_engine(trial_engine, random_state=3)
-        assert first == second
-
-    def test_engines_agree_on_round_count(self):
-        batched = self.run_engine("batched", num_trials=2)
-        sequential = self.run_engine("sequential", num_trials=2)
-        assert batched[0].total_rounds == sequential[0].total_rounds
-
-    def test_rejects_unknown_engine(self):
-        with pytest.raises(ValueError):
-            self.run_engine("bogus")
-
-
 class TestStage1TrialTrajectories:
     NUM_NODES = 300
     EPSILON = 0.35
@@ -141,7 +73,7 @@ class TestStage1TrialTrajectories:
             trial_engine=trial_engine,
         )
 
-    @pytest.mark.parametrize("trial_engine", TRIAL_ENGINES)
+    @pytest.mark.parametrize("trial_engine", TRIAL_TIERS)
     def test_shapes_and_phase_axis(self, trial_engine):
         result = self.run_engine(trial_engine)
         num_phases = len(result.phase_lengths)
@@ -151,7 +83,7 @@ class TestStage1TrialTrajectories:
         assert result.num_trials == 3
         assert result.total_rounds == sum(result.phase_lengths)
 
-    @pytest.mark.parametrize("trial_engine", TRIAL_ENGINES)
+    @pytest.mark.parametrize("trial_engine", TRIAL_TIERS)
     def test_fractions_grow_to_one(self, trial_engine):
         """Stage 1 opinionates everyone (Lemma 6): the per-phase fraction is
         non-decreasing per trial and ends at 1 at this easy scale."""
@@ -160,7 +92,7 @@ class TestStage1TrialTrajectories:
         assert np.all(np.diff(fractions, axis=1) >= -1e-12)
         assert fractions[:, -1] == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("trial_engine", TRIAL_ENGINES)
+    @pytest.mark.parametrize("trial_engine", TRIAL_TIERS)
     def test_reproducible_with_fixed_seed(self, trial_engine):
         first = self.run_engine(trial_engine, random_state=5)
         second = self.run_engine(trial_engine, random_state=5)
@@ -172,7 +104,7 @@ class TestStage1TrialTrajectories:
     def test_engines_share_the_schedule(self):
         lengths = {
             engine: self.run_engine(engine, num_trials=2).phase_lengths
-            for engine in TRIAL_ENGINES
+            for engine in TRIAL_TIERS
         }
         assert len(set(lengths.values())) == 1
 
@@ -209,7 +141,7 @@ class TestStage2TrialTrajectories:
             **kwargs,
         )
 
-    @pytest.mark.parametrize("trial_engine", TRIAL_ENGINES)
+    @pytest.mark.parametrize("trial_engine", TRIAL_TIERS)
     def test_shapes_and_consensus(self, trial_engine):
         result = self.run_engine(trial_engine)
         num_phases = len(result.phase_lengths)
@@ -220,7 +152,7 @@ class TestStage2TrialTrajectories:
         assert result.consensus.all()
         assert result.final_biases == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("trial_engine", TRIAL_ENGINES)
+    @pytest.mark.parametrize("trial_engine", TRIAL_TIERS)
     def test_reproducible_with_fixed_seed(self, trial_engine):
         first = self.run_engine(trial_engine, random_state=5)
         second = self.run_engine(trial_engine, random_state=5)
@@ -253,233 +185,35 @@ class TestStage2TrialTrajectories:
             self.run_engine("batched", num_trials=2, initial_state=ensemble)
 
 
-class TestDynamicsTrialOutcomes:
-    NUM_NODES = 300
-
-    def run_engine(self, trial_engine, *, rule="3-majority", sample_size=None,
-                   noise=None, num_trials=4, max_rounds=200, random_state=0):
-        noise = noise if noise is not None else identity_matrix(3)
-        initial = biased_population(self.NUM_NODES, 3, 0.3, random_state=1)
-        return dynamics_trial_outcomes(
-            initial,
-            noise,
-            rule,
-            max_rounds,
-            num_trials,
-            random_state,
-            sample_size=sample_size,
-            target_opinion=1,
-            trial_engine=trial_engine,
-        )
-
-    @pytest.mark.parametrize("trial_engine", TRIAL_ENGINES)
-    def test_returns_one_outcome_per_trial(self, trial_engine):
-        outcomes = self.run_engine(trial_engine)
-        assert len(outcomes) == 4
-        for outcome in outcomes:
-            assert isinstance(outcome.success, bool)
-            assert isinstance(outcome.converged, bool)
-            assert outcome.rounds_executed > 0
-            assert outcome.success == (outcome.consensus_opinion == 1)
-            assert -1.0 <= outcome.final_bias <= 1.0
-
-    @pytest.mark.parametrize("trial_engine", TRIAL_ENGINES)
-    def test_reproducible_with_fixed_seed(self, trial_engine):
-        first = self.run_engine(trial_engine, random_state=3)
-        second = self.run_engine(trial_engine, random_state=3)
-        assert first == second
-
-    def test_engines_agree_on_the_certain_event(self):
-        """Noise-free 3-majority from a solid bias converges on opinion 1
-        under both engines."""
-        batched = self.run_engine("batched")
-        sequential = self.run_engine("sequential")
-        assert all(outcome.success for outcome in batched)
-        assert all(outcome.success for outcome in sequential)
-
-    def test_h_majority_accepts_sample_size(self):
-        outcomes = self.run_engine(
-            "batched", rule="h-majority", sample_size=5
-        )
-        assert len(outcomes) == 4
-
-    def test_accepts_prebuilt_ensemble_state(self):
-        initial = biased_population(self.NUM_NODES, 3, 0.3, random_state=1)
-        ensemble = EnsembleState.from_state(initial, 3)
-        for trial_engine in TRIAL_ENGINES:
-            outcomes = dynamics_trial_outcomes(
-                ensemble, identity_matrix(3), "voter", 50, 3,
-                random_state=0, trial_engine=trial_engine,
-            )
-            assert len(outcomes) == 3
-
-    def test_rejects_num_trials_mismatch_for_ensemble_state(self):
-        initial = biased_population(self.NUM_NODES, 3, 0.3, random_state=1)
-        ensemble = EnsembleState.from_state(initial, 3)
-        with pytest.raises(ValueError):
-            dynamics_trial_outcomes(
-                ensemble, identity_matrix(3), "voter", 50, 4, random_state=0
-            )
-
-    def test_rejects_unknown_engine(self):
-        with pytest.raises(ValueError):
-            self.run_engine("bogus")
-
-    def test_rejects_unknown_rule(self):
-        with pytest.raises(ValueError):
-            self.run_engine("batched", rule="bogus")
-
-    def test_engine_cache_deprecated_but_still_works(self):
-        """The legacy sweep fast path warns on use but keeps its behavior:
-        one engine instance per distinct grid cell, reused (with the
-        cell's own seed) when the cell repeats, results unchanged."""
-        initial = biased_population(self.NUM_NODES, 3, 0.3, random_state=1)
-        cache = {}
-        baseline = dynamics_trial_outcomes(
-            initial, identity_matrix(3), "3-majority", 100, 3,
-            random_state=5, trial_engine="counts",
-        )
-        with pytest.warns(DeprecationWarning, match="simulate_sweep"):
-            first = dynamics_trial_outcomes(
-                initial, identity_matrix(3), "3-majority", 100, 3,
-                random_state=5, trial_engine="counts", engine_cache=cache,
-            )
-        assert len(cache) == 1
-        cached_instance = next(iter(cache.values()))
-        with pytest.warns(DeprecationWarning):
-            second = dynamics_trial_outcomes(
-                initial, identity_matrix(3), "3-majority", 100, 3,
-                random_state=5, trial_engine="counts", engine_cache=cache,
-            )
-        assert next(iter(cache.values())) is cached_instance
-        # Seeding stays per-call: cached runs match uncached runs exactly.
-        assert first == baseline == second
-        # A different cell (other engine) gets its own entry.
-        with pytest.warns(DeprecationWarning):
-            dynamics_trial_outcomes(
-                initial, identity_matrix(3), "3-majority", 100, 3,
-                random_state=5, trial_engine="batched", engine_cache=cache,
-            )
-        assert len(cache) == 2
-
-    def test_no_engine_cache_no_warning(self):
-        """The default path must stay silent — `import repro` plus normal
-        calls run under -W error::DeprecationWarning in CI."""
-        initial = biased_population(self.NUM_NODES, 3, 0.3, random_state=1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            dynamics_trial_outcomes(
-                initial, identity_matrix(3), "3-majority", 50, 2,
-                random_state=5, trial_engine="counts",
-            )
-
-
-class TestEngineResolution:
-    def test_concrete_names_pass_through(self):
-        for engine in TRIAL_ENGINES:
-            assert resolve_trial_engine(engine, 10) == engine
-            assert resolve_trial_engine(engine, 10**9) == engine
-
-    def test_auto_switches_at_the_threshold(self):
-        assert resolve_trial_engine("auto", DEFAULT_COUNTS_THRESHOLD - 1) == "batched"
-        assert resolve_trial_engine("auto", DEFAULT_COUNTS_THRESHOLD) == "counts"
-
-    def test_auto_boundary_is_inclusive_on_the_counts_side(self):
-        """At exactly ``n == counts_threshold`` the counts engine wins.
-
-        The documented semantics are ``>=`` (the threshold is the smallest
-        population the n-independent engine serves); this pin keeps the
-        boundary from silently drifting to ``>``.
-        """
-        for threshold in (1, 2, 77, DEFAULT_COUNTS_THRESHOLD):
-            assert (
-                resolve_trial_engine("auto", threshold, counts_threshold=threshold)
-                == "counts"
-            )
-            assert (
-                resolve_trial_engine(
-                    "auto", threshold - 1, counts_threshold=threshold
-                )
-                == "batched"
-            )
-
-    def test_facade_auto_resolution_matches_runner_boundary(self):
-        """simulate()'s auto policy resolves through the same boundary."""
-        from repro.sim import Scenario
-        from repro.sim.facade import _resolve_engine
-
-        at = Scenario(
-            workload="rumor", num_nodes=64, engine="auto", counts_threshold=64
-        )
-        below = Scenario(
-            workload="rumor", num_nodes=63, engine="auto", counts_threshold=64
-        )
-        assert _resolve_engine(at) == ("counts", None)
-        assert _resolve_engine(below) == ("batched", None)
-
-    def test_auto_honours_explicit_threshold(self):
-        assert resolve_trial_engine("auto", 100, counts_threshold=50) == "counts"
-        assert resolve_trial_engine("auto", 100, counts_threshold=500) == "batched"
-        with pytest.raises(ValueError):
-            resolve_trial_engine("auto", 100, counts_threshold=0)
-
-    def test_auto_honours_process_default_override(self):
-        try:
-            assert set_default_counts_threshold(10) == 10
-            assert resolve_trial_engine("auto", 100) == "counts"
-        finally:
-            assert (
-                set_default_counts_threshold(None) == DEFAULT_COUNTS_THRESHOLD
-            )
-        assert resolve_trial_engine("auto", 100) == "batched"
-
-    def test_choices_include_auto(self):
-        assert "auto" in TRIAL_ENGINE_CHOICES
-        with pytest.raises(ValueError):
-            resolve_trial_engine("bogus", 10)
-
-    def test_auto_routes_protocol_trials(self):
-        noise = uniform_noise_matrix(3, 0.35)
-        outcomes = protocol_trial_outcomes(
-            rumor_instance(250, 3, 1), noise, 0.35, 2, 0,
-            target_opinion=1, trial_engine="auto", counts_threshold=100,
-        )
-        assert len(outcomes) == 2
-
-    def test_auto_routes_dynamics_trials(self):
-        initial = biased_population(300, 3, 0.3, random_state=1)
-        outcomes = dynamics_trial_outcomes(
-            initial, identity_matrix(3), "3-majority", 100, 2,
-            random_state=0, trial_engine="auto", counts_threshold=100,
-        )
-        assert len(outcomes) == 2
-
+class TestCountsNativeStates:
     def test_counts_native_states_always_resolve_to_counts(self):
         """Counts-native inputs carry no per-node information: 'auto' must
         pick the counts engine even below the threshold, and explicit
         per-node engines must be rejected with a clear error."""
-        from repro.core.state import CountsState
-
-        initial = CountsState([100, 60, 40], 300)
-        outcomes = dynamics_trial_outcomes(
-            initial, identity_matrix(3), "voter", 20, 2,
-            random_state=0, trial_engine="auto", stop_at_consensus=False,
-        )
-        assert len(outcomes) == 2
         noise = uniform_noise_matrix(3, 0.35)
-        protocol = protocol_trial_outcomes(
-            CountsState.single_source(250, 3, 1), noise, 0.35, 2, 0,
-            target_opinion=1, trial_engine="auto",
+        source = CountsState.single_source(250, 3, 1)
+        opinionated = CountsState([150, 90, 60], 300)
+        stage1 = stage1_trial_trajectories(
+            source, noise, 0.35, 2, 0, trial_engine="auto"
         )
-        assert len(protocol) == 2
+        assert stage1.num_trials == 2
+        stage2 = stage2_trial_trajectories(
+            opinionated, noise, 0.35, 2, 0, trial_engine="auto"
+        )
+        assert stage2.num_trials == 2
         for engine in ("batched", "sequential"):
             with pytest.raises(ValueError, match="per-node"):
-                dynamics_trial_outcomes(
-                    initial, identity_matrix(3), "voter", 20, 2,
-                    random_state=0, trial_engine=engine,
+                stage1_trial_trajectories(
+                    source, noise, 0.35, 2, 0, trial_engine=engine
                 )
             with pytest.raises(ValueError, match="per-node"):
-                protocol_trial_outcomes(
-                    CountsState.single_source(250, 3, 1), noise, 0.35, 2, 0,
-                    target_opinion=1, trial_engine=engine,
+                stage2_trial_trajectories(
+                    opinionated, noise, 0.35, 2, 0, trial_engine=engine
                 )
+
+    def test_analytic_engine_rejected(self):
+        with pytest.raises(ValueError, match="analytic"):
+            stage1_trial_trajectories(
+                rumor_instance(100, 3, 1), uniform_noise_matrix(3, 0.35),
+                0.35, 2, 0, trial_engine="analytic",
+            )

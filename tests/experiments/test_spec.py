@@ -7,7 +7,6 @@ import dataclasses
 import pytest
 
 import repro.experiments  # noqa: F401  (import populates the registry)
-from repro.experiments.runner import TRIAL_ENGINES
 from repro.experiments.spec import (
     ExperimentSpec,
     UnsupportedEngineError,
@@ -16,6 +15,7 @@ from repro.experiments.spec import (
     register_experiment,
     registered_ids,
 )
+from repro.sim import ENGINE_TIERS
 
 
 class TestRegistryCompleteness:
@@ -33,7 +33,8 @@ class TestRegistryCompleteness:
             assert spec.description
             assert callable(spec.run_fn)
             assert spec.supported_engines
-            assert set(spec.supported_engines) <= set(TRIAL_ENGINES)
+            # No experiment declares the analytic tier.
+            assert set(spec.supported_engines) <= set(ENGINE_TIERS) - {"analytic"}
             assert spec.module_name.startswith("repro.experiments.exp_")
 
     def test_every_config_builds_quick_and_full(self):

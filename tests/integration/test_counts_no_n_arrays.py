@@ -24,8 +24,8 @@ import pytest
 
 from repro.core.protocol import CountsProtocol
 from repro.core.state import CountsState
-from repro.dynamics import make_counts_dynamics
 from repro.noise.families import uniform_noise_matrix
+from repro.sim.engines import build_dynamics
 
 #: Any traced axis at or above this is treated as an ``n``-sized leak.
 #: It must stay comfortably above VOTE_CHUNK (32768) and the O(L) arrays
@@ -124,8 +124,8 @@ def test_counts_dynamics_allocate_no_n_sized_axis(shape_log):
             _RecordingGenerator(seed, shape_log)
             for seed in range(NUM_TRIALS)
         ]
-        dynamic = make_counts_dynamics(
-            rule, NUM_NODES, noise, generators, sample_size=sample_size
+        dynamic = build_dynamics(
+            "counts", rule, NUM_NODES, noise, generators, sample_size=sample_size
         )
         result = dynamic.run(
             initial, 5, NUM_TRIALS, target_opinion=1,
@@ -165,7 +165,7 @@ def test_counts_dynamics_run_at_a_trillion_nodes():
     initial = CountsState(
         np.array([500 * 10**9, 300 * 10**9, 200 * 10**9]), 10**12
     )
-    result = make_counts_dynamics("3-majority", 10**12, noise, 0).run(
+    result = build_dynamics("counts", "3-majority", 10**12, noise, 0).run(
         initial, 10, 4, target_opinion=1, stop_at_consensus=False
     )
     assert result.num_trials == 4

@@ -83,7 +83,6 @@ from repro.analytic import (
 from repro.core.analytic import AnalyticProtocol
 from repro.core.protocol import CountsProtocol, EnsembleProtocol, TwoStageProtocol
 from repro.core.state import CountsState, PopulationState
-from repro.dynamics import make_counts_dynamics, make_dynamics, make_ensemble_dynamics
 from repro.dynamics.analytic import ExactDynamicsChain
 from repro.experiments.workloads import biased_population, rumor_instance
 from repro.noise.families import uniform_noise_matrix
@@ -144,8 +143,8 @@ def ks_critical(size_a: int, size_b: int) -> float:
 def pooled_category_counts_counts_engine(rule, sample_size, num_nodes, noise,
                                          initial, trials, seed):
     """Pooled end-of-one-round category counts from the counts engine."""
-    result = make_counts_dynamics(
-        rule, num_nodes, noise, seed, sample_size=sample_size
+    result = build_dynamics(
+        "counts", rule, num_nodes, noise, seed, sample_size=sample_size
     ).run(initial, 1, trials, target_opinion=1, stop_at_consensus=False,
           record_history=False)
     per_opinion = result.final_states.counts.sum(axis=0)
@@ -156,8 +155,8 @@ def pooled_category_counts_counts_engine(rule, sample_size, num_nodes, noise,
 def pooled_category_counts_batched_engine(rule, sample_size, num_nodes, noise,
                                           initial, trials, seed):
     """Pooled end-of-one-round category counts from the batched engine."""
-    result = make_ensemble_dynamics(
-        rule, num_nodes, noise, seed, sample_size=sample_size
+    result = build_dynamics(
+        "batched", rule, num_nodes, noise, seed, sample_size=sample_size
     ).run(initial, 1, trials, target_opinion=1, stop_at_consensus=False,
           record_history=False)
     per_opinion = result.final_states.opinion_counts().sum(axis=0)
@@ -170,8 +169,8 @@ def pooled_category_counts_sequential_engine(rule, sample_size, num_nodes,
     """Pooled end-of-one-round category counts from the sequential engine."""
     pooled = np.zeros(noise.num_opinions + 1, dtype=np.int64)
     for trial in range(trials):
-        result = make_dynamics(
-            rule, num_nodes, noise, seed + trial, sample_size=sample_size
+        result = build_dynamics(
+            "sequential", rule, num_nodes, noise, seed + trial, sample_size=sample_size
         ).run(initial, 1, target_opinion=1, stop_at_consensus=False,
               record_history=False)
         pooled += np.bincount(
@@ -261,12 +260,12 @@ class TestDynamicsFinalBiasAgreement:
     @pytest.mark.parametrize("rule,sample_size", ALL_RULES)
     def test_counts_vs_batched_final_bias(self, rule, sample_size, noise,
                                           initial):
-        counts = make_counts_dynamics(
-            rule, self.NUM_NODES, noise, 50, sample_size=sample_size
+        counts = build_dynamics(
+            "counts", rule, self.NUM_NODES, noise, 50, sample_size=sample_size
         ).run(initial, self.ROUNDS, self.TRIALS, target_opinion=1,
               stop_at_consensus=False, record_history=False)
-        batched = make_ensemble_dynamics(
-            rule, self.NUM_NODES, noise, 60, sample_size=sample_size
+        batched = build_dynamics(
+            "batched", rule, self.NUM_NODES, noise, 60, sample_size=sample_size
         ).run(initial, self.ROUNDS, self.TRIALS, target_opinion=1,
               stop_at_consensus=False, record_history=False)
         statistic = ks_statistic(counts.final_biases, batched.final_biases)

@@ -37,10 +37,6 @@ class TestPublicApi:
         epsilon = repro.epsilon_for_delta(repro.binary_flip_matrix(0.2), 0.1)
         assert epsilon == pytest.approx(0.4, abs=1e-6)
 
-    def test_engine_factory_exported(self):
-        engine = repro.make_engine("push", 10, repro.identity_matrix(2))
-        assert isinstance(engine, repro.UniformPushModel)
-
     def test_memory_helpers_exported(self):
         schedule = repro.ProtocolSchedule.for_population(1000, 0.2)
         usage = repro.protocol_memory_usage(schedule, 3)

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.noise.families import cyclic_shift_matrix
-from repro.sim import ENGINE_POLICIES, WORKLOADS, Scenario
+from repro.sim import ENGINE_POLICIES, WORKLOADS, Scenario, ScenarioError, simulate
 
 
 def scenario_for(workload: str, engine: str, **overrides) -> Scenario:
@@ -95,6 +97,25 @@ class TestValidation:
     def test_h_majority_requires_sample_size(self):
         with pytest.raises(ValueError, match="requires sample_size"):
             Scenario(workload="dynamics", rule="h-majority")
+
+    @pytest.mark.parametrize(
+        "seed",
+        [-1, 1.5, "abc", np.random.default_rng(0), np.int64(7)],
+        ids=["negative", "float", "string", "generator", "numpy-int"],
+    )
+    def test_seed_must_be_none_or_a_non_negative_int(self, seed):
+        """Bad seeds fail validation up front instead of deep in numpy (or,
+        for a Generator, in ``to_json``); numpy integers are stored as int."""
+        knobs = dict(workload="rumor", num_nodes=200, engine="counts",
+                     num_trials=2)
+        if not isinstance(seed, np.integer):
+            with pytest.raises(ScenarioError, match="seed"):
+                Scenario(seed=seed, **knobs)
+            return
+        scenario = Scenario(seed=seed, **knobs)
+        assert scenario == Scenario(seed=int(seed), **knobs)
+        document = json.loads(simulate(scenario).to_json())
+        assert document["provenance"]["seed"] == 7
 
     def test_sample_size_rejected_for_other_rules(self):
         with pytest.raises(ValueError, match="does not take a sample_size"):

@@ -1,20 +1,14 @@
-"""Tests for simulate() — legacy equivalence, provenance, JSON, shims."""
+"""Tests for simulate() — registry, auto policy, provenance, JSON."""
 
 from __future__ import annotations
 
 import json
 import subprocess
 import sys
-import warnings
 
 import numpy as np
-import pytest
 
 from repro.experiments.orchestrator import ResultStore
-from repro.experiments.runner import (
-    dynamics_trial_outcomes,
-    protocol_trial_outcomes,
-)
 from repro.sim import (
     ENGINE_REGISTRY,
     Scenario,
@@ -59,77 +53,7 @@ def dynamics_scenario(engine: str, **overrides) -> Scenario:
     return Scenario(**knobs)
 
 
-class TestLegacyEquivalence:
-    """simulate() is bitwise identical to the legacy entry points.
-
-    The legacy path for each pair is the engine-aware trial helper the
-    experiments always used (`protocol_trial_outcomes` /
-    `dynamics_trial_outcomes`), fed the same materialized initial state,
-    the same seed and the same target — the exact call sites the facade
-    supersedes.
-    """
-
-    @pytest.mark.parametrize("workload", ["rumor", "plurality"])
-    @pytest.mark.parametrize("engine", ["sequential", "batched", "counts"])
-    def test_protocol_workloads_match_trial_outcomes(self, workload, engine):
-        scenario = protocol_scenario(workload, engine)
-        result = simulate(scenario)
-        legacy = protocol_trial_outcomes(
-            scenario.initial_state(),
-            scenario.build_noise(),
-            scenario.epsilon,
-            scenario.num_trials,
-            scenario.seed,
-            target_opinion=scenario.target_opinion(),
-            trial_engine=engine,
-        )
-        assert result.engine == engine
-        assert result.num_trials == len(legacy)
-        for trial, outcome in enumerate(legacy):
-            assert bool(result.successes[trial]) == outcome.success
-            assert int(result.rounds[trial]) == outcome.total_rounds
-            # Bitwise float equality — same engines, same draws.
-            assert float(result.final_biases[trial]) == outcome.final_bias
-            assert (
-                float(result.bias_after_stage1[trial])
-                == outcome.bias_after_stage1
-            )
-        assert result.stage1_rounds == legacy[0].stage1_rounds
-
-    @pytest.mark.parametrize(
-        "engine", ["sequential", "batched", "counts"]
-    )
-    @pytest.mark.parametrize(
-        "rule,sample_size",
-        [("3-majority", None), ("voter", None), ("h-majority", 5)],
-    )
-    def test_dynamics_workload_matches_trial_outcomes(
-        self, engine, rule, sample_size
-    ):
-        scenario = dynamics_scenario(engine, rule=rule, sample_size=sample_size)
-        result = simulate(scenario)
-        legacy = dynamics_trial_outcomes(
-            scenario.initial_state(),
-            scenario.build_noise(),
-            rule,
-            scenario.max_rounds,
-            scenario.num_trials,
-            scenario.seed,
-            sample_size=sample_size,
-            target_opinion=scenario.target_opinion(),
-            trial_engine=engine,
-        )
-        assert result.engine == engine
-        for trial, outcome in enumerate(legacy):
-            assert bool(result.successes[trial]) == outcome.success
-            assert bool(result.converged[trial]) == outcome.converged
-            assert int(result.rounds[trial]) == outcome.rounds_executed
-            assert (
-                int(result.consensus_opinions[trial])
-                == outcome.consensus_opinion
-            )
-            assert float(result.final_biases[trial]) == outcome.final_bias
-
+class TestRegistry:
     def test_every_workload_engine_pair_is_registered(self):
         pairs = set(ENGINE_REGISTRY.pairs())
         for workload in ("rumor", "plurality", "dynamics"):
@@ -267,43 +191,7 @@ class TestResultStoreStability:
         assert key == store.key_of(json.loads(json.dumps(identity)))
 
 
-class TestDeprecationShims:
-    def test_legacy_factories_warn_and_build_identical_engines(self, uniform3):
-        from repro.dynamics import (
-            make_counts_dynamics,
-            make_dynamics,
-            make_ensemble_dynamics,
-        )
-        from repro.sim import build_dynamics
-
-        with pytest.warns(DeprecationWarning, match="build_dynamics"):
-            legacy = make_dynamics("voter", 50, uniform3, 0)
-        assert type(legacy) is type(
-            build_dynamics("sequential", "voter", 50, uniform3, 0)
-        )
-        with pytest.warns(DeprecationWarning):
-            batched = make_ensemble_dynamics("3-majority", 50, uniform3, 0)
-        assert type(batched) is type(
-            build_dynamics("batched", "3-majority", 50, uniform3, 0)
-        )
-        with pytest.warns(DeprecationWarning):
-            counts = make_counts_dynamics("median-rule", 50, uniform3, 0)
-        assert type(counts) is type(
-            build_dynamics("counts", "median-rule", 50, uniform3, 0)
-        )
-
-    def test_make_engine_warns_and_delegates(self, uniform3):
-        from repro.core.protocol import make_engine
-        from repro.network.delivery import make_delivery_engine
-        from repro.network.push_model import UniformPushModel
-
-        with pytest.warns(DeprecationWarning, match="make_delivery_engine"):
-            engine = make_engine("push", 10, uniform3)
-        assert isinstance(engine, UniformPushModel)
-        assert isinstance(
-            make_delivery_engine("push", 10, uniform3), UniformPushModel
-        )
-
+class TestImport:
     def test_plain_import_emits_no_deprecation_warning(self):
         """`import repro` must stay silent — the CI gate in miniature."""
         completed = subprocess.run(
@@ -318,22 +206,3 @@ class TestDeprecationShims:
             text=True,
         )
         assert completed.returncode == 0, completed.stderr
-
-    def test_shimmed_runs_stay_bitwise_reproducible(self, uniform3):
-        """A seeded shim-built engine reproduces the registry-built one."""
-        from repro.dynamics import make_ensemble_dynamics
-        from repro.experiments.workloads import biased_population
-        from repro.sim import build_dynamics
-
-        initial = biased_population(200, 3, 0.3, random_state=3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            old = make_ensemble_dynamics("3-majority", 200, uniform3, 9).run(
-                initial, 60, 3, target_opinion=1
-            )
-        new = build_dynamics("batched", "3-majority", 200, uniform3, 9).run(
-            initial, 60, 3, target_opinion=1
-        )
-        np.testing.assert_array_equal(old.successes, new.successes)
-        np.testing.assert_array_equal(old.rounds_executed, new.rounds_executed)
-        np.testing.assert_array_equal(old.bias_history, new.bias_history)

@@ -17,45 +17,50 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run-experiment", "E99"])
 
-    def test_rumor_defaults(self):
-        args = build_parser().parse_args(["rumor"])
+    def test_simulate_defaults(self):
+        args = build_parser().parse_args(["simulate"])
+        assert args.workload == "rumor"
         assert args.nodes == 2000
         assert args.opinions == 3
         assert args.epsilon == pytest.approx(0.3)
+        assert args.engine == "auto"
+        assert args.trials == 32
+        assert args.max_rounds == 300
 
-    def test_plurality_arguments(self):
+    def test_simulate_plurality_arguments(self):
         args = build_parser().parse_args(
-            ["plurality", "--nodes", "500", "--support", "100", "--bias", "0.3"]
+            ["simulate", "--workload", "plurality", "--nodes", "500",
+             "--support", "100", "--bias", "0.3"]
         )
         assert args.support == 100
         assert args.bias == pytest.approx(0.3)
 
-    def test_dynamics_defaults(self):
-        args = build_parser().parse_args(["dynamics"])
-        assert args.rule == "3-majority"
-        assert args.engine == "batched"
-        assert args.trials == 32
-        assert args.max_rounds == 300
-
-    def test_dynamics_rejects_unknown_rule(self):
+    def test_simulate_rejects_unknown_rule(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["dynamics", "--rule", "bogus"])
+            build_parser().parse_args(["simulate", "--rule", "bogus"])
 
-    def test_dynamics_rejects_unknown_engine(self):
+    @pytest.mark.parametrize(
+        "command", ["rumor", "plurality", "ensemble", "dynamics"]
+    )
+    def test_legacy_subcommands_are_gone(self, capsys, command):
+        with pytest.raises(SystemExit) as raised:
+            main([command, "--nodes", "50"])
+        assert raised.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_h_majority_requires_sample_size(self, capsys):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["dynamics", "--engine", "bogus"])
+            main(["simulate", "--workload", "dynamics", "--rule", "h-majority",
+                  "--nodes", "50"])
+        assert "requires sample_size" in capsys.readouterr().err
 
-    def test_dynamics_h_majority_requires_sample_size(self, capsys):
+    def test_sample_size_rejected_for_other_rules(self, capsys):
         with pytest.raises(SystemExit):
-            main(["dynamics", "--rule", "h-majority", "--nodes", "50"])
-        assert "requires --sample-size" in capsys.readouterr().err
+            main(["simulate", "--workload", "dynamics", "--rule", "voter",
+                  "--sample-size", "3"])
+        assert "does not take a sample_size" in capsys.readouterr().err
 
-    def test_dynamics_sample_size_rejected_for_other_rules(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["dynamics", "--rule", "voter", "--sample-size", "3"])
-        assert "only applies to --rule h-majority" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("command", ["ensemble", "dynamics", "run-experiment"])
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "run-experiment"])
     def test_engine_choices_are_uniform_across_subcommands(self, command):
         """Every trial-running subcommand accepts the same engine names."""
         prefix = [command, "E12"] if command == "run-experiment" else [command]
@@ -65,7 +70,7 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(prefix + ["--engine", "bogus"])
 
-    @pytest.mark.parametrize("command", ["ensemble", "dynamics", "run-experiment"])
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "run-experiment"])
     def test_counts_threshold_accepted_with_auto(self, command):
         prefix = [command, "E12"] if command == "run-experiment" else [command]
         args = build_parser().parse_args(
@@ -75,12 +80,12 @@ class TestParser:
 
     def test_counts_threshold_requires_auto(self, capsys):
         with pytest.raises(SystemExit):
-            main(["dynamics", "--engine", "counts", "--counts-threshold", "5"])
+            main(["simulate", "--engine", "counts", "--counts-threshold", "5"])
         assert "only applies to --engine auto" in capsys.readouterr().err
 
     def test_counts_threshold_must_be_positive(self, capsys):
         with pytest.raises(SystemExit):
-            main(["dynamics", "--engine", "auto", "--counts-threshold", "0"])
+            main(["simulate", "--engine", "auto", "--counts-threshold", "0"])
         assert "must be >= 1" in capsys.readouterr().err
 
     def test_counts_threshold_requires_auto_on_run_experiment_too(
@@ -90,24 +95,14 @@ class TestParser:
             main(["run-experiment", "E11", "--counts-threshold", "10"])
         assert "only applies to --engine auto" in capsys.readouterr().err
 
-    def test_intractable_counts_sample_size_is_a_parser_error(self, capsys):
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "dynamics",
-                    "--rule", "h-majority",
-                    "--sample-size", "256",
-                    "--engine", "counts",
-                    "--nodes", "100",
-                ]
-            )
-        assert "maj() table budget" in capsys.readouterr().err
-
     def test_intractable_sample_size_on_auto_degrades_to_batched(self, capsys):
-        """--engine auto matches the facade: degrade, don't error."""
+        """--engine auto degrades an intractable counts h-majority to the
+        batched tier instead of failing (an explicit --engine counts is a
+        parser error, see TestSimulateCommand)."""
         exit_code = main(
             [
-                "dynamics",
+                "simulate",
+                "--workload", "dynamics",
                 "--rule", "h-majority",
                 "--sample-size", "256",
                 "--engine", "auto",
@@ -123,6 +118,7 @@ class TestParser:
         captured = capsys.readouterr()
         assert exit_code in (0, 1)
         assert "engine                : batched" in captured.out
+        assert "engine degraded       : " in captured.out
 
 
 class TestSimulateCommand:
@@ -261,43 +257,28 @@ class TestCommands:
         assert exit_code == 0
         assert "[E10]" in captured.out
 
-    def test_rumor_command_success_exit_code(self, capsys):
+    def test_simulate_single_sequential_rumor_run(self, capsys):
         exit_code = main(
             [
-                "rumor",
+                "simulate",
                 "--nodes", "500",
                 "--opinions", "3",
                 "--epsilon", "0.35",
+                "--trials", "1",
+                "--engine", "sequential",
                 "--seed", "0",
             ]
         )
         captured = capsys.readouterr()
         assert exit_code == 0
-        assert "success               : True" in captured.out
-
-    def test_dynamics_command_batched(self, capsys):
-        exit_code = main(
-            [
-                "dynamics",
-                "--rule", "3-majority",
-                "--nodes", "500",
-                "--opinions", "3",
-                "--epsilon", "0.66",
-                "--bias", "0.3",
-                "--trials", "4",
-                "--max-rounds", "200",
-                "--seed", "0",
-            ]
-        )
-        captured = capsys.readouterr()
-        assert exit_code == 0
+        assert "engine                : sequential" in captured.out
         assert "success rate          : 1.0000" in captured.out
-        assert "engine                : batched" in captured.out
 
-    def test_dynamics_command_sequential_engine(self, capsys):
+    def test_simulate_dynamics_sequential_engine(self, capsys):
         exit_code = main(
             [
-                "dynamics",
+                "simulate",
+                "--workload", "dynamics",
                 "--rule", "undecided-state",
                 "--nodes", "300",
                 "--epsilon", "0.6",
@@ -314,58 +295,6 @@ class TestCommands:
         assert exit_code in (0, 1)
         assert "engine                : sequential" in captured.out
         assert "convergence rate" in captured.out
-
-    def test_plurality_command(self, capsys):
-        exit_code = main(
-            [
-                "plurality",
-                "--nodes", "500",
-                "--opinions", "3",
-                "--epsilon", "0.35",
-                "--support", "200",
-                "--bias", "0.4",
-                "--seed", "0",
-            ]
-        )
-        captured = capsys.readouterr()
-        assert exit_code == 0
-        assert "plurality opinion     : 1" in captured.out
-
-    def test_ensemble_command_counts_engine(self, capsys):
-        exit_code = main(
-            [
-                "ensemble",
-                "--nodes", "400",
-                "--opinions", "3",
-                "--epsilon", "0.3",
-                "--trials", "4",
-                "--engine", "counts",
-                "--seed", "0",
-            ]
-        )
-        captured = capsys.readouterr()
-        assert exit_code in (0, 1)
-        assert "engine                : counts" in captured.out
-        assert "throughput" in captured.out
-
-    def test_dynamics_command_auto_resolves_to_counts(self, capsys):
-        exit_code = main(
-            [
-                "dynamics",
-                "--rule", "3-majority",
-                "--nodes", "500",
-                "--epsilon", "0.66",
-                "--bias", "0.3",
-                "--trials", "4",
-                "--max-rounds", "200",
-                "--engine", "auto",
-                "--counts-threshold", "100",
-                "--seed", "0",
-            ]
-        )
-        captured = capsys.readouterr()
-        assert exit_code == 0
-        assert "engine                : counts" in captured.out
 
     def test_run_experiment_engine_override(self, capsys):
         exit_code = main(
