@@ -26,13 +26,17 @@ with an explicit per-trial seed list.
 The per-node points pin the sequential and batched tiers of ``simulate()``
 (successes, rounds, final counts, final biases, end-of-Stage-1 biases and a
 digest of the trajectories) for rumor ``k = 2``, plurality ``k = 3`` from a
-partial biased support, and all six dynamics rules (five at ``n = 200``,
-``k = 3``; approximate consensus at its random ``n = 7`` point).
-They were captured while the experiments' former per-trial runner helpers
-still existed and matched these runs bitwise (approximate consensus aside:
-the dynamics helper could not set its precision target), so they keep
-pinning these tiers to an independent reference now that the helpers are
-gone.
+partial biased support, all six dynamics rules (five at ``n = 200``,
+``k = 3``; approximate consensus at its random ``n = 7`` point) and rumor
+``k = 2`` under crash, omission and liar faults; the batched tier also runs
+rumor ``k = 2`` delivered by processes B and P.  The rumor, plurality and
+dynamics points were captured while the experiments' former per-trial
+runner helpers still existed and matched these runs bitwise (approximate
+consensus aside: the dynamics helper could not set its precision target),
+so they keep pinning these tiers to an independent reference now that the
+helpers are gone.  The faulted and process points were captured while the
+per-node engines still carried a shared-stream mode next to their
+per-trial streams.
 
 Regenerate (only when a change to the draw order or to a law value is
 intended and has passed ``pytest -m agreement``) with::
@@ -144,6 +148,27 @@ PER_NODE_POINTS = {
                       "median-rule-k3", "h-majority-h5-k3",
                       "approximate-consensus-n7-k4")
     },
+    **{
+        f"{kind}-rumor-k2": dict(workload="rumor", num_nodes=400,
+                                 num_opinions=2, epsilon=0.3, faults=faults)
+        for kind, faults in (
+            ("crash", FaultModel(kind="crash", fraction=0.05,
+                                 crash_round=40)),
+            ("omission", FaultModel(kind="omission", fraction=0.1)),
+            ("liar", FaultModel(kind="liar", fraction=0.1)),
+        )
+    },
+}
+
+#: label -> Scenario keyword arguments run on the batched tier only: the
+#: delivery processes B and P, whose batched phases share the push
+#: process's per-trial stream plumbing.
+BATCHED_POINTS = {
+    f"{process.replace('_', '-')}-rumor-k2": dict(
+        workload="rumor", num_nodes=400, num_opinions=2, epsilon=0.3,
+        process=process,
+    )
+    for process in ("balls_bins", "poisson")
 }
 
 
@@ -245,9 +270,9 @@ def ensemble_rows_record(rule: str) -> dict:
 
 
 def per_node_record(label: str, tier: str, seed: int) -> dict:
+    points = BATCHED_POINTS if label in BATCHED_POINTS else PER_NODE_POINTS
     result = simulate(Scenario(
-        engine=tier, num_trials=PER_NODE_TRIALS, seed=seed,
-        **PER_NODE_POINTS[label],
+        engine=tier, num_trials=PER_NODE_TRIALS, seed=seed, **points[label],
     ))
     stage1 = result.bias_after_stage1
     return {
@@ -296,6 +321,13 @@ def compute_golden() -> dict:
             for label in PER_NODE_POINTS
             for tier in PER_NODE_TIERS
         },
+        "per_node_batched": {
+            label: {
+                str(seed): per_node_record(label, "batched", seed)
+                for seed in SEEDS
+            }
+            for label in BATCHED_POINTS
+        },
     }
 
 
@@ -338,6 +370,15 @@ def test_simulate_per_node_tiers_match_golden(golden, label, tier, seed):
     assert (
         per_node_record(label, tier, seed)
         == golden["per_node"][f"{label}-{tier}"][str(seed)]
+    )
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("label", list(BATCHED_POINTS))
+def test_simulate_batched_processes_match_golden(golden, label, seed):
+    assert (
+        per_node_record(label, "batched", seed)
+        == golden["per_node_batched"][label][str(seed)]
     )
 
 
