@@ -22,8 +22,9 @@ path's advantage is measurable, in both draw modes (per-trial, which is
 bitwise-checked here, and batched, which is distribution-pinned by the
 ``pytest -m agreement`` suite) — and recorded without an assertion; the
 ``>= 3x`` protocol-sweep floor is asserted by
-``bench_protocol_fastpath.py``.  The ``maj()`` vote-law cache counters
-are recorded too, showing how much tabulation work grid points shared.
+``bench_protocol_fastpath.py``.  The ``maj()`` composition-table cache
+counters are recorded too, showing how much tabulation work grid points
+shared.
 
 Run with::
 
@@ -213,8 +214,8 @@ def test_sweep_speedup_and_equivalence(capsys):
             f"best of {PROTOCOL_REPEATS}) {protocol_entry['speedup']:.1f}x "
             f"per-trial / {protocol_entry['batched_speedup']:.1f}x batched; "
             f"every per-trial point bitwise equal; "
-            f"vote-law cache {cache_info['law_hits']} hits / "
-            f"{cache_info['law_misses']} misses"
+            f"maj() table cache {cache_info['table_hits']} hits / "
+            f"{cache_info['table_misses']} misses"
         )
 
     record_benchmark_results(

@@ -76,7 +76,6 @@ from repro.core.state import (
 )
 from repro.dynamics import (
     DYNAMICS_RULES,
-    CountsDynamicsResult,
     EnsembleCountsDynamics,
     EnsembleDynamicsResult,
     EnsembleOpinionDynamics,
@@ -126,7 +125,6 @@ except PackageNotFoundError:  # pragma: no cover - source checkout
 
 __all__ = [
     "BallsIntoBinsProcess",
-    "CountsDynamicsResult",
     "CountsProtocol",
     "CountsState",
     "DYNAMICS_RULES",

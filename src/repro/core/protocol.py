@@ -10,7 +10,7 @@ opinion, and after how many rounds).
 independent trials of the same protocol as one vectorized computation over
 an ``(R, n)`` opinion matrix, which is how repeated-trial experiments get
 multi-fold speedups over a Python-level loop of :class:`TwoStageProtocol`
-runs.  :meth:`TwoStageProtocol.run_ensemble` is a convenience shortcut.
+runs.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from repro.utils.rng import (
     EnsembleRandomState,
     RandomState,
     as_generator,
-    resolve_trial_randomness,
+    as_trial_generators,
 )
 
 __all__ = [
@@ -283,36 +283,6 @@ class TwoStageProtocol:
             stage2_records=stage2_records,
         )
 
-    def run_ensemble(
-        self,
-        initial_state: Union[PopulationState, EnsembleState],
-        num_trials: Optional[int] = None,
-        *,
-        target_opinion: Optional[int] = None,
-        rng_mode: str = "per_trial",
-    ) -> "EnsembleResult":
-        """Run ``num_trials`` independent trials as one batched computation.
-
-        Convenience shortcut constructing an :class:`EnsembleProtocol` with
-        this protocol's parameters; see there for the full contract.
-        """
-        ensemble = EnsembleProtocol(
-            self.num_nodes,
-            self.noise,
-            schedule=self._schedule,
-            epsilon=self.epsilon,
-            process=self.process,
-            engine=self.engine,
-            random_state=self._rng,
-            rng_mode=rng_mode,
-            round_scale=self.round_scale,
-            sampling_method=self.sampling_method,
-            use_full_multiset=self.use_full_multiset,
-        )
-        return ensemble.run(
-            initial_state, num_trials, target_opinion=target_opinion
-        )
-
 
 @dataclass
 class EnsembleResult:
@@ -419,17 +389,12 @@ class EnsembleProtocol:
         ``run_ensemble_phase_from_senders``; topology-aware engines must use
         the sequential protocol.
     random_state:
-        Either a single :data:`~repro.utils.rng.RandomState` or a sequence
-        with one entry per trial.  With a sequence, trial ``r`` consumes
-        randomness exclusively from its own source — a batched run is then
-        *bitwise identical* to ``R`` separate batch-size-1 runs with the same
-        per-trial sources (the equivalence the test-suite checks).
-    rng_mode:
-        ``"per_trial"`` (default): when ``random_state`` is a single source,
-        spawn one independent child generator per trial, preserving the
-        trial-by-trial reproducibility guarantee.  ``"shared"``: drive the
-        whole batch from one generator with fully batched draws — slightly
-        faster, but individual trials are not reproducible in isolation.
+        Either a sequence with one :data:`~repro.utils.rng.RandomState` per
+        trial or a single source, spawned into one independent child
+        generator per trial.  Trial ``r`` consumes randomness exclusively
+        from its own stream, so a batched run is *bitwise identical* to
+        ``R`` separate batch-size-1 runs with the same per-trial sources
+        (the equivalence the test-suite checks).
     """
 
     def __init__(
@@ -442,17 +407,12 @@ class EnsembleProtocol:
         process: str = "push",
         engine=None,
         random_state: EnsembleRandomState = None,
-        rng_mode: str = "per_trial",
         round_scale: float = 1.0,
         sampling_method: str = "without_replacement",
         use_full_multiset: bool = False,
     ) -> None:
         if schedule is None and epsilon is None:
             raise ValueError("either schedule or epsilon must be provided")
-        if rng_mode not in {"per_trial", "shared"}:
-            raise ValueError(
-                f"rng_mode must be 'per_trial' or 'shared', got {rng_mode!r}"
-            )
         self.num_nodes = int(num_nodes)
         self.noise = noise
         self.epsilon = epsilon
@@ -465,7 +425,6 @@ class EnsembleProtocol:
                     f"engine is built for {engine_nodes} nodes but the protocol "
                     f"was asked to run on {self.num_nodes}"
                 )
-        self.rng_mode = rng_mode
         self.round_scale = round_scale
         self.sampling_method = sampling_method
         self.use_full_multiset = use_full_multiset
@@ -481,11 +440,6 @@ class EnsembleProtocol:
             float(self.epsilon),
             initial_opinionated=max(1, initial_opinionated),
             round_scale=self.round_scale,
-        )
-
-    def _trial_randomness(self, num_trials: int) -> EnsembleRandomState:
-        return resolve_trial_randomness(
-            self._random_state, num_trials, self.rng_mode
         )
 
     def run(
@@ -556,15 +510,15 @@ class EnsembleProtocol:
             engine = make_delivery_engine(
                 self.process, self.num_nodes, self.noise, None
             )
-        randomness = self._trial_randomness(ensemble.num_trials)
-        stage1 = EnsembleStage1Executor(engine, schedule.stage1, randomness)
+        generators = as_trial_generators(self._random_state, ensemble.num_trials)
+        stage1 = EnsembleStage1Executor(engine, schedule.stage1, generators)
         state_after_stage1, stage1_records = stage1.run(
             ensemble, track_opinion=target_opinion
         )
         stage2 = EnsembleStage2Executor(
             engine,
             schedule.stage2,
-            randomness,
+            generators,
             sampling_method=self.sampling_method,
             use_full_multiset=self.use_full_multiset,
         )
@@ -771,9 +725,7 @@ def _prepare_point(
             round_scale=task.round_scale,
         )
     if spawn_generators:
-        generators = resolve_trial_randomness(
-            task.random_state, ensemble.num_trials, "per_trial"
-        )
+        generators = as_trial_generators(task.random_state, ensemble.num_trials)
     else:
         generators = []
     plan = [
@@ -789,7 +741,7 @@ def _prepare_point(
         task=task,
         ensemble=ensemble,
         target_opinion=int(target_opinion),
-        generators=list(generators),
+        generators=generators,
         plan=plan,
     )
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.protocol import EnsembleResult, ProtocolResult, TwoStageProtocol
+from repro.core.protocol import ProtocolResult, TwoStageProtocol
 from repro.core.schedule import ProtocolSchedule
 from repro.core.state import PopulationState
 from repro.noise.matrix import NoiseMatrix
@@ -118,20 +118,4 @@ class RumorSpreading:
             self.instance.initial_state(),
             target_opinion=self.instance.correct_opinion,
             stop_at_consensus=stop_at_consensus,
-        )
-
-    def run_ensemble(
-        self, num_trials: int, *, rng_mode: str = "per_trial"
-    ) -> EnsembleResult:
-        """Run ``num_trials`` independent instances as one batched computation.
-
-        All trials start from the same single-source state; see
-        :class:`~repro.core.protocol.EnsembleProtocol` for the batching and
-        reproducibility contract.
-        """
-        return self.protocol.run_ensemble(
-            self.instance.initial_state(),
-            num_trials,
-            target_opinion=self.instance.correct_opinion,
-            rng_mode=rng_mode,
         )

@@ -35,7 +35,7 @@ from repro.utils.rng import (
     EnsembleRandomState,
     RandomState,
     as_generator,
-    normalize_ensemble_random_state,
+    as_trial_generators,
 )
 
 __all__ = [
@@ -214,8 +214,8 @@ class EnsembleStage1Executor:
     trials' messages through the engine's batched entry point and applies
     the end-of-phase adoption rule to the whole ``(R, n)`` batch at once.
     Trials never interact — a trial's evolution depends only on its own row
-    and (in per-trial randomness mode) its own generator, which is what the
-    batched-equals-sequential equivalence tests rely on.
+    and its own generator, which is what the batched-equals-sequential
+    equivalence tests rely on.
 
     Parameters
     ----------
@@ -225,8 +225,9 @@ class EnsembleStage1Executor:
     schedule:
         The Stage-1 phase schedule, shared by every trial.
     random_state:
-        One shared randomness source, or a sequence with one source per
-        trial (then trial ``r`` consumes draws from its own generator only).
+        One source per trial, or a single source spawned into one child per
+        trial when :meth:`run` sees the batch; trial ``r`` consumes draws
+        from its own generator only.
     """
 
     def __init__(
@@ -241,7 +242,7 @@ class EnsembleStage1Executor:
             )
         self.engine = engine
         self.schedule = schedule
-        self._random_state = normalize_ensemble_random_state(random_state)
+        self._random_state = random_state
 
     def run(
         self,
@@ -259,10 +260,15 @@ class EnsembleStage1Executor:
         if track_opinion is None:
             pooled = current.pooled_plurality_opinion()
             track_opinion = pooled if pooled > 0 else None
+        generators = as_trial_generators(self._random_state, current.num_trials)
         records: List[EnsembleStage1PhaseRecord] = []
         for phase_index, num_rounds in enumerate(self.schedule.phase_lengths):
             record = self.run_phase(
-                current, phase_index, num_rounds, track_opinion=track_opinion
+                current,
+                phase_index,
+                num_rounds,
+                generators,
+                track_opinion=track_opinion,
             )
             records.append(record)
         return current, records
@@ -272,17 +278,21 @@ class EnsembleStage1Executor:
         state: EnsembleState,
         phase_index: int,
         num_rounds: int,
+        generators: List[np.random.Generator],
         *,
         track_opinion: Optional[int] = None,
     ) -> EnsembleStage1PhaseRecord:
-        """Execute a single batched Stage-1 phase, mutating ``state`` in place."""
+        """Execute a single batched Stage-1 phase, mutating ``state`` in place.
+
+        ``generators`` holds one stream per trial of ``state``.
+        """
         opinionated_before = state.opinionated_counts()
         received = deliver_ensemble_phase(
-            self.engine, state.opinions, num_rounds, self._random_state
+            self.engine, state.opinions, num_rounds, generators
         )
         # Only undecided nodes act on what they received; each adopts one
         # received opinion u.a.r. (counting multiplicities) at phase end.
-        adopted = received.uniform_opinion_choice(self._random_state)
+        adopted = received.uniform_opinion_choice(generators)
         undecided = ~state.opinionated_mask()
         adopters = undecided & (adopted > 0)
         state.opinions[adopters] = adopted[adopters]

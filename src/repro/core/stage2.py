@@ -34,7 +34,7 @@ from repro.utils.rng import (
     EnsembleRandomState,
     RandomState,
     as_generator,
-    normalize_ensemble_random_state,
+    as_trial_generators,
 )
 
 __all__ = [
@@ -255,8 +255,9 @@ class EnsembleStage2Executor:
     schedule:
         The Stage-2 phase schedule (lengths and sample sizes).
     random_state:
-        One shared randomness source, or a sequence with one source per
-        trial (then trial ``r`` consumes draws from its own generator only).
+        One source per trial, or a single source spawned into one child per
+        trial when :meth:`run` sees the batch; trial ``r`` consumes draws
+        from its own generator only.
     sampling_method, use_full_multiset:
         As in :class:`Stage2Executor`.
     """
@@ -283,7 +284,7 @@ class EnsembleStage2Executor:
         self.schedule = schedule
         self.sampling_method = sampling_method
         self.use_full_multiset = use_full_multiset
-        self._random_state = normalize_ensemble_random_state(random_state)
+        self._random_state = random_state
 
     def run(
         self,
@@ -296,6 +297,7 @@ class EnsembleStage2Executor:
         if track_opinion is None:
             pooled = current.pooled_plurality_opinion()
             track_opinion = pooled if pooled > 0 else None
+        generators = as_trial_generators(self._random_state, current.num_trials)
         records: List[EnsembleStage2PhaseRecord] = []
         for phase_index, (num_rounds, sample_size) in enumerate(
             zip(self.schedule.phase_lengths, self.schedule.sample_sizes)
@@ -305,6 +307,7 @@ class EnsembleStage2Executor:
                 phase_index,
                 num_rounds,
                 sample_size,
+                generators,
                 track_opinion=track_opinion,
             )
             records.append(record)
@@ -316,18 +319,22 @@ class EnsembleStage2Executor:
         phase_index: int,
         num_rounds: int,
         sample_size: int,
+        generators: List[np.random.Generator],
         *,
         track_opinion: Optional[int] = None,
     ) -> EnsembleStage2PhaseRecord:
-        """Execute a single batched Stage-2 phase, mutating ``state`` in place."""
+        """Execute a single batched Stage-2 phase, mutating ``state`` in place.
+
+        ``generators`` holds one stream per trial of ``state``.
+        """
         bias_before = (
             state.bias_toward(track_opinion) if track_opinion is not None else None
         )
         received = deliver_ensemble_phase(
-            self.engine, state.opinions, num_rounds, self._random_state
+            self.engine, state.opinions, num_rounds, generators
         )
         votes = received.majority_votes(
-            self._random_state,
+            generators,
             sample_size=None if self.use_full_multiset else sample_size,
             sampling_method=self.sampling_method,
         )

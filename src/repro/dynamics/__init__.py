@@ -48,7 +48,6 @@ from repro.dynamics.approximate_consensus import (
     EnsembleCountsApproximateConsensusDynamics,
 )
 from repro.dynamics.base import (
-    CountsDynamicsResult,
     DynamicsResult,
     EnsembleCountsDynamics,
     EnsembleDynamicsResult,
@@ -81,7 +80,6 @@ from repro.dynamics.voter import (
 __all__ = [
     "DYNAMICS_RULES",
     "ApproximateConsensusDynamics",
-    "CountsDynamicsResult",
     "DynamicsResult",
     "EnsembleApproximateConsensusDynamics",
     "EnsembleCountsApproximateConsensusDynamics",

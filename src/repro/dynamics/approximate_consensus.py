@@ -50,12 +50,7 @@ from repro.dynamics.base import (
 )
 from repro.noise.matrix import NoiseMatrix
 from repro.utils.multiset import opinion_counts_matrix
-from repro.utils.rng import (
-    EnsembleRandomState,
-    RandomState,
-    as_generator,
-    is_generator_sequence,
-)
+from repro.utils.rng import EnsembleRandomState, RandomState
 
 __all__ = [
     "ApproximateConsensusDynamics",
@@ -220,10 +215,9 @@ class EnsembleApproximateConsensusDynamics(EnsembleOpinionDynamics):
         noise: NoiseMatrix,
         random_state: EnsembleRandomState = None,
         *,
-        rng_mode: str = "per_trial",
         epsilon: float = 0.1,
     ) -> None:
-        super().__init__(num_nodes, noise, random_state, rng_mode=rng_mode)
+        super().__init__(num_nodes, noise, random_state)
         self.epsilon = _validate_epsilon(epsilon)
         self.fault_tolerance = byzantine_fault_tolerance(self.num_nodes)
         self.acceptance = self.num_nodes - self.fault_tolerance
@@ -249,15 +243,11 @@ class EnsembleApproximateConsensusDynamics(EnsembleOpinionDynamics):
         law, has_mass = interval_midpoint_law(
             counts, self.num_nodes, self.noise, self.acceptance
         )
-        per_trial = is_generator_sequence(random_state)
-        shared = None if per_trial else as_generator(random_state)
-        for row in range(state.num_trials):
-            if not has_mass[row]:
-                continue
-            generator = random_state[row] if per_trial else shared
-            state.opinions[row] = _sample_opinions(
-                law[row], self.num_nodes, generator
-            )
+        for row, generator in enumerate(random_state):
+            if has_mass[row]:
+                state.opinions[row] = _sample_opinions(
+                    law[row], self.num_nodes, generator
+                )
 
 
 class EnsembleCountsApproximateConsensusDynamics(EnsembleCountsDynamics):

@@ -12,14 +12,13 @@ detection and history recording; concrete dynamics implement
 independent trials evolve together over an ``(R, n)`` opinion matrix
 (:class:`~repro.core.state.EnsembleState`), with per-trial convergence
 tracking and an active-trials index so converged trials stop costing work.
-With per-trial randomness sources (the default), trial ``r`` consumes draws
-from its own source only, so a batched run is bitwise identical to ``R``
-batch-size-1 ensemble runs with matched seeds — exactly the guarantee the
-ensemble protocol gives.  Agreement with the sequential
-:meth:`OpinionDynamics.run` reference engine is distributional (the batched
-engine samples the compound observation channel; see
-:mod:`repro.network.pull_model`) and is checked statistically by the
-test-suite.
+Trial ``r`` consumes draws from its own per-trial stream only, so a batched
+run is bitwise identical to ``R`` batch-size-1 ensemble runs with matched
+seeds — exactly the guarantee the ensemble protocol gives.  Agreement with
+the sequential :meth:`OpinionDynamics.run` reference engine is
+distributional (the batched engine samples the compound observation
+channel; see :mod:`repro.network.pull_model`) and is checked statistically
+by the test-suite.
 
 :class:`EnsembleCountsDynamics` is the counts tier: ``(R, k)`` opinion
 counts, one multinomial per current-opinion group per round, ``O(k^2)``
@@ -27,8 +26,9 @@ per trial independent of ``n``.  Its rule classes declare only a rule
 family and parameters; the one round loop is
 :func:`run_heterogeneous_counts_dynamics`, which advances any number of
 counts runs (a single :meth:`EnsembleCountsDynamics.run`, or a whole sweep
-grid) as merged per-family batches.  Counts trials always draw from
-per-trial streams.
+grid) as merged per-family batches.  Counts trials draw from per-trial
+streams too, and report in the same :class:`EnsembleDynamicsResult` with an
+:class:`~repro.core.state.EnsembleCountsState` as the final state.
 """
 
 from __future__ import annotations
@@ -58,8 +58,6 @@ from repro.utils.rng import (
     RandomState,
     as_generator,
     as_trial_generators,
-    is_generator_sequence,
-    resolve_trial_randomness,
 )
 from repro.utils.validation import require_opinion, require_positive_int
 
@@ -69,7 +67,6 @@ __all__ = [
     "EnsembleOpinionDynamics",
     "EnsembleDynamicsResult",
     "EnsembleCountsDynamics",
-    "CountsDynamicsResult",
     "CountsDynamicsTask",
     "run_heterogeneous_counts_dynamics",
 ]
@@ -224,12 +221,16 @@ class OpinionDynamics(ABC):
 
 @dataclass
 class EnsembleDynamicsResult:
-    """Outcome of a batched multi-trial dynamics run.
+    """Outcome of a batched or counts multi-trial dynamics run.
 
     Attributes
     ----------
     final_states:
-        The ensemble state when every trial had stopped (one row per trial).
+        The state when every trial had stopped (one row per trial): an
+        :class:`~repro.core.state.EnsembleState` from the batched engine,
+        an :class:`~repro.core.state.EnsembleCountsState` (``(R, k)``
+        sufficient statistics) from the counts engine, which never
+        materializes per-node opinions.
     rounds_executed:
         Integer ``(R,)`` array: rounds trial ``r`` executed before it
         converged (or hit ``max_rounds``).
@@ -250,7 +251,7 @@ class EnsembleDynamicsResult:
         would record.  Empty (``T = 0``) when history recording is off.
     """
 
-    final_states: EnsembleState
+    final_states: Union[EnsembleState, EnsembleCountsState]
     rounds_executed: np.ndarray
     converged: np.ndarray
     consensus_opinions: np.ndarray
@@ -293,7 +294,9 @@ class EnsembleDynamicsResult:
         """Trial ``trial`` as a standalone :class:`DynamicsResult`.
 
         Bitwise identical to what a batch-size-1 ensemble run with that
-        trial's randomness source would have produced for its only trial.
+        trial's randomness source would have produced for its only trial
+        (a counts result's trial state is a
+        :class:`~repro.core.state.CountsState`).
         """
         rounds = int(self.rounds_executed[trial])
         return DynamicsResult(
@@ -335,17 +338,11 @@ class EnsembleOpinionDynamics(ABC):
     noise:
         Noise matrix applied to every observation.
     random_state:
-        Either a single :data:`~repro.utils.rng.RandomState` or a sequence
-        with one entry per trial.  With a sequence, trial ``r`` consumes
-        randomness exclusively from its own source, making a batched run
-        bitwise identical to ``R`` batch-size-1 runs with the same sources.
-    rng_mode:
-        ``"per_trial"`` (default): when ``random_state`` is a single source,
-        spawn one independent child generator per trial, preserving the
-        trial-by-trial reproducibility guarantee.  ``"shared"``: drive the
-        whole batch from one generator with fully batched draws — faster,
-        but individual trials are not reproducible in isolation (and the
-        stream depends on when other trials converge).
+        Either a sequence with one :data:`~repro.utils.rng.RandomState` per
+        trial or a single source, spawned into one independent child
+        generator per trial.  Trial ``r`` consumes randomness exclusively
+        from its own stream, making a batched run bitwise identical to
+        ``R`` batch-size-1 runs with the same sources.
     """
 
     #: Human-readable name used in comparison tables.
@@ -356,16 +353,9 @@ class EnsembleOpinionDynamics(ABC):
         num_nodes: int,
         noise: NoiseMatrix,
         random_state: EnsembleRandomState = None,
-        *,
-        rng_mode: str = "per_trial",
     ) -> None:
-        if rng_mode not in {"per_trial", "shared"}:
-            raise ValueError(
-                f"rng_mode must be 'per_trial' or 'shared', got {rng_mode!r}"
-            )
         self.num_nodes = require_positive_int(num_nodes, "num_nodes")
         self.noise = noise
-        self.rng_mode = rng_mode
         self._random_state = random_state
         self.pull = EnsemblePullModel(self.num_nodes, noise)
 
@@ -380,23 +370,9 @@ class EnsembleOpinionDynamics(ABC):
     ) -> None:
         """One synchronous round over every trial of ``state``, in place.
 
-        ``random_state`` is the batch's randomness for this round: a list
-        with one generator per trial of ``state`` (per-trial mode) or one
-        shared generator.
+        ``random_state`` is the round's randomness: a list with one
+        generator per trial of ``state``.
         """
-
-    def reset_randomness(self, random_state: EnsembleRandomState) -> None:
-        """Replace the default randomness source of subsequent runs.
-
-        Used by the sweep fast path to reuse one engine instance across
-        grid cells while keeping each cell's seed explicit.
-        """
-        self._random_state = random_state
-
-    def _trial_randomness(self, num_trials: int) -> EnsembleRandomState:
-        return resolve_trial_randomness(
-            self._random_state, num_trials, self.rng_mode
-        )
 
     def _coerce_ensemble(
         self,
@@ -474,8 +450,7 @@ class EnsembleOpinionDynamics(ABC):
             target_opinion, "target_opinion", self.num_opinions,
             allow_undecided=True,
         )
-        randomness = self._trial_randomness(num_trials)
-        per_trial = is_generator_sequence(randomness)
+        generators = as_trial_generators(self._random_state, num_trials)
         opinions = ensemble.opinions
         rounds_executed = np.zeros(num_trials, dtype=np.int64)
         active = np.arange(num_trials)
@@ -484,20 +459,15 @@ class EnsembleOpinionDynamics(ABC):
         for _ in range(max_rounds):
             if active.size == num_trials:
                 # Full batch: step the working state in place.
-                self.step(ensemble, randomness)
+                self.step(ensemble, generators)
                 active_opinions = opinions
             else:
-                sub_randomness = (
-                    [randomness[index] for index in active]
-                    if per_trial
-                    else randomness
-                )
                 # The fancy index already yields a fresh in-range matrix, so
                 # wrap it without the constructor's copy and range scan.
                 sub_state = EnsembleState.wrap(
                     opinions[active], self.num_opinions
                 )
-                self.step(sub_state, sub_randomness)
+                self.step(sub_state, [generators[index] for index in active])
                 opinions[active] = sub_state.opinions
                 active_opinions = sub_state.opinions
             counts = opinion_counts_matrix(
@@ -535,63 +505,6 @@ class EnsembleOpinionDynamics(ABC):
             successes=converged & (consensus_opinions == target_opinion),
             bias_history=bias_history,
         )
-
-
-@dataclass
-class CountsDynamicsResult:
-    """Outcome of a multi-trial counts-engine dynamics run.
-
-    The counts-engine counterpart of :class:`EnsembleDynamicsResult`: the
-    same per-trial verdicts and histories, but the final state is an
-    :class:`~repro.core.state.EnsembleCountsState` (``(R, k)`` sufficient
-    statistics) because the engine never materializes per-node opinions.
-    """
-
-    final_states: EnsembleCountsState
-    rounds_executed: np.ndarray
-    converged: np.ndarray
-    consensus_opinions: np.ndarray
-    target_opinion: int
-    successes: np.ndarray
-    bias_history: np.ndarray
-
-    @property
-    def num_trials(self) -> int:
-        """Number of trials ``R`` in the batch."""
-        return self.final_states.num_trials
-
-    @property
-    def success_count(self) -> int:
-        """Number of trials that reached consensus on the target opinion."""
-        return int(np.count_nonzero(self.successes))
-
-    @property
-    def success_rate(self) -> float:
-        """Empirical success probability over the batch."""
-        return self.success_count / self.num_trials
-
-    @property
-    def convergence_rate(self) -> float:
-        """Fraction of trials that reached consensus on *some* opinion."""
-        return int(np.count_nonzero(self.converged)) / self.num_trials
-
-    @property
-    def final_biases(self) -> np.ndarray:
-        """Per-trial bias of the final distribution toward the target."""
-        if self.target_opinion <= 0:
-            return np.zeros(self.num_trials, dtype=float)
-        return self.final_states.bias_toward(self.target_opinion)
-
-    def summary(self) -> dict:
-        """Headline statistics of the batch."""
-        return {
-            "num_trials": self.num_trials,
-            "target_opinion": self.target_opinion,
-            "success_rate": self.success_rate,
-            "convergence_rate": self.convergence_rate,
-            "mean_rounds": float(self.rounds_executed.mean()),
-            "mean_final_bias": float(self.final_biases.mean()),
-        }
 
 
 # reprolint: counts-tier
@@ -643,14 +556,6 @@ class EnsembleCountsDynamics:
         """Number of opinions ``k``."""
         return self.noise.num_opinions
 
-    def reset_randomness(self, random_state: EnsembleRandomState) -> None:
-        """Replace the default randomness source of subsequent runs.
-
-        Used by the sweep fast path to reuse one engine instance across
-        grid cells while keeping each cell's seed explicit.
-        """
-        self._random_state = random_state
-
     def _check_state(self, state: EnsembleCountsState) -> None:
         if state.num_nodes != self.num_nodes:
             raise ValueError(
@@ -690,8 +595,8 @@ class EnsembleCountsDynamics:
             last_bias=np.zeros(num_trials, dtype=float),
         )
 
-    def _finish(self, run: "_CountsRunState") -> CountsDynamicsResult:
-        """Assemble the :class:`CountsDynamicsResult` of a completed loop."""
+    def _finish(self, run: "_CountsRunState") -> EnsembleDynamicsResult:
+        """Assemble the :class:`EnsembleDynamicsResult` of a completed loop."""
         counts = run.ensemble.counts
         converged = counts.max(axis=1) == self.num_nodes
         consensus_opinions = np.where(
@@ -702,7 +607,7 @@ class EnsembleCountsDynamics:
             if run.bias_rows
             else np.zeros((0, run.ensemble.num_trials), dtype=float)
         )
-        return CountsDynamicsResult(
+        return EnsembleDynamicsResult(
             final_states=run.ensemble,
             rounds_executed=run.rounds_executed,
             converged=converged,
@@ -723,7 +628,7 @@ class EnsembleCountsDynamics:
         target_opinion: Optional[int] = None,
         stop_at_consensus: bool = True,
         record_history: bool = True,
-    ) -> CountsDynamicsResult:
+    ) -> EnsembleDynamicsResult:
         """Run every trial for up to ``max_rounds`` rounds.
 
         The counts-engine mirror of :meth:`EnsembleOpinionDynamics.run`
@@ -1004,7 +909,7 @@ def _run_merged_counts_group(
 # reprolint: counts-tier
 def run_heterogeneous_counts_dynamics(
     tasks: List[CountsDynamicsTask],
-) -> List[CountsDynamicsResult]:
+) -> List[EnsembleDynamicsResult]:
     """Run many counts-dynamics grid points in one shared round loop.
 
     The only counts-dynamics round loop: :meth:`EnsembleCountsDynamics.run`
@@ -1014,7 +919,7 @@ def run_heterogeneous_counts_dynamics(
     sizes, per-block noise matrices and laws, per-block convergence masks,
     early retirement of finished points (see
     :func:`_run_merged_counts_group`).  Every point's
-    :class:`CountsDynamicsResult` is **bitwise identical** to
+    :class:`EnsembleDynamicsResult` is **bitwise identical** to
     ``task.dynamics.run(...)`` with the same arguments, whatever else
     shares the batch.
     """

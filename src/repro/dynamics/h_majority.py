@@ -82,10 +82,8 @@ class EnsembleHMajorityDynamics(EnsembleOpinionDynamics):
         noise: NoiseMatrix,
         sample_size: int,
         random_state: EnsembleRandomState = None,
-        *,
-        rng_mode: str = "per_trial",
     ) -> None:
-        super().__init__(num_nodes, noise, random_state, rng_mode=rng_mode)
+        super().__init__(num_nodes, noise, random_state)
         self.sample_size = require_positive_int(sample_size, "sample_size")
         self.name = f"{self.sample_size}-majority"
 
@@ -114,12 +112,9 @@ class EnsembleThreeMajorityDynamics(EnsembleHMajorityDynamics):
         num_nodes: int,
         noise: NoiseMatrix,
         random_state: EnsembleRandomState = None,
-        *,
-        rng_mode: str = "per_trial",
     ) -> None:
         super().__init__(
-            num_nodes, noise, sample_size=3, random_state=random_state,
-            rng_mode=rng_mode,
+            num_nodes, noise, sample_size=3, random_state=random_state
         )
         self.name = "3-majority"
 

@@ -36,11 +36,7 @@ from repro.core.state import CountsState, EnsembleCountsState, EnsembleState, Po
 from repro.network.push_model import UniformPushModel
 from repro.noise.matrix import NoiseMatrix
 from repro.sim import resolve_trial_engine
-from repro.utils.rng import (
-    EnsembleRandomState,
-    as_trial_generators,
-    resolve_trial_randomness,
-)
+from repro.utils.rng import EnsembleRandomState, as_trial_generators
 
 __all__ = [
     "sweep_product",
@@ -148,9 +144,7 @@ def stage1_trial_trajectories(
     if trial_engine in ("batched", "counts"):
         if trial_engine == "batched":
             executor = EnsembleStage1Executor(
-                UniformPushModel(num_nodes, noise, None),
-                schedule,
-                resolve_trial_randomness(random_state, num_trials, "per_trial"),
+                UniformPushModel(num_nodes, noise, None), schedule, random_state
             )
             _, records = executor.run(
                 EnsembleState.from_state(initial_state, num_trials),
@@ -302,7 +296,7 @@ def stage2_trial_trajectories(
         executor = EnsembleStage2Executor(
             UniformPushModel(num_nodes, noise, None),
             schedule,
-            resolve_trial_randomness(random_state, num_trials, "per_trial"),
+            random_state,
             sampling_method=sampling_method,
             use_full_multiset=use_full_multiset,
         )

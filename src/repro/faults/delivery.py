@@ -8,7 +8,8 @@ law, not evolving state, so the reduction costs a simple slice.
 
 :class:`FaultedDeliveryEngine` backs the sequential and batched tiers via
 the standard ``run_phase_from_senders`` / ``run_ensemble_phase_from_senders``
-delivery protocol.  The counts tier takes the same
+delivery protocol; a sequential phase is a batch-size-1 batched phase on
+the engine's own generator.  The counts tier takes the same
 :class:`~repro.faults.injection.FaultedPhaseSampler` as a per-point hook of
 its merged batch (``CountsProtocolTask.fault_sampler``).
 """
@@ -21,7 +22,12 @@ from repro.faults.injection import FaultedPhaseSampler
 from repro.network.balls_bins import ensemble_recolor_and_throw
 from repro.network.mailbox import EnsembleReceivedMessages, ReceivedMessages
 from repro.noise.matrix import NoiseMatrix
-from repro.utils.rng import EnsembleRandomState, RandomState, as_generator
+from repro.utils.rng import (
+    EnsembleRandomState,
+    RandomState,
+    as_generator,
+    as_trial_generators,
+)
 from repro.utils.validation import require_positive_int
 
 __all__ = ["FaultedDeliveryEngine"]
@@ -65,17 +71,6 @@ class FaultedDeliveryEngine:
     def num_opinions(self) -> int:
         return self.noise.num_opinions
 
-    def _phase_histograms(
-        self,
-        honest_histograms: np.ndarray,
-        num_rounds: int,
-        random_state: EnsembleRandomState,
-    ) -> np.ndarray:
-        deltas = self.sampler.phase_ball_deltas(
-            honest_histograms, num_rounds, random_state
-        )
-        return honest_histograms * np.int64(num_rounds) + deltas
-
     def run_phase_from_senders(
         self, sender_opinions: np.ndarray, num_rounds: int
     ) -> ReceivedMessages:
@@ -89,28 +84,30 @@ class FaultedDeliveryEngine:
                 f"sender opinions must be in [1, {self.num_opinions}]"
             )
         histogram = np.bincount(opinions, minlength=self.num_opinions + 1)[1:]
-        totals = self._phase_histograms(histogram[np.newaxis], num_rounds, self._rng)
-        received = ensemble_recolor_and_throw(
-            self.total_nodes, self.noise, totals, self._rng
+        received = self.run_ensemble_phase_from_senders(
+            histogram[np.newaxis], num_rounds, [self._rng]
         )
-        return ReceivedMessages(
-            np.ascontiguousarray(received.counts[0, : self.num_nodes])
-        )
+        return ReceivedMessages(received.counts[0])
 
     def run_ensemble_phase_from_senders(
         self,
         sender_histograms: np.ndarray,
         num_rounds: int,
-        random_state: EnsembleRandomState = None,
+        random_state: EnsembleRandomState,
     ) -> EnsembleReceivedMessages:
-        """Batched-tier phase for ``R`` trials, ``(R, k)`` honest histograms."""
+        """Batched-tier phase for ``R`` trials, ``(R, k)`` honest histograms.
+
+        Trial ``r``'s faulty balls and throw both draw from its own stream
+        of ``random_state``.
+        """
         num_rounds = require_positive_int(num_rounds, "num_rounds")
-        if random_state is None:
-            random_state = self._rng
         histograms = np.asarray(sender_histograms, dtype=np.int64)
-        totals = self._phase_histograms(histograms, num_rounds, random_state)
+        generators = as_trial_generators(random_state, histograms.shape[0])
+        totals = histograms * np.int64(num_rounds) + self.sampler.phase_ball_deltas(
+            histograms, num_rounds, generators
+        )
         received = ensemble_recolor_and_throw(
-            self.total_nodes, self.noise, totals, random_state
+            self.total_nodes, self.noise, totals, generators
         )
         return EnsembleReceivedMessages(
             np.ascontiguousarray(received.counts[:, : self.num_nodes, :])

@@ -526,7 +526,7 @@ def ensemble_recolor_and_throw(
     num_nodes: int,
     noise: NoiseMatrix,
     message_histograms: np.ndarray,
-    random_state: EnsembleRandomState = None,
+    random_state: EnsembleRandomState,
 ) -> EnsembleReceivedMessages:
     """Run the two-step process of Definition 3 for ``R`` trials at once.
 
@@ -538,9 +538,8 @@ def ensemble_recolor_and_throw(
     engine: by Claim 1 the end-of-phase counts of process O are distributed
     exactly as this process's output.
 
-    ``random_state`` may be one shared source (two broadcast draws per
-    opinion for the whole batch) or a per-trial sequence (trial ``r``'s balls
-    consume only trial ``r``'s generator).
+    Trial ``r``'s balls consume only trial ``r``'s generator (see
+    :func:`~repro.utils.rng.as_trial_generators`).
     """
     histograms = np.asarray(message_histograms, dtype=np.int64)
     if histograms.ndim != 2 or histograms.shape[1] != noise.num_opinions:
@@ -551,24 +550,17 @@ def ensemble_recolor_and_throw(
     if np.any(histograms < 0):
         raise ValueError("message_histogram entries must be non-negative")
     num_trials = histograms.shape[0]
-    num_opinions = noise.num_opinions
     bins = np.full(num_nodes, 1.0 / num_nodes)
-    counts = np.zeros((num_trials, num_nodes, num_opinions), dtype=np.int64)
-    if is_generator_sequence(random_state):
-        generators = as_trial_generators(random_state, num_trials)
-        for trial, generator in enumerate(generators):
-            noisy = noise.apply_to_counts(histograms[trial], generator)
-            for opinion_index in np.nonzero(noisy)[0]:
-                counts[trial, :, opinion_index] = generator.multinomial(
-                    int(noisy[opinion_index]), bins
-                )
-    else:
-        rng = as_generator(random_state)
-        noisy = noise.apply_to_count_matrix(histograms, rng)
-        for opinion_index in range(num_opinions):
-            column = noisy[:, opinion_index]
-            if column.any():
-                counts[:, :, opinion_index] = rng.multinomial(column, bins)
+    counts = np.zeros(
+        (num_trials, num_nodes, noise.num_opinions), dtype=np.int64
+    )
+    generators = as_trial_generators(random_state, num_trials)
+    for trial, generator in enumerate(generators):
+        noisy = noise.apply_to_counts(histograms[trial], generator)
+        for opinion_index in np.nonzero(noisy)[0]:
+            counts[trial, :, opinion_index] = generator.multinomial(
+                int(noisy[opinion_index]), bins
+            )
     return EnsembleReceivedMessages(counts)
 
 
@@ -668,18 +660,15 @@ class BallsIntoBinsProcess:
         self,
         sender_histograms: np.ndarray,
         num_rounds: int,
-        random_state: EnsembleRandomState = None,
+        random_state: EnsembleRandomState,
     ) -> EnsembleReceivedMessages:
         """Batched phase delivery for ``R`` trials (shape ``(R, k)`` input).
 
         Row ``r`` of ``sender_histograms`` is trial ``r``'s sender-opinion
-        histogram; each sender contributes ``num_rounds`` balls.  When
-        ``random_state`` is omitted the engine's own generator is used in
-        shared-stream mode.
+        histogram; each sender contributes ``num_rounds`` balls, and trial
+        ``r`` draws from its own stream of ``random_state``.
         """
         num_rounds = require_positive_int(num_rounds, "num_rounds")
-        if random_state is None:
-            random_state = self._rng
         histograms = np.asarray(sender_histograms, dtype=np.int64)
         return ensemble_recolor_and_throw(
             self.num_nodes, self.noise, histograms * num_rounds, random_state

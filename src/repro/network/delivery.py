@@ -104,7 +104,7 @@ def deliver_ensemble_phase(
     engine,
     opinions: np.ndarray,
     num_rounds: int,
-    random_state: EnsembleRandomState = None,
+    random_state: EnsembleRandomState,
 ) -> EnsembleReceivedMessages:
     """Deliver one protocol phase for ``R`` independent trials at once.
 
@@ -121,9 +121,8 @@ def deliver_ensemble_phase(
     num_rounds:
         Number of rounds in the phase.
     random_state:
-        One shared randomness source, or a sequence of per-trial sources for
-        trial-by-trial reproducibility; ``None`` lets the engine use its own
-        generator.
+        The batch's randomness; trial ``r`` draws from its own stream (see
+        :func:`~repro.utils.rng.as_trial_generators`).
     """
     if not supports_ensemble_delivery(engine):
         raise TypeError(

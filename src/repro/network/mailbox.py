@@ -28,7 +28,6 @@ from repro.utils.rng import (
     RandomState,
     as_generator,
     as_trial_generators,
-    is_generator_sequence,
 )
 
 __all__ = ["ReceivedMessages", "EnsembleReceivedMessages"]
@@ -295,10 +294,10 @@ class EnsembleReceivedMessages:
         ``(r, u, i)`` is the number of copies of opinion ``i + 1`` node ``u``
         of trial ``r`` received during the phase.
 
-    Every sampling method accepts either one shared randomness source (fully
-    vectorized over the batch) or a sequence of per-trial sources; in the
-    latter case trial ``r`` consumes draws from its own generator only, so a
-    batched call is reproducible trial by trial.
+    Every sampling method draws trial ``r``'s randomness from its own
+    generator only (see :func:`~repro.utils.rng.as_trial_generators`: a
+    sequence gives one source per trial, a single source is spawned into
+    one child per trial), so a batched call is reproducible trial by trial.
     """
 
     counts: np.ndarray
@@ -358,19 +357,15 @@ class EnsembleReceivedMessages:
         The Stage-1 adoption rule batched over the ensemble; returns an
         ``(R, n)`` integer matrix with 0 for nodes that received nothing.
         """
-        if is_generator_sequence(random_state):
-            generators = as_trial_generators(random_state, self.num_trials)
-            return np.stack(
-                [
-                    _uniform_choice_core(
-                        self.counts[trial], generator.random(self.num_nodes)
-                    )
-                    for trial, generator in enumerate(generators)
-                ]
-            )
-        rng = as_generator(random_state)
-        uniforms = rng.random((self.num_trials, self.num_nodes))
-        return _uniform_choice_core(self.counts, uniforms)
+        generators = as_trial_generators(random_state, self.num_trials)
+        return np.stack(
+            [
+                _uniform_choice_core(
+                    self.counts[trial], generator.random(self.num_nodes)
+                )
+                for trial, generator in enumerate(generators)
+            ]
+        )
 
     def subsample(
         self,
@@ -393,16 +388,13 @@ class EnsembleReceivedMessages:
                 "method must be 'without_replacement' or 'with_replacement', "
                 f"got {method!r}"
             )
-        if is_generator_sequence(random_state):
-            generators = as_trial_generators(random_state, self.num_trials)
-            return np.stack(
-                [
-                    _subsample_core(self.counts[trial], sample_size, generator, method)
-                    for trial, generator in enumerate(generators)
-                ]
-            )
-        rng = as_generator(random_state)
-        return _subsample_core(self.counts, sample_size, rng, method)
+        generators = as_trial_generators(random_state, self.num_trials)
+        return np.stack(
+            [
+                _subsample_core(self.counts[trial], sample_size, generator, method)
+                for trial, generator in enumerate(generators)
+            ]
+        )
 
     def majority_votes(
         self,
@@ -417,32 +409,22 @@ class EnsembleReceivedMessages:
         returns an ``(R, n)`` integer matrix with 0 for nodes that do not
         update (nothing received, or fewer than ``sample_size`` messages).
         """
-        if is_generator_sequence(random_state):
-            generators = as_trial_generators(random_state, self.num_trials)
-            if sample_size is None:
-                # Fast path (the dynamics' hot loop): the per-trial streams
-                # only contribute the tie-break keys, so fill one key block
-                # per trial in place and run the mode computation batched.
-                tie_keys = np.empty(self.counts.shape, dtype=np.float64)
-                for trial, generator in enumerate(generators):
-                    generator.random(out=tie_keys[trial])
-                return _majority_core(
-                    self.counts, self.totals() > 0, None, tie_keys=tie_keys
-                )
-            votes = []
-            for trial, generator in enumerate(generators):
-                counts = _subsample_core(
-                    self.counts[trial], sample_size, generator, sampling_method
-                )
-                eligible = self.counts[trial].sum(axis=-1) >= sample_size
-                votes.append(_majority_core(counts, eligible, generator))
-            return np.stack(votes)
-        rng = as_generator(random_state)
-        totals = self.totals()
+        generators = as_trial_generators(random_state, self.num_trials)
         if sample_size is None:
-            counts = self.counts
-            eligible = totals > 0
-        else:
-            counts = _subsample_core(self.counts, sample_size, rng, sampling_method)
-            eligible = totals >= sample_size
-        return _majority_core(counts, eligible, rng)
+            # Fast path (the dynamics' hot loop): the per-trial streams only
+            # contribute the tie-break keys, so fill one key block per trial
+            # in place and run the mode computation batched.
+            tie_keys = np.empty(self.counts.shape, dtype=np.float64)
+            for trial, generator in enumerate(generators):
+                generator.random(out=tie_keys[trial])
+            return _majority_core(
+                self.counts, self.totals() > 0, None, tie_keys=tie_keys
+            )
+        votes = []
+        for trial, generator in enumerate(generators):
+            counts = _subsample_core(
+                self.counts[trial], sample_size, generator, sampling_method
+            )
+            eligible = self.counts[trial].sum(axis=-1) >= sample_size
+            votes.append(_majority_core(counts, eligible, generator))
+        return np.stack(votes)

@@ -23,7 +23,6 @@ from repro.utils.rng import (
     RandomState,
     as_generator,
     as_trial_generators,
-    is_generator_sequence,
 )
 from repro.utils.validation import require_positive_int
 
@@ -114,18 +113,15 @@ class PoissonizedProcess:
         self,
         sender_histograms: np.ndarray,
         num_rounds: int,
-        random_state: EnsembleRandomState = None,
+        random_state: EnsembleRandomState,
     ) -> EnsembleReceivedMessages:
         """Batched phase delivery for ``R`` trials (shape ``(R, k)`` input).
 
         Applies the noise to each trial's message histogram and then draws
-        the independent ``Poisson(h_i / n)`` deliveries of Definition 4 for
-        the whole ``(R, n, k)`` batch at once.  When ``random_state`` is
-        omitted the engine's own generator is used in shared-stream mode.
+        the independent ``Poisson(h_i / n)`` deliveries of Definition 4,
+        trial ``r`` from its own stream of ``random_state``.
         """
         num_rounds = require_positive_int(num_rounds, "num_rounds")
-        if random_state is None:
-            random_state = self._rng
         histograms = np.asarray(sender_histograms, dtype=np.int64)
         if histograms.ndim != 2 or histograms.shape[1] != self.num_opinions:
             raise ValueError(
@@ -136,26 +132,17 @@ class PoissonizedProcess:
             raise ValueError("sender_histograms entries must be non-negative")
         messages = histograms * num_rounds
         num_trials = histograms.shape[0]
-        if is_generator_sequence(random_state):
-            generators = as_trial_generators(random_state, num_trials)
-            counts = np.empty(
-                (num_trials, self.num_nodes, self.num_opinions), dtype=np.int64
-            )
-            for trial, generator in enumerate(generators):
-                noisy = self.noise.apply_to_counts(messages[trial], generator)
-                counts[trial] = generator.poisson(
-                    lam=noisy.astype(float) / self.num_nodes,
-                    size=(self.num_nodes, self.num_opinions),
-                )
-            return EnsembleReceivedMessages(counts)
-        rng = as_generator(random_state)
-        noisy = self.noise.apply_to_count_matrix(messages, rng)
-        rates = noisy.astype(float) / self.num_nodes
-        counts = rng.poisson(
-            lam=rates[:, np.newaxis, :],
-            size=(num_trials, self.num_nodes, self.num_opinions),
+        counts = np.empty(
+            (num_trials, self.num_nodes, self.num_opinions), dtype=np.int64
         )
-        return EnsembleReceivedMessages(counts.astype(np.int64))
+        generators = as_trial_generators(random_state, num_trials)
+        for trial, generator in enumerate(generators):
+            noisy = self.noise.apply_to_counts(messages[trial], generator)
+            counts[trial] = generator.poisson(
+                lam=noisy.astype(float) / self.num_nodes,
+                size=(self.num_nodes, self.num_opinions),
+            )
+        return EnsembleReceivedMessages(counts)
 
     def expected_counts(self, noisy_histogram: Sequence[int]) -> np.ndarray:
         """The mean matrix of :meth:`deliver` (``h_i / n`` in every row)."""

@@ -18,18 +18,17 @@ per-round push loop with Claim-1 phase sampling, the batched pull engine
 samples the *compound* observation channel directly: an observation is a
 uniform target draw composed with per-message noise, so each observation is
 an i.i.d. categorical draw over {no opinion, 1, …, k} with probabilities
-``(1 - a, c P)`` — distribution-exact, not an approximation.  With a
-sequence of per-trial randomness sources, trial ``r`` consumes one uniform
-block per observation step from its own source, so a batched run is bitwise
-identical to ``R`` batch-size-1 runs with the same sources (the ensemble
-reproducibility guarantee); agreement with the per-message sequential engine
-is distributional and is checked statistically by the test-suite.
+``(1 - a, c P)`` — distribution-exact, not an approximation.  Trial ``r``
+consumes one uniform block per observation step from its own per-trial
+stream, so a batched run is bitwise identical to ``R`` batch-size-1 runs
+with the same sources (the ensemble reproducibility guarantee); agreement
+with the per-message sequential engine is distributional and is checked
+statistically by the test-suite.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from functools import lru_cache
 from itertools import combinations
 from typing import Dict, Tuple
@@ -44,7 +43,6 @@ from repro.utils.rng import (
     RandomState,
     as_generator,
     as_trial_generators,
-    is_generator_sequence,
 )
 from repro.utils.validation import require_positive_int
 
@@ -135,38 +133,17 @@ def vote_table_is_tractable(sample_size: int, num_opinions: int) -> bool:
     return _vote_table_is_tractable(sample_size, num_opinions)
 
 
-#: Module-level LRU over fully evaluated ``maj()`` vote laws, keyed by
-#: ``(k, sample_size, observation-pmf bytes)`` — the "noise hash" of a
-#: Stage-2 phase or h-majority round is exactly its observation pmf, so
-#: repeated engine construction (orchestrator jobs, sweep blocks, analytic
-#: kernels) stops re-evaluating identical composition sums.  The cache is
-#: exact: identical key bytes imply a bitwise-identical law.
-_VOTE_LAW_CACHE: "OrderedDict[Tuple[int, int, bytes], np.ndarray]" = (
-    OrderedDict()
-)
-#: Entry cap of the vote-law LRU.
-_VOTE_LAW_CACHE_MAX_ENTRIES = 256
-#: Largest observation-pmf payload (bytes) worth hashing and retaining;
-#: larger batches are passed through uncached.
-_VOTE_LAW_CACHE_MAX_BYTES = 1 << 16
-_vote_law_hits = 0
-_vote_law_misses = 0
-
-
 def vote_law_cache_info() -> Dict[str, int]:
-    """Hit/miss counters of the ``maj()`` caches (law LRU + table LRU).
+    """Hit/miss counters of the two ``maj()`` composition-table LRUs.
 
-    ``law_*`` counts the module-level vote-law LRU of
-    :func:`majority_vote_law`; ``table_*`` counts the composition-table
-    LRU underneath it (:func:`_majority_vote_table`).  Exposed for the
-    sweep benchmark, which reports how many grid points shared tables.
+    ``table_*`` counts the closed-form table of :func:`majority_vote_law`
+    (:func:`_majority_vote_table`) and ``dense_table_*`` the dense table of
+    :func:`dense_majority_vote_law`.  Exposed for the sweep benchmark,
+    which reports how many grid points shared tables.
     """
     table = _majority_vote_table.cache_info()
     dense = _dense_majority_vote_table.cache_info()
     return {
-        "law_hits": _vote_law_hits,
-        "law_misses": _vote_law_misses,
-        "law_entries": len(_VOTE_LAW_CACHE),
         "table_hits": table.hits,
         "table_misses": table.misses,
         "table_entries": table.currsize,
@@ -176,15 +153,10 @@ def vote_law_cache_info() -> Dict[str, int]:
     }
 
 
-def clear_vote_law_cache(*, tables: bool = False) -> None:
-    """Empty the vote-law LRU (and optionally both composition-table LRUs)."""
-    global _vote_law_hits, _vote_law_misses
-    _VOTE_LAW_CACHE.clear()
-    _vote_law_hits = 0
-    _vote_law_misses = 0
-    if tables:
-        _majority_vote_table.cache_clear()
-        _dense_majority_vote_table.cache_clear()
+def clear_vote_law_cache() -> None:
+    """Empty both composition-table LRUs (and reset their counters)."""
+    _majority_vote_table.cache_clear()
+    _dense_majority_vote_table.cache_clear()
 
 
 def majority_vote_law(
@@ -200,13 +172,7 @@ def majority_vote_law(
     composition table is intractable for ``(sample_size, k)`` — callers
     should check :func:`vote_table_is_tractable` first and fall back to
     explicit observation sampling.
-
-    Results for small batches are memoized in a module-level LRU keyed by
-    ``(k, sample_size, pmf bytes)`` (see :func:`vote_law_cache_info`); a
-    hit returns a fresh copy of the stored law, bitwise identical to
-    recomputing it.
     """
-    global _vote_law_hits, _vote_law_misses
     probabilities = np.asarray(probabilities, dtype=float)
     if probabilities.ndim != 2 or probabilities.shape[1] < 2:
         raise ValueError(
@@ -221,29 +187,24 @@ def majority_vote_law(
             f"k={num_opinions} is intractable; check vote_table_is_tractable "
             "and use explicit observation sampling instead"
         )
-    probabilities = np.ascontiguousarray(probabilities)
-    key = None
-    if probabilities.nbytes <= _VOTE_LAW_CACHE_MAX_BYTES:
-        key = (num_opinions, sample_size, probabilities.tobytes())
-        cached = _VOTE_LAW_CACHE.get(key)
-        if cached is not None:
-            _VOTE_LAW_CACHE.move_to_end(key)
-            _vote_law_hits += 1
-            return cached.copy()
-        _vote_law_misses += 1
     exponents, coefficients, vote_law = _majority_vote_table(
         sample_size, num_opinions
     )
-    composition_probabilities = coefficients * np.prod(
-        probabilities[:, np.newaxis, :] ** exponents[np.newaxis, :, :],
+    # When no row can observe "no opinion" (Stage 2), every composition
+    # with m_0 > 0 has probability exactly 0.  The table lists the m_0 = 0
+    # compositions first, so only that prefix is evaluated, element by
+    # element as in the full grid: the law is bitwise the full evaluation.
+    live = exponents.shape[0]
+    if not probabilities[:, 0].any():
+        live = math.comb(sample_size + num_opinions - 1, num_opinions - 1)
+    composition_probabilities = np.zeros(
+        (probabilities.shape[0], exponents.shape[0])
+    )
+    composition_probabilities[:, :live] = coefficients[:live] * np.prod(
+        probabilities[:, np.newaxis, :] ** exponents[np.newaxis, :live, :],
         axis=2,
     )
-    law = composition_probabilities @ vote_law
-    if key is not None:
-        _VOTE_LAW_CACHE[key] = law.copy()
-        while len(_VOTE_LAW_CACHE) > _VOTE_LAW_CACHE_MAX_ENTRIES:
-            _VOTE_LAW_CACHE.popitem(last=False)
-    return law
+    return composition_probabilities @ vote_law
 
 
 @lru_cache(maxsize=None)
@@ -266,7 +227,9 @@ def _majority_vote_table(
 
     With observation probabilities ``q`` the vote pmf is then
     ``(coefficients * prod_i q_i^{m_i}) @ vote_law`` — the closed form the
-    batched h-majority step samples from with one uniform per node.
+    batched h-majority step samples from with one uniform per node.  The
+    compositions come in lexicographic stars-and-bars order, so the
+    ``C(sample_size + k - 1, k - 1)`` with ``m_0 = 0`` form a prefix.
     """
     width = num_opinions + 1
     # Stars-and-bars enumeration of all compositions of sample_size into
@@ -556,31 +519,20 @@ class EnsemblePullModel:
         Number of nodes ``n`` per trial.
     noise:
         Noise matrix applied independently to every observed opinion.
-    random_state:
-        Default randomness: one shared source (fully batched draws) or a
-        sequence of per-trial sources (trial ``r`` consumes draws from its
-        own source only, making batched runs reproducible trial by trial).
-        Every method also accepts an explicit ``random_state`` overriding
-        the default.
+
+    The engine owns no randomness: every method takes the step's
+    ``random_state`` and trial ``r`` draws from its own stream only (see
+    :func:`~repro.utils.rng.as_trial_generators`), making batched runs
+    reproducible trial by trial.
     """
 
-    def __init__(
-        self,
-        num_nodes: int,
-        noise: NoiseMatrix,
-        random_state: EnsembleRandomState = None,
-    ) -> None:
+    def __init__(self, num_nodes: int, noise: NoiseMatrix) -> None:
         self.num_nodes = require_positive_int(num_nodes, "num_nodes")
         if not isinstance(noise, NoiseMatrix):
             raise TypeError(
                 f"noise must be a NoiseMatrix, got {type(noise).__name__}"
             )
         self.noise = noise
-        self._random_state: EnsembleRandomState = (
-            random_state
-            if is_generator_sequence(random_state)
-            else as_generator(random_state)
-        )
 
     @property
     def num_opinions(self) -> int:
@@ -602,9 +554,6 @@ class EnsemblePullModel:
                 f"opinions must be in [0, {self.num_opinions}] (0 = undecided)"
             )
         return array
-
-    def _randomness(self, random_state: EnsembleRandomState):
-        return self._random_state if random_state is None else random_state
 
     def observation_probabilities(
         self, opinions: np.ndarray, *, include_undecided: bool = True
@@ -661,21 +610,21 @@ class EnsemblePullModel:
             outcomes += uniforms >= cumulative[:, column].reshape(broadcast)
         return outcomes
 
+    @staticmethod
     def _uniform_blocks(
-        self, shape, random_state: EnsembleRandomState
+        shape, random_state: EnsembleRandomState
     ) -> np.ndarray:
-        """A ``(R, …)`` block of uniforms: one draw per trial, or one shared.
+        """A ``(R, …)`` block of uniforms, one row per trial.
 
-        In per-trial mode each trial's generator fills its own (contiguous)
-        row — the single RNG interaction that trial makes for the step.
+        Each trial's generator fills its own (contiguous) row — the single
+        RNG interaction that trial makes for the step.
         """
-        if is_generator_sequence(random_state):
-            generators = as_trial_generators(random_state, shape[0])
-            uniforms = np.empty(shape, dtype=np.float64)
-            for trial, generator in enumerate(generators):
-                generator.random(out=uniforms[trial])
-            return uniforms
-        return as_generator(random_state).random(shape)
+        uniforms = np.empty(shape, dtype=np.float64)
+        for trial, generator in enumerate(
+            as_trial_generators(random_state, shape[0])
+        ):
+            generator.random(out=uniforms[trial])
+        return uniforms
 
     def observe(
         self,
@@ -696,7 +645,6 @@ class EnsemblePullModel:
         """
         sample_size = require_positive_int(sample_size, "sample_size")
         opinions = self._validate_opinions(opinions)
-        random_state = self._randomness(random_state)
         num_trials = opinions.shape[0]
         cumulative = self._cumulative(
             self._probabilities(opinions, include_undecided)
@@ -730,7 +678,6 @@ class EnsemblePullModel:
         trial is the entire randomness budget of the step.
         """
         opinions = self._validate_opinions(opinions)
-        random_state = self._randomness(random_state)
         cumulative = self._cumulative(self._probabilities(opinions, True))
         uniforms = self._uniform_blocks(
             (opinions.shape[0], self.num_nodes), random_state
@@ -762,18 +709,18 @@ class EnsemblePullModel:
         """
         sample_size = require_positive_int(sample_size, "sample_size")
         opinions = self._validate_opinions(opinions)
-        random_state = self._randomness(random_state)
         if not _vote_table_is_tractable(sample_size, self.num_opinions):
             # Huge samples: enumerate observations instead of compositions
             # (same distribution, linear in sample_size like the sequential
-            # engine).
+            # engine), both steps drawing from the same per-trial streams.
+            generators = as_trial_generators(random_state, opinions.shape[0])
             received = self.observe(
                 opinions,
                 sample_size,
-                random_state,
+                generators,
                 include_undecided=include_undecided,
             )
-            return received.majority_votes(random_state)
+            return received.majority_votes(generators)
         vote_pmf = majority_vote_law(
             self._probabilities(opinions, include_undecided), sample_size
         )

@@ -184,7 +184,7 @@ class UniformPushModel:
         self,
         sender_histograms: np.ndarray,
         num_rounds: int,
-        random_state: EnsembleRandomState = None,
+        random_state: EnsembleRandomState,
     ) -> EnsembleReceivedMessages:
         """Batched phase delivery for ``R`` independent trials.
 
@@ -195,15 +195,10 @@ class UniformPushModel:
         process O are distributed *exactly* as the balls-into-bins process on
         ``num_rounds`` copies of the histogram.  The batched engine therefore
         samples that reformulation directly, replacing the per-round
-        simulation loop with a handful of vectorized draws per phase.
-
-        When ``random_state`` is omitted the engine's own generator is used
-        in shared-stream mode; pass a sequence of per-trial sources for
-        trial-by-trial reproducibility.
+        simulation loop with a handful of vectorized draws per phase.  Trial
+        ``r`` draws from its own stream of ``random_state``.
         """
         num_rounds = require_positive_int(num_rounds, "num_rounds")
-        if random_state is None:
-            random_state = self._rng
         histograms = np.asarray(sender_histograms, dtype=np.int64)
         return ensemble_recolor_and_throw(
             self.num_nodes, self.noise, histograms * num_rounds, random_state

@@ -15,13 +15,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from repro.utils.rng import (
-    EnsembleRandomState,
-    RandomState,
-    as_generator,
-    as_trial_generators,
-    is_generator_sequence,
-)
+from repro.utils.rng import RandomState, as_generator
 from repro.utils.validation import require_positive_int
 
 __all__ = ["NoiseMatrix"]
@@ -275,47 +269,6 @@ class NoiseMatrix:
             for source_index, count in enumerate(count_rows[index]):
                 if count:
                     target += generator.multinomial(count, matrix[source_index])
-        return received
-
-    def apply_to_count_matrix(
-        self,
-        count_matrix: np.ndarray,
-        random_state: "EnsembleRandomState" = None,
-    ) -> np.ndarray:
-        """Noisy delivery of a whole batch of per-trial message histograms.
-
-        ``count_matrix`` has shape ``(R, k)``: row ``r`` gives, per opinion,
-        how many messages trial ``r`` sends through the channel.  The return
-        value has the same shape and gives how many of each trial's messages
-        are *received* as each opinion.
-
-        ``random_state`` may be a single source (shared-stream mode: one
-        broadcast multinomial per source opinion, i.e. ``k`` numpy calls for
-        the entire batch) or a sequence of one source per trial (per-trial
-        mode: row ``r`` consumes exactly the draws that
-        :meth:`apply_to_counts` would make on it with that trial's
-        generator, which is what makes batched ensembles reproducible trial
-        by trial).
-        """
-        counts = np.asarray(count_matrix, dtype=np.int64)
-        if counts.ndim != 2 or counts.shape[1] != self.num_opinions:
-            raise ValueError(
-                f"count_matrix must have shape (R, {self.num_opinions}), "
-                f"got shape {counts.shape}"
-            )
-        if np.any(counts < 0):
-            raise ValueError("counts must be non-negative")
-        if is_generator_sequence(random_state):
-            generators = as_trial_generators(random_state, counts.shape[0])
-            return self.recolor_rows(counts, generators)
-        rng = as_generator(random_state)
-        received = np.zeros_like(counts)
-        for source_index in range(self.num_opinions):
-            column = counts[:, source_index]
-            if column.any():
-                received += rng.multinomial(
-                    column, self._matrix[source_index]
-                )
         return received
 
     # ------------------------------------------------------------------ #

@@ -119,7 +119,6 @@ def build_dynamics(
     random_state: EnsembleRandomState = None,
     *,
     sample_size: Optional[int] = None,
-    rng_mode: str = "per_trial",
     epsilon: Optional[float] = None,
 ) -> Union[
     OpinionDynamics, EnsembleOpinionDynamics, EnsembleCountsDynamics
@@ -129,19 +128,13 @@ def build_dynamics(
     ``tier`` is one of :data:`ENGINE_TIERS` and ``rule`` one of
     :data:`DYNAMICS_RULES`; ``sample_size`` is required for (and only
     accepted by) ``"h-majority"``, and ``epsilon`` (the target agreement
-    precision) is only accepted by ``"approximate-consensus"``.
-    ``rng_mode`` applies to the batched tier only: the sequential classes
-    take a single source, and the counts tier always draws per-trial
-    streams (``rng_mode="shared"`` raises there).
+    precision) is only accepted by ``"approximate-consensus"``.  The
+    sequential classes take a single source; the batched and counts tiers
+    draw one stream per trial from ``random_state``.
     """
     if tier not in ENGINE_TIERS:
         raise ValueError(
             f"tier must be one of {ENGINE_TIERS}, got {tier!r}"
-        )
-    if tier == "counts" and rng_mode != "per_trial":
-        raise ValueError(
-            f"the counts tier draws per-trial streams only, got rng_mode="
-            f"{rng_mode!r}; use the batched tier for shared-stream runs"
         )
     _validate_rule(rule, sample_size)
     if epsilon is not None and rule != "approximate-consensus":
@@ -153,16 +146,9 @@ def build_dynamics(
     if rule == "approximate-consensus" and epsilon is not None:
         extra["epsilon"] = float(epsilon)
     dynamics_cls = _DYNAMICS_CLASSES[(tier, rule)]
-    if tier == "sequential":
-        if rule == "h-majority":
-            return dynamics_cls(num_nodes, noise, sample_size, random_state)
-        return dynamics_cls(num_nodes, noise, random_state, **extra)
-    options = {} if tier == "counts" else {"rng_mode": rng_mode}
     if rule == "h-majority":
-        return dynamics_cls(
-            num_nodes, noise, sample_size, random_state, **options
-        )
-    return dynamics_cls(num_nodes, noise, random_state, **options, **extra)
+        return dynamics_cls(num_nodes, noise, sample_size, random_state)
+    return dynamics_cls(num_nodes, noise, random_state, **extra)
 
 
 class EngineRegistry:

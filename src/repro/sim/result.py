@@ -4,13 +4,13 @@ One result type across all three engine tiers and all workloads: per-trial
 converged/success masks, executed rounds, final bias and opinion counts,
 optional bias trajectories, and a provenance dictionary (engine used, seed,
 code version, wall time, the scenario itself).  Adapter constructors build
-it from every legacy result type (:class:`~repro.core.protocol.
+it from every engine result type (:class:`~repro.core.protocol.
 ProtocolResult`, :class:`~repro.core.protocol.EnsembleResult`,
-:class:`~repro.dynamics.base.DynamicsResult`,
-:class:`~repro.dynamics.base.EnsembleDynamicsResult`,
-:class:`~repro.dynamics.base.CountsDynamicsResult`), which is what lets one
-facade supersede five result dataclasses without re-deriving a single
-number — the adapters only re-arrange what the engines already measured.
+:class:`~repro.dynamics.base.DynamicsResult` and
+:class:`~repro.dynamics.base.EnsembleDynamicsResult`, the last one shared
+by the batched and counts dynamics tiers), which is what lets one facade
+supersede four result dataclasses without re-deriving a single number —
+the adapters only re-arrange what the engines already measured.
 """
 
 from __future__ import annotations
@@ -24,11 +24,7 @@ import numpy as np
 from repro.core.analytic import AnalyticProtocolResult
 from repro.core.protocol import EnsembleResult, ProtocolResult
 from repro.dynamics.analytic import AnalyticDynamicsResult
-from repro.dynamics.base import (
-    CountsDynamicsResult,
-    DynamicsResult,
-    EnsembleDynamicsResult,
-)
+from repro.dynamics.base import DynamicsResult, EnsembleDynamicsResult
 
 __all__ = ["SimulationResult"]
 
@@ -356,12 +352,13 @@ class SimulationResult:
             consensus_opinions=np.asarray(
                 [result.consensus_opinion for result in results], dtype=np.int64
             ),
+            trajectories=trajectories,
         )
 
     @classmethod
     def from_ensemble_dynamics_result(
         cls,
-        result: Union[EnsembleDynamicsResult, CountsDynamicsResult],
+        result: EnsembleDynamicsResult,
         *,
         engine: str,
     ) -> "SimulationResult":

@@ -6,6 +6,13 @@ existing generator everywhere keeps experiments reproducible while letting
 quick interactive use stay terse.  The helpers in this module centralize that
 conversion and provide deterministic "spawning" of independent generators for
 multi-trial experiments.
+
+Multi-trial engines draw from per-trial streams only: trial ``r`` of a batch
+consumes its own generator, so a batched run is bitwise ``R`` batch-size-1
+runs with the same sources.  :func:`as_trial_generators` is the one place
+that turns an ensemble randomness source into those streams — a sequence
+supplies one source per trial, and a single source is spawned into one
+independent child per trial.
 """
 
 from __future__ import annotations
@@ -16,10 +23,10 @@ import numpy as np
 
 RandomState = Union[None, int, np.random.Generator, np.random.SeedSequence]
 
-#: Randomness accepted by the batched ensemble machinery: either a single
-#: :data:`RandomState` (shared-stream mode, maximally vectorized) or a
-#: sequence with one :data:`RandomState` per trial (per-trial-stream mode,
-#: reproducible trial by trial).
+#: Randomness accepted by the batched ensemble machinery: a sequence with
+#: one :data:`RandomState` per trial, or a single :data:`RandomState` that
+#: :func:`as_trial_generators` spawns into one child stream per trial.
+#: Either way every trial draws from its own stream.
 EnsembleRandomState = Union[RandomState, Sequence[RandomState]]
 
 __all__ = [
@@ -30,8 +37,6 @@ __all__ = [
     "derive_seed",
     "is_generator_sequence",
     "as_trial_generators",
-    "normalize_ensemble_random_state",
-    "resolve_trial_randomness",
 ]
 
 
@@ -86,9 +91,10 @@ def spawn_generators(
 def is_generator_sequence(random_state) -> bool:
     """``True`` if ``random_state`` is a per-trial sequence of RNG sources.
 
-    The ensemble engines accept either one shared randomness source or a
-    list/tuple with one source per trial; this predicate is how they tell the
-    two apart (strings and arrays are not treated as sequences).
+    How :func:`as_trial_generators` tells one source from one source per
+    trial (strings and arrays are not treated as sequences); the counts
+    sweep's opt-in shared-stream draw order uses it to tell a list of
+    per-row generators from its one shared generator.
     """
     return isinstance(random_state, (list, tuple))
 
@@ -112,38 +118,6 @@ def as_trial_generators(
             )
         return [as_generator(entry) for entry in random_state]
     return spawn_generators(num_trials, random_state)
-
-
-def normalize_ensemble_random_state(
-    random_state: "EnsembleRandomState",
-) -> "EnsembleRandomState":
-    """Coerce an ensemble randomness source into generators, preserving mode.
-
-    A per-trial sequence becomes a list of generators (one per entry); any
-    other :data:`RandomState` becomes a single shared generator.  This is the
-    normalization every batched executor applies on construction.
-    """
-    if is_generator_sequence(random_state):
-        return [as_generator(entry) for entry in random_state]
-    return as_generator(random_state)
-
-
-def resolve_trial_randomness(
-    random_state: "EnsembleRandomState", num_trials: int, rng_mode: str
-) -> "EnsembleRandomState":
-    """The randomness an ensemble engine uses for a ``num_trials`` batch.
-
-    The shared policy of every batched engine: an explicit per-trial
-    sequence always wins; otherwise ``rng_mode`` decides between spawning
-    one independent child generator per trial (``"per_trial"``, the
-    trial-by-trial-reproducible default) and driving the whole batch from
-    one shared generator (``"shared"``, fully batched draws).
-    """
-    if is_generator_sequence(random_state):
-        return as_trial_generators(random_state, num_trials)
-    if rng_mode == "per_trial":
-        return as_trial_generators(random_state, num_trials)
-    return as_generator(random_state)
 
 
 def derive_seed(random_state: RandomState, index: int) -> int:

@@ -141,7 +141,7 @@ class TestCountsDelivery:
         its phase runs."""
         from repro.network import pull_model
 
-        pull_model.clear_vote_law_cache(tables=True)
+        pull_model.clear_vote_law_cache()
         model = one_block(noise)
         model.build_vote_law_tables([20, 300, 300])
         info = pull_model.vote_law_cache_info()

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.core.protocol import EnsembleProtocol, TwoStageProtocol
-from repro.core.rumor import RumorSpreading
 from repro.core.schedule import ProtocolSchedule
 from repro.core.stage1 import EnsembleStage1Executor
 from repro.core.stage2 import EnsembleStage2Executor
@@ -204,17 +203,6 @@ class TestEnsembleProtocolApi:
         with pytest.raises(ValueError):
             EnsembleProtocol(NUM_NODES, noise)
 
-    def test_rejects_unknown_rng_mode(self, noise):
-        with pytest.raises(ValueError):
-            EnsembleProtocol(NUM_NODES, noise, epsilon=EPSILON, rng_mode="bogus")
-
-    def test_shared_rng_mode_runs(self, noise, initial_state):
-        result = run_batched(
-            noise, initial_state, 0, 4, rng_mode="shared"
-        )
-        assert result.num_trials == 4
-        assert result.success_rate >= 0.75
-
     def test_explicit_schedule_is_honoured(self, noise, initial_state):
         schedule = ProtocolSchedule.for_population(NUM_NODES, EPSILON)
         result = EnsembleProtocol(
@@ -231,21 +219,6 @@ class TestEnsembleProtocolApi:
         with pytest.raises(TypeError):
             protocol.run(initial_state, 2, target_opinion=1)
 
-    def test_two_stage_protocol_run_ensemble_shortcut(self, noise, initial_state):
-        protocol = TwoStageProtocol(
-            NUM_NODES, noise, epsilon=EPSILON, random_state=0
-        )
-        result = protocol.run_ensemble(initial_state, 3, target_opinion=1)
-        assert result.num_trials == 3
-        assert result.total_rounds > 0
-
-    def test_rumor_spreading_run_ensemble(self, noise):
-        solver = RumorSpreading(
-            NUM_NODES, 3, noise, EPSILON, correct_opinion=2, random_state=0
-        )
-        result = solver.run_ensemble(4)
-        assert result.num_trials == 4
-        assert result.target_opinion == 2
 
 
 class TestEnsembleExecutors:

@@ -15,9 +15,9 @@ import pytest
 from repro.core.state import CountsState, EnsembleCountsState
 from repro.dynamics import (
     DYNAMICS_RULES,
-    CountsDynamicsResult,
     EnsembleCountsHMajorityDynamics,
     EnsembleCountsThreeMajorityDynamics,
+    EnsembleDynamicsResult,
 )
 from repro.dynamics.base import (
     CountsDynamicsTask,
@@ -204,15 +204,6 @@ class TestRegistryAndApi:
         with pytest.raises(ValueError):
             build_dynamics("counts", "h-majority", NUM_NODES, noise)
 
-    @pytest.mark.parametrize("rule", DYNAMICS_RULES)
-    def test_shared_stream_mode_rejected(self, noise, rule):
-        sample_size = 5 if rule == "h-majority" else None
-        with pytest.raises(ValueError, match="batched tier"):
-            build_dynamics(
-                "counts", rule, NUM_NODES, noise, 0,
-                sample_size=sample_size, rng_mode="shared",
-            )
-
     def test_intractable_vote_table_rejected_eagerly(self, noise):
         with pytest.raises(ValueError, match="intractable"):
             EnsembleCountsHMajorityDynamics(NUM_NODES, noise, 500)
@@ -220,7 +211,8 @@ class TestRegistryAndApi:
     def test_result_shapes_and_types(self, noise, initial_state):
         result = run_counts("voter", None, noise, initial_state, 0, 5,
                             max_rounds=10, stop_at_consensus=False)
-        assert isinstance(result, CountsDynamicsResult)
+        assert isinstance(result, EnsembleDynamicsResult)
+        assert isinstance(result.final_states, EnsembleCountsState)
         assert result.num_trials == 5
         assert result.successes.shape == (5,)
         assert result.converged.shape == (5,)

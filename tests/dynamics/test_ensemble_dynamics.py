@@ -225,21 +225,11 @@ class TestEnsembleDynamicsApi:
                 biased_population(NUM_NODES, 5, 0.2, random_state=0), 10, 2
             )
 
-    def test_rejects_bad_rng_mode(self, noise):
-        with pytest.raises(ValueError):
-            EnsembleThreeMajorityDynamics(NUM_NODES, noise, 0, rng_mode="bogus")
-
     def test_rejects_out_of_range_target(self, noise, initial_state):
         with pytest.raises(ValueError):
             EnsembleThreeMajorityDynamics(NUM_NODES, noise, 0).run(
                 initial_state, 10, 2, target_opinion=7
             )
-
-    def test_shared_rng_mode_runs(self, noise, initial_state):
-        result = EnsembleThreeMajorityDynamics(
-            NUM_NODES, noise, 0, rng_mode="shared"
-        ).run(initial_state, 20, 4, target_opinion=1)
-        assert result.num_trials == 4
 
     def test_no_early_stop_when_disabled(self, initial_state):
         result = run_batched(

@@ -11,7 +11,6 @@ from repro.network.mailbox import EnsembleReceivedMessages, ReceivedMessages
 from repro.network.poisson_model import PoissonizedProcess
 from repro.network.push_model import UniformPushModel
 from repro.network.topology import GraphPushModel, standard_topology
-from repro.utils.rng import spawn_generators
 
 NUM_NODES = 50
 NUM_TRIALS = 4
@@ -37,7 +36,7 @@ class TestEngineEnsemblePhases:
     def test_shapes_and_dtype(self, uniform3, rng):
         histograms = np.array([[5, 0, 3]] * NUM_TRIALS)
         for engine in make_engines(uniform3, rng):
-            received = engine.run_ensemble_phase_from_senders(histograms, 4)
+            received = engine.run_ensemble_phase_from_senders(histograms, 4, rng)
             assert isinstance(received, EnsembleReceivedMessages)
             assert received.counts.shape == (NUM_TRIALS, NUM_NODES, 3)
             assert received.counts.dtype == np.int64
@@ -49,7 +48,9 @@ class TestEngineEnsemblePhases:
         histograms = np.array([[7, 2, 0], [0, 0, 0], [1, 1, 1], [0, 9, 4]])
         num_rounds = 3
         for engine in make_engines(uniform3, rng)[:2]:
-            received = engine.run_ensemble_phase_from_senders(histograms, num_rounds)
+            received = engine.run_ensemble_phase_from_senders(
+                histograms, num_rounds, rng
+            )
             assert np.array_equal(
                 received.total_messages(), histograms.sum(axis=1) * num_rounds
             )
@@ -60,7 +61,7 @@ class TestEngineEnsemblePhases:
             UniformPushModel(NUM_NODES, identity3, rng),
             BallsIntoBinsProcess(NUM_NODES, identity3, rng),
         ]:
-            received = engine.run_ensemble_phase_from_senders(histograms, 2)
+            received = engine.run_ensemble_phase_from_senders(histograms, 2, rng)
             assert np.array_equal(
                 received.counts.sum(axis=1), histograms * 2
             )
@@ -97,15 +98,17 @@ class TestEngineEnsemblePhases:
     def test_rejects_bad_histogram_shapes(self, uniform3, rng):
         for engine in make_engines(uniform3, rng):
             with pytest.raises(ValueError):
-                engine.run_ensemble_phase_from_senders(np.array([[1, 2]]), 1)
+                engine.run_ensemble_phase_from_senders(np.array([[1, 2]]), 1, rng)
             with pytest.raises(ValueError):
-                engine.run_ensemble_phase_from_senders(np.array([[1, -2, 0]]), 1)
+                engine.run_ensemble_phase_from_senders(
+                    np.array([[1, -2, 0]]), 1, rng
+                )
 
     def test_poisson_matches_expected_rate(self, identity3):
         rng = np.random.default_rng(5)
         engine = PoissonizedProcess(NUM_NODES, identity3, rng)
         histograms = np.tile([NUM_NODES * 4, 0, 0], (20, 1))
-        received = engine.run_ensemble_phase_from_senders(histograms, 1)
+        received = engine.run_ensemble_phase_from_senders(histograms, 1, rng)
         # Each node receives Poisson(4) copies of opinion 1 on average.
         mean = received.counts[:, :, 0].mean()
         assert mean == pytest.approx(4.0, rel=0.1)
@@ -131,7 +134,7 @@ class TestDeliverEnsemblePhase:
     def test_histograms_exclude_undecided(self, identity3, rng):
         engine = UniformPushModel(6, identity3, rng)
         opinions = np.array([[0, 0, 1, 1, 2, 0], [3, 0, 0, 0, 0, 0]])
-        received = deliver_ensemble_phase(engine, opinions, 2)
+        received = deliver_ensemble_phase(engine, opinions, 2, rng)
         assert np.array_equal(
             received.counts.sum(axis=1), [[4, 2, 0], [0, 0, 2]]
         )
@@ -139,13 +142,15 @@ class TestDeliverEnsemblePhase:
     def test_rejects_vector_opinions(self, uniform3, rng):
         engine = UniformPushModel(6, uniform3, rng)
         with pytest.raises(ValueError):
-            deliver_ensemble_phase(engine, np.array([1, 2, 0]), 1)
+            deliver_ensemble_phase(engine, np.array([1, 2, 0]), 1, rng)
 
     def test_rejects_engine_without_batched_entry_point(self, uniform3, rng):
         graph = standard_topology("cycle", 10)
         engine = GraphPushModel(graph, uniform3, rng)
         with pytest.raises(TypeError):
-            deliver_ensemble_phase(engine, np.zeros((2, 10), dtype=np.int64), 1)
+            deliver_ensemble_phase(
+                engine, np.zeros((2, 10), dtype=np.int64), 1, rng
+            )
 
 
 class TestEnsembleReceivedMessages:

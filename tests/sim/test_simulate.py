@@ -107,14 +107,14 @@ class TestProvenanceAndJson:
     def test_counts_runs_expose_vote_law_cache_counters(self):
         result = simulate(protocol_scenario("rumor", "counts"))
         counters = result.provenance["vote_law_cache"]
-        assert {
-            "law_hits", "law_misses", "law_entries",
+        assert set(counters) == {
             "table_hits", "table_misses", "table_entries",
             "dense_table_hits", "dense_table_misses", "dense_table_entries",
-        } <= set(counters)
-        # Deltas for this run: a protocol run builds at least one law.
+        }
+        # Deltas for this run: every law a protocol run evaluates looks up
+        # its composition table.
         assert all(value >= 0 for value in counters.values())
-        assert counters["law_hits"] + counters["law_misses"] > 0
+        assert counters["table_hits"] + counters["table_misses"] > 0
 
     def test_non_counts_runs_have_no_cache_counters(self):
         result = simulate(protocol_scenario("rumor", "batched"))
@@ -136,6 +136,19 @@ class TestProvenanceAndJson:
             rebuilt.trajectories, result.trajectories
         )
         assert rebuilt.provenance == json.loads(result.to_json())["provenance"]
+
+    def test_sequential_dynamics_results_carry_trajectories(self):
+        """The sequential tier pads each trial's bias history with its final
+        value, like the batched tier's history matrix."""
+        result = simulate(dynamics_scenario("sequential"))
+        trajectories = result.trajectories
+        assert trajectories is not None
+        assert trajectories.shape == (TRIALS, result.rounds.max())
+        np.testing.assert_array_equal(trajectories[:, -1], result.final_biases)
+        for row, rounds in zip(trajectories, result.rounds):
+            assert np.all(row[rounds - 1:] == row[-1])
+        rebuilt = SimulationResult.from_json(result.to_json())
+        np.testing.assert_array_equal(rebuilt.trajectories, trajectories)
 
     def test_to_json_uses_the_canonical_encoder(self):
         """Every leaf of to_json_dict() must be plain JSON-compatible."""
