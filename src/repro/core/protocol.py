@@ -867,15 +867,12 @@ def _run_stage2_substep(counts, generators, parts, step, cache) -> None:
     updaters = sub_model.sample_updaters(
         group_sizes, update_probability, gens_sub
     )
-    votes = sub_model.sample_vote_counts(
-        noisy,
-        updaters.sum(axis=1, dtype=np.int64),
-        sample_sizes,
-        gens_sub,
-    )
+    voters = updaters.sum(axis=1, dtype=np.int64)
+    vote_paths = sub_model.vote_paths(noisy, voters, sample_sizes)
+    votes = sub_model.sample_vote_counts(noisy, voters, sample_sizes, gens_sub)
     new_counts = counts_sub + votes - updaters[:, 1:]
     counts[rows] = new_counts
-    for point, lsl in zip(parts, local_slices):
+    for point, lsl, vote_path in zip(parts, local_slices, vote_paths):
         _, phase_index, phase_rounds, sample_size = point.plan[step]
         target = point.target_opinion
         distributions = new_counts[lsl] / point.task.num_nodes
@@ -891,6 +888,7 @@ def _run_stage2_substep(counts, generators, parts, step, cache) -> None:
                 messages_sent=histograms[lsl].sum(axis=1, dtype=np.int64),
                 consensus_after=new_counts[lsl, target - 1]
                 == point.task.num_nodes,
+                vote_path=vote_path,
             )
         )
 

@@ -223,7 +223,11 @@ class EnsembleStage2PhaseRecord:
     ``consensus_after`` additionally records which trials sit at full
     consensus on the tracked opinion after the phase (all ``False`` when no
     opinion is tracked), so callers can reconstruct per-trial
-    rounds-to-consensus without freezing the batch.
+    rounds-to-consensus without freezing the batch.  ``vote_path`` names
+    the ``maj()`` law the counts tier drew the phase's votes from
+    (``"table"``, ``"dense"``, ``"chunk"`` or the certified ``"point"``
+    law); it is ``None`` for the per-node engines, which draw every
+    voter's sample.
     """
 
     phase_index: int
@@ -235,6 +239,7 @@ class EnsembleStage2PhaseRecord:
     bias_after: Optional[np.ndarray]
     messages_sent: np.ndarray
     consensus_after: np.ndarray
+    vote_path: Optional[str] = None
 
 
 class EnsembleStage2Executor:

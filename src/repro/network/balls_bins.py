@@ -17,7 +17,7 @@ compare the two empirically.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -93,6 +93,14 @@ def poisson_tail_probability(threshold: int, lam: np.ndarray) -> np.ndarray:
     tail = np.zeros(lam.shape)
     tail[positive] = np.clip(1.0 - cdf, 0.0, 1.0)
     return tail
+
+
+#: Largest certified miss bound ``voters * beta`` (see
+#: :func:`~repro.network.pull_model.majority_vote_miss_bound`) of a row that
+#: draws its votes from the point law on its dominant color.  It bounds the
+#: total variation distance between those tallies and the exact ones, and
+#: sits below float64 resolution, the exact law's own rounding.
+_POINT_LAW_MAX_MISS = 2.0**-53
 
 
 # reprolint: counts-tier
@@ -207,7 +215,7 @@ class HeterogeneousCountsDeliveryModel:
         return array
 
     def _resolve_vote_path(self, sample_size: int) -> str:
-        """Which sampler :meth:`sample_vote_counts` uses for ``sample_size``.
+        """Which exact sampler serves an uncertified block of ``sample_size``.
 
         ``"table"`` — the closed-form composition table over
         {no opinion, 1, …, k} (small samples); ``"dense"`` — the exact dense
@@ -215,6 +223,8 @@ class HeterogeneousCountsDeliveryModel:
         and thousands for ``k=3``); ``"chunk"`` — the bounded-chunk
         per-voter sampler (``O(num_voters)`` work).  The decision depends
         only on ``(sample_size, k)``, so it is made once per sample size.
+        :meth:`vote_paths` replaces it with ``"point"`` for the blocks a
+        Chernoff bound certifies.
         """
         from repro.network.pull_model import (  # local: avoid import cycle
             dense_vote_law_is_tractable,
@@ -395,6 +405,43 @@ class HeterogeneousCountsDeliveryModel:
             where=totals > 0,
         )
 
+    def vote_paths(
+        self,
+        noisy_histograms: np.ndarray,
+        num_voters: np.ndarray,
+        sample_sizes: Sequence[int],
+    ) -> List[str]:
+        """The vote path :meth:`sample_vote_counts` takes for each block.
+
+        ``"point"`` when every row of the block has ``voters * beta <=
+        2^-53``, ``beta`` being the Chernoff bound of
+        :func:`~repro.network.pull_model.majority_vote_miss_bound`: all the
+        row's voters then vote its dominant color, except with a
+        probability below float64 resolution.  Otherwise the block's exact
+        path, :meth:`_resolve_vote_path`.  The choice is made per block,
+        not per row, because the table law's matmul is not row-stable
+        across row subsets.
+        """
+        from repro.network.pull_model import (  # local: avoid import cycle
+            majority_vote_miss_bound,
+        )
+
+        voters = np.asarray(num_voters, dtype=np.int64)
+        row_sample_sizes = np.repeat(
+            np.asarray(sample_sizes, dtype=np.int64),
+            [sl.stop - sl.start for sl in self.block_slices],
+        )
+        _, bounds = majority_vote_miss_bound(
+            self.vote_probabilities(noisy_histograms), row_sample_sizes
+        )
+        certified = voters * bounds <= _POINT_LAW_MAX_MISS
+        return [
+            "point"
+            if certified[sl].all()
+            else self._resolve_vote_path(int(sample_sizes[block]))
+            for block, sl in enumerate(self.block_slices)
+        ]
+
     def sample_vote_counts(
         self,
         noisy_histograms: np.ndarray,
@@ -404,7 +451,15 @@ class HeterogeneousCountsDeliveryModel:
     ) -> np.ndarray:
         """Per-row ``maj()`` vote tallies with a per-block sample size.
 
-        The vote law is evaluated *per block* (at the block's own row
+        Each block takes the path :meth:`vote_paths` names.  A ``"point"``
+        block evaluates no law: its rows draw from the point law on their
+        dominant color, through the same per-row multinomials as the law
+        rows, so a row whose dominant color is opinion 1 leaves its
+        generator where the exact law would.  The substitution moves each
+        row's tallies by at most the certified total variation distance
+        ``voters * beta <= 2^-53``.
+
+        The exact vote law is evaluated *per block* (at the block's own row
         shape — the wide composition matmul is not row-stable across batch
         sizes); the clip/renormalization and the per-row multinomials are
         merged.  Blocks beyond the closed-form table budget use the dense
@@ -427,6 +482,7 @@ class HeterogeneousCountsDeliveryModel:
         voters = np.asarray(num_voters, dtype=np.int64)
         per_trial = is_generator_sequence(generators)
         shared_rng = None if per_trial else as_generator(generators)
+        vote_paths = self.vote_paths(noisy, voters, sample_sizes)
         vote_law_probabilities = self.vote_probabilities(noisy)
         observation_law = np.concatenate(
             [np.zeros((self.num_rows, 1)), vote_law_probabilities], axis=1
@@ -436,10 +492,13 @@ class HeterogeneousCountsDeliveryModel:
         dense_pmf = np.empty((self.num_rows, self.num_opinions), dtype=float)
         tractable_rows = np.zeros(self.num_rows, dtype=bool)
         dense_rows = np.zeros(self.num_rows, dtype=bool)
+        point_rows = np.zeros(self.num_rows, dtype=bool)
         for block, sl in enumerate(self.block_slices):
             sample_size = int(sample_sizes[block])
-            vote_path = self._resolve_vote_path(sample_size)
-            if vote_path == "table":
+            vote_path = vote_paths[block]
+            if vote_path == "point":
+                point_rows[sl] = True
+            elif vote_path == "table":
                 law[sl] = majority_vote_law(observation_law[sl], sample_size)
                 tractable_rows[sl] = True
             elif vote_path == "dense":
@@ -456,7 +515,7 @@ class HeterogeneousCountsDeliveryModel:
                     if per_trial
                     else [shared_rng] * (sl.stop - sl.start),
                 )
-        law_rows = tractable_rows | dense_rows
+        law_rows = tractable_rows | dense_rows | point_rows
         if law_rows.any():
             vote_pmf = np.clip(law, 0.0, 1.0)[:, 1:]
             row_sums = vote_pmf.sum(axis=1, keepdims=True)
@@ -468,6 +527,10 @@ class HeterogeneousCountsDeliveryModel:
             )
             if dense_rows.any():
                 vote_pmf[dense_rows] = dense_pmf[dense_rows]
+            if point_rows.any():
+                vote_pmf[point_rows] = np.eye(self.num_opinions)[
+                    vote_law_probabilities[point_rows].argmax(axis=1)
+                ]
             if per_trial:
                 voters_list = voters.tolist()
                 for row in np.nonzero(law_rows)[0]:

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import combinations
-from typing import Dict, Tuple
+from typing import Dict, Tuple, Union
 
 import numpy as np
 
@@ -53,6 +53,7 @@ __all__ = [
     "vote_table_is_tractable",
     "dense_majority_vote_law",
     "dense_vote_law_is_tractable",
+    "majority_vote_miss_bound",
     "vote_law_cache_info",
     "clear_vote_law_cache",
 ]
@@ -397,6 +398,36 @@ def dense_majority_vote_law(
         out=np.full(law.shape, 1.0 / num_opinions),
         where=row_sums > 0,
     )
+
+
+def majority_vote_miss_bound(
+    probabilities: np.ndarray, sample_size: Union[int, np.ndarray]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-row dominant color and a Chernoff bound on ``maj()`` missing it.
+
+    ``probabilities`` has shape ``(R, k)``: row ``r`` is the color law of a
+    voter's ``sample_size`` i.i.d. opinionated observations
+    (``sample_size`` is one ``L`` or one per row).  Returns
+    ``(dominant, bound)``: ``dominant[r]`` is the row's most likely color
+    ``i*`` (0-based, the first on ties) and ``bound[r]`` is
+
+        beta = sum_{j != i*} (1 - (sqrt(p_i*) - sqrt(p_j))^2)^L,
+
+    the union of the pairwise Chernoff bounds on ``P(X_j >= X_i*)`` for
+    ``X ~ Multinomial(L, p)`` (the optimal exponential moment of
+    ``X_j - X_i*``).  ``maj()`` can vote ``j != i*`` only if
+    ``X_j >= X_i*``, so ``1 - P(maj() = i*) <= beta``; tied or empty rows
+    get ``beta >= 1``.  This is the paper's Stage-2 argument: the vote
+    misses the plurality with probability ``exp(-Omega(delta^2 L))``.
+    """
+    probabilities = np.asarray(probabilities, dtype=float)
+    rows = np.arange(probabilities.shape[0])
+    dominant = probabilities.argmax(axis=1)
+    roots = np.sqrt(probabilities)
+    gaps = roots[rows, dominant][:, np.newaxis] - roots
+    terms = (1.0 - gaps * gaps) ** np.reshape(sample_size, (-1, 1))
+    terms[rows, dominant] = 0.0
+    return dominant, terms.sum(axis=1)
 
 
 def _observe_single_core(

@@ -247,7 +247,9 @@ def simulate(scenario: Scenario) -> SimulationResult:
     (rumor / plurality / dynamics) and every engine tier (sequential /
     batched / counts).  Provenance on the result records the resolved
     engine, the seed, the facade code version, the wall time and the full
-    scenario dictionary, so any stored result is self-describing.
+    scenario dictionary, so any stored result is self-describing; a counts
+    protocol run adds the vote path of each Stage-2 phase
+    (``stage2_vote_paths``).
     """
     scenario.validate()
     engine, degraded_reason = _resolve_engine(scenario)
@@ -266,6 +268,7 @@ def simulate(scenario: Scenario) -> SimulationResult:
         "code_version": sim_code_version(),
         "wall_time_seconds": round(elapsed, 6),
         "scenario": scenario.to_dict(),
+        **result.provenance,
     }
     if degraded_reason is not None:
         result.provenance["engine_degraded_reason"] = degraded_reason

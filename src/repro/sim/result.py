@@ -102,7 +102,9 @@ class SimulationResult:
     provenance:
         How the result was produced: resolved engine, requested policy,
         seed, facade code version, wall time, and the full scenario
-        dictionary.  Filled in by :func:`~repro.sim.facade.simulate`.
+        dictionary.  Filled in by :func:`~repro.sim.facade.simulate`, which
+        keeps the entries the engine's adapter set (a counts protocol
+        result's ``stage2_vote_paths``).
     """
 
     workload: str
@@ -256,7 +258,11 @@ class SimulationResult:
         workload: str,
         engine: str,
     ) -> "SimulationResult":
-        """Adapt a batched or counts :class:`EnsembleResult`."""
+        """Adapt a batched or counts :class:`EnsembleResult`.
+
+        A counts result carries ``provenance["stage2_vote_paths"]``, the
+        ``maj()`` vote path of each Stage-2 phase.
+        """
         counts = np.asarray(result.final_states.opinion_counts(), dtype=np.int64)
         num_nodes = result.final_states.num_nodes
         converged = counts.max(axis=1) == num_nodes
@@ -288,6 +294,15 @@ class SimulationResult:
             ),
             stage1_rounds=int(result.stage1_rounds),
             trajectories=trajectories,
+            provenance=(
+                {
+                    "stage2_vote_paths": [
+                        record.vote_path for record in result.stage2_records
+                    ]
+                }
+                if engine == "counts"
+                else {}
+            ),
         )
 
     @classmethod

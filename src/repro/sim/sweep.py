@@ -297,6 +297,7 @@ def _stamp_provenance(
         "code_version": code_version,
         "wall_time_seconds": round(elapsed, 6),
         "scenario": scenario.to_dict(),
+        **result.provenance,
     }
 
 
@@ -332,6 +333,10 @@ def simulate_sweep(
     dominate.  Batched results are stamped with
     ``provenance["rng_draw_order"] = "batched"`` and cached under a
     distinct store identity so they never masquerade as per-trial runs.
+    The mode touches only the counts-protocol points: counts-dynamics and
+    serial points run per-trial in either mode, under the per-trial
+    identity (fused dynamics points are stamped
+    ``rng_draw_order = "per-trial"``).
     """
     if draw_mode not in ("per-trial", "batched"):
         raise ValueError(
@@ -347,11 +352,16 @@ def simulate_sweep(
     engines: List[Optional[str]] = [None] * size
     from_cache = [False] * size
 
+    resolved = [_resolve_engine(scenario)[0] for scenario in scenarios]
+    counts_protocol = [
+        engine == "counts" and scenario.workload in ("rumor", "plurality")
+        for engine, scenario in zip(resolved, scenarios)
+    ]
     identities: List[Optional[Dict[str, Any]]] = [None] * size
     if store is not None:
         for index, scenario in enumerate(scenarios):
             identities[index] = _point_identity(scenario, code_version)
-            if draw_mode != "per-trial":
+            if draw_mode != "per-trial" and counts_protocol[index]:
                 identities[index]["draw_mode"] = draw_mode
             payload = store.fetch(store_label, identities[index])
             if payload is not None:
@@ -366,11 +376,10 @@ def simulate_sweep(
     serial_points: List[int] = []
     for index in pending:
         scenario = scenarios[index]
-        engine, _ = _resolve_engine(scenario)
-        engines[index] = engine
-        if engine == "counts" and scenario.workload in ("rumor", "plurality"):
+        engines[index] = resolved[index]
+        if counts_protocol[index]:
             protocol_groups.setdefault(scenario.num_opinions, []).append(index)
-        elif engine == "counts" and scenario.workload == "dynamics":
+        elif resolved[index] == "counts" and scenario.workload == "dynamics":
             dynamics_batch.append(index)
         else:
             serial_points.append(index)
@@ -414,6 +423,7 @@ def simulate_sweep(
             _stamp_provenance(
                 result, scenario, "counts", code_version, batch_elapsed
             )
+            result.provenance["rng_draw_order"] = "per-trial"
             results[index] = result
 
     for index in serial_points:

@@ -9,9 +9,11 @@ batch, so these tests pin today's engine to the numbers of the previous
 implementation rather than to itself.
 
 The protocol points cover every vote-law path of the counts tier: rumor
-``k = 2``, plurality ``k = 3`` on the table and dense paths, plurality
-``k = 5`` whose final phase takes the bounded-chunk sampler, and the crash,
-omission and liar adversaries.
+``k = 2`` and plurality ``k = 3`` on the table path, whose final phases the
+Chernoff certificate serves with the point law (bitwise the numbers the
+exact laws gave), plurality ``k = 5`` on the dense path with a final phase
+on the bounded-chunk sampler, and the crash, omission and liar
+adversaries, the last two ending on the dense path.
 
 The dynamics points (final counts, rounds, convergence, successes and a
 digest of the bias history) were captured from the per-rule counts round

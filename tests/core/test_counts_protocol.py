@@ -122,10 +122,14 @@ class TestCountsDelivery:
         )
         chunked_model = one_block(uniform_noise_matrix(6, EPSILON))
         chunked_model.VOTE_CHUNK = 256
-        # L = 201 with k = 6 is beyond both table budgets -> chunk sampler.
-        assert chunked_model._resolve_vote_path(201) == "chunk"
+        # L = 201 with k = 6 is beyond both table budgets, and this bias is
+        # too weak for the point-law certificate -> chunk sampler.
+        chunked_noisy = np.array([[4000, 1200, 1200, 1200, 1200, 1200]])
+        assert chunked_model.vote_paths(chunked_noisy, voters, [201]) == [
+            "chunk"
+        ]
         chunked = chunked_model.sample_vote_counts(
-            np.array([[9000, 200, 200, 200, 200, 200]]),
+            chunked_noisy,
             voters,
             [201],
             np.random.default_rng(1),

@@ -12,9 +12,9 @@ size.  Two complementary checks enforce it:
   axis must stay below ``MAX_TRACED_AXIS`` (far below ``n``, with head
   room for the documented ``VOTE_CHUNK = 32768`` Stage-2 chunks and the
   ``O(L)`` Poisson-tail work arrays);
-* **physical impossibility** — the dynamics run again at ``n = 10^12``,
-  where any array with an ``n``-sized axis would need ~8 TB: merely
-  completing proves no such allocation happened.
+* **physical impossibility** — a dynamics run and a protocol run at
+  ``n = 10^12``, where any array with an ``n``-sized axis would need
+  ~8 TB: merely completing proves no such allocation happened.
 """
 
 from __future__ import annotations
@@ -24,7 +24,9 @@ import pytest
 
 from repro.core.protocol import CountsProtocol
 from repro.core.state import CountsState
+from repro.network.balls_bins import HeterogeneousCountsDeliveryModel
 from repro.noise.families import uniform_noise_matrix
+from repro.sim import Scenario, simulate
 from repro.sim.engines import build_dynamics
 
 #: Any traced axis at or above this is treated as an ``n``-sized leak.
@@ -141,7 +143,8 @@ def test_counts_dynamics_allocate_no_n_sized_axis(shape_log):
 
 def test_counts_protocol_allocates_no_n_sized_axis(shape_log):
     """A full two-stage protocol run, including the final long Stage-2
-    phase whose vote sampler falls back to bounded chunks."""
+    phase (L = 743): the Chernoff certificate serves it with the point law,
+    and uncertified it would take the dense law, not bounded chunks."""
     noise = uniform_noise_matrix(3, 0.3)
     initial = CountsState.single_source(NUM_NODES, 3, 1)
     generators = [
@@ -175,3 +178,26 @@ def test_counts_dynamics_run_at_a_trillion_nodes():
     # The channel noise pulls the bias toward its small fixed point, but
     # the initial plurality must still lead after 10 rounds.
     assert np.all(result.final_biases > 0)
+
+
+def test_counts_protocol_runs_at_a_trillion_nodes(monkeypatch):
+    """The protocol twin: k = 5 plurality at n = 10^12.  Its final Stage-2
+    phase (L = 1329) is past both law budgets; only the Chernoff
+    certificate keeps it off the per-voter sampler, which would draw 10^12
+    sample compositions per trial."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the per-voter chunk sampler ran")
+
+    monkeypatch.setattr(
+        HeterogeneousCountsDeliveryModel, "_sample_chunk_votes", refuse
+    )
+    result = simulate(
+        Scenario(
+            workload="plurality", num_nodes=10**12, num_opinions=5,
+            engine="counts", num_trials=4, seed=0,
+        )
+    )
+    assert result.provenance["stage2_vote_paths"][-1] == "point"
+    assert np.all(result.final_opinion_counts.sum(axis=1) <= 10**12)
+    assert result.success_rate == 1.0

@@ -119,6 +119,29 @@ class TestProvenanceAndJson:
     def test_non_counts_runs_have_no_cache_counters(self):
         result = simulate(protocol_scenario("rumor", "batched"))
         assert "vote_law_cache" not in result.provenance
+        assert "stage2_vote_paths" not in result.provenance
+
+    def test_counts_protocol_runs_record_each_stage2_vote_path(self):
+        """A dominated final phase is certified onto the point law; a
+        near tie never is."""
+        from repro.core.schedule import ProtocolSchedule
+
+        def paths(bias):
+            result = simulate(
+                Scenario(
+                    workload="plurality", num_nodes=10**4, num_opinions=3,
+                    epsilon=0.3, bias=bias, engine="counts",
+                    num_trials=TRIALS, seed=SEED,
+                )
+            )
+            return result.provenance["stage2_vote_paths"]
+
+        dominated = paths(0.3)
+        schedule = ProtocolSchedule.for_population(10**4, 0.3)
+        assert len(dominated) == schedule.stage2.num_phases
+        assert dominated[-1] == "point"
+        assert set(dominated) <= {"table", "dense", "chunk", "point"}
+        assert "point" not in paths(0.0)
 
     def test_json_round_trip_is_exact(self):
         result = simulate(dynamics_scenario("batched"))

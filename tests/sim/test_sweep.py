@@ -61,6 +61,9 @@ def assert_sweep_matches_serial(grid: ScenarioGrid) -> SweepResult:
         assert_results_equal(serial, fused, context)
         # The sweep reports the same resolved engine the serial call used.
         assert sweep.engines[index] == serial.provenance["engine"], context
+        assert fused.provenance.get(
+            "stage2_vote_paths"
+        ) == serial.provenance.get("stage2_vote_paths"), context
         assert fused.provenance["sweep"]["grid_index"] == index
         assert not sweep.from_cache[index]
     return sweep
@@ -519,6 +522,41 @@ class TestSweepStore:
             assert_results_equal(
                 serial[index], sweep[index], f"extended point {index}"
             )
+
+    def test_batched_draw_mode_keys_only_counts_protocol_points(
+        self, tmp_path
+    ):
+        """Dynamics and serial points run per-trial in either draw mode, so
+        a per-trial sweep reuses what a batched-mode sweep stored for them;
+        counts-protocol points are recomputed."""
+        store = ResultStore(tmp_path / "results")
+        grids = (
+            ScenarioGrid(
+                protocol_base(num_nodes=200, num_trials=2),
+                {"engine": ("counts", "sequential")},
+            ),
+            ScenarioGrid(dynamics_base(), {"engine": ("counts", "sequential")}),
+        )
+        batched = [
+            simulate_sweep(
+                grid, store=store, store_label="mixed", draw_mode="batched"
+            )
+            for grid in grids
+        ]
+        assert batched[0][0].provenance["rng_draw_order"] == "batched"
+        assert batched[1][0].provenance["rng_draw_order"] == "per-trial"
+        per_trial = [
+            simulate_sweep(grid, store=store, store_label="mixed")
+            for grid in grids
+        ]
+        assert per_trial[0].from_cache == [False, True]
+        assert per_trial[1].from_cache == [True, True]
+        assert per_trial[0][0].provenance["rng_draw_order"] == "per-trial"
+        for index in range(2):
+            assert_results_equal(
+                batched[1][index], per_trial[1][index], f"dynamics {index}"
+            )
+        assert_results_equal(batched[0][1], per_trial[0][1], "sequential")
 
     def test_cache_is_label_scoped(self, tmp_path):
         store = ResultStore(tmp_path / "results")
