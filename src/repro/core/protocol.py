@@ -868,8 +868,9 @@ def _run_stage2_substep(counts, generators, parts, step, cache) -> None:
         group_sizes, update_probability, gens_sub
     )
     voters = updaters.sum(axis=1, dtype=np.int64)
-    vote_paths = sub_model.vote_paths(noisy, voters, sample_sizes)
-    votes = sub_model.sample_vote_counts(noisy, voters, sample_sizes, gens_sub)
+    votes, vote_paths = sub_model.sample_vote_counts(
+        noisy, voters, sample_sizes, gens_sub
+    )
     new_counts = counts_sub + votes - updaters[:, 1:]
     counts[rows] = new_counts
     for point, lsl, vote_path in zip(parts, local_slices, vote_paths):

@@ -35,7 +35,8 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, List, Optional, Tuple, Union
+from itertools import groupby
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -49,7 +50,8 @@ from repro.core.state import (
 from repro.network.pull_model import (
     EnsemblePullModel,
     UniformPullModel,
-    majority_vote_law,
+    block_majority_vote_law,
+    block_matmul,
 )
 from repro.noise.matrix import NoiseMatrix
 from repro.utils.multiset import opinion_counts_matrix
@@ -58,6 +60,7 @@ from repro.utils.rng import (
     RandomState,
     as_generator,
     as_trial_generators,
+    multinomial_rows,
 )
 from repro.utils.validation import require_opinion, require_positive_int
 
@@ -725,10 +728,11 @@ def _run_merged_counts_group(
     per-block noise matrices, ``maj()`` sample sizes and phase budgets,
     per-row generators, per-point round budgets and convergence masks.
     Every floating-point operation either is elementwise / a per-row
-    reduction (row-stable by construction) or runs on exactly one point's
-    active rows (the per-block matmul and law calls), and every draw comes
-    from the row's own generator — so a point's trajectory does not depend
-    on what else shares its batch.  Mutates ``states`` in place; callers
+    reduction (row-stable by construction) or is a matmul applied at one
+    point's own active-row shape (one stacked matmul per run of
+    equal-size blocks, see :func:`_size_runs`), and every draw comes from
+    the row's own generator — so a point's trajectory does not depend on
+    what else shares its batch.  Mutates ``states`` in place; callers
     finish with ``_finish``.
     """
     num_opinions = tasks[0].dynamics.num_opinions
@@ -776,15 +780,17 @@ def _run_merged_counts_group(
                 stop_parts.append(
                     np.full(size, state.stop_at_consensus, dtype=bool)
                 )
-                generators.extend(
-                    state.randomness[row].multinomial
-                    for row in state.active
-                )
+                generators.extend(state.randomness[row] for row in state.active)
                 position += size
             counts_active = np.vstack(counts_parts)
             nodes_active = np.concatenate(node_parts)
             stop_mask = np.concatenate(stop_parts)
             any_stop = bool(stop_mask.any())
+            block_sizes = [entry[3].stop - entry[3].start for entry in blocks]
+            runs = _size_runs(block_sizes)
+            block_noise = np.stack([entry[4] for entry in blocks])
+            if kind == "majority":
+                law_groups = _sample_size_groups(blocks, block_sizes)
             bias_blocks = [
                 entry
                 for entry in blocks
@@ -794,20 +800,24 @@ def _run_merged_counts_group(
             deadline = min(states[index].max_rounds for index in live)
             rebuild = False
         if kind == "approximate":
+            law = np.zeros((num_rows, num_opinions))
+            moving = np.zeros(num_rows, dtype=bool)
             for index, state, dynamics, block, noise_matrix in blocks:
-                if global_round >= dynamics.phase_budget:
-                    continue
-                law, has_mass = interval_midpoint_law(
-                    counts_active[block],
-                    dynamics.num_nodes,
-                    dynamics.noise,
-                    dynamics.acceptance,
-                )
-                # A row with no opinion mass has no law and holds still.
-                for row in np.flatnonzero(has_mass):
-                    counts_active[block.start + row] = generators[
-                        block.start + row
-                    ](dynamics.num_nodes, law[row])
+                if global_round < dynamics.phase_budget:
+                    law[block], moving[block] = interval_midpoint_law(
+                        counts_active[block],
+                        dynamics.num_nodes,
+                        dynamics.noise,
+                        dynamics.acceptance,
+                    )
+            # A row with no opinion mass has no law and holds still, as do
+            # the rows of a point past its phase budget.
+            drawn = multinomial_rows(
+                generators, np.where(moving, nodes_active, 0), law
+            )
+            counts_active = np.where(
+                moving[:, np.newaxis], drawn, counts_active
+            )
         else:
             # Observation pmf over {no opinion, 1..k} with per-row n and
             # per-block noise; the clip drops float dust (a fully
@@ -815,9 +825,7 @@ def _run_merged_counts_group(
             # multinomial rejects).
             shares = counts_active / nodes_active[:, np.newaxis]
             none_mass = 1.0 - shares.sum(axis=1, keepdims=True)
-            noisy = np.empty((num_rows, num_opinions), dtype=float)
-            for index, state, dynamics, block, noise_matrix in blocks:
-                np.matmul(shares[block], noise_matrix, out=noisy[block])
+            noisy = block_matmul(shares, block_noise, runs)
             pmf = np.clip(np.concatenate([none_mass, noisy], axis=1), 0.0, 1.0)
             undecided = nodes_active - counts_active.sum(axis=1, dtype=np.int64)
             sizes = np.concatenate(
@@ -825,38 +833,21 @@ def _run_merged_counts_group(
             )
             if kind == "majority":
                 draw_pmf = np.empty_like(pmf)
-                for index, state, dynamics, block, noise_matrix in blocks:
-                    draw_pmf[block] = majority_vote_law(
-                        pmf[block], dynamics.sample_size
+                for sample_size, rows, law_runs in law_groups:
+                    draw_pmf[rows] = block_majority_vote_law(
+                        pmf[rows], sample_size, law_runs
                     )
-                out_dim = num_opinions + 1
             elif kind == "median":
                 # Ordered observation pairs, indexed first * (k + 1) + second.
                 draw_pmf = (
                     pmf[:, :, np.newaxis] * pmf[:, np.newaxis, :]
                 ).reshape(num_rows, -1)
-                out_dim = (num_opinions + 1) ** 2
             else:
                 draw_pmf = pmf
-                out_dim = num_opinions + 1
             # drawn[r, g, o]: row-r nodes of current-opinion group g (0 =
-            # undecided) whose draw came out o (0 = no opinion seen).  One
-            # scalar-n multinomial per group instead of one vector-n call
-            # per row: numpy's broadcasting path costs ~5x more per call,
-            # and an empty group (n = 0) consumes no bits, so skipping it
-            # leaves the stream unchanged.
-            drawn = np.empty(
-                (num_rows, num_opinions + 1, out_dim), dtype=np.int64
-            )
-            for out_row, draw, size_row, pmf_row in zip(
-                drawn, generators, sizes, draw_pmf
-            ):
-                for group in range(num_opinions + 1):
-                    group_size = size_row[group]
-                    if group_size:
-                        out_row[group] = draw(group_size, pmf_row)
-                    else:
-                        out_row[group] = 0
+            # undecided) whose draw came out o (0 = no opinion seen), one
+            # scalar multinomial per nonempty group (multinomial_rows).
+            drawn = multinomial_rows(generators, sizes, draw_pmf)
             if kind in ("voter", "majority"):
                 counts_active = drawn[:, :, 1:].sum(axis=1) + drawn[:, 1:, 0]
             elif kind == "undecided":
@@ -904,6 +895,37 @@ def _run_merged_counts_group(
                 still_live.append(index)
             live = still_live
             rebuild = True
+
+
+def _size_runs(block_sizes: Sequence[int]) -> List[Tuple[int, int]]:
+    """``(count, size)`` runs of consecutive blocks with equal row counts:
+    the ``runs`` of :func:`~repro.network.pull_model.block_matmul`, one
+    stacked matmul each."""
+    return [(len(list(group)), size) for size, group in groupby(block_sizes)]
+
+
+def _sample_size_groups(blocks, block_sizes):
+    """``(sample_size, rows, runs)`` per distinct ``maj()`` sample size.
+
+    ``rows`` selects the merged rows of the blocks with that sample size
+    (every row when all blocks share it) and ``runs`` are their
+    :func:`_size_runs`, for :func:`block_majority_vote_law`.
+    """
+    positions: Dict[int, List[int]] = {}
+    for position, entry in enumerate(blocks):
+        positions.setdefault(entry[2].sample_size, []).append(position)
+    groups = []
+    for sample_size, members in positions.items():
+        if len(members) == len(blocks):
+            rows = slice(None)
+        else:
+            rows = np.concatenate(
+                [np.arange(blocks[m][3].start, blocks[m][3].stop) for m in members]
+            )
+        groups.append(
+            (sample_size, rows, _size_runs([block_sizes[m] for m in members]))
+        )
+    return groups
 
 
 # reprolint: counts-tier

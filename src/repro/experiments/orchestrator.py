@@ -200,14 +200,15 @@ class ResultStore:
         self, label: str, identity: Mapping[str, Any]
     ) -> Optional[Dict[str, Any]]:
         """The stored payload for ``identity`` (``None`` on a cache miss)."""
-        path = self._payload_path(label, self.key_of(identity))
+        key = self.key_of(identity)
+        path = self._payload_path(label, key)
         if not path.exists():
             return None
         try:
             document = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError):
             return None
-        if document.get("store_key") != self.key_of(identity):
+        if document.get("store_key") != key:
             return None
         return document.get("payload")
 

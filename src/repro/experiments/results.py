@@ -15,8 +15,9 @@ a stored table is self-describing.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -25,22 +26,32 @@ from repro.utils.tables import format_records
 __all__ = ["ExperimentTable", "jsonify_value"]
 
 
+#: Values :func:`jsonify_value` returns unchanged, matched by exact type
+#: (``np.float64`` subclasses ``float`` and is reduced instead).
+_PLAIN_LEAVES = (str, int, float, bool, type(None))
+
+
 def jsonify_value(value: Any) -> Any:
     """Reduce ``value`` to plain JSON-serializable Python.
 
     Experiment records routinely carry numpy scalars (means, counts,
     boolean verdicts) and the occasional array or tuple; persisting them
     requires the plain-Python equivalents, and normalizing *before* writing
-    keeps the ``to_json``/``from_json`` round trip exact.
+    keeps the ``to_json``/``from_json`` round trip exact.  Arrays of any
+    shape, 0-d included, reduce through ``ndarray.tolist()``.
     """
+    if type(value) in _PLAIN_LEAVES:
+        return value
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind in "OV":
+            return jsonify_value(value.tolist())
+        return value.tolist()
     if isinstance(value, (np.bool_,)):
         return bool(value)
     if isinstance(value, np.integer):
         return int(value)
     if isinstance(value, np.floating):
         return float(value)
-    if isinstance(value, np.ndarray):
-        return [jsonify_value(entry) for entry in value.tolist()]
     if isinstance(value, (list, tuple)):
         return [jsonify_value(entry) for entry in value]
     if isinstance(value, Mapping):

@@ -31,7 +31,9 @@ from repro.utils.rng import (
     EnsembleRandomState,
     as_generator,
     as_trial_generators,
+    binomial_rows,
     is_generator_sequence,
+    multinomial_rows,
 )
 
 __all__ = [
@@ -164,9 +166,11 @@ class FaultedPhaseSampler:
             keep = 1.0 - self.model.drop_rate
             if sent.any():
                 if is_generator_sequence(random_state):
-                    generators = as_trial_generators(random_state, num_trials)
-                    for trial, generator in enumerate(generators):
-                        deltas[trial] = generator.binomial(sent, keep)
+                    deltas[:] = binomial_rows(
+                        as_trial_generators(random_state, num_trials),
+                        np.broadcast_to(sent, deltas.shape),
+                        np.full(num_trials, keep),
+                    )
                 else:
                     rng = as_generator(random_state)
                     deltas[:] = rng.binomial(
@@ -177,9 +181,11 @@ class FaultedPhaseSampler:
             if balls:
                 uniform = np.full(self.num_opinions, 1.0 / self.num_opinions)
                 if is_generator_sequence(random_state):
-                    generators = as_trial_generators(random_state, num_trials)
-                    for trial, generator in enumerate(generators):
-                        deltas[trial] = generator.multinomial(balls, uniform)
+                    deltas[:] = multinomial_rows(
+                        as_trial_generators(random_state, num_trials),
+                        np.full(num_trials, balls),
+                        np.broadcast_to(uniform, deltas.shape),
+                    )
                 else:
                     rng = as_generator(random_state)
                     deltas[:] = rng.multinomial(balls, uniform, size=num_trials)

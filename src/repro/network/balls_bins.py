@@ -28,7 +28,9 @@ from repro.utils.rng import (
     RandomState,
     as_generator,
     as_trial_generators,
+    binomial_rows,
     is_generator_sequence,
+    multinomial_rows,
 )
 from repro.utils.validation import require_positive_int
 
@@ -268,21 +270,21 @@ class HeterogeneousCountsDeliveryModel:
         """Exact per-row noise re-coloring (one block's channel per row).
 
         ``generators`` is either one source per row (per-trial mode: row
-        ``r`` consumes exactly its serial draws) or a single shared stream
-        (batched mode: one column-wise multinomial per block and source
-        opinion — far fewer generator calls, different draw order).
+        ``r`` consumes exactly the draws
+        :meth:`~repro.noise.matrix.NoiseMatrix.apply_to_counts` makes, one
+        scalar multinomial per nonzero source opinion in ascending order,
+        through :func:`~repro.utils.rng.multinomial_rows`) or a single
+        shared stream (batched mode: one column-wise multinomial per
+        source opinion — far fewer generator calls, different draw order).
         """
         histograms = self._validate_histograms(histograms)
+        stacked = self._stacked_noise_rows()
         if is_generator_sequence(generators):
-            noisy = np.empty_like(histograms)
-            for block, sl in enumerate(self.block_slices):
-                noisy[sl] = self.noises[block].recolor_rows(
-                    histograms[sl], generators[sl.start : sl.stop]
-                )
-            return noisy
+            return multinomial_rows(
+                generators, histograms, stacked.transpose(1, 0, 2)
+            ).sum(axis=1)
         rng = as_generator(generators)
         noisy = np.zeros_like(histograms)
-        stacked = self._stacked_noise_rows()
         for source in range(self.num_opinions):
             column = histograms[:, source]
             if column.any():
@@ -295,8 +297,9 @@ class HeterogeneousCountsDeliveryModel:
         ``stacked[s, r]`` is row ``s`` of the noise matrix governing merged
         row ``r`` — the pvals layout that lets shared-stream recoloring draw
         one batched multinomial per *source opinion* across every block at
-        once, instead of one numpy call per block and source.  Built once
-        per (cached) submodel.
+        once, and whose ``(A, k, k)`` transpose gives per-trial recoloring
+        every row's own channel in one call.  Built once per (cached)
+        submodel.
         """
         cached = self.__dict__.get("_stacked_noise_rows_cache")
         if cached is None:
@@ -342,15 +345,7 @@ class HeterogeneousCountsDeliveryModel:
             return rng.multinomial(undecided, probabilities).astype(
                 np.int64, copy=False
             )
-        adopted = np.empty(
-            (self.num_rows, self.num_opinions + 1), dtype=np.int64
-        )
-        undecided_list = undecided.tolist()
-        for row in range(self.num_rows):
-            adopted[row] = generators[row].multinomial(
-                undecided_list[row], probabilities[row]
-            )
-        return adopted
+        return multinomial_rows(generators, undecided, probabilities)
 
     def update_probability(
         self, noisy_histograms: np.ndarray, sample_sizes: np.ndarray
@@ -376,8 +371,9 @@ class HeterogeneousCountsDeliveryModel:
         update_probability: np.ndarray,
         generators,
     ) -> np.ndarray:
-        """Stage-2 re-voter counts: one binomial per row (per-trial mode)
-        or one batched binomial over the whole matrix (shared-stream)."""
+        """Stage-2 re-voter counts: one binomial per nonzero (row, group)
+        from the row's own stream (per-trial mode) or one batched binomial
+        over the whole matrix (shared-stream)."""
         group_sizes = np.asarray(group_sizes, dtype=np.int64)
         probabilities = np.asarray(update_probability)
         if not is_generator_sequence(generators):
@@ -385,14 +381,7 @@ class HeterogeneousCountsDeliveryModel:
             return rng.binomial(
                 group_sizes, probabilities[:, np.newaxis]
             ).astype(np.int64, copy=False)
-        updaters = np.empty(group_sizes.shape, dtype=np.int64)
-        sizes = group_sizes.tolist()
-        probability_list = probabilities.tolist()
-        for row in range(updaters.shape[0]):
-            updaters[row] = generators[row].binomial(
-                sizes[row], probability_list[row]
-            )
-        return updaters
+        return binomial_rows(generators, group_sizes, probabilities)
 
     def vote_probabilities(self, noisy_histograms: np.ndarray) -> np.ndarray:
         """The per-row i.i.d. color law of a re-voter's sample."""
@@ -448,14 +437,16 @@ class HeterogeneousCountsDeliveryModel:
         num_voters: np.ndarray,
         sample_sizes: Sequence[int],
         generators: Sequence,
-    ) -> np.ndarray:
+    ) -> Tuple[np.ndarray, List[str]]:
         """Per-row ``maj()`` vote tallies with a per-block sample size.
 
-        Each block takes the path :meth:`vote_paths` names.  A ``"point"``
-        block evaluates no law: its rows draw from the point law on their
-        dominant color, through the same per-row multinomials as the law
-        rows, so a row whose dominant color is opinion 1 leaves its
-        generator where the exact law would.  The substitution moves each
+        Returns ``(votes, vote_paths)``: the ``(A, k)`` tallies and the
+        path each block took, named by :meth:`vote_paths`, which runs once
+        per call, so callers record the paths without a second certificate.
+        A ``"point"`` block evaluates no law: its rows draw from the point
+        law on their dominant color, through the same per-row multinomials
+        as the law rows, so a row whose dominant color is opinion 1 leaves
+        its generator where the exact law would.  The substitution moves each
         row's tallies by at most the certified total variation distance
         ``voters * beta <= 2^-53``.
 
@@ -532,16 +523,15 @@ class HeterogeneousCountsDeliveryModel:
                     vote_law_probabilities[point_rows].argmax(axis=1)
                 ]
             if per_trial:
-                voters_list = voters.tolist()
-                for row in np.nonzero(law_rows)[0]:
-                    votes[row] = generators[row].multinomial(
-                        voters_list[row], vote_pmf[row]
-                    )
+                drawn = multinomial_rows(
+                    generators, np.where(law_rows, voters, 0), vote_pmf
+                )
+                votes[law_rows] = drawn[law_rows]
             else:
                 votes[law_rows] = shared_rng.multinomial(
                     voters[law_rows], vote_pmf[law_rows]
                 )
-        return votes
+        return votes, vote_paths
 
     #: Bounded chunk size of the per-voter sampler: keeps every
     #: intermediate array ``O(chunk * k)`` regardless of how many of the

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import combinations
-from typing import Dict, Tuple, Union
+from typing import Dict, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -50,6 +50,8 @@ __all__ = [
     "UniformPullModel",
     "EnsemblePullModel",
     "majority_vote_law",
+    "block_majority_vote_law",
+    "block_matmul",
     "vote_table_is_tractable",
     "dense_majority_vote_law",
     "dense_vote_law_is_tractable",
@@ -174,6 +176,83 @@ def majority_vote_law(
     should check :func:`vote_table_is_tractable` first and fall back to
     explicit observation sampling.
     """
+    composition_probabilities, vote_law = _composition_probabilities(
+        probabilities, sample_size
+    )
+    return composition_probabilities @ vote_law
+
+
+def block_matmul(
+    left: np.ndarray, right: np.ndarray, runs: Sequence[Tuple[int, int]]
+) -> np.ndarray:
+    """``left[block] @ right[block]`` for consecutive row blocks, bitwise.
+
+    ``runs`` lists ``(count, rows)`` pairs that cover the rows of ``left``
+    in order: ``count`` consecutive blocks of ``rows`` rows each.
+    ``right`` stacks one ``(m, p)`` matrix per block.  Each run is one
+    stacked ``(count, rows, m) @ (count, m, p)`` matmul: numpy applies the
+    2-D kernel to every slice at the shape and strides of the per-block
+    call, so each block's rows are bitwise its own 2-D matmul.  One matmul
+    over all rows would not be, because the BLAS kernel it picks depends
+    on the row count.
+    """
+    blocks = sum(count for count, _ in runs)
+    if (
+        sum(count * rows for count, rows in runs) != left.shape[0]
+        or blocks != right.shape[0]
+    ):
+        raise ValueError(
+            f"runs {list(runs)} do not cover {left.shape[0]} rows in "
+            f"{right.shape[0]} blocks"
+        )
+    out = np.empty((left.shape[0], right.shape[2]))
+    start = first = 0
+    for count, rows in runs:
+        stop = start + count * rows
+        np.matmul(
+            left[start:stop].reshape(count, rows, -1),
+            right[first : first + count],
+            out=out[start:stop].reshape(count, rows, -1),
+        )
+        start, first = stop, first + count
+    return out
+
+
+def block_majority_vote_law(
+    probabilities: np.ndarray,
+    sample_size: int,
+    runs: Sequence[Tuple[int, int]],
+) -> np.ndarray:
+    """:func:`majority_vote_law` of consecutive row blocks, bitwise per block.
+
+    ``runs`` are :func:`block_matmul`'s.  Every block's rows come out
+    bitwise equal to ``majority_vote_law`` of that block alone: the
+    composition step is elementwise with a per-row product, so it runs once
+    over all rows, and the law's matmul runs per block through
+    :func:`block_matmul`.
+    """
+    composition_probabilities, vote_law = _composition_probabilities(
+        probabilities, sample_size
+    )
+    blocks = sum(count for count, _ in runs)
+    return block_matmul(
+        composition_probabilities,
+        np.broadcast_to(vote_law, (blocks,) + vote_law.shape),
+        runs,
+    )
+
+
+def _composition_probabilities(
+    probabilities: np.ndarray, sample_size: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``maj()`` law's composition step and its ``vote_law`` table.
+
+    Returns ``(coefficients * prod_i q_i^{m_i}, vote_law)`` for every row
+    ``q`` of ``probabilities`` and every composition ``m`` of the table, so
+    that the law is their product.  Elementwise with a per-row product:
+    each row's values do not depend on the other rows.  Raises
+    ``ValueError`` for malformed input or an intractable table.
+    """
     probabilities = np.asarray(probabilities, dtype=float)
     if probabilities.ndim != 2 or probabilities.shape[1] < 2:
         raise ValueError(
@@ -194,7 +273,8 @@ def majority_vote_law(
     # When no row can observe "no opinion" (Stage 2), every composition
     # with m_0 > 0 has probability exactly 0.  The table lists the m_0 = 0
     # compositions first, so only that prefix is evaluated, element by
-    # element as in the full grid: the law is bitwise the full evaluation.
+    # element as in the full grid: the law is bitwise the full evaluation,
+    # row by row, so the decision may span any set of rows.
     live = exponents.shape[0]
     if not probabilities[:, 0].any():
         live = math.comb(sample_size + num_opinions - 1, num_opinions - 1)
@@ -205,7 +285,7 @@ def majority_vote_law(
         probabilities[:, np.newaxis, :] ** exponents[np.newaxis, :live, :],
         axis=2,
     )
-    return composition_probabilities @ vote_law
+    return composition_probabilities, vote_law
 
 
 @lru_cache(maxsize=None)

@@ -248,29 +248,6 @@ class NoiseMatrix:
             )
         return received
 
-    def recolor_rows(
-        self, count_matrix: np.ndarray, generators: Sequence
-    ) -> np.ndarray:
-        """Per-trial noisy delivery of pre-validated per-row histograms.
-
-        Row ``r`` consumes exactly the draws :meth:`apply_to_counts` would
-        make with ``generators[r]`` — one multinomial per nonzero source
-        opinion, in ascending opinion order — but the per-call shape and
-        sign checks are skipped, so the caller must pass a non-negative
-        integer ``(R, k)`` array.  This is the engine round-loop kernel:
-        validation happens once per phase, not once per row.
-        """
-        counts = np.asarray(count_matrix, dtype=np.int64)
-        matrix = self._matrix
-        received = np.zeros_like(counts)
-        count_rows = counts.tolist()
-        for index, generator in enumerate(generators):
-            target = received[index]
-            for source_index, count in enumerate(count_rows[index]):
-                if count:
-                    target += generator.multinomial(count, matrix[source_index])
-        return received
-
     # ------------------------------------------------------------------ #
     # Algebra and dunder methods
     # ------------------------------------------------------------------ #

@@ -117,7 +117,7 @@ class TestCountsDelivery:
 
         noisy = np.array([[9000, 500, 500]], dtype=np.int64)
         voters = np.array([4000])
-        tractable = one_block(noise).sample_vote_counts(
+        tractable, _ = one_block(noise).sample_vote_counts(
             noisy, voters, [5], np.random.default_rng(0)
         )
         chunked_model = one_block(uniform_noise_matrix(6, EPSILON))
@@ -128,7 +128,7 @@ class TestCountsDelivery:
         assert chunked_model.vote_paths(chunked_noisy, voters, [201]) == [
             "chunk"
         ]
-        chunked = chunked_model.sample_vote_counts(
+        chunked, _ = chunked_model.sample_vote_counts(
             chunked_noisy,
             voters,
             [201],

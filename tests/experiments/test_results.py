@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -109,3 +110,105 @@ class TestJsonifyValue:
     def test_nested_structures(self):
         value = {"a": (np.int64(1), [np.float64(2.0)]), "b": {"c": np.bool_(False)}}
         assert jsonify_value(value) == {"a": [1, [2.0]], "b": {"c": False}}
+
+    def test_zero_dimensional_arrays_reduce_to_scalars(self):
+        assert jsonify_value(np.array(3.0)) == 3.0
+        assert type(jsonify_value(np.array(3.0))) is float
+        assert type(jsonify_value(np.array(7, dtype=np.int32))) is int
+        assert jsonify_value(np.array(True)) is True
+        assert jsonify_value({"x": (np.array(2.5),)}) == {"x": [2.5]}
+        assert jsonify_value(np.array(np.int64(4), dtype=object)) == 4
+
+
+def _reference_jsonify(value):
+    """jsonify_value before 0-d arrays were handled: a walk that reduces
+    every array element by element (and raises on 0-d arrays)."""
+    if isinstance(value, (np.bool_,)):
+        return bool(value)
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        return float(value)
+    if isinstance(value, np.ndarray):
+        return [_reference_jsonify(entry) for entry in value.tolist()]
+    if isinstance(value, (list, tuple)):
+        return [_reference_jsonify(entry) for entry in value]
+    if isinstance(value, Mapping):
+        return {
+            str(key): _reference_jsonify(entry) for key, entry in value.items()
+        }
+    return value
+
+
+_DTYPES = (np.int64, np.int32, np.uint8, np.float64, np.float32, np.bool_)
+
+
+def _random_leaf(rng):
+    choice = rng.integers(9)
+    if choice == 0:
+        return int(rng.integers(-(10**12), 10**12))
+    if choice == 1:
+        return float(rng.normal())
+    if choice == 2:
+        return bool(rng.integers(2))
+    if choice == 3:
+        return None if rng.integers(2) else f"s{rng.integers(100)}"
+    dtype = _DTYPES[rng.integers(len(_DTYPES))]
+    if choice == 4:
+        return dtype(rng.integers(0, 100))  # a numpy scalar
+    shape = tuple(rng.integers(1, 4, size=rng.integers(1, 4)))
+    array = (rng.normal(size=shape) * 50).astype(dtype)
+    if choice == 5:
+        return array
+    if choice == 6:
+        return np.array([1.5, np.nan, np.inf, -0.0])
+    objects = np.empty(int(rng.integers(1, 4)), dtype=object)
+    for index in range(objects.size):
+        objects[index] = (
+            dtype(rng.integers(0, 100)) if choice == 7 else {"a": array}
+        )
+    return objects
+
+
+def _random_payload(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return _random_leaf(rng)
+    width = int(rng.integers(1, 4))
+    children = [_random_payload(rng, depth - 1) for _ in range(width)]
+    kind = rng.integers(3)
+    if kind == 0:
+        return children
+    if kind == 1:
+        return tuple(children)
+    return {
+        (f"k{index}" if rng.integers(2) else index): child
+        for index, child in enumerate(children)
+    }
+
+
+class TestJsonifyValueAgainstReference:
+    """The documents are byte-identical to the reference walk's."""
+
+    def test_random_nested_payloads(self):
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            payload = _random_payload(rng, depth=4)
+            assert json.dumps(jsonify_value(payload), sort_keys=True) == json.dumps(
+                _reference_jsonify(payload), sort_keys=True
+            )
+
+    def test_a_sweep_point_document(self, monkeypatch):
+        from repro.experiments import results
+        from repro.sim import Scenario, ScenarioGrid, simulate_sweep
+
+        grid = ScenarioGrid(
+            Scenario(
+                workload="rumor", num_nodes=2000, engine="counts",
+                num_trials=4, seed=3,
+            ),
+            {"epsilon": (0.2, 0.3)},
+        )
+        point = simulate_sweep(grid)[1]
+        document = json.dumps(point.to_json_dict(), sort_keys=True)
+        monkeypatch.setattr(results, "jsonify_value", _reference_jsonify)
+        assert json.dumps(point.to_json_dict(), sort_keys=True) == document

@@ -11,6 +11,8 @@ from repro.network.pull_model import (
     EnsemblePullModel,
     UniformPullModel,
     _majority_vote_table,
+    block_majority_vote_law,
+    block_matmul,
     majority_vote_law,
 )
 from repro.noise.families import identity_matrix, uniform_noise_matrix
@@ -255,3 +257,92 @@ class TestMajorityVoteTable:
         law = majority_vote_law(probabilities, sample_size)
         assert np.array_equal(law, full)
         assert np.allclose(law.sum(axis=1), 1.0)
+
+
+def _per_block(function, rows, block_sizes):
+    """``function(index, rows of block index)``, concatenated over
+    consecutive blocks of ``block_sizes`` rows."""
+    edges = np.cumsum([0, *block_sizes])
+    return np.concatenate(
+        [
+            function(index, rows[edges[index] : edges[index + 1]])
+            for index in range(len(block_sizes))
+        ]
+    )
+
+
+class TestBlockKernels:
+    """The stacked per-block kernels of the merged dynamics loop are bitwise
+    the per-block calls they replace."""
+
+    @pytest.mark.parametrize("blocks", [1, 2, 32])
+    @pytest.mark.parametrize("rows", [1, 4, 7])
+    @pytest.mark.parametrize("num_opinions", [2, 3, 5])
+    def test_stacked_matmul_is_bitwise_per_block(
+        self, blocks, rows, num_opinions
+    ):
+        rng = np.random.default_rng([blocks, rows, num_opinions])
+        shares = rng.dirichlet(np.ones(num_opinions), size=blocks * rows)
+        noise = np.stack(
+            [
+                uniform_noise_matrix(num_opinions, eps).matrix
+                for eps in rng.uniform(0.01, 0.4, size=blocks)
+            ]
+        )
+        stacked = block_matmul(shares, noise, [(blocks, rows)])
+        expected = _per_block(
+            lambda index, block: block @ noise[index], shares, [rows] * blocks
+        )
+        assert np.array_equal(stacked, expected)
+
+    @pytest.mark.parametrize("blocks", [1, 2, 32])
+    @pytest.mark.parametrize("rows", [1, 4, 7])
+    @pytest.mark.parametrize("num_opinions", [2, 3, 5])
+    def test_merged_composition_step_is_bitwise_per_block(
+        self, blocks, rows, num_opinions
+    ):
+        """Every other block has no "no opinion" mass, so alone it takes
+        the m_0 = 0 prefix while the merged call evaluates the full grid."""
+        rng = np.random.default_rng([blocks, rows, num_opinions, 1])
+        probabilities = rng.dirichlet(np.ones(num_opinions + 1), size=blocks * rows)
+        for block in range(0, blocks, 2):
+            probabilities[block * rows : (block + 1) * rows, 0] = 0.0
+        probabilities /= probabilities.sum(axis=1, keepdims=True)
+        law = block_majority_vote_law(probabilities, 5, [(blocks, rows)])
+        expected = _per_block(
+            lambda _, block: majority_vote_law(block, 5),
+            probabilities,
+            [rows] * blocks,
+        )
+        assert np.array_equal(law, expected)
+
+    def test_runs_of_unequal_blocks(self):
+        block_sizes = [4, 4, 3, 1, 1, 4, 7]
+        runs = [(2, 4), (1, 3), (2, 1), (1, 4), (1, 7)]
+        rng = np.random.default_rng(5)
+        probabilities = rng.dirichlet(np.ones(4), size=sum(block_sizes))
+        noise = rng.random((len(block_sizes), 3, 3))
+        assert np.array_equal(
+            block_matmul(probabilities[:, 1:], noise, runs),
+            _per_block(
+                lambda index, block: block @ noise[index],
+                probabilities[:, 1:],
+                block_sizes,
+            ),
+        )
+        assert np.array_equal(
+            block_majority_vote_law(probabilities, 3, runs),
+            _per_block(
+                lambda _, block: majority_vote_law(block, 3),
+                probabilities,
+                block_sizes,
+            ),
+        )
+
+    def test_runs_must_cover_the_rows(self):
+        with pytest.raises(ValueError, match="do not cover"):
+            block_matmul(np.ones((5, 2)), np.ones((2, 2, 2)), [(2, 2)])
+        with pytest.raises(ValueError, match="do not cover"):
+            block_matmul(np.ones((4, 2)), np.ones((3, 2, 2)), [(2, 2)])
+        with pytest.raises(ValueError, match="intractable"):
+            block_majority_vote_law(np.full((1, 4), 0.25), 10**4, [(1, 1)])

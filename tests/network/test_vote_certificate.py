@@ -152,7 +152,7 @@ class TestPointPath:
 
         def votes():
             generators = [np.random.default_rng(seed) for seed in range(5)]
-            drawn = model.sample_vote_counts(
+            drawn, _ = model.sample_vote_counts(
                 histograms, voters, [sample_size, sample_size], generators
             )
             return drawn, [generator.random() for generator in generators]
@@ -181,7 +181,31 @@ class TestPointPath:
             [np.random.default_rng(1), np.random.default_rng(2)],
             np.random.default_rng(3),
         ):
-            votes = model.sample_vote_counts(
+            votes, paths = model.sample_vote_counts(
                 histograms, voters, [1000], randomness
             )
             assert votes.tolist() == [[0, 10**12, 0], [0, 0, 7]]
+            assert paths == ["point"]
+
+    def test_the_certificate_is_computed_once_per_stage2_phase(
+        self, monkeypatch
+    ):
+        from repro.network import pull_model
+        from repro.sim import Scenario, simulate
+
+        calls = []
+
+        def counted(probabilities, sample_size):
+            calls.append(len(probabilities))
+            return majority_vote_miss_bound(probabilities, sample_size)
+
+        monkeypatch.setattr(pull_model, "majority_vote_miss_bound", counted)
+        result = simulate(
+            Scenario(
+                workload="plurality", num_nodes=10**5, num_opinions=3,
+                epsilon=0.3, bias=0.1, engine="counts", num_trials=4, seed=1,
+            )
+        )
+        phases = len(result.provenance["stage2_vote_paths"])
+        assert phases > 1
+        assert len(calls) == phases

@@ -55,9 +55,11 @@ def model(monkeypatch):
         )
         if isinstance(random_state, list):
             random_state = [np.random.default_rng(seed) for seed in random_state]
-        return delivery.sample_vote_counts(
+        votes, paths = delivery.sample_vote_counts(
             histograms, voters, [FALLBACK_SAMPLE_SIZE], random_state
         )
+        assert paths == ["chunk"]
+        return votes
 
     return sample
 

@@ -5,7 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.utils.rng import as_generator, derive_seed, spawn_generators
+from repro.utils.rng import (
+    as_generator,
+    binomial_rows,
+    derive_seed,
+    multinomial_rows,
+    spawn_generators,
+)
 
 
 class TestAsGenerator:
@@ -87,3 +93,113 @@ class TestDeriveSeed:
 
     def test_none_base_allowed(self):
         assert isinstance(derive_seed(None, 2), int)
+
+
+def _reference_multinomial_loop(generators, sizes, pvals):
+    """The per-(row, group) scalar loop the helper replaced: one call per
+    nonempty group, and a 1-D ``sizes`` calls once per row, empty or not."""
+    if sizes.ndim == 1:
+        return np.array(
+            [
+                generator.multinomial(int(size), law)
+                for generator, size, law in zip(generators, sizes, pvals)
+            ],
+            dtype=np.int64,
+        ).reshape(sizes.shape + pvals.shape[-1:])
+    out = np.empty(sizes.shape + pvals.shape[-1:], dtype=np.int64)
+    for row, generator in enumerate(generators):
+        for group in range(sizes.shape[1]):
+            group_size = sizes[row, group]
+            law = pvals[row, group] if pvals.ndim == 3 else pvals[row]
+            if group_size:
+                out[row, group] = generator.multinomial(group_size, law)
+            else:
+                out[row, group] = 0
+    return out
+
+
+def _reference_binomial_loop(generators, sizes, p):
+    """The per-row vector-``n`` loop the helper replaced."""
+    out = np.empty(sizes.shape, dtype=np.int64)
+    for row, generator in enumerate(generators):
+        out[row] = generator.binomial(sizes[row].tolist(), float(p[row]))
+    return out
+
+
+def _laws(rng, shape):
+    """Random pmfs over the last axis, with some zero-probability cells."""
+    laws = rng.dirichlet(np.ones(shape[-1]), size=shape[:-1])
+    laws[rng.random(shape) < 0.25] = 0.0
+    laws[..., 0] += laws.sum(axis=-1) == 0  # keep every law non-empty
+    return laws / laws.sum(axis=-1, keepdims=True)
+
+
+def _sizes(rng, shape):
+    """Group sizes up to 10^12, about a third of them zero."""
+    sizes = rng.integers(0, 10 ** rng.integers(1, 13, size=shape), size=shape)
+    sizes[rng.random(shape) < 0.3] = 0
+    return sizes
+
+
+def _streams(seed, rows):
+    return [np.random.default_rng([seed, row]) for row in range(rows)]
+
+
+def _assert_same_streams(left, right):
+    assert [g.bit_generator.state for g in left] == [
+        g.bit_generator.state for g in right
+    ]
+
+
+class TestRowDraws:
+    """multinomial_rows / binomial_rows against the loops they replaced:
+    equal draws and every row's generator in the same final state."""
+
+    @pytest.mark.parametrize("rows", [1, 3, 64])
+    @pytest.mark.parametrize("num_opinions", range(2, 8))
+    @pytest.mark.parametrize("laws_per", ["row", "cell"])
+    def test_multinomial_rows_match_the_group_loop(
+        self, rows, num_opinions, laws_per
+    ):
+        rng = np.random.default_rng([rows, num_opinions])
+        groups = num_opinions + 1
+        sizes = _sizes(rng, (rows, groups))
+        law_shape = (rows, groups, groups) if laws_per == "cell" else (rows, groups)
+        pvals = _laws(rng, law_shape)
+        mine, theirs = _streams(1, rows), _streams(1, rows)
+        drawn = multinomial_rows(mine, sizes, pvals)
+        assert drawn.dtype == np.int64
+        assert np.array_equal(drawn, _reference_multinomial_loop(theirs, sizes, pvals))
+        _assert_same_streams(mine, theirs)
+
+    @pytest.mark.parametrize("rows", [1, 3, 64])
+    @pytest.mark.parametrize("num_opinions", range(2, 8))
+    def test_one_draw_per_row_matches_a_call_per_row(self, rows, num_opinions):
+        rng = np.random.default_rng([rows, num_opinions, 1])
+        sizes = _sizes(rng, (rows,))
+        pvals = _laws(rng, (rows, num_opinions))
+        mine, theirs = _streams(2, rows), _streams(2, rows)
+        drawn = multinomial_rows(mine, sizes, pvals)
+        assert drawn.shape == (rows, num_opinions)
+        assert np.array_equal(drawn, _reference_multinomial_loop(theirs, sizes, pvals))
+        _assert_same_streams(mine, theirs)
+
+    @pytest.mark.parametrize("rows", [1, 3, 64])
+    @pytest.mark.parametrize("num_opinions", range(2, 8))
+    def test_binomial_rows_match_the_vector_n_loop(self, rows, num_opinions):
+        rng = np.random.default_rng([rows, num_opinions, 2])
+        sizes = _sizes(rng, (rows, num_opinions + 1))
+        p = rng.random(rows)
+        p[rng.random(rows) < 0.2] = 0.0
+        mine, theirs = _streams(3, rows), _streams(3, rows)
+        drawn = binomial_rows(mine, sizes, p)
+        assert np.array_equal(drawn, _reference_binomial_loop(theirs, sizes, p))
+        _assert_same_streams(mine, theirs)
+
+    def test_zero_rows_and_generator_count_check(self):
+        assert multinomial_rows([], np.zeros((0, 3)), np.zeros((0, 3))).shape == (0, 3, 3)
+        assert binomial_rows([], np.zeros(0), np.zeros(0)).shape == (0,)
+        with pytest.raises(ValueError, match="one generator per row"):
+            multinomial_rows(_streams(0, 2), np.ones(3), np.full((3, 2), 0.5))
+        with pytest.raises(ValueError, match="one generator per row"):
+            binomial_rows(_streams(0, 1), np.ones((2, 2)), np.full(2, 0.5))
