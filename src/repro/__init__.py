@@ -113,15 +113,23 @@ from repro.noise.majority_preserving import (
 from repro.noise.matrix import NoiseMatrix
 from repro.sim import Scenario, SimulationResult, simulate
 
-# The version is sourced from the installed package metadata; a source
-# checkout on PYTHONPATH (not pip-installed) falls back to the pyproject
-# version it tracks.
-try:  # pragma: no cover - depends on the install mode
-    from importlib.metadata import PackageNotFoundError, version as _version
 
-    __version__ = _version("repro-fraigniaud-natale-2016")
-except PackageNotFoundError:  # pragma: no cover - source checkout
-    __version__ = "1.0.0"
+def __getattr__(name: str) -> str:
+    # The version is sourced from the installed package metadata on first
+    # access, since the metadata lookup costs tens of milliseconds and no
+    # simulation reads it; a source checkout on PYTHONPATH (not
+    # pip-installed) falls back to the pyproject version it tracks.
+    if name != "__version__":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib.metadata import PackageNotFoundError, version
+
+    try:  # pragma: no cover - depends on the install mode
+        value = version("repro-fraigniaud-natale-2016")
+    except PackageNotFoundError:  # pragma: no cover - source checkout
+        value = "1.0.0"
+    globals()["__version__"] = value
+    return value
+
 
 __all__ = [
     "BallsIntoBinsProcess",

@@ -21,7 +21,6 @@ import math
 from typing import Dict, Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from repro.analysis.theory import g_function
 from repro.noise.matrix import NoiseMatrix
@@ -64,6 +63,8 @@ def binary_majority_gap_exact(probability: float, sample_size: int) -> float:
     cancel out of the difference, so the gap equals
     ``Pr[X > l/2] - Pr[X < l/2]`` with ``X ~ Bin(l, probability)``.
     """
+    from scipy.special import gammaln
+
     sample_size = require_positive_int(sample_size, "sample_size")
     if not (0.0 <= probability <= 1.0):
         raise ValueError(f"probability must lie in [0, 1], got {probability}")
@@ -92,6 +93,8 @@ def binary_majority_gap_exact(probability: float, sample_size: int) -> float:
 
 
 def _multinomial_log_pmf(counts: np.ndarray, probabilities: np.ndarray) -> float:
+    from scipy.special import gammaln
+
     total = counts.sum()
     log_coeff = gammaln(total + 1) - gammaln(counts + 1).sum()
     with np.errstate(divide="ignore"):

@@ -22,7 +22,6 @@ import math
 from typing import Tuple
 
 import numpy as np
-from scipy.special import betainc, comb
 
 from repro.utils.validation import require_fraction, require_positive_int
 
@@ -76,6 +75,8 @@ def central_binomial_bounds(r: int) -> Tuple[float, float, float]:
 
     Returns ``(lower_bound, exact_value, upper_bound)``.
     """
+    from scipy.special import comb
+
     r = require_positive_int(r, "r")
     base = 4.0**r / math.sqrt(math.pi * r)
     lower = base * math.exp(-1.0 / (8.0 * r))
@@ -93,6 +94,8 @@ def paper_central_binomial_bounds(r: int) -> Tuple[float, float, float]:
     the printed lower bound slightly exceeds the exact coefficient for every
     ``r`` (see :func:`central_binomial_bounds` for the corrected version).
     """
+    from scipy.special import comb
+
     r = require_positive_int(r, "r")
     base = 4.0**r / math.sqrt(math.pi * r)
     lower = base * math.exp(1.0 / (9.0 * r))
@@ -113,6 +116,8 @@ def binomial_beta_survival(p: float, j: int, ell: int) -> Tuple[float, float]:
     precision.  The integral is evaluated through the regularized incomplete
     beta function ``I_p(j+1, l-j)``.
     """
+    from scipy.special import beta as beta_fn, betainc, comb
+
     p = require_fraction(p, "p")
     ell = require_positive_int(ell, "ell")
     if not (0 <= j <= ell):
@@ -129,8 +134,6 @@ def binomial_beta_survival(p: float, j: int, ell: int) -> Tuple[float, float]:
         # C(l, j+1) (j+1) * B(j+1, l-j) * I_p(j+1, l-j)  ==  I_p(j+1, l-j)
         # because C(l, j+1)*(j+1)*B(j+1, l-j) = 1; we keep the explicit form
         # to mirror the lemma statement.
-        from scipy.special import beta as beta_fn
-
         normalizer = float(comb(ell, j + 1) * (j + 1) * beta_fn(j + 1, ell - j))
         beta_integral = normalizer * float(betainc(j + 1, ell - j, p))
     return binomial_sum, beta_integral

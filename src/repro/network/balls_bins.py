@@ -360,9 +360,11 @@ class HeterogeneousCountsDeliveryModel:
         totals = noisy.sum(axis=1, dtype=np.int64)
         lam = totals / self.num_nodes
         tail = np.empty(self.num_rows, dtype=float)
-        for threshold in np.unique(thresholds):
+        # Not np.unique: on numpy 2.x its first call imports numpy.ma, a
+        # cost every cold counts-protocol process would pay.
+        for threshold in sorted(set(thresholds.tolist())):
             mask = thresholds == threshold
-            tail[mask] = poisson_tail_probability(int(threshold), lam[mask])
+            tail[mask] = poisson_tail_probability(threshold, lam[mask])
         return tail
 
     def sample_updaters(

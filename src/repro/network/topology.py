@@ -22,14 +22,18 @@ Stage 2's concentration).
 
 from __future__ import annotations
 
+import math
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from repro.network.mailbox import ReceivedMessages
 from repro.noise.matrix import NoiseMatrix
 from repro.utils.rng import RandomState, as_generator
 from repro.utils.validation import require_positive_int
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["GraphPushModel", "standard_topology"]
 
@@ -39,11 +43,14 @@ def standard_topology(
 ) -> nx.Graph:
     """Build one of a few named test topologies.
 
-    Supported names: ``"complete"``, ``"cycle"``, ``"grid"`` (2-D torus as
-    close to square as possible), ``"random_regular"`` (degree ``degree``,
-    default 8), ``"erdos_renyi"`` (edge probability ``probability``, default
-    ``4 ln n / n``), ``"star"``.
+    Supported names: ``"complete"``, ``"cycle"``, ``"grid"`` (2-D torus of
+    exactly ``num_nodes`` nodes, as close to square as the divisors of
+    ``num_nodes`` allow; a cycle when it is prime), ``"random_regular"``
+    (degree ``degree``, default 8), ``"erdos_renyi"`` (edge probability
+    ``probability``, default ``4 ln n / n``), ``"star"``.
     """
+    import networkx as nx
+
     num_nodes = require_positive_int(num_nodes, "num_nodes")
     rng = as_generator(random_state)
     seed = int(rng.integers(0, 2**31 - 1))
@@ -52,8 +59,10 @@ def standard_topology(
     if name == "cycle":
         return nx.cycle_graph(num_nodes)
     if name == "grid":
-        side = int(np.floor(np.sqrt(num_nodes)))
-        graph = nx.grid_2d_graph(side, max(1, num_nodes // side), periodic=True)
+        rows = max(
+            d for d in range(1, math.isqrt(num_nodes) + 1) if num_nodes % d == 0
+        )
+        graph = nx.grid_2d_graph(rows, num_nodes // rows, periodic=True)
         return nx.convert_node_labels_to_integers(graph)
     if name == "random_regular":
         degree = int(kwargs.get("degree", 8))
@@ -105,6 +114,8 @@ class GraphPushModel:
         if self.num_nodes < 1:
             raise ValueError("the graph must contain at least one node")
         if sorted(graph.nodes()) != list(range(self.num_nodes)):
+            import networkx as nx
+
             graph = nx.convert_node_labels_to_integers(graph)
         self.graph = graph
         self.noise = noise

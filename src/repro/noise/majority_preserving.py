@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.noise.matrix import NoiseMatrix
 from repro.utils.validation import require_fraction
@@ -129,6 +128,8 @@ def _solve_gap_program(
     Returns the optimal value and an optimizer.  Raises ``ValueError`` if the
     polytope is empty (delta too large for the given ``k``).
     """
+    from scipy.optimize import linprog
+
     matrix = noise.matrix
     num_opinions = noise.num_opinions
     m_index = majority_opinion - 1

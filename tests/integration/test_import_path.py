@@ -1,0 +1,111 @@
+"""What importing repro needs, and what a simulation run imports.
+
+scipy serves only the Section-4 linear-program check and the analysis
+helpers, and networkx only the topology extension; both are imported inside
+the functions that use them, so a simulation, sweep or CLI run never loads
+them (about 0.75 s of a cold process).  The declared-dependency check keeps
+``pyproject.toml`` in step with every third-party import, module-level or
+function-level.
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+
+# Runs in a fresh interpreter: a None entry in sys.modules makes every
+# import of that package raise ImportError.
+_GUARD_SCRIPT = textwrap.dedent(
+    """
+    import sys
+
+    sys.modules["scipy"] = sys.modules["networkx"] = None
+
+    import repro
+    import repro.cli
+    import repro.sim
+    from repro import (
+        Scenario, check_majority_preserving, simulate, uniform_noise_matrix,
+    )
+
+    simulate(Scenario(
+        workload="plurality", num_nodes=10**6, num_opinions=3,
+        engine="counts", num_trials=4, seed=0,
+    ))
+    simulate(Scenario(
+        workload="dynamics", rule="3-majority", num_nodes=10**5,
+        num_opinions=3, epsilon=0.3, engine="counts", num_trials=4, seed=0,
+    ))
+    simulate(Scenario(
+        workload="rumor", num_nodes=300, num_opinions=3, epsilon=0.3,
+        engine="batched", num_trials=4, seed=0,
+    ))
+    assert isinstance(repro.__version__, str)
+
+    needs_scipy = lambda: check_majority_preserving(
+        uniform_noise_matrix(3, 0.2), 0.2, 0.1
+    )
+    needs_networkx = lambda: simulate(Scenario(
+        workload="rumor", num_nodes=200, num_opinions=3, epsilon=0.3,
+        engine="sequential", topology="random_regular", degree=8,
+        num_trials=1, seed=0,
+    ))
+    for name, call in (("scipy", needs_scipy), ("networkx", needs_networkx)):
+        try:
+            call()
+        except ImportError:
+            continue
+        raise AssertionError(f"ran without importing {name}")
+    """
+)
+
+
+def test_simulation_paths_import_neither_scipy_nor_networkx():
+    completed = subprocess.run(
+        [sys.executable, "-c", _GUARD_SCRIPT], capture_output=True, text=True
+    )
+    assert completed.returncode == 0, completed.stderr
+
+
+def _third_party_imports(package_dir: Path) -> dict:
+    """Top-level name of every absolute non-stdlib import -> first file."""
+    found: dict = {}
+    for path in sorted(package_dir.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                if top not in sys.stdlib_module_names and top != "repro":
+                    found.setdefault(top, str(path.relative_to(REPO_ROOT)))
+    return found
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is Python 3.11+")
+def test_every_third_party_import_is_a_declared_dependency():
+    import tomllib
+
+    with open(REPO_ROOT / "pyproject.toml", "rb") as handle:
+        specs = tomllib.load(handle)["project"]["dependencies"]
+    declared = {
+        re.match(r"[A-Za-z0-9_.-]+", spec).group(0).lower().replace("-", "_")
+        for spec in specs
+    }
+    imported = _third_party_imports(REPO_ROOT / "src" / "repro")
+    assert "numpy" in imported  # the scan sees imports at all
+    undeclared = {
+        name: where for name, where in imported.items() if name not in declared
+    }
+    assert not undeclared, f"imported but not in [project] dependencies: {undeclared}"

@@ -21,9 +21,21 @@ class TestStandardTopology:
         degrees = [degree for _, degree in graph.degree()]
         assert set(degrees) == {2}
 
-    def test_grid_has_requested_order_of_nodes(self):
-        graph = standard_topology("grid", 100)
-        assert 90 <= graph.number_of_nodes() <= 100
+    @pytest.mark.parametrize("num_nodes", [100, 600, 1000, 4000, 997])
+    def test_grid_has_requested_order_of_nodes(self, num_nodes):
+        graph = standard_topology("grid", num_nodes)
+        assert graph.number_of_nodes() == num_nodes
+
+    def test_grid_keeps_the_square_layout_where_the_root_divides(self):
+        # floor(sqrt(600)) = 24 divides 600: the 24 x 25 torus of before.
+        expected = nx.convert_node_labels_to_integers(
+            nx.grid_2d_graph(24, 25, periodic=True)
+        )
+        assert nx.utils.graphs_equal(standard_topology("grid", 600), expected)
+
+    def test_grid_of_prime_order_is_a_cycle(self):
+        degrees = {degree for _, degree in standard_topology("grid", 997).degree()}
+        assert degrees == {2}
 
     def test_random_regular_degree(self):
         graph = standard_topology("random_regular", 50, random_state=0, degree=6)
@@ -122,6 +134,13 @@ class TestGraphPushModel:
         model = GraphPushModel(nx.complete_graph(5), identity3, rng)
         with pytest.raises(ValueError):
             model.run_phase_from_population(np.full(5, 9), 1)
+
+    def test_phase_runs_on_a_grid_of_any_order(self, identity3, rng):
+        # 4000 is E14's full-config population; floor(sqrt(4000)) = 63 does
+        # not divide it.
+        model = GraphPushModel(standard_topology("grid", 4000), identity3, rng)
+        received = model.run_phase_from_population(np.ones(4000, dtype=int), 2)
+        assert received.total_messages() == 4000 * 2
 
     def test_degrees_accessor(self, identity3):
         model = GraphPushModel(standard_topology("cycle", 6), identity3)
