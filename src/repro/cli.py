@@ -56,17 +56,8 @@ import sys
 import time
 from typing import Optional, Sequence
 
-import repro.experiments  # noqa: F401  (imports populate the spec registry)
 from repro.dynamics import DYNAMICS_RULES
 from repro.faults import FAULT_KINDS, FaultModel
-from repro.experiments.orchestrator import (
-    DEFAULT_STORE_DIR,
-    ExperimentJob,
-    ResultStore,
-    job_seed,
-    run_all,
-)
-from repro.experiments.spec import all_specs, get_spec, registered_ids
 from repro.sim import (
     ENGINE_POLICIES,
     WORKLOADS,
@@ -76,8 +67,37 @@ from repro.sim import (
     simulate,
     simulate_sweep,
 )
+from repro.utils.artifacts import DEFAULT_STORE_DIR
 
 __all__ = ["main", "build_parser"]
+
+
+def _registered_ids() -> list:
+    """The registered experiment ids.
+
+    The experiment package (every ``exp_*`` module and the orchestrator)
+    is imported here and in the handlers that use it, not with the CLI, so
+    ``simulate`` and ``sweep`` runs never load it.
+    """
+    import repro.experiments
+
+    return repro.experiments.registered_ids()
+
+
+class _ExperimentIds:
+    """``run-experiment``'s argparse choices, read on first use.
+
+    argparse tests membership when it parses the argument and iterates the
+    choices for its "invalid choice" message; the parser itself is built
+    without importing the experiment package (the argument has an explicit
+    ``metavar``, so no usage string lists the choices at build time).
+    """
+
+    def __contains__(self, value: object) -> bool:
+        return value in _registered_ids()
+
+    def __iter__(self):
+        return iter(_registered_ids())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -107,7 +127,10 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser = subparsers.add_parser(
         "run-experiment", help="regenerate one experiment table"
     )
-    run_parser.add_argument("experiment", choices=registered_ids())
+    run_parser.add_argument(
+        "experiment", choices=_ExperimentIds(), metavar="EXPERIMENT",
+        help="experiment id (see list-experiments)",
+    )
     run_parser.add_argument(
         "--full", action="store_true",
         help="use the full() configuration instead of quick()",
@@ -328,6 +351,9 @@ def _add_common_instance_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _command_list_experiments(args: argparse.Namespace) -> int:
+    from repro.experiments import all_specs
+    from repro.experiments.orchestrator import ExperimentJob, ResultStore, job_seed
+
     store = ResultStore(args.out)
     specs = all_specs()
     id_width = max(len(spec.experiment_id) for spec in specs)
@@ -371,6 +397,8 @@ def _apply_engine_override(
 def _command_run_experiment(
     args: argparse.Namespace, parser: argparse.ArgumentParser
 ) -> int:
+    from repro.experiments import get_spec
+
     spec = get_spec(args.experiment)
     config = spec.build_config(args.full)
     config = _apply_engine_override(spec, config, args.engine, parser)
@@ -391,14 +419,16 @@ def _command_run_experiment(
 def _command_run_all(
     args: argparse.Namespace, parser: argparse.ArgumentParser
 ) -> int:
+    from repro.experiments.orchestrator import ResultStore, run_all
+
     experiment_ids = args.experiments or None
     if experiment_ids is not None:
-        known = set(registered_ids())
+        known = _registered_ids()
         unknown = [i for i in experiment_ids if i not in known]
         if unknown:
             parser.error(
                 f"unknown experiment(s): {', '.join(unknown)}; "
-                f"registered: {', '.join(registered_ids())}"
+                f"registered: {', '.join(known)}"
             )
     store = None if args.out == "none" else ResultStore(args.out)
     if args.resume and store is None:
@@ -624,7 +654,11 @@ def _command_sweep(
             process=args.process,
         )
         grid = ScenarioGrid(base, axes)
-        store = None if args.store is None else ResultStore(args.store)
+        store = None
+        if args.store is not None:
+            from repro.experiments.orchestrator import ResultStore
+
+            store = ResultStore(args.store)
         sweep = simulate_sweep(grid, store=store)
     except ValueError as error:
         parser.error(str(error))

@@ -968,10 +968,6 @@ def run_heterogeneous_counts_protocol(
             generator for point in points for generator in point.generators
         ]
     submodel_cache = {}
-    _, _, model, _ = _gather_submodel(points, submodel_cache)
-    model.build_vote_law_tables(
-        [entry[3] for point in points for entry in point.plan if entry[0] == "s2"]
-    )
     step = 0
     while True:
         active = [point for point in points if step < len(point.plan)]

@@ -50,6 +50,7 @@ from repro.experiments import spec as spec_module
 from repro.experiments.results import ExperimentTable, jsonify_value
 from repro.experiments.spec import ExperimentSpec, get_spec, registered_ids
 from repro.sim import set_default_counts_threshold
+from repro.utils.artifacts import DEFAULT_STORE_DIR
 from repro.utils.rng import derive_seed
 
 __all__ = [
@@ -63,10 +64,6 @@ __all__ = [
     "config_fingerprint",
     "DEFAULT_STORE_DIR",
 ]
-
-#: Default location of the persistent result artifacts, relative to the
-#: caller's working directory.
-DEFAULT_STORE_DIR = "results"
 
 _code_version_cache: Dict[str, str] = {}
 

@@ -19,44 +19,10 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
-import numpy as np
-
+from repro.utils.artifacts import jsonify_value
 from repro.utils.tables import format_records
 
 __all__ = ["ExperimentTable", "jsonify_value"]
-
-
-#: Values :func:`jsonify_value` returns unchanged, matched by exact type
-#: (``np.float64`` subclasses ``float`` and is reduced instead).
-_PLAIN_LEAVES = (str, int, float, bool, type(None))
-
-
-def jsonify_value(value: Any) -> Any:
-    """Reduce ``value`` to plain JSON-serializable Python.
-
-    Experiment records routinely carry numpy scalars (means, counts,
-    boolean verdicts) and the occasional array or tuple; persisting them
-    requires the plain-Python equivalents, and normalizing *before* writing
-    keeps the ``to_json``/``from_json`` round trip exact.  Arrays of any
-    shape, 0-d included, reduce through ``ndarray.tolist()``.
-    """
-    if type(value) in _PLAIN_LEAVES:
-        return value
-    if isinstance(value, np.ndarray):
-        if value.dtype.kind in "OV":
-            return jsonify_value(value.tolist())
-        return value.tolist()
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, (list, tuple)):
-        return [jsonify_value(entry) for entry in value]
-    if isinstance(value, Mapping):
-        return {str(key): jsonify_value(entry) for key, entry in value.items()}
-    return value
 
 
 @dataclass

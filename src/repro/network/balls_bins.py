@@ -244,26 +244,6 @@ class HeterogeneousCountsDeliveryModel:
             self._vote_paths[sample_size] = path
         return path
 
-    def build_vote_law_tables(self, sample_sizes: Sequence[int]) -> None:
-        """Build now the dense ``maj()`` tables that ``sample_sizes`` need.
-
-        The dense tables outlive the run (an LRU in
-        :mod:`repro.network.pull_model`).  Built in the final phase instead,
-        after the closed-form path's large per-phase temporaries, they
-        fragment the heap: one ``n = 10^6``, ``k = 3`` run then peaks about
-        10% higher in resident memory.  When more tables are needed than
-        the LRU holds, they are left to be built in their phases, so none is
-        evicted before use.
-        """
-        from repro.network.pull_model import _dense_majority_vote_table
-
-        dense = sorted(
-            {size for size in sample_sizes if self._resolve_vote_path(size) == "dense"}
-        )
-        if len(dense) <= _dense_majority_vote_table.cache_info().maxsize:
-            for sample_size in dense:
-                _dense_majority_vote_table(sample_size, self.num_opinions)
-
     def recolor(
         self, histograms: np.ndarray, generators
     ) -> np.ndarray:

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import combinations
 from typing import Dict, Sequence, Tuple, Union
 
 import numpy as np
@@ -288,6 +287,32 @@ def _composition_probabilities(
     return composition_probabilities, vote_law
 
 
+def _compositions(total: int, width: int) -> np.ndarray:
+    """Every composition of ``total`` into ``width`` non-negative parts.
+
+    Returns the ``(C, width)`` int64 matrix, ``C = C(total + width - 1,
+    width - 1)``, in lexicographic order of the parts, which is the
+    stars-and-bars order of ``itertools.combinations`` over the dividers:
+    the compositions with a leading 0 form a prefix.  Built one part at a
+    time: each partial composition with ``r`` left to place expands into
+    ``r + 1`` rows whose next part runs 0..r (``np.repeat`` of the parent
+    row, minus the ``cumsum`` offset of its run), and the last part takes
+    what is left.  Time and memory are ``O(C · width)``.
+    """
+    columns = []
+    remaining = np.array([total], dtype=np.int64)
+    for _ in range(width - 1):
+        runs = remaining + 1
+        parent = np.repeat(np.arange(remaining.size), runs)
+        part = np.arange(parent.size) - np.repeat(np.cumsum(runs) - runs, runs)
+        columns = [column[parent] for column in columns]
+        columns.append(part)
+        remaining = remaining[parent]
+        remaining -= part
+    columns.append(remaining)
+    return np.stack(columns, axis=1)
+
+
 @lru_cache(maxsize=None)
 def _majority_vote_table(
     sample_size: int, num_opinions: int
@@ -309,35 +334,26 @@ def _majority_vote_table(
     With observation probabilities ``q`` the vote pmf is then
     ``(coefficients * prod_i q_i^{m_i}) @ vote_law`` — the closed form the
     batched h-majority step samples from with one uniform per node.  The
-    compositions come in lexicographic stars-and-bars order, so the
-    ``C(sample_size + k - 1, k - 1)`` with ``m_0 = 0`` form a prefix.
+    compositions come in lexicographic stars-and-bars order
+    (:func:`_compositions`), so the ``C(sample_size + k - 1, k - 1)`` with
+    ``m_0 = 0`` form a prefix.
     """
     width = num_opinions + 1
-    # Stars-and-bars enumeration of all compositions of sample_size into
-    # width non-negative parts.
-    compositions = []
-    for dividers in combinations(range(sample_size + width - 1), width - 1):
-        previous = -1
-        parts = []
-        for divider in dividers + (sample_size + width - 1,):
-            parts.append(divider - previous - 1)
-            previous = divider
-        compositions.append(parts)
-    exponents = np.asarray(compositions, dtype=np.int64)
+    exponents = _compositions(sample_size, width)
     factorials = np.asarray(
         [math.factorial(value) for value in range(sample_size + 1)],
         dtype=float,
     )
     coefficients = math.factorial(sample_size) / factorials[exponents].prod(axis=1)
-    vote_law = np.zeros((exponents.shape[0], width), dtype=float)
     opinion_counts = exponents[:, 1:]
     row_max = opinion_counts.max(axis=1)
-    for row, top in enumerate(row_max):
-        if top == 0:
-            vote_law[row, 0] = 1.0
-        else:
-            tied = np.nonzero(opinion_counts[row] == top)[0]
-            vote_law[row, tied + 1] = 1.0 / tied.size
+    voted = row_max > 0
+    tied = (opinion_counts == row_max[:, np.newaxis]) & voted[:, np.newaxis]
+    vote_law = np.zeros((exponents.shape[0], width), dtype=float)
+    vote_law[:, 0] = ~voted
+    np.divide(
+        tied, tied.sum(axis=1, keepdims=True), out=vote_law[:, 1:], where=tied
+    )
     return exponents, coefficients, vote_law
 
 
@@ -347,9 +363,13 @@ def _majority_vote_table(
 #: ~250k rows), small enough that the table stays a few dozen MB.
 _DENSE_VOTE_LAW_MAX_COMPOSITIONS = 3_000_000
 
-#: Memory guard of the dense table builder, which enumerates compositions on
-#: a ``(sample_size + 1)**(k - 1)`` grid before filtering; beyond this the
-#: transient grid would dominate the table itself.
+#: Second size cap of the dense table, on ``(sample_size + 1)**(k - 1)``.
+#: It binds before the composition budget for every ``k >= 2`` (``k = 3``
+#: stops at ``sample_size = 1413``, ``k = 5`` at 36, an 8 MB table); for
+#: ``k >= 4`` the composition budget alone would admit tables of hundreds
+#: of MB.  It guards no transient grid (:func:`_compositions` builds the
+#: table in ``O(C · k)`` memory); it is a cap on the table's size, and it
+#: fixes where each ``k`` leaves the dense path for the chunk sampler.
 _DENSE_VOTE_LAW_MAX_GRID = 2_000_000
 
 #: Log-probability surrogate for zero-probability colors: finite (so the
@@ -398,18 +418,7 @@ def _dense_majority_vote_table(
       tie-break, folded in analytically).  With ``sample_size >= 1`` some
       opinion always wins, so there is no "no vote" column.
     """
-    width = num_opinions
-    if width == 1:
-        compositions = np.asarray([[sample_size]], dtype=np.int64)
-    else:
-        grid = np.indices((sample_size + 1,) * (width - 1))
-        partial = grid.reshape(width - 1, -1).T
-        totals = partial.sum(axis=1)
-        keep = totals <= sample_size
-        compositions = np.concatenate(
-            [partial[keep], (sample_size - totals[keep])[:, np.newaxis]],
-            axis=1,
-        ).astype(np.int64, copy=False)
+    compositions = _compositions(sample_size, num_opinions)
     log_factorial = np.concatenate(
         [[0.0], np.cumsum(np.log(np.arange(1, sample_size + 1)))]
     )

@@ -25,6 +25,7 @@ from repro.core.analytic import AnalyticProtocolResult
 from repro.core.protocol import EnsembleResult, ProtocolResult
 from repro.dynamics.analytic import AnalyticDynamicsResult
 from repro.dynamics.base import DynamicsResult, EnsembleDynamicsResult
+from repro.utils.artifacts import jsonify_value
 
 __all__ = ["SimulationResult"]
 
@@ -491,14 +492,10 @@ class SimulationResult:
     def to_json_dict(self) -> Dict[str, Any]:
         """The result as plain JSON-serializable data.
 
-        Uses the experiment layer's :func:`~repro.experiments.results.
-        jsonify_value` — the repository's one canonical JSON encoder — so
-        facade payloads and orchestrator artifacts normalize identically.
+        Uses :func:`~repro.utils.artifacts.jsonify_value` — the
+        repository's one canonical JSON encoder — so facade payloads and
+        orchestrator artifacts normalize identically.
         """
-        # Imported lazily: the sim facade must stay importable without the
-        # experiments package, whose modules import repro.sim.
-        from repro.experiments.results import jsonify_value
-
         return {
             "workload": self.workload,
             "engine": self.engine,

@@ -139,19 +139,30 @@ class TestCountsDelivery:
             assert votes[0, 0] > 3500
         assert vote_table_is_tractable(5, 3)
 
-    def test_build_vote_law_tables_builds_the_dense_tables_only(self, noise):
-        """Closed-form sizes are left to their phases; a request past the
-        dense LRU's capacity builds nothing, so no table is evicted before
-        its phase runs."""
-        from repro.network import pull_model
+    @pytest.mark.parametrize("bias,final_path", [(0.1, "point"), (0.0, "dense")])
+    def test_a_run_builds_exactly_the_tables_it_uses(self, bias, final_path):
+        """Each table is built on its phase's first use: a run's LRU misses
+        are the distinct Stage-2 sample sizes whose phases took that path.
+        The dominated run's certified final phase builds no dense table."""
+        from repro.network.pull_model import clear_vote_law_cache
+        from repro.sim import Scenario, simulate
 
-        pull_model.clear_vote_law_cache()
-        model = one_block(noise)
-        model.build_vote_law_tables([20, 300, 300])
-        info = pull_model.vote_law_cache_info()
-        assert (info["table_misses"], info["dense_table_misses"]) == (0, 1)
-        model.build_vote_law_tables(range(200, 240))
-        assert pull_model.vote_law_cache_info()["dense_table_misses"] == 1
+        scenario = Scenario(
+            workload="plurality", num_nodes=10**6, num_opinions=3,
+            engine="counts", num_trials=64, seed=0, bias=bias,
+        )
+        clear_vote_law_cache()
+        provenance = simulate(scenario).provenance
+        sample_sizes = ProtocolSchedule.for_population(
+            scenario.num_nodes, scenario.epsilon
+        ).stage2.sample_sizes
+        paths = provenance["stage2_vote_paths"]
+        assert len(paths) == len(sample_sizes)
+        assert paths[-1] == final_path
+        misses = provenance["vote_law_cache"]
+        for path, counter in (("table", "table_misses"), ("dense", "dense_table_misses")):
+            used = {size for size, taken in zip(sample_sizes, paths) if taken == path}
+            assert misses[counter] == len(used)
 
 
 class TestSingleStageRuns:

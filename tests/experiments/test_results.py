@@ -119,6 +119,11 @@ class TestJsonifyValue:
         assert jsonify_value({"x": (np.array(2.5),)}) == {"x": [2.5]}
         assert jsonify_value(np.array(np.int64(4), dtype=object)) == 4
 
+    def test_experiment_layer_re_exports_the_artifact_encoder(self):
+        from repro.utils import artifacts
+
+        assert jsonify_value is artifacts.jsonify_value
+
 
 def _reference_jsonify(value):
     """jsonify_value before 0-d arrays were handled: a walk that reduces
@@ -198,8 +203,8 @@ class TestJsonifyValueAgainstReference:
             )
 
     def test_a_sweep_point_document(self, monkeypatch):
-        from repro.experiments import results
         from repro.sim import Scenario, ScenarioGrid, simulate_sweep
+        from repro.sim import result as sim_result
 
         grid = ScenarioGrid(
             Scenario(
@@ -210,5 +215,5 @@ class TestJsonifyValueAgainstReference:
         )
         point = simulate_sweep(grid)[1]
         document = json.dumps(point.to_json_dict(), sort_keys=True)
-        monkeypatch.setattr(results, "jsonify_value", _reference_jsonify)
+        monkeypatch.setattr(sim_result, "jsonify_value", _reference_jsonify)
         assert json.dumps(point.to_json_dict(), sort_keys=True) == document

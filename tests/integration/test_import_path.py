@@ -3,9 +3,10 @@
 scipy serves only the Section-4 linear-program check and the analysis
 helpers, and networkx only the topology extension; both are imported inside
 the functions that use them, so a simulation, sweep or CLI run never loads
-them (about 0.75 s of a cold process).  The declared-dependency check keeps
-``pyproject.toml`` in step with every third-party import, module-level or
-function-level.
+them (about 0.75 s of a cold process).  Likewise the CLI imports the
+experiment package only in the commands that run experiments or use a
+result store.  The declared-dependency check keeps ``pyproject.toml`` in
+step with every third-party import, module-level or function-level.
 """
 
 from __future__ import annotations
@@ -71,6 +72,39 @@ _GUARD_SCRIPT = textwrap.dedent(
 def test_simulation_paths_import_neither_scipy_nor_networkx():
     completed = subprocess.run(
         [sys.executable, "-c", _GUARD_SCRIPT], capture_output=True, text=True
+    )
+    assert completed.returncode == 0, completed.stderr
+
+
+# Runs in a fresh interpreter: a simulate and a sweep through the CLI
+# (JSON output included) leave the experiment package unloaded.
+_CLI_SCRIPT = textwrap.dedent(
+    """
+    import contextlib, io, sys
+
+    from repro.cli import main
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        main([
+            "simulate", "--workload", "plurality", "--nodes", "100000",
+            "--engine", "counts", "--trials", "4", "--json",
+        ])
+        main([
+            "sweep", "--workload", "rumor", "--nodes", "1000",
+            "--engine", "counts", "--trials", "2", "--axis", "epsilon=0.2,0.3",
+        ])
+    loaded = sorted(
+        name for name in sys.modules
+        if name == "repro.experiments" or name.startswith("repro.experiments.")
+    )
+    assert not loaded, loaded
+    """
+)
+
+
+def test_simulate_and_sweep_commands_do_not_import_the_experiments():
+    completed = subprocess.run(
+        [sys.executable, "-c", _CLI_SCRIPT], capture_output=True, text=True
     )
     assert completed.returncode == 0, completed.stderr
 

@@ -63,9 +63,14 @@ class TestTractability:
         assert not vote_table_is_tractable(665, 3)
         assert dense_vote_law_is_tractable(665, 3)
         assert dense_vote_law_is_tractable(1247, 2)
+        assert dense_vote_law_is_tractable(1413, 3)
+        assert dense_vote_law_is_tractable(36, 5)
 
     def test_rejects_blowups(self):
         assert not dense_vote_law_is_tractable(300, 4)
+        assert not dense_vote_law_is_tractable(1414, 3)
+        assert not dense_vote_law_is_tractable(37, 5)
+        assert not vote_table_is_tractable(83, 3)
         assert not dense_vote_law_is_tractable(0, 3)
         assert not dense_vote_law_is_tractable(5, 0)
 

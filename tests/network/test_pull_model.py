@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -10,10 +12,13 @@ import pytest
 from repro.network.pull_model import (
     EnsemblePullModel,
     UniformPullModel,
+    _dense_majority_vote_table,
     _majority_vote_table,
     block_majority_vote_law,
     block_matmul,
+    dense_vote_law_is_tractable,
     majority_vote_law,
+    vote_table_is_tractable,
 )
 from repro.noise.families import identity_matrix, uniform_noise_matrix
 
@@ -257,6 +262,129 @@ class TestMajorityVoteTable:
         law = majority_vote_law(probabilities, sample_size)
         assert np.array_equal(law, full)
         assert np.allclose(law.sum(axis=1), 1.0)
+
+
+def _reference_vote_table(sample_size, num_opinions):
+    """The closed-form table built composition by composition: the
+    ``itertools.combinations`` stars-and-bars loop and a per-row
+    ``vote_law`` loop."""
+    width = num_opinions + 1
+    compositions = []
+    for dividers in combinations(range(sample_size + width - 1), width - 1):
+        previous = -1
+        parts = []
+        for divider in dividers + (sample_size + width - 1,):
+            parts.append(divider - previous - 1)
+            previous = divider
+        compositions.append(parts)
+    exponents = np.asarray(compositions, dtype=np.int64)
+    factorials = np.asarray(
+        [math.factorial(value) for value in range(sample_size + 1)],
+        dtype=float,
+    )
+    coefficients = math.factorial(sample_size) / factorials[exponents].prod(axis=1)
+    vote_law = np.zeros((exponents.shape[0], width), dtype=float)
+    opinion_counts = exponents[:, 1:]
+    row_max = opinion_counts.max(axis=1)
+    for row, top in enumerate(row_max):
+        if top == 0:
+            vote_law[row, 0] = 1.0
+        else:
+            tied = np.nonzero(opinion_counts[row] == top)[0]
+            vote_law[row, tied + 1] = 1.0 / tied.size
+    return exponents, coefficients, vote_law
+
+
+def _reference_dense_table(sample_size, num_opinions):
+    """The dense table filtered out of the ``(sample_size + 1)**(k - 1)``
+    ``np.indices`` grid."""
+    width = num_opinions
+    if width == 1:
+        compositions = np.asarray([[sample_size]], dtype=np.int64)
+    else:
+        grid = np.indices((sample_size + 1,) * (width - 1))
+        partial = grid.reshape(width - 1, -1).T
+        totals = partial.sum(axis=1)
+        keep = totals <= sample_size
+        compositions = np.concatenate(
+            [partial[keep], (sample_size - totals[keep])[:, np.newaxis]],
+            axis=1,
+        ).astype(np.int64, copy=False)
+    log_factorial = np.concatenate(
+        [[0.0], np.cumsum(np.log(np.arange(1, sample_size + 1)))]
+    )
+    log_coefficients = log_factorial[sample_size] - log_factorial[
+        compositions
+    ].sum(axis=1)
+    row_max = compositions.max(axis=1)
+    tied = compositions == row_max[:, np.newaxis]
+    win_weight = tied / tied.sum(axis=1, keepdims=True)
+    return compositions.astype(float), log_coefficients, win_weight
+
+
+def _assert_tables_equal(built, reference):
+    assert len(built) == len(reference)
+    for array, expected in zip(built, reference):
+        assert array.dtype == expected.dtype
+        assert np.array_equal(array, expected)
+
+
+_VOTE_TABLE_CASES = [
+    (sample_size, num_opinions)
+    for num_opinions in range(1, 7)
+    for sample_size in range(1, 41)
+    if vote_table_is_tractable(sample_size, num_opinions)
+] + [
+    (170, 2),
+    (max(s for s in range(1, 171) if vote_table_is_tractable(s, 3)), 3),
+]
+
+_DENSE_TABLE_CASES = [
+    (sample_size, num_opinions)
+    for num_opinions in range(1, 6)
+    for sample_size in (1, 2, 3, 35, 36)
+] + [(665, 3), (1413, 3), (3000, 2)]
+
+
+class TestCompositionTableBuilders:
+    """Both composition tables come from one array-built enumerator and
+    equal the composition-by-composition and grid-filter builders they
+    replace, array by array, value and dtype."""
+
+    @pytest.mark.parametrize("sample_size,num_opinions", _VOTE_TABLE_CASES)
+    def test_closed_form_table_is_bitwise_the_loop(
+        self, sample_size, num_opinions
+    ):
+        _assert_tables_equal(
+            _majority_vote_table.__wrapped__(sample_size, num_opinions),
+            _reference_vote_table(sample_size, num_opinions),
+        )
+
+    @pytest.mark.parametrize("sample_size,num_opinions", _DENSE_TABLE_CASES)
+    def test_dense_table_is_bitwise_the_grid_filter(
+        self, sample_size, num_opinions
+    ):
+        assert dense_vote_law_is_tractable(sample_size, num_opinions)
+        _assert_tables_equal(
+            _dense_majority_vote_table.__wrapped__(sample_size, num_opinions),
+            _reference_dense_table(sample_size, num_opinions),
+        )
+
+    @pytest.mark.parametrize("sample_size,num_opinions", [(35, 5), (665, 3)])
+    def test_dense_build_allocates_no_transient_grid(
+        self, sample_size, num_opinions
+    ):
+        """The build's peak traced memory stays below twice the table it
+        returns (a grid filter peaks at 11x for k = 5, L = 35)."""
+        tracemalloc.start()
+        try:
+            table = _dense_majority_vote_table.__wrapped__(
+                sample_size, num_opinions
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * sum(array.nbytes for array in table)
 
 
 def _per_block(function, rows, block_sizes):
