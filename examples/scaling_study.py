@@ -16,8 +16,8 @@ per-round cost is independent of ``n``, which is why this script can afford
 a million-node row on a laptop.  Per-point results are bitwise identical to
 a serial ``simulate()`` loop over the same scenarios.
 
-Completed sweep points persist through the orchestrator's content-keyed
-:class:`~repro.experiments.orchestrator.ResultStore` (the same ``results/``
+Completed sweep points persist through the content-keyed
+:class:`~repro.utils.artifacts.ResultStore` (the same ``results/``
 artifacts as ``python -m repro run-all``), keyed on the scenario dictionary
 itself, so an interrupted or re-run study *resumes*: already-computed grid
 points load from disk instead of being recomputed, and editing the grid
@@ -33,8 +33,8 @@ from __future__ import annotations
 from repro import Scenario
 from repro.analysis.convergence import fit_round_complexity
 from repro.core.schedule import theoretical_round_complexity
-from repro.experiments.orchestrator import ResultStore
 from repro.sim import ScenarioGrid, simulate_sweep
+from repro.utils.artifacts import ResultStore
 from repro.utils.tables import format_records
 
 NUM_NODES_GRID = (1_000, 4_000, 16_000, 100_000, 1_000_000)

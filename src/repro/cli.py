@@ -656,7 +656,7 @@ def _command_sweep(
         grid = ScenarioGrid(base, axes)
         store = None
         if args.store is not None:
-            from repro.experiments.orchestrator import ResultStore
+            from repro.utils.artifacts import ResultStore
 
             store = ResultStore(args.store)
         sweep = simulate_sweep(grid, store=store)

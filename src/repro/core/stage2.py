@@ -224,10 +224,10 @@ class EnsembleStage2PhaseRecord:
     consensus on the tracked opinion after the phase (all ``False`` when no
     opinion is tracked), so callers can reconstruct per-trial
     rounds-to-consensus without freezing the batch.  ``vote_path`` names
-    the ``maj()`` law the counts tier drew the phase's votes from
-    (``"table"``, ``"dense"``, ``"chunk"`` or the certified ``"point"``
-    law); it is ``None`` for the per-node engines, which draw every
-    voter's sample.
+    the ``maj()`` law the counts tier drew the phase's votes from (the
+    exact ``"dense"`` law, the ``"chunk"`` per-voter sampler or the
+    certified ``"point"`` law); it is ``None`` for the per-node engines,
+    which draw every voter's sample.
     """
 
     phase_index: int

@@ -4,10 +4,12 @@ Three pieces turn the registered experiment specs
 (:mod:`~repro.experiments.spec`) into a production-style batch system:
 
 * :class:`ResultStore` — a content-keyed JSON store under a ``results/``
-  directory.  A run's key is the SHA-256 of its *identity*: experiment id,
-  configuration (as a canonical dictionary), seed, engine override, and the
-  code version of the defining experiment module (plus the shared stage
-  helpers and the sim layer).
+  directory (defined in :mod:`repro.utils.artifacts`, so a store-backed
+  sweep does not import this package, and re-exported here).  A run's key
+  is the SHA-256 of its *identity*: experiment id, configuration (as a
+  canonical dictionary), seed, engine override, and the code version of
+  the defining experiment module (plus the shared stage helpers and the
+  sim layer).
   Identical identities hit the cache; any change to the configuration, the
   seed, the engine, or the experiment code misses and recomputes.
 * :func:`run_experiment_job` — one experiment execution as a plain,
@@ -39,18 +41,17 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import inspect
-import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.experiments import runner as runner_module
 from repro.experiments import spec as spec_module
 from repro.experiments.results import ExperimentTable, jsonify_value
 from repro.experiments.spec import ExperimentSpec, get_spec, registered_ids
 from repro.sim import set_default_counts_threshold
-from repro.utils.artifacts import DEFAULT_STORE_DIR
+from repro.utils.artifacts import DEFAULT_STORE_DIR, ResultStore
 from repro.utils.rng import derive_seed
 
 __all__ = [
@@ -164,87 +165,6 @@ class ExperimentJob:
             "counts_threshold": self.counts_threshold,
             "code_version": experiment_code_version(spec),
         }
-
-
-class ResultStore:
-    """Content-keyed persistence of experiment tables under one directory.
-
-    Entries are JSON files named ``<experiment_id>_<key-prefix>.json``; the
-    key is the SHA-256 of the job identity (experiment id + canonical
-    config + seed + engine + code version).  ``get``/``put`` work on
-    :class:`ExperimentTable` objects; the lower-level ``fetch``/``store``
-    pair works on arbitrary JSON payloads so other sweep scripts (e.g.
-    ``examples/scaling_study.py``) can reuse the same resume semantics.
-    """
-
-    def __init__(self, root: Union[str, Path] = DEFAULT_STORE_DIR) -> None:
-        self.root = Path(root)
-
-    # ---------------- low-level payload interface ---------------- #
-
-    @staticmethod
-    def key_of(identity: Mapping[str, Any]) -> str:
-        """The SHA-256 content key of a canonical identity mapping."""
-        canonical = json.dumps(
-            jsonify_value(identity), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(canonical.encode()).hexdigest()
-
-    def _payload_path(self, label: str, key: str) -> Path:
-        return self.root / f"{label}_{key[:16]}.json"
-
-    def fetch(
-        self, label: str, identity: Mapping[str, Any]
-    ) -> Optional[Dict[str, Any]]:
-        """The stored payload for ``identity`` (``None`` on a cache miss)."""
-        key = self.key_of(identity)
-        path = self._payload_path(label, key)
-        if not path.exists():
-            return None
-        try:
-            document = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            return None
-        if document.get("store_key") != key:
-            return None
-        return document.get("payload")
-
-    def store(
-        self,
-        label: str,
-        identity: Mapping[str, Any],
-        payload: Mapping[str, Any],
-    ) -> Path:
-        """Persist ``payload`` under ``identity``'s content key."""
-        key = self.key_of(identity)
-        path = self._payload_path(label, key)
-        self.root.mkdir(parents=True, exist_ok=True)
-        document = {
-            "store_key": key,
-            "identity": jsonify_value(identity),
-            "payload": jsonify_value(payload),
-        }
-        path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-        return path
-
-    # ---------------- experiment-table interface ---------------- #
-
-    def get(self, job: ExperimentJob) -> Optional[ExperimentTable]:
-        """The cached table for ``job``, or ``None`` on a miss."""
-        payload = self.fetch(job.experiment_id, job.identity())
-        if payload is None:
-            return None
-        return ExperimentTable.from_json(payload)
-
-    def put(self, job: ExperimentJob, table: ExperimentTable) -> Path:
-        """Persist ``table`` as the result of ``job``."""
-        return self.store(
-            job.experiment_id, job.identity(), table.to_json_dict()
-        )
-
-    def has(self, job: ExperimentJob) -> bool:
-        """``True`` iff a valid cached table exists for ``job``."""
-        return self.get(job) is not None
 
 
 def run_experiment_job(job: ExperimentJob) -> ExperimentTable:

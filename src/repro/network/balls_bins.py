@@ -219,28 +219,25 @@ class HeterogeneousCountsDeliveryModel:
     def _resolve_vote_path(self, sample_size: int) -> str:
         """Which exact sampler serves an uncertified block of ``sample_size``.
 
-        ``"table"`` — the closed-form composition table over
-        {no opinion, 1, …, k} (small samples); ``"dense"`` — the exact dense
-        table over opinionated observations only (large samples, any ``k=2``
-        and thousands for ``k=3``); ``"chunk"`` — the bounded-chunk
-        per-voter sampler (``O(num_voters)`` work).  The decision depends
-        only on ``(sample_size, k)``, so it is made once per sample size.
-        :meth:`vote_paths` replaces it with ``"point"`` for the blocks a
-        Chernoff bound certifies.
+        ``"dense"`` — the exact dense table over opinionated observations
+        (every ``(sample_size, k)`` the closed-form table admits, any
+        sample size for ``k = 2`` and thousands for ``k = 3``); ``"chunk"``
+        — the bounded-chunk per-voter sampler (``O(num_voters)`` work).
+        The decision depends only on ``(sample_size, k)``, so it is made
+        once per sample size.  :meth:`vote_paths` replaces it with
+        ``"point"`` for the blocks a Chernoff bound certifies.
         """
         from repro.network.pull_model import (  # local: avoid import cycle
             dense_vote_law_is_tractable,
-            vote_table_is_tractable,
         )
 
         path = self._vote_paths.get(sample_size)
         if path is None:
-            if vote_table_is_tractable(sample_size, self.num_opinions):
-                path = "table"
-            elif dense_vote_law_is_tractable(sample_size, self.num_opinions):
-                path = "dense"
-            else:
-                path = "chunk"
+            path = (
+                "dense"
+                if dense_vote_law_is_tractable(sample_size, self.num_opinions)
+                else "chunk"
+            )
             self._vote_paths[sample_size] = path
         return path
 
@@ -390,8 +387,8 @@ class HeterogeneousCountsDeliveryModel:
         row's voters then vote its dominant color, except with a
         probability below float64 resolution.  Otherwise the block's exact
         path, :meth:`_resolve_vote_path`.  The choice is made per block,
-        not per row, because the table law's matmul is not row-stable
-        across row subsets.
+        not per row, because the dense law's GEMM is not row-stable across
+        row subsets.
         """
         from repro.network.pull_model import (  # local: avoid import cycle
             majority_vote_miss_bound,
@@ -432,12 +429,12 @@ class HeterogeneousCountsDeliveryModel:
         row's tallies by at most the certified total variation distance
         ``voters * beta <= 2^-53``.
 
-        The exact vote law is evaluated *per block* (at the block's own row
-        shape — the wide composition matmul is not row-stable across batch
-        sizes); the clip/renormalization and the per-row multinomials are
-        merged.  Blocks beyond the closed-form table budget use the dense
-        large-sample law (evaluated row by row, hence row-stable) when
-        tractable, and otherwise the bounded-chunk per-voter sampler
+        A ``"dense"`` block evaluates the exact law of
+        :func:`~repro.network.pull_model.dense_majority_vote_law` at the
+        block's own row shape (its GEMM is not row-stable across batch
+        sizes), so a sweep point's rows get the law of its serial run; the
+        per-row multinomials are merged over every law row.  Blocks beyond
+        the dense budget use the bounded-chunk per-voter sampler
         (:meth:`_sample_chunk_votes`).  The dense law is the *same
         distribution* as the chunk sampler but consumes different raw
         draws, so moving a phase from one to the other is a distributional
@@ -448,7 +445,6 @@ class HeterogeneousCountsDeliveryModel:
         """
         from repro.network.pull_model import (  # local: avoid import cycle
             dense_majority_vote_law,
-            majority_vote_law,
         )
 
         noisy = self._validate_histograms(noisy_histograms)
@@ -457,28 +453,20 @@ class HeterogeneousCountsDeliveryModel:
         shared_rng = None if per_trial else as_generator(generators)
         vote_paths = self.vote_paths(noisy, voters, sample_sizes)
         vote_law_probabilities = self.vote_probabilities(noisy)
-        observation_law = np.concatenate(
-            [np.zeros((self.num_rows, 1)), vote_law_probabilities], axis=1
-        )
         votes = np.empty((self.num_rows, self.num_opinions), dtype=np.int64)
-        law = np.zeros((self.num_rows, self.num_opinions + 1), dtype=float)
-        dense_pmf = np.empty((self.num_rows, self.num_opinions), dtype=float)
-        tractable_rows = np.zeros(self.num_rows, dtype=bool)
-        dense_rows = np.zeros(self.num_rows, dtype=bool)
-        point_rows = np.zeros(self.num_rows, dtype=bool)
+        vote_pmf = np.zeros((self.num_rows, self.num_opinions), dtype=float)
+        law_rows = np.zeros(self.num_rows, dtype=bool)
         for block, sl in enumerate(self.block_slices):
             sample_size = int(sample_sizes[block])
             vote_path = vote_paths[block]
             if vote_path == "point":
-                point_rows[sl] = True
-            elif vote_path == "table":
-                law[sl] = majority_vote_law(observation_law[sl], sample_size)
-                tractable_rows[sl] = True
+                vote_pmf[sl] = np.eye(self.num_opinions)[
+                    vote_law_probabilities[sl].argmax(axis=1)
+                ]
             elif vote_path == "dense":
-                dense_pmf[sl] = dense_majority_vote_law(
+                vote_pmf[sl] = dense_majority_vote_law(
                     vote_law_probabilities[sl], sample_size
                 )
-                dense_rows[sl] = True
             else:
                 votes[sl] = self._sample_chunk_votes(
                     vote_law_probabilities[sl],
@@ -488,22 +476,9 @@ class HeterogeneousCountsDeliveryModel:
                     if per_trial
                     else [shared_rng] * (sl.stop - sl.start),
                 )
-        law_rows = tractable_rows | dense_rows | point_rows
+                continue
+            law_rows[sl] = True
         if law_rows.any():
-            vote_pmf = np.clip(law, 0.0, 1.0)[:, 1:]
-            row_sums = vote_pmf.sum(axis=1, keepdims=True)
-            vote_pmf = np.divide(
-                vote_pmf,
-                row_sums,
-                out=np.full(vote_pmf.shape, 1.0 / self.num_opinions),
-                where=row_sums > 0,
-            )
-            if dense_rows.any():
-                vote_pmf[dense_rows] = dense_pmf[dense_rows]
-            if point_rows.any():
-                vote_pmf[point_rows] = np.eye(self.num_opinions)[
-                    vote_law_probabilities[point_rows].argmax(axis=1)
-                ]
             if per_trial:
                 drawn = multinomial_rows(
                     generators, np.where(law_rows, voters, 0), vote_pmf

@@ -129,8 +129,10 @@ def vote_table_is_tractable(sample_size: int, num_opinions: int) -> bool:
     """Public predicate: can the exact ``maj()`` vote law be tabulated?
 
     The batched pull engine falls back to explicit observation counts when
-    this is ``False``; the counts engines use it to decide between the fused
-    closed-form vote law and their bounded-chunk per-voter sampler.
+    this is ``False``; the counts dynamics and analytic tiers reject an
+    h-majority sample size beyond it.  The counts protocol's Stage 2 asks
+    :func:`dense_vote_law_is_tractable` instead, which admits every size
+    this does.
     """
     return _vote_table_is_tractable(sample_size, num_opinions)
 
@@ -368,14 +370,22 @@ _DENSE_VOTE_LAW_MAX_COMPOSITIONS = 3_000_000
 #: stops at ``sample_size = 1413``, ``k = 5`` at 36, an 8 MB table); for
 #: ``k >= 4`` the composition budget alone would admit tables of hundreds
 #: of MB.  It guards no transient grid (:func:`_compositions` builds the
-#: table in ``O(C · k)`` memory); it is a cap on the table's size, and it
-#: fixes where each ``k`` leaves the dense path for the chunk sampler.
+#: table in ``O(C · k)`` memory); it is a cap on the table's size, and,
+#: with the closed-form budget (which admits the small sample sizes it
+#: would cut for ``k >= 7``), it fixes where each ``k`` leaves the dense
+#: path for the chunk sampler.
 _DENSE_VOTE_LAW_MAX_GRID = 2_000_000
 
 #: Log-probability surrogate for zero-probability colors: finite (so the
 #: composition matmul never produces ``0 * -inf = nan``) yet negative enough
 #: that any composition using such a color underflows to exactly 0.
 _DENSE_LOG_ZERO = -1.0e6
+
+#: Elements of one ``(rows, columns)`` chunk of the dense law's log-space
+#: GEMM: a block's chunk is this many elements divided by its row count
+#: wide, so the chunk (256 KB) stays cache-resident whatever the block's
+#: size and the evaluation allocates no ``(rows, C)`` matrix.
+_DENSE_CHUNK_ELEMENTS = 2**15
 
 
 def dense_vote_law_is_tractable(sample_size: int, num_opinions: int) -> bool:
@@ -386,13 +396,16 @@ def dense_vote_law_is_tractable(sample_size: int, num_opinions: int) -> bool:
     exactly the Stage-2 counts situation, where every message in a voter's
     sample carries an opinion.  Because one axis is dropped, it stays exact
     far beyond :func:`vote_table_is_tractable`'s factorial/composition
-    budget (any ``sample_size`` for ``k = 2``, thousands for ``k = 3``);
-    beyond these budgets callers fall back to per-voter observation
-    sampling.
+    budget (any ``sample_size`` for ``k = 2``, thousands for ``k = 3``).
+    It also admits every ``(sample_size, k)`` the closed-form table does,
+    whose dense table is smaller still (the grid cap alone would leave out
+    e.g. ``k = 8``, ``sample_size`` 7–11), so Stage 2 never needs the
+    closed form.  Beyond these budgets callers fall back to per-voter
+    observation sampling.
     """
     if sample_size < 1 or num_opinions < 1:
         return False
-    return (
+    return _vote_table_is_tractable(sample_size, num_opinions) or (
         math.comb(sample_size + num_opinions - 1, num_opinions - 1)
         <= _DENSE_VOTE_LAW_MAX_COMPOSITIONS
         and (sample_size + 1) ** (num_opinions - 1)
@@ -409,8 +422,9 @@ def _dense_majority_vote_table(
     Enumerates every composition ``m = (m_1, …, m_k)`` of ``sample_size``
     observations over the ``k`` opinions and tabulates
 
-    * ``exponents`` — the ``(C, k)`` composition matrix (float64, ready for
-      the log-space matmul),
+    * ``exponents`` — the ``(C, k)`` composition matrix (float64, column
+      major, so that the transpose of a block of its rows is a row-major
+      operand of the law's log-space GEMM),
     * ``log_coefficients`` — ``log(sample_size! / prod(m_i!))``, exact in
       log space for arbitrarily large ``sample_size``,
     * ``win_weight`` — the ``(C, k)`` conditional vote law given the
@@ -428,22 +442,32 @@ def _dense_majority_vote_table(
     row_max = compositions.max(axis=1)
     tied = compositions == row_max[:, np.newaxis]
     win_weight = tied / tied.sum(axis=1, keepdims=True)
-    return compositions.astype(float), log_coefficients, win_weight
+    exponents = np.asfortranarray(compositions, dtype=float)
+    return exponents, log_coefficients, win_weight
 
 
 def dense_majority_vote_law(
     probabilities: np.ndarray, sample_size: int
 ) -> np.ndarray:
-    """Exact ``maj()`` pmf over *opinionated* observations, for large samples.
+    """Exact ``maj()`` pmf over *opinionated* observations.
 
     ``probabilities`` has shape ``(R, k)``: row ``r`` is trial ``r``'s color
     law of a voter's sample (every observation carries an opinion — the
     Stage-2 counts situation).  Returns the ``(R, k)`` vote pmf with the
-    uniform tie-break folded in, evaluated in log space per trial from the
-    cached composition table, then renormalized row-wise.  The result is the
-    same distribution the bounded-chunk per-voter sampler draws from, at
-    ``O(C)`` cost per trial instead of ``O(num_voters)`` per phase.  Rows
-    summing to zero (empty histograms, never voted from) come back uniform.
+    uniform tie-break folded in, then renormalized row-wise.  The result is
+    the same distribution the bounded-chunk per-voter sampler draws from,
+    at ``O(R · C)`` cost per call instead of ``O(num_voters)`` per phase.
+    Rows summing to zero (empty histograms, never voted from) come back
+    uniform.
+
+    All rows are evaluated together in log space, one column chunk of the
+    cached table at a time: one ``(R, k) @ (k, c)`` GEMM of
+    log-probabilities, plus ``log_coefficients``, ``exp`` in place, and
+    ``@ win_weight`` accumulated into the law.  The chunk width ``c`` is
+    :data:`_DENSE_CHUNK_ELEMENTS` divided by ``R``, so a row's value
+    depends on the row count (and the GEMM kernel on the shape): the law
+    is stable per call, not per row, and a block must be evaluated at its
+    own row count to reproduce it.
 
     Raises ``ValueError`` when ``(sample_size, k)`` is beyond the dense
     budget — check :func:`dense_vote_law_is_tractable` first.
@@ -453,7 +477,7 @@ def dense_majority_vote_law(
         raise ValueError(
             f"probabilities must have shape (R, k), got {probabilities.shape}"
         )
-    num_opinions = probabilities.shape[1]
+    rows, num_opinions = probabilities.shape
     sample_size = require_positive_int(sample_size, "sample_size")
     if not dense_vote_law_is_tractable(sample_size, num_opinions):
         raise ValueError(
@@ -465,21 +489,22 @@ def dense_majority_vote_law(
     exponents, log_coefficients, win_weight = _dense_majority_vote_table(
         sample_size, num_opinions
     )
-    law = np.empty(probabilities.shape, dtype=float)
-    log_probabilities = np.full(num_opinions, _DENSE_LOG_ZERO)
-    for row in range(probabilities.shape[0]):
-        pvals = probabilities[row]
-        positive = pvals > 0
-        if not positive.any():
-            law[row] = 1.0 / num_opinions
-            continue
-        log_probabilities.fill(_DENSE_LOG_ZERO)
-        np.log(pvals, out=log_probabilities, where=positive)
-        log_pmf = exponents @ log_probabilities
-        log_pmf += log_coefficients
-        pmf = np.exp(log_pmf, out=log_pmf)
-        law[row] = pmf @ win_weight
-    law = np.clip(law, 0.0, 1.0)
+    # A zero-probability color gets a finite log surrogate, so a row with
+    # no positive entry has every composition underflow to 0 and comes
+    # back uniform from the renormalization below.
+    log_probabilities = np.full(probabilities.shape, _DENSE_LOG_ZERO)
+    np.log(probabilities, out=log_probabilities, where=probabilities > 0)
+    law = np.zeros((rows, num_opinions))
+    width = max(1, _DENSE_CHUNK_ELEMENTS // max(rows, 1))
+    buffer = np.empty(rows * min(width, exponents.shape[0]))
+    for start in range(0, exponents.shape[0], width):
+        stop = min(start + width, exponents.shape[0])
+        chunk = buffer[: rows * (stop - start)].reshape(rows, stop - start)
+        np.matmul(log_probabilities, exponents[start:stop].T, out=chunk)
+        chunk += log_coefficients[start:stop]
+        np.exp(chunk, out=chunk)
+        law += chunk @ win_weight[start:stop]
+    np.clip(law, 0.0, 1.0, out=law)
     row_sums = law.sum(axis=1, keepdims=True)
     return np.divide(
         law,

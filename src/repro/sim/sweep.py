@@ -19,7 +19,7 @@ results are **bitwise identical** to the serial loop
 ``[simulate(s) for s in grid.scenarios()]`` under the same seeds; only
 provenance wall times differ.
 
-An optional :class:`~repro.experiments.orchestrator.ResultStore` makes
+An optional :class:`~repro.utils.artifacts.ResultStore` makes
 sweeps incremental: cached grid points are sliced out before the batch
 runs and merged back afterwards, and freshly computed points are stored
 under an identity keyed by the scenario dictionary and the sim-layer code
@@ -64,8 +64,8 @@ from repro.sim.result import SimulationResult
 from repro.sim.scenario import Scenario
 from repro.utils.rng import derive_seed
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from repro.experiments.orchestrator import ResultStore
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.utils.artifacts import ResultStore
 
 __all__ = ["ScenarioGrid", "SweepResult", "simulate_sweep"]
 
@@ -321,7 +321,7 @@ def simulate_sweep(
     ``[simulate(s) for s in grid.scenarios()]``.
 
     With a ``store`` (any object with the
-    :class:`~repro.experiments.orchestrator.ResultStore` ``fetch`` /
+    :class:`~repro.utils.artifacts.ResultStore` ``fetch`` /
     ``store`` interface), cached points are sliced out before the batch
     runs and merged back after; fresh points are stored on completion.
 

@@ -1,20 +1,29 @@
-"""Plain-JSON result artifacts: their normalization and default directory.
+"""Plain-JSON result artifacts: their normalization, directory and store.
 
 :func:`jsonify_value` is the repository's one canonical JSON encoder:
 experiment tables, the result store's identities and payloads, and
 :meth:`~repro.sim.SimulationResult.to_json_dict` all normalize through it.
-It lives outside :mod:`repro.experiments` so that serializing a simulation
-result does not import the experiment package.
+:class:`ResultStore` is the content-keyed store those artifacts persist
+in.  Both live outside :mod:`repro.experiments` so that serializing a
+simulation result, or running a store-backed sweep, does not import the
+experiment package.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 from collections.abc import Mapping
-from typing import Any
+from pathlib import Path
+from typing import TYPE_CHECKING, Any, Dict, Optional, Union
 
 import numpy as np
 
-__all__ = ["DEFAULT_STORE_DIR", "jsonify_value"]
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.experiments.orchestrator import ExperimentJob
+    from repro.experiments.results import ExperimentTable
+
+__all__ = ["DEFAULT_STORE_DIR", "ResultStore", "jsonify_value"]
 
 #: Default location of the persistent result artifacts, relative to the
 #: caller's working directory.
@@ -51,3 +60,88 @@ def jsonify_value(value: Any) -> Any:
     if isinstance(value, Mapping):
         return {str(key): jsonify_value(entry) for key, entry in value.items()}
     return value
+
+
+class ResultStore:
+    """Content-keyed persistence of result payloads under one directory.
+
+    Entries are JSON files named ``<label>_<key-prefix>.json``; the key is
+    the SHA-256 of a canonical identity mapping.  The ``fetch``/``store``
+    pair works on arbitrary JSON payloads (sweep points,
+    ``examples/scaling_study.py``); ``get``/``put``/``has`` work on
+    :class:`~repro.experiments.results.ExperimentTable` objects keyed by an
+    :class:`~repro.experiments.orchestrator.ExperimentJob`'s identity
+    (experiment id + canonical config + seed + engine + code version), and
+    import the experiment package only when called.
+    """
+
+    def __init__(self, root: Union[str, Path] = DEFAULT_STORE_DIR) -> None:
+        self.root = Path(root)
+
+    # ---------------- low-level payload interface ---------------- #
+
+    @staticmethod
+    def key_of(identity: Mapping[str, Any]) -> str:
+        """The SHA-256 content key of a canonical identity mapping."""
+        canonical = json.dumps(
+            jsonify_value(identity), sort_keys=True, separators=(",", ":")
+        )
+        return hashlib.sha256(canonical.encode()).hexdigest()
+
+    def _payload_path(self, label: str, key: str) -> Path:
+        return self.root / f"{label}_{key[:16]}.json"
+
+    def fetch(
+        self, label: str, identity: Mapping[str, Any]
+    ) -> Optional[Dict[str, Any]]:
+        """The stored payload for ``identity`` (``None`` on a cache miss)."""
+        key = self.key_of(identity)
+        path = self._payload_path(label, key)
+        if not path.exists():
+            return None
+        try:
+            document = json.loads(path.read_text())
+        except (OSError, json.JSONDecodeError):
+            return None
+        if document.get("store_key") != key:
+            return None
+        return document.get("payload")
+
+    def store(
+        self,
+        label: str,
+        identity: Mapping[str, Any],
+        payload: Mapping[str, Any],
+    ) -> Path:
+        """Persist ``payload`` under ``identity``'s content key."""
+        key = self.key_of(identity)
+        path = self._payload_path(label, key)
+        self.root.mkdir(parents=True, exist_ok=True)
+        document = {
+            "store_key": key,
+            "identity": jsonify_value(identity),
+            "payload": jsonify_value(payload),
+        }
+        path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+        return path
+
+    # ---------------- experiment-table interface ---------------- #
+
+    def get(self, job: ExperimentJob) -> Optional[ExperimentTable]:
+        """The cached table for ``job``, or ``None`` on a miss."""
+        from repro.experiments.results import ExperimentTable
+
+        payload = self.fetch(job.experiment_id, job.identity())
+        if payload is None:
+            return None
+        return ExperimentTable.from_json(payload)
+
+    def put(self, job: ExperimentJob, table: ExperimentTable) -> Path:
+        """Persist ``table`` as the result of ``job``."""
+        return self.store(
+            job.experiment_id, job.identity(), table.to_json_dict()
+        )
+
+    def has(self, job: ExperimentJob) -> bool:
+        """``True`` iff a valid cached table exists for ``job``."""
+        return self.get(job) is not None

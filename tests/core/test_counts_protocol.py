@@ -110,9 +110,9 @@ class TestCountsDelivery:
     def test_sample_vote_counts_tractable_and_chunked_agree_in_mean(
         self, noise
     ):
-        """The closed-form and chunked vote samplers draw from the same
-        law; with a strongly biased histogram both concentrate on the
-        plurality color."""
+        """The dense-law and chunked vote samplers draw from the same law;
+        with a strongly biased histogram both concentrate on the plurality
+        color."""
         from repro.network.pull_model import vote_table_is_tractable
 
         noisy = np.array([[9000, 500, 500]], dtype=np.int64)

@@ -40,6 +40,13 @@ def _patch_run_fn(monkeypatch, experiment_id, run_fn):
 
 
 class TestResultStoreKeys:
+    def test_the_experiment_layer_re_exports_the_artifact_store(self):
+        import repro.experiments
+        from repro.utils import artifacts
+
+        assert ResultStore is artifacts.ResultStore
+        assert repro.experiments.ResultStore is artifacts.ResultStore
+
     def test_identical_identity_hits(self, tmp_path):
         store = ResultStore(tmp_path)
         job = ExperimentJob("E11", seed=3)

@@ -4,9 +4,11 @@ scipy serves only the Section-4 linear-program check and the analysis
 helpers, and networkx only the topology extension; both are imported inside
 the functions that use them, so a simulation, sweep or CLI run never loads
 them (about 0.75 s of a cold process).  Likewise the CLI imports the
-experiment package only in the commands that run experiments or use a
-result store.  The declared-dependency check keeps ``pyproject.toml`` in
-step with every third-party import, module-level or function-level.
+experiment package only in the commands that run experiments; a
+store-backed sweep takes its ``ResultStore`` from
+``repro.utils.artifacts``.  The declared-dependency check keeps
+``pyproject.toml`` in step with every third-party import, module-level or
+function-level.
 """
 
 from __future__ import annotations
@@ -76,8 +78,9 @@ def test_simulation_paths_import_neither_scipy_nor_networkx():
     assert completed.returncode == 0, completed.stderr
 
 
-# Runs in a fresh interpreter: a simulate and a sweep through the CLI
-# (JSON output included) leave the experiment package unloaded.
+# Runs in a fresh interpreter: a simulate, a sweep and a store-backed sweep
+# (into the directory given as the first argument) through the CLI, JSON
+# output included, leave the experiment package unloaded.
 _CLI_SCRIPT = textwrap.dedent(
     """
     import contextlib, io, sys
@@ -93,6 +96,11 @@ _CLI_SCRIPT = textwrap.dedent(
             "sweep", "--workload", "rumor", "--nodes", "1000",
             "--engine", "counts", "--trials", "2", "--axis", "epsilon=0.2,0.3",
         ])
+        main([
+            "sweep", "--workload", "rumor", "--nodes", "1000",
+            "--engine", "counts", "--trials", "2", "--axis", "epsilon=0.2,0.3",
+            "--store", sys.argv[1],
+        ])
     loaded = sorted(
         name for name in sys.modules
         if name == "repro.experiments" or name.startswith("repro.experiments.")
@@ -102,11 +110,14 @@ _CLI_SCRIPT = textwrap.dedent(
 )
 
 
-def test_simulate_and_sweep_commands_do_not_import_the_experiments():
+def test_simulate_and_sweep_commands_do_not_import_the_experiments(tmp_path):
     completed = subprocess.run(
-        [sys.executable, "-c", _CLI_SCRIPT], capture_output=True, text=True
+        [sys.executable, "-c", _CLI_SCRIPT, str(tmp_path)],
+        capture_output=True,
+        text=True,
     )
     assert completed.returncode == 0, completed.stderr
+    assert len(list(tmp_path.glob("sweep_*.json"))) == 2
 
 
 def _third_party_imports(package_dir: Path) -> dict:

@@ -1,43 +1,156 @@
-"""The dense large-sample ``maj()`` vote law.
+"""The dense ``maj()`` vote law, Stage 2's one exact law.
 
 ``dense_majority_vote_law`` evaluates the exact vote pmf over opinionated
-``k``-color compositions in log space, covering sample sizes far past the
-closed-form table budget (``sample_size <= 170``).  On the overlap region
-where both are tractable the two must agree to machine precision — the
-dense law is a reformulation, not an approximation — and its tractability
-predicate must gate exactly the composition/grid budgets it claims.
+``k``-color compositions in log space, one chunked GEMM over all rows of a
+block, covering sample sizes far past the closed-form table budget
+(``sample_size <= 170``) and every size that budget admits.  It must agree
+with the per-row loop it replaced and, on Stage-2 rows (no "no opinion"
+mass), with the closed-form law, to a tolerance fixed from float64
+(``256 * eps``): the dense law is a different rounding of the same law,
+not an approximation.  Its tractability predicate must gate exactly the
+budgets it claims, so that no ``(L, k)`` moves onto or off the chunk
+sampler.
 """
 
 from __future__ import annotations
+
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.network import pull_model
+from repro.network.balls_bins import HeterogeneousCountsDeliveryModel
 from repro.network.pull_model import (
+    _dense_majority_vote_table,
+    clear_vote_law_cache,
     dense_majority_vote_law,
     dense_vote_law_is_tractable,
     majority_vote_law,
     vote_table_is_tractable,
 )
+from repro.noise.families import uniform_noise_matrix
+from repro.noise.matrix import NoiseMatrix
+
+#: Law-value tolerance, fixed from float64 before any run: 256 ulps of 1.
+TOLERANCE = 256 * np.finfo(float).eps
+
+
+@pytest.fixture(autouse=True)
+def _drop_tables():
+    """Release the composition tables a test built (the closed-form LRU is
+    unbounded, and the large dense tables take tens of MB)."""
+    yield
+    clear_vote_law_cache()
+
+
+def _row_loop_law(probabilities, sample_size):
+    """The dense law as evaluated before the block GEMM: one GEMV, ``exp``
+    and GEMV per row over the whole table (kept as the reference)."""
+    probabilities = np.asarray(probabilities, dtype=float)
+    num_opinions = probabilities.shape[1]
+    exponents, log_coefficients, win_weight = _dense_majority_vote_table(
+        sample_size, num_opinions
+    )
+    # Row-major, as the table was then: the GEMV runs the same kernel.
+    exponents = np.ascontiguousarray(exponents)
+    law = np.empty(probabilities.shape, dtype=float)
+    log_probabilities = np.full(num_opinions, pull_model._DENSE_LOG_ZERO)
+    for row in range(probabilities.shape[0]):
+        pvals = probabilities[row]
+        positive = pvals > 0
+        if not positive.any():
+            law[row] = 1.0 / num_opinions
+            continue
+        log_probabilities.fill(pull_model._DENSE_LOG_ZERO)
+        np.log(pvals, out=log_probabilities, where=positive)
+        log_pmf = exponents @ log_probabilities
+        log_pmf += log_coefficients
+        pmf = np.exp(log_pmf, out=log_pmf)
+        law[row] = pmf @ win_weight
+    law = np.clip(law, 0.0, 1.0)
+    row_sums = law.sum(axis=1, keepdims=True)
+    return np.divide(
+        law,
+        row_sums,
+        out=np.full(law.shape, 1.0 / num_opinions),
+        where=row_sums > 0,
+    )
+
+
+def _color_laws(rng, rows, num_opinions, empty_rows=True):
+    """Random color laws; from 3 rows on, one row has a zero-probability
+    color (``k >= 2``) and (``empty_rows``) one row is all zero."""
+    laws = rng.dirichlet(np.full(num_opinions, 2.0), size=rows)
+    if rows >= 3:
+        if num_opinions >= 2:
+            laws[1, rng.integers(num_opinions)] = 0.0
+            laws[1] /= laws[1].sum()
+        if empty_rows:
+            laws[0] = 0.0
+    return laws
+
+
+_ROW_LOOP_CASES = [
+    (sample_size, num_opinions)
+    for num_opinions in range(2, 7)
+    for sample_size in (1, 2, 3, 7, 20, 35, 60, 120, 300, 665, 1413)
+    if dense_vote_law_is_tractable(sample_size, num_opinions)
+]
+
+_CLOSED_FORM_CASES = [
+    (num_opinions, sample_size)
+    for num_opinions in range(1, 7)
+    for sample_size in range(1, 41)
+    if vote_table_is_tractable(sample_size, num_opinions)
+] + [(2, 170), (8, 9)]
+
+
+class TestAgainstTheRowLoop:
+    @pytest.mark.parametrize("sample_size,num_opinions", _ROW_LOOP_CASES)
+    def test_block_gemm_matches_the_row_loop(self, sample_size, num_opinions):
+        rng = np.random.default_rng(sample_size * 10 + num_opinions)
+        for rows in (1, 3, 8, 16, 64):
+            laws = _color_laws(rng, rows, num_opinions)
+            law = dense_majority_vote_law(laws, sample_size)
+            reference = _row_loop_law(laws, sample_size)
+            assert law.shape == reference.shape
+            assert np.max(np.abs(law - reference)) <= TOLERANCE, rows
+            if rows >= 3:
+                # The empty row comes back uniform; a zero color is never
+                # voted.
+                assert np.all(law[0] == 1.0 / num_opinions)
+                assert law[1][laws[1] == 0].tolist() == [0.0]
+
+    def test_evaluation_allocates_no_rows_by_compositions_matrix(self):
+        """With the table cached, a 16-row k = 5, L = 35 law stays far
+        below its 10.5 MB ``(rows, C)`` matrix."""
+        laws = np.random.default_rng(3).dirichlet(np.ones(5), size=16)
+        dense_majority_vote_law(laws, 35)
+        tracemalloc.start()
+        try:
+            dense_majority_vote_law(laws, 35)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestAgreementWithClosedForm:
-    @pytest.mark.parametrize(
-        "num_opinions,sample_size",
-        [(2, 5), (3, 7), (3, 35), (2, 170), (4, 9)],
-    )
+    @pytest.mark.parametrize("num_opinions,sample_size", _CLOSED_FORM_CASES)
     def test_matches_table_law_to_machine_precision(
         self, num_opinions, sample_size
     ):
-        rng = np.random.default_rng(99)
-        probabilities = rng.dirichlet(np.ones(num_opinions), size=6)
-        observation_law = np.concatenate(
-            [np.zeros((6, 1)), probabilities], axis=1
-        )
-        table = majority_vote_law(observation_law, sample_size)[:, 1:]
-        dense = dense_majority_vote_law(probabilities, sample_size)
-        assert np.max(np.abs(dense - table)) < 1e-12
+        """On Stage-2 rows (no "no opinion" mass) the dense law equals the
+        closed form."""
+        rng = np.random.default_rng(sample_size * 10 + num_opinions)
+        laws = _color_laws(rng, 8, num_opinions, empty_rows=False)
+        observation_law = np.concatenate([np.zeros((8, 1)), laws], axis=1)
+        table = majority_vote_law(observation_law, sample_size)
+        assert not table[:, 0].any()
+        dense = dense_majority_vote_law(laws, sample_size)
+        assert np.max(np.abs(dense - table[:, 1:])) <= TOLERANCE
         assert np.allclose(dense.sum(axis=1), 1.0)
 
     def test_zero_probability_color_is_never_voted(self):
@@ -86,18 +199,63 @@ class TestTractability:
         )
         assert not dense_vote_law_is_tractable(200, 3)
 
+    def test_admits_exactly_the_closed_form_and_dense_budgets(self):
+        """Every (L, k) the closed form or the old dense budgets admitted,
+        and nothing else: no sample size moves onto or off the chunk
+        sampler."""
+        def old_dense(sample_size, num_opinions):
+            return (
+                math.comb(sample_size + num_opinions - 1, num_opinions - 1)
+                <= 3_000_000
+                and (sample_size + 1) ** (num_opinions - 1) <= 2_000_000
+            )
+
+        for num_opinions in range(1, 16):
+            for sample_size in range(1, 3001):
+                assert dense_vote_law_is_tractable(sample_size, num_opinions) == (
+                    vote_table_is_tractable(sample_size, num_opinions)
+                    or old_dense(sample_size, num_opinions)
+                ), (sample_size, num_opinions)
+
+
+def _model(num_opinions, rows=1):
+    noise = (
+        uniform_noise_matrix(num_opinions, 0.3)
+        if num_opinions > 1
+        else NoiseMatrix(np.eye(1))
+    )
+    return HeterogeneousCountsDeliveryModel([slice(0, rows)], [1000], [noise])
+
 
 class TestVotePathResolution:
     def test_paths_partition_the_sample_size_axis(self):
-        from repro.network.balls_bins import HeterogeneousCountsDeliveryModel
-        from repro.noise.families import uniform_noise_matrix
-
-        def model(num_opinions):
-            return HeterogeneousCountsDeliveryModel(
-                [slice(0, 1)], [1000], [uniform_noise_matrix(num_opinions, 0.3)]
-            )
-
-        assert model(3)._resolve_vote_path(20) == "table"
-        assert model(3)._resolve_vote_path(200) == "dense"
+        assert _model(3)._resolve_vote_path(20) == "dense"
+        assert _model(3)._resolve_vote_path(200) == "dense"
         # Past both budgets only the bounded chunk sampler remains.
-        assert model(6)._resolve_vote_path(5000) == "chunk"
+        assert _model(6)._resolve_vote_path(5000) == "chunk"
+
+    def test_stage2_never_takes_the_closed_form_table(self):
+        for num_opinions in range(1, 16):
+            model = _model(num_opinions)
+            for sample_size in range(1, 3001):
+                expected = (
+                    "dense"
+                    if dense_vote_law_is_tractable(sample_size, num_opinions)
+                    else "chunk"
+                )
+                assert model._resolve_vote_path(sample_size) == expected
+
+    def test_small_samples_past_the_grid_cap_draw_from_the_dense_law(self):
+        """k = 8, L = 9: the closed form admits it, the grid cap alone
+        would not ((L + 1)^7 = 10^7), and the dense table is small."""
+        assert vote_table_is_tractable(9, 8)
+        assert 10**7 > pull_model._DENSE_VOTE_LAW_MAX_GRID
+        model = _model(8, rows=2)
+        histograms = np.array([[130, 125, 120, 115, 110, 105, 100, 95]] * 2)
+        voters = np.array([500, 400])
+        generators = [np.random.default_rng(seed) for seed in range(2)]
+        votes, paths = model.sample_vote_counts(
+            histograms, voters, [9], generators
+        )
+        assert paths == ["dense"]
+        assert votes.sum(axis=1).tolist() == [500, 400]

@@ -114,7 +114,7 @@ def near_tie_row(num_opinions):
 
 
 #: (k, L, the path an uncertified block of that size takes).
-EXACT_PATHS = [(3, 35, "table"), (3, 200, "dense"), (5, 201, "chunk")]
+EXACT_PATHS = [(3, 35, "dense"), (3, 200, "dense"), (5, 201, "chunk")]
 
 
 def two_blocks(num_opinions):

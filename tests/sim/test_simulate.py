@@ -104,6 +104,34 @@ class TestProvenanceAndJson:
         assert provenance["wall_time_seconds"] > 0
         assert Scenario.from_dict(provenance["scenario"]) == scenario
 
+    def test_code_version_hashes_the_module_files_without_inspect(
+        self, monkeypatch
+    ):
+        """The fingerprint is the digest of the 12 modules' source text,
+        read from their files: ``inspect.getsource`` is not called."""
+        import hashlib
+        import inspect
+
+        from repro.analytic import simplex, verify
+        from repro.core import analytic as core_analytic
+        from repro.dynamics import analytic as dynamics_analytic
+        from repro.faults import delivery, injection, model
+        from repro.sim import engines, facade, result, scenario, sweep
+
+        reference = hashlib.sha256()
+        for module in (
+            scenario, engines, result, facade, sweep, simplex, verify,
+            dynamics_analytic, core_analytic, model, injection, delivery,
+        ):
+            reference.update(inspect.getsource(module).encode())
+
+        def refuse(module):
+            raise AssertionError(f"inspect.getsource({module.__name__})")
+
+        monkeypatch.setattr(inspect, "getsource", refuse)
+        monkeypatch.setattr(facade, "_code_version", None)
+        assert sim_code_version() == reference.hexdigest()[:16]
+
     def test_counts_runs_expose_vote_law_cache_counters(self):
         result = simulate(protocol_scenario("rumor", "counts"))
         counters = result.provenance["vote_law_cache"]
@@ -112,9 +140,10 @@ class TestProvenanceAndJson:
             "dense_table_hits", "dense_table_misses", "dense_table_entries",
         }
         # Deltas for this run: every law a protocol run evaluates looks up
-        # its composition table.
+        # its dense composition table; Stage 2 never uses the closed form.
         assert all(value >= 0 for value in counters.values())
-        assert counters["table_hits"] + counters["table_misses"] > 0
+        assert counters["dense_table_hits"] + counters["dense_table_misses"] > 0
+        assert counters["table_hits"] + counters["table_misses"] == 0
 
     def test_non_counts_runs_have_no_cache_counters(self):
         result = simulate(protocol_scenario("rumor", "batched"))
