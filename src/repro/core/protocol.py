@@ -50,6 +50,7 @@ from repro.utils.rng import (
     as_generator,
     as_trial_generators,
 )
+from repro.utils.validation import ScenarioError
 
 __all__ = [
     "TwoStageProtocol",
@@ -724,6 +725,7 @@ def _prepare_point(
             initial_opinionated=max(1, int(ensemble.opinionated_counts().min())),
             round_scale=task.round_scale,
         )
+    _check_histogram_bound(task, schedule)
     if spawn_generators:
         generators = as_trial_generators(task.random_state, ensemble.num_trials)
     else:
@@ -743,6 +745,58 @@ def _prepare_point(
         target_opinion=int(target_opinion),
         generators=generators,
         plan=plan,
+    )
+
+
+#: The largest count an int64 histogram entry, or row total, can hold.
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _longest_phase(schedule: ProtocolSchedule) -> int:
+    return max(
+        list(schedule.stage1.phase_lengths) + list(schedule.stage2.phase_lengths)
+    )
+
+
+def _check_histogram_bound(
+    task: CountsProtocolTask, schedule: ProtocolSchedule
+) -> None:
+    """Reject a point whose phase histograms could overflow int64.
+
+    Each of the ``num_bins`` nodes (honest and faulty) sends one ball per
+    round, so a phase of ``r`` rounds puts at most ``num_bins * r`` balls in
+    a row's histogram: that bounds every entry and every row total (the
+    phase records' ``messages_sent``).  Past ``2^63 - 1`` the int64 product
+    wraps, first silently in a row total and then as a negative entry that
+    the recolor rejects mid-run.  The check runs before any draw; the
+    error names the largest population whose own schedule fits, found by
+    bisection since the longest phase grows with ``log n``.
+    """
+    longest = _longest_phase(schedule)
+    if task.num_bins * longest <= _INT64_MAX:
+        return
+    if task.schedule is not None:
+        largest = _INT64_MAX // longest
+    else:
+        # The initial support sets only the number of growth phases, which
+        # are never the longest, so the default schedule serves every n.
+        fits, too_large = 1, task.num_bins
+        while too_large - fits > 1:
+            middle = (fits + too_large) // 2
+            middle_schedule = ProtocolSchedule.for_population(
+                middle, float(task.epsilon), round_scale=task.round_scale
+            )
+            if middle * _longest_phase(middle_schedule) <= _INT64_MAX:
+                fits = middle
+            else:
+                too_large = middle
+        largest = fits
+    raise ScenarioError(
+        f"num_nodes = {task.num_bins} is too large for the counts tier: its "
+        f"longest phase runs {longest} rounds, and n * {longest} balls "
+        f"overflow the int64 phase histograms (2^63 - 1); the largest "
+        f"num_nodes that fits is {largest}"
+        + (" without faults" if task.fault_sampler is not None else "")
     )
 
 

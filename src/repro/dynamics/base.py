@@ -21,9 +21,10 @@ channel; see :mod:`repro.network.pull_model`) and is checked statistically
 by the test-suite.
 
 :class:`EnsembleCountsDynamics` is the counts tier: ``(R, k)`` opinion
-counts, one multinomial per current-opinion group per round, ``O(k^2)``
-per trial independent of ``n``.  Its rule classes declare only a rule
-family and parameters; the one round loop is
+counts, a few multinomials or binomials per trial per round (see
+:func:`_run_merged_counts_group`), ``O(k^2)`` per trial independent of
+``n``.  Its rule classes declare only a rule family and parameters; the
+one round loop is
 :func:`run_heterogeneous_counts_dynamics`, which advances any number of
 counts runs (a single :meth:`EnsembleCountsDynamics.run`, or a whole sweep
 grid) as merged per-family batches.  Counts trials draw from per-trial
@@ -60,6 +61,7 @@ from repro.utils.rng import (
     RandomState,
     as_generator,
     as_trial_generators,
+    binomial_rows,
     multinomial_rows,
 )
 from repro.utils.validation import require_opinion, require_positive_int
@@ -518,12 +520,12 @@ class EnsembleCountsDynamics:
     matching :class:`OpinionDynamics` subclass, but the state is the
     ``(R, k)`` opinion-count matrix of an
     :class:`~repro.core.state.EnsembleCountsState`: on the complete graph
-    the per-node opinion vector is exchangeable, so one grouped-multinomial
-    draw per current-opinion group reproduces each round's aggregate
-    update *exactly in distribution*.  Per-round cost is ``O(k^2)`` per
-    trial — independent of ``n`` — and nothing allocates an array with an
-    ``n``-sized axis, which is what lets the engine simulate millions (or
-    billions) of nodes at fixed cost.
+    the per-node opinion vector is exchangeable, so nodes that react by the
+    same law form one group, and one multinomial (or binomial) per group
+    reproduces each round's aggregate update *exactly in distribution*.
+    Per-round cost is ``O(k^2)`` per trial — independent of ``n`` — and
+    nothing allocates an array with an ``n``-sized axis, which is what lets
+    the engine simulate millions (or billions) of nodes at fixed cost.
 
     A rule class declares only its :attr:`rule_family` and parameters
     (``sample_size``, ``phase_budget``, ...).  The round itself lives in the
@@ -711,18 +713,26 @@ def _run_merged_counts_group(
 
     * ``voter`` / ``majority``: each node draws one observation (or one
       ``maj()`` vote over ``sample_size`` observations) and adopts the
-      opinion it got; a node that got none keeps its own.
-    * ``undecided``: the undecided-state rule over one observation.
+      opinion it got; a node that got none keeps its own.  Only that case
+      depends on the node's own opinion, so a row with undecided nodes
+      draws one multinomial per current-opinion group, while a row with
+      none (exactly 0.0 "no opinion" mass, from the integer undecided
+      count) draws its ``n`` nodes as one group: one multinomial.
+    * ``undecided``: the undecided-state rule over one observation: one
+      multinomial for the undecided group, and one binomial per opinion
+      group for its nodes that see another opinion.
     * ``median``: median of the own value and two observations, through
-      the one-hot transition tensor of the median rule.
+      the one-hot transition tensor of the median rule: one multinomial
+      over observation pairs per current-opinion group.
     * ``approximate``: in each of its first ``phase_budget`` rounds every
       node of a trial resamples from the trial's midpoint-of-extremes law,
       one ``multinomial(n, law)`` per row; afterwards the point holds
       still.  A point's phase is its round index, so points (and tasks
       sharing one dynamics object) never share a phase counter.
 
-    The first four draw one multinomial per current-opinion group, since
-    only a node's reaction to an observation depends on its own opinion.
+    Every draw is one scalar call per nonempty group
+    (:func:`~repro.utils.rng.multinomial_rows`,
+    :func:`~repro.utils.rng.binomial_rows`).
 
     All heterogeneity is per row or per block: per-row population sizes,
     per-block noise matrices, ``maj()`` sample sizes and phase budgets,
@@ -741,6 +751,8 @@ def _run_merged_counts_group(
         from repro.dynamics.median_rule import _median_transition_tensor
 
         transition = _median_transition_tensor(num_opinions)
+    elif kind == "undecided":
+        off_diagonal = 1.0 - np.eye(num_opinions)
     elif kind == "approximate":
         from repro.dynamics.approximate_consensus import (
             interval_midpoint_law,
@@ -820,47 +832,69 @@ def _run_merged_counts_group(
             )
         else:
             # Observation pmf over {no opinion, 1..k} with per-row n and
-            # per-block noise; the clip drops float dust (a fully
-            # opinionated row can leave none_mass at -1e-16, which numpy's
-            # multinomial rejects).
-            shares = counts_active / nodes_active[:, np.newaxis]
-            none_mass = 1.0 - shares.sum(axis=1, keepdims=True)
-            noisy = block_matmul(shares, block_noise, runs)
-            pmf = np.clip(np.concatenate([none_mass, noisy], axis=1), 0.0, 1.0)
+            # per-block noise.  "No opinion" is the undecided share, taken
+            # from the integer count, so a row with no undecided node has
+            # exactly 0.0 there (and its maj() law exactly 0.0 "no vote").
+            # The clip only keeps the matmul's rounding inside [0, 1].
             undecided = nodes_active - counts_active.sum(axis=1, dtype=np.int64)
-            sizes = np.concatenate(
-                [undecided[:, np.newaxis], counts_active], axis=1
+            shares = counts_active / nodes_active[:, np.newaxis]
+            noisy = block_matmul(shares, block_noise, runs)
+            pmf = np.clip(
+                np.concatenate(
+                    [(undecided / nodes_active)[:, np.newaxis], noisy], axis=1
+                ),
+                0.0,
+                1.0,
             )
-            if kind == "majority":
-                draw_pmf = np.empty_like(pmf)
-                for sample_size, rows, law_runs in law_groups:
-                    draw_pmf[rows] = block_majority_vote_law(
-                        pmf[rows], sample_size, law_runs
-                    )
-            elif kind == "median":
-                # Ordered observation pairs, indexed first * (k + 1) + second.
-                draw_pmf = (
-                    pmf[:, :, np.newaxis] * pmf[:, np.newaxis, :]
-                ).reshape(num_rows, -1)
-            else:
-                draw_pmf = pmf
-            # drawn[r, g, o]: row-r nodes of current-opinion group g (0 =
-            # undecided) whose draw came out o (0 = no opinion seen), one
-            # scalar multinomial per nonempty group (multinomial_rows).
-            drawn = multinomial_rows(generators, sizes, draw_pmf)
-            if kind in ("voter", "majority"):
-                counts_active = drawn[:, :, 1:].sum(axis=1) + drawn[:, 1:, 0]
-            elif kind == "undecided":
-                diagonal = np.arange(num_opinions)
-                counts_active = (
-                    drawn[:, 0, 1:]
-                    + drawn[:, 1:, 0]
-                    + drawn[:, diagonal + 1, diagonal + 1]
+            if kind == "undecided":
+                # The undecided group adopts what it sees (none: stays
+                # undecided): one multinomial.  A node of opinion g turns
+                # undecided iff it sees another opinion: one binomial per
+                # group, with per-cell p = the other opinions' mass.
+                seen = multinomial_rows(generators, undecided, pmf)
+                others = np.minimum(
+                    (noisy[:, np.newaxis, :] * off_diagonal).sum(axis=2), 1.0
                 )
-            else:  # median
-                counts_active = np.einsum(
-                    "rgp,gpv->rv", drawn, transition
-                )[:, 1:]
+                switched = binomial_rows(generators, counts_active, others)
+                counts_active = seen[:, 1:] + counts_active - switched
+            else:
+                if kind == "majority":
+                    draw_pmf = np.empty_like(pmf)
+                    for sample_size, rows, law_runs in law_groups:
+                        draw_pmf[rows] = block_majority_vote_law(
+                            pmf[rows], sample_size, law_runs
+                        )
+                elif kind == "median":
+                    # Ordered observation pairs, indexed first * (k + 1) +
+                    # second.
+                    draw_pmf = (
+                        pmf[:, :, np.newaxis] * pmf[:, np.newaxis, :]
+                    ).reshape(num_rows, -1)
+                else:
+                    draw_pmf = pmf
+                sizes = np.concatenate(
+                    [undecided[:, np.newaxis], counts_active], axis=1
+                )
+                if kind != "median":
+                    # With no undecided node nobody sees "no opinion", so
+                    # every node reacts by the same law whatever it holds:
+                    # the row's n nodes draw as one group.
+                    decided = undecided == 0
+                    sizes[decided, 0] = nodes_active[decided]
+                    sizes[decided, 1:] = 0
+                # drawn[r, g, o]: row-r nodes of group g (0 = undecided, or
+                # the whole row when it has none) whose draw came out o (0 =
+                # no opinion seen), one scalar multinomial per nonempty
+                # group (multinomial_rows).
+                drawn = multinomial_rows(generators, sizes, draw_pmf)
+                if kind == "median":
+                    counts_active = np.einsum(
+                        "rgp,gpv->rv", drawn, transition
+                    )[:, 1:]
+                else:
+                    counts_active = (
+                        drawn[:, :, 1:].sum(axis=1) + drawn[:, 1:, 0]
+                    )
         global_round += 1
         for index, state, dynamics, block, noise_matrix in bias_blocks:
             state.last_bias = state.last_bias.copy()

@@ -52,11 +52,20 @@ from repro.utils.rng import RandomState, as_trial_generators, spawn_generators
 
 __all__ = [
     "DEFAULT_COUNTS_THRESHOLD",
+    "DRAW_ORDER_VERSION",
     "resolve_trial_engine",
     "set_default_counts_threshold",
     "simulate",
     "sim_code_version",
 ]
+
+#: The version of the engines' draw order and law values.  Bump it in every
+#: change that moves a seeded result (an entry of
+#: ``tests/core/counts_golden.json``, which records it): it is mixed into
+#: :func:`sim_code_version`, so sweep points and experiment tables stored
+#: under the old draws miss instead of being served.  1: the counts
+#: dynamics draw a row with no undecided node as one group.
+DRAW_ORDER_VERSION = 1
 
 _code_version: Optional[str] = None
 
@@ -140,11 +149,11 @@ def sim_code_version() -> str:
     """A short fingerprint of the facade's code, recorded in provenance.
 
     Hashes the source files of the sim layer's own modules (scenario,
-    engines, result, facade), read as bytes: for UTF-8, LF-terminated
-    sources that is the digest of their ``inspect.getsource`` text, at a
-    fraction of its cost on a cold process's first call.  The engine tiers
-    underneath are covered by the golden and engine-agreement
-    test-suites, exactly like the orchestrator's experiment fingerprint.
+    engines, result, facade), read as bytes, then
+    :data:`DRAW_ORDER_VERSION`.  The engine tiers underneath are not
+    hashed: the golden and engine-agreement test-suites cover them, and a
+    change there that moves a seeded result bumps the version, so the
+    stores key on it.
     """
     global _code_version
     if _code_version is None:
@@ -174,6 +183,7 @@ def sim_code_version() -> str:
                 digest.update(Path(module.__file__).read_bytes())
             except (OSError, TypeError):  # pragma: no cover - frozen builds
                 pass
+        digest.update(f"draw-order {DRAW_ORDER_VERSION}".encode())
         _code_version = digest.hexdigest()[:16]
     return _code_version
 

@@ -31,6 +31,7 @@ from repro.network.delivery import DELIVERY_PROCESSES
 from repro.network.pull_model import vote_table_is_tractable
 from repro.noise.families import uniform_noise_matrix
 from repro.noise.matrix import NoiseMatrix
+from repro.utils.validation import ScenarioError
 
 __all__ = [
     "Scenario",
@@ -40,14 +41,6 @@ __all__ = [
     "TOPOLOGIES",
 ]
 
-
-class ScenarioError(ValueError):
-    """An invalid or unsupported scenario combination.
-
-    Every rejection names the offending knob and the supported
-    alternatives; subclassing ``ValueError`` keeps pre-existing callers
-    (and ``except ValueError`` CLI handling) working.
-    """
 
 #: Workloads a scenario can describe.
 WORKLOADS = ("rumor", "plurality", "dynamics")

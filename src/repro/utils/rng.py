@@ -153,20 +153,22 @@ def multinomial_rows(
     A zero cell stays 0 and makes no call: numpy consumes no bits for
     ``n = 0``, so every stream ends where one call per cell would leave
     it.  The calls are scalar because numpy's vector-``n`` path draws the
-    same values at ~5-7x the cost per call.
+    same values at 2-5x the cost.  The nonzero cells are found with array
+    code, so the only Python loop is the one over the calls.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     pvals = np.asarray(pvals, dtype=float)
-    per_cell = pvals.ndim == 3
     cells = _row_cells(generators, sizes)
     out = np.zeros(cells.shape + pvals.shape[-1:], dtype=np.int64)
-    for generator, row_sizes, laws, out_row in zip(
-        generators, cells.tolist(), pvals, out
-    ):
-        draw = generator.multinomial
-        for cell, size in enumerate(row_sizes):
-            if size:
-                out_row[cell] = draw(size, laws[cell] if per_cell else laws)
+    rows, columns = np.nonzero(cells)
+    if rows.size:
+        laws = pvals[rows, columns] if pvals.ndim == 3 else pvals[rows]
+        out[rows, columns] = [
+            generators[row].multinomial(size, law)
+            for row, size, law in zip(
+                rows.tolist(), cells[rows, columns].tolist(), laws
+            )
+        ]
     return out.reshape(sizes.shape + pvals.shape[-1:])
 
 
@@ -177,22 +179,28 @@ def binomial_rows(
 ) -> np.ndarray:
     """Per-row binomial draws, one scalar call per nonzero (row, cell).
 
-    ``sizes`` is ``(R,)`` or ``(R, G)`` and ``p`` is ``(R,)``, one success
-    probability per row.  Row ``r`` draws ``binomial(sizes[r, g], p[r])``
-    from ``generators[r]``, rows in order and cells ascending, into an
-    int64 array shaped like ``sizes``.  Zero cells and the call cost are as
-    in :func:`multinomial_rows`.
+    ``sizes`` is ``(R,)`` or ``(R, G)``.  ``p`` is ``(R,)`` (one success
+    probability per row, shared by its cells) or shaped like an ``(R, G)``
+    ``sizes`` (one per cell).  Row ``r`` draws ``binomial(sizes[r, g],
+    p[r])`` (or ``p[r, g]``) from ``generators[r]``, rows in order and cells
+    ascending, into an int64 array shaped like ``sizes``.  Zero cells and
+    the call cost are as in :func:`multinomial_rows`.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
+    p = np.asarray(p, dtype=float)
     cells = _row_cells(generators, sizes)
     out = np.zeros(cells.shape, dtype=np.int64)
-    for generator, row_sizes, probability, out_row in zip(
-        generators, cells.tolist(), np.asarray(p, dtype=float).tolist(), out
-    ):
-        draw = generator.binomial
-        for cell, size in enumerate(row_sizes):
-            if size:
-                out_row[cell] = draw(size, probability)
+    rows, columns = np.nonzero(cells)
+    if rows.size:
+        probabilities = p[rows, columns] if p.ndim == 2 else p[rows]
+        out[rows, columns] = [
+            generators[row].binomial(size, probability)
+            for row, size, probability in zip(
+                rows.tolist(),
+                cells[rows, columns].tolist(),
+                probabilities.tolist(),
+            )
+        ]
     return out.reshape(sizes.shape)
 
 

@@ -14,6 +14,7 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
+    "ScenarioError",
     "require_positive_int",
     "require_non_negative_int",
     "require_positive",
@@ -22,6 +23,17 @@ __all__ = [
     "require_probability_vector",
     "require_opinion",
 ]
+
+
+class ScenarioError(ValueError):
+    """An invalid or unsupported scenario combination.
+
+    Every rejection names the offending knob and the supported
+    alternatives; subclassing ``ValueError`` keeps pre-existing callers
+    (and ``except ValueError`` CLI handling) working.  Defined here, below
+    the engines, so an engine can reject work it cannot do with the same
+    type :mod:`repro.sim.scenario` raises.
+    """
 
 
 def require_positive_int(value, name: str) -> int:

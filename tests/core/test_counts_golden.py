@@ -18,7 +18,11 @@ adversaries, the last two ending on the dense path.
 The dynamics points (final counts, rounds, convergence, successes and a
 digest of the bias history) were captured from the per-rule counts round
 loop, before every counts-dynamics run went through the merged loop of
-``run_heterogeneous_counts_dynamics``.  They cover all six rules at
+``run_heterogeneous_counts_dynamics``.  All but approximate consensus's
+were regenerated when rows began to draw one group per reaction law
+(draw-order version 1): a voter or majority row with no undecided node
+draws one multinomial, an undecided-state row one multinomial plus a
+binomial per opinion group.  They cover all six rules at
 ``k = 3``, voter / 3-majority / median rule at ``k = 2`` and ``k = 5``, and
 approximate consensus at ``n = 7``, where its midpoint law stays random for
 the whole phase budget, each with and without early stopping; plus one
@@ -40,10 +44,16 @@ helpers are gone.  The faulted and process points were captured while the
 per-node engines still carried a shared-stream mode next to their
 per-trial streams.
 
-Regenerate (only when a change to the draw order or to a law value is
-intended and has passed ``pytest -m agreement``) with::
+The fixture records :data:`repro.sim.facade.DRAW_ORDER_VERSION`, the
+version the stores key on.  Regenerate (only when a change to the draw
+order or to a law value is intended and has passed ``pytest -m
+agreement``) with::
 
     PYTHONPATH=src python tests/core/test_counts_golden.py --write
+
+``--write`` refuses to rewrite an entry that changed unless the constant
+moved since the fixture was written, so no change that moves a seeded
+result can leave the stores serving results from before it.
 """
 
 from __future__ import annotations
@@ -66,6 +76,7 @@ from repro.faults import FaultModel
 from repro.noise.families import uniform_noise_matrix
 from repro.sim import Scenario, simulate
 from repro.sim.engines import build_dynamics
+from repro.sim.facade import DRAW_ORDER_VERSION
 from repro.sim.result import SimulationResult
 
 GOLDEN_PATH = Path(__file__).with_name("counts_golden.json")
@@ -333,9 +344,72 @@ def compute_golden() -> dict:
     }
 
 
+def changed_entries(old: dict, new: dict) -> list:
+    """``section/key`` of every entry of ``old`` that ``new`` changes."""
+    return [
+        f"{section}/{key}"
+        for section, entries in new.items()
+        for key, value in entries.items()
+        if key in old.get(section, {}) and old[section][key] != value
+    ]
+
+
+def write_golden() -> None:
+    """Rewrite the fixture, stamped with the current draw-order version.
+
+    Exits without writing when an entry changed but the fixture already
+    records :data:`DRAW_ORDER_VERSION` (a fixture without the key predates
+    it: version 0).  New entries need no bump.
+    """
+    old = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
+    new = compute_golden()
+    changed = changed_entries(old, new)
+    if changed and old.get("draw_order_version", 0) == DRAW_ORDER_VERSION:
+        sys.exit(
+            f"{len(changed)} golden entries changed (first: {changed[0]}) "
+            f"but DRAW_ORDER_VERSION is still {DRAW_ORDER_VERSION}; bump it "
+            "in src/repro/sim/facade.py so stored results miss, then rerun"
+        )
+    GOLDEN_PATH.write_text(
+        json.dumps({"draw_order_version": DRAW_ORDER_VERSION, **new}, indent=1)
+        + "\n"
+    )
+    print(f"wrote {GOLDEN_PATH} ({len(changed)} entries changed)")
+
+
 @pytest.fixture(scope="module")
 def golden() -> dict:
     return json.loads(GOLDEN_PATH.read_text())
+
+
+def test_golden_records_the_draw_order_version(golden):
+    assert golden["draw_order_version"] == DRAW_ORDER_VERSION
+
+
+def test_write_refuses_changed_entries_unless_the_version_moved(
+    tmp_path, monkeypatch
+):
+    module = sys.modules[__name__]
+    path = tmp_path / "golden.json"
+    fresh = {"points": {"a": {"0": [1]}, "b": {"0": [2]}}}
+    monkeypatch.setattr(module, "GOLDEN_PATH", path)
+    monkeypatch.setattr(module, "compute_golden", lambda: fresh)
+    stale = {"draw_order_version": DRAW_ORDER_VERSION,
+             "points": {"a": {"0": [0]}}}
+    path.write_text(json.dumps(stale))
+    with pytest.raises(SystemExit, match="1 golden entries changed"):
+        write_golden()
+    assert json.loads(path.read_text()) == stale
+    # An added entry needs no bump; an older version lets the change in.
+    for recorded in (DRAW_ORDER_VERSION, DRAW_ORDER_VERSION - 1):
+        path.write_text(json.dumps({
+            "draw_order_version": recorded,
+            "points": {"a": {"0": [1 if recorded == DRAW_ORDER_VERSION else 0]}},
+        }))
+        write_golden()
+        assert json.loads(path.read_text()) == {
+            "draw_order_version": DRAW_ORDER_VERSION, **fresh
+        }
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -387,4 +461,4 @@ def test_simulate_batched_processes_match_golden(golden, label, seed):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(f"usage: python {sys.argv[0]} --write")
-    GOLDEN_PATH.write_text(json.dumps(compute_golden(), indent=1) + "\n")
+    write_golden()

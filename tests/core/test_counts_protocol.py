@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.core.protocol
 from repro.core.protocol import (
     CountsProtocol,
     CountsProtocolTask,
@@ -28,6 +29,7 @@ from repro.network.balls_bins import (
     poisson_tail_probability,
 )
 from repro.noise.families import identity_matrix, uniform_noise_matrix
+from repro.sim import Scenario, ScenarioError, simulate
 
 NUM_NODES = 800
 EPSILON = 0.3
@@ -422,3 +424,77 @@ class TestCountsProtocol:
             1_000_000, noise, epsilon=EPSILON, random_state=0
         ).run(initial, 3, target_opinion=1)
         assert result.success_rate == 1.0
+
+
+class TestInt64HistogramBound:
+    """A phase of ``r`` rounds throws up to ``n * r`` balls into int64
+    histograms, so the counts tier accepts ``n`` only while ``n`` times its
+    schedule's longest phase stays within ``2^63 - 1``, and rejects larger
+    populations before any draw, naming the largest one that fits."""
+
+    #: The largest n at epsilon = 0.3, round_scale = 1: its longest phase
+    #: (the final Stage-2 phase) runs 3418 rounds.
+    LARGEST = 2_698_470_461_338_436
+
+    @staticmethod
+    def scenario(workload, num_nodes, **overrides):
+        return Scenario(
+            workload=workload, num_nodes=num_nodes,
+            num_opinions=3 if workload == "plurality" else 2, epsilon=0.3,
+            engine="counts", num_trials=2, seed=0, **overrides,
+        )
+
+    @pytest.mark.parametrize("workload", ["plurality", "rumor"])
+    def test_the_largest_population_runs_and_the_next_is_rejected(
+        self, workload, monkeypatch
+    ):
+        with pytest.raises(ScenarioError) as rejected:
+            simulate(self.scenario(workload, 10**16))
+        assert f"the largest num_nodes that fits is {self.LARGEST}" in str(
+            rejected.value
+        )
+        result = simulate(self.scenario(workload, self.LARGEST))
+        assert (
+            np.asarray(result.final_opinion_counts).sum(axis=1) == self.LARGEST
+        ).all()
+        assert result.successes.all()
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a rejected point drew")
+
+        monkeypatch.setattr(
+            repro.core.protocol, "as_trial_generators", no_draws
+        )
+        with pytest.raises(ScenarioError, match=f"{self.LARGEST + 1} is too"):
+            simulate(self.scenario(workload, self.LARGEST + 1))
+
+    def test_faulty_nodes_count_toward_the_bound(self):
+        """The schedule follows the honest n_h, but every one of the n
+        nodes throws balls: n_h times the longest phase fits here, n times
+        it does not."""
+        scenario = self.scenario(
+            "rumor", 35 * 10**14, faults=FaultModel(kind="crash", fraction=0.4)
+        )
+        honest = scenario.fault_split()[0].num_nodes
+        schedule = ProtocolSchedule.for_population(honest, 0.3)
+        longest = max(
+            schedule.stage1.phase_lengths + schedule.stage2.phase_lengths
+        )
+        assert honest * longest <= 2**63 - 1 < scenario.num_nodes * longest
+        with pytest.raises(ScenarioError, match="without faults"):
+            simulate(scenario)
+
+    def test_a_given_schedule_bounds_n_by_its_own_longest_phase(self, noise):
+        schedule = ProtocolSchedule.for_population(10**6, EPSILON)
+        longest = max(
+            schedule.stage1.phase_lengths + schedule.stage2.phase_lengths
+        )
+        largest = (2**63 - 1) // longest
+        with pytest.raises(ScenarioError, match=f"fits is {largest}$"):
+            run_heterogeneous_counts_protocol([
+                CountsProtocolTask(
+                    num_nodes=largest + 1, noise=noise, schedule=schedule,
+                    initial_state=CountsState([1, 0, 0], largest + 1),
+                    num_trials=1, random_state=0,
+                )
+            ])

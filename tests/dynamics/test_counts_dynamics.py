@@ -25,6 +25,7 @@ from repro.dynamics.base import (
 )
 from repro.experiments.workloads import biased_population
 from repro.noise.families import identity_matrix, uniform_noise_matrix
+from repro.sim import Scenario, simulate
 from repro.sim.engines import build_dynamics
 
 NUM_NODES = 600
@@ -98,6 +99,125 @@ class TestCountsUpdateInvariants:
         result = run_counts("voter", None, noise, empty, 0, 2, max_rounds=2,
                             target_opinion=0, stop_at_consensus=False)
         assert np.all(result.final_states.counts == 0)
+
+
+class _CountingGenerator(np.random.Generator):
+    """A PCG64 generator that logs each scalar multinomial / binomial call
+    as ``(name, n, law)``."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.calls = []
+
+    def multinomial(self, n, pvals, size=None):
+        self.calls.append(("multinomial", n, np.array(pvals, dtype=float)))
+        return super().multinomial(n, pvals, size)
+
+    def binomial(self, n, p, size=None):
+        self.calls.append(("binomial", n, p))
+        return super().binomial(n, p, size)
+
+
+def logged_calls(rule, sample_size, rows, rounds=1):
+    """Per-row call logs of a counts run from ``rows`` (``n = 600``) over
+    ``rounds`` rounds, and the run's result."""
+    generators = [_CountingGenerator(seed) for seed in range(len(rows))]
+    result = build_dynamics(
+        "counts", rule, NUM_NODES, uniform_noise_matrix(3, 0.3), generators,
+        sample_size=sample_size,
+    ).run(
+        EnsembleCountsState(np.array(rows), NUM_NODES), rounds,
+        target_opinion=1, stop_at_consensus=False,
+    )
+    return [generator.calls for generator in generators], result
+
+
+class TestDrawCalls:
+    """How many scalar draws a row costs per round, and the "no opinion"
+    mass of a row with no undecided node."""
+
+    #: The last row's shares sum past 1.0 by rounding: 1 - sum(shares)
+    #: would leave it 1.1e-16 of "no opinion".
+    DECIDED = [[300, 200, 100], [600, 0, 0], [1, 1, 598], [2, 313, 285]]
+    MIXED = [[100, 0, 200], [0, 600 - 7, 0], [5, 5, 5]]
+
+    @pytest.mark.parametrize("rule,sample_size", [
+        ("voter", None), ("3-majority", None), ("h-majority", 5),
+    ])
+    def test_a_decided_row_draws_one_multinomial_per_round(
+        self, rule, sample_size
+    ):
+        rounds = 4
+        calls, result = logged_calls(rule, sample_size, self.DECIDED, rounds)
+        assert np.all(result.final_states.opinionated_counts() == NUM_NODES)
+        for row_calls in calls:
+            assert [(name, n) for name, n, _ in row_calls] == [
+                ("multinomial", NUM_NODES)
+            ] * rounds
+
+    @pytest.mark.parametrize("rule,sample_size", [
+        ("voter", None), ("3-majority", None), ("h-majority", 5),
+        ("median-rule", None),
+    ])
+    def test_a_row_with_undecided_nodes_draws_one_call_per_group(
+        self, rule, sample_size
+    ):
+        calls, _ = logged_calls(rule, sample_size, self.MIXED)
+        for row, row_calls in zip(self.MIXED, calls):
+            groups = [NUM_NODES - sum(row)] + row
+            assert [(name, n) for name, n, _ in row_calls] == [
+                ("multinomial", size) for size in groups if size
+            ]
+
+    def test_undecided_state_draws_one_multinomial_and_a_binomial_per_group(
+        self,
+    ):
+        rows = self.DECIDED + self.MIXED + [[0, 0, 0]]
+        calls, _ = logged_calls("undecided-state", None, rows)
+        for row, row_calls in zip(rows, calls):
+            undecided = NUM_NODES - sum(row)
+            assert [(name, n) for name, n, _ in row_calls] == (
+                [("multinomial", undecided)] if undecided else []
+            ) + [("binomial", size) for size in row if size]
+
+    @pytest.mark.parametrize("rule,sample_size", [
+        ("voter", None), ("3-majority", None), ("h-majority", 5),
+    ])
+    def test_no_opinion_mass_comes_from_the_undecided_count(
+        self, rule, sample_size
+    ):
+        """Exactly 0.0 "no opinion" in the observation pmf (voter) and
+        "no vote" in the maj() law (3-majority, h-majority) of a decided
+        row, so its one group loses no node to a "none" outcome."""
+        calls, _ = logged_calls(
+            rule, sample_size, self.DECIDED + [[100, 0, 200]]
+        )
+        for row_calls in calls[:-1]:
+            assert [law[0] for _, _, law in row_calls] == [0.0]
+        for _, _, law in calls[-1]:
+            if rule == "voter":
+                assert law[0] == 300 / NUM_NODES
+            else:
+                assert law[0] > 0.0
+
+    @pytest.mark.parametrize(
+        "rule", ["voter", "3-majority", "undecided-state"]
+    )
+    def test_counts_are_conserved_at_a_trillion_nodes(self, rule):
+        """90% undecided at n = 10^12: rows take the grouped draw, then
+        (voter, 3-majority) the one-group draw once every node decided.
+        Groups this large rule out a multivariate hypergeometric split,
+        which numpy refuses past 10^9."""
+        result = simulate(Scenario(
+            workload="dynamics", rule=rule, num_nodes=10**12,
+            support_size=10**11, num_opinions=3, engine="counts",
+            num_trials=4, max_rounds=30, stop_at_consensus=False, seed=0,
+        ))
+        counts = np.asarray(result.final_opinion_counts)
+        assert counts.min() >= 0
+        assert np.all(counts.sum(axis=1) <= 10**12)
+        if rule != "undecided-state":
+            assert np.all(counts.sum(axis=1) == 10**12)
 
 
 class TestReproducibility:

@@ -238,6 +238,76 @@ class TestDynamicsOneRoundAgreement:
         )
 
 
+#: The rules whose counts rows draw differently once no node is undecided:
+#: voter and the majority rules as one group, undecided-state as one
+#: binomial per opinion group.
+DECIDED_DRAW_RULES = [
+    ("voter", None),
+    ("3-majority", None),
+    ("h-majority", 5),
+    ("undecided-state", None),
+]
+
+
+class TestDecidedOneRoundAgreement:
+    """The one-round checks above, from a state with no undecided node.
+
+    There a counts row draws all its nodes as one group (voter and the
+    majority rules) or one binomial per opinion group (undecided-state),
+    which the partially undecided start of the class above never reaches
+    in its first round.
+    """
+
+    NUM_NODES = 400
+    POOL_TRIALS = 120
+    COUNTS_TRIALS = 4000
+
+    @pytest.mark.parametrize("rule,sample_size", DECIDED_DRAW_RULES)
+    def test_counts_vs_batched(self, rule, sample_size):
+        noise = uniform_noise_matrix(3, 0.4)
+        initial = biased_population(self.NUM_NODES, 3, 0.2, random_state=1)
+        assert initial.opinionated_count() == self.NUM_NODES
+        counts = pooled_category_counts_counts_engine(
+            rule, sample_size, self.NUM_NODES, noise, initial,
+            self.POOL_TRIALS, seed=110,
+        )
+        batched = pooled_category_counts_batched_engine(
+            rule, sample_size, self.NUM_NODES, noise, initial,
+            self.POOL_TRIALS, seed=120,
+        )
+        assert counts.sum() == batched.sum()
+        statistic, df = two_sample_chi_square(counts, batched)
+        assert statistic < CHI2_CRITICAL_001[df], (
+            f"{rule}: decided-start counts vs batched one-round chi-square "
+            f"{statistic:.1f} exceeds the alpha=0.001 critical value for "
+            f"df={df}"
+        )
+
+    @pytest.mark.parametrize("rule,sample_size", DECIDED_DRAW_RULES)
+    def test_counts_tier_matches_exact_kernel(self, rule, sample_size):
+        num_nodes, num_opinions, noise, _ = exact_reference_setup()
+        initial = np.array([7, 5], dtype=np.int64)
+        chain = ExactDynamicsChain(rule, num_nodes, noise, sample_size=sample_size)
+        exact = chain.one_round_distribution(initial)
+        result = build_dynamics(
+            "counts", rule, num_nodes, noise, 17, sample_size=sample_size
+        ).run(
+            CountsState(initial, num_nodes), 1, self.COUNTS_TRIALS,
+            target_opinion=1, stop_at_consensus=False, record_history=False,
+        )
+        empirical = empirical_state_distribution(
+            result.final_states.counts, num_nodes, num_opinions
+        )
+        threshold = sampling_tvd_threshold(
+            state_space_size(num_nodes, num_opinions), self.COUNTS_TRIALS
+        )
+        tvd = total_variation_distance(exact, empirical)
+        assert tvd < threshold, (
+            f"{rule}: decided-start counts-tier one-round TVD {tvd:.4f} "
+            f"exceeds the sampling threshold {threshold:.4f}"
+        )
+
+
 class TestDynamicsFinalBiasAgreement:
     """KS cross-checks of multi-round final-bias summaries.
 

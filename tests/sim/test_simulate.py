@@ -108,7 +108,8 @@ class TestProvenanceAndJson:
         self, monkeypatch
     ):
         """The fingerprint is the digest of the 12 modules' source text,
-        read from their files: ``inspect.getsource`` is not called."""
+        read from their files (``inspect.getsource`` is not called), and of
+        the draw-order version."""
         import hashlib
         import inspect
 
@@ -124,6 +125,7 @@ class TestProvenanceAndJson:
             dynamics_analytic, core_analytic, model, injection, delivery,
         ):
             reference.update(inspect.getsource(module).encode())
+        reference.update(f"draw-order {facade.DRAW_ORDER_VERSION}".encode())
 
         def refuse(module):
             raise AssertionError(f"inspect.getsource({module.__name__})")

@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.experiments.orchestrator import ResultStore
 from repro.sim import Scenario, ScenarioGrid, SweepResult, simulate, simulate_sweep
+from repro.sim import facade
 from repro.utils.rng import derive_seed
 
 #: Every simulation-output field of SimulationResult (provenance excluded:
@@ -564,6 +565,28 @@ class TestSweepStore:
         simulate_sweep(grid, store=store, store_label="label-a")
         other = simulate_sweep(grid, store=store, store_label="label-b")
         assert other.cache_hits == 0
+
+    def test_a_new_draw_order_version_misses_stored_points(
+        self, tmp_path, monkeypatch
+    ):
+        """A change that moves seeded results (in engine code the code
+        version does not hash) bumps DRAW_ORDER_VERSION, and the points
+        stored under the old one are recomputed, not served."""
+        store = ResultStore(tmp_path / "results")
+        grid = ScenarioGrid(dynamics_base(), {"epsilon": (0.1, 0.2)})
+        simulate_sweep(grid, store=store, store_label="sweep-test")
+        assert simulate_sweep(
+            grid, store=store, store_label="sweep-test"
+        ).cache_hits == grid.size
+        monkeypatch.setattr(
+            facade, "DRAW_ORDER_VERSION", facade.DRAW_ORDER_VERSION + 1
+        )
+        monkeypatch.setattr(facade, "_code_version", None)
+        bumped = simulate_sweep(grid, store=store, store_label="sweep-test")
+        assert bumped.cache_hits == 0
+        assert (
+            bumped[0].provenance["code_version"] == facade.sim_code_version()
+        )
 
 
 class TestSweepResultApi:

@@ -119,10 +119,12 @@ def _reference_multinomial_loop(generators, sizes, pvals):
 
 
 def _reference_binomial_loop(generators, sizes, p):
-    """The per-row vector-``n`` loop the helper replaced."""
+    """The per-row vector-``n`` loop the helper replaced, with a vector
+    ``p`` when there is one probability per cell."""
     out = np.empty(sizes.shape, dtype=np.int64)
     for row, generator in enumerate(generators):
-        out[row] = generator.binomial(sizes[row].tolist(), float(p[row]))
+        probability = p[row].tolist() if p.ndim == 2 else float(p[row])
+        out[row] = generator.binomial(sizes[row].tolist(), probability)
     return out
 
 
@@ -186,11 +188,16 @@ class TestRowDraws:
 
     @pytest.mark.parametrize("rows", [1, 3, 64])
     @pytest.mark.parametrize("num_opinions", range(2, 8))
-    def test_binomial_rows_match_the_vector_n_loop(self, rows, num_opinions):
+    @pytest.mark.parametrize("p_per", ["row", "cell"])
+    def test_binomial_rows_match_the_vector_n_loop(
+        self, rows, num_opinions, p_per
+    ):
         rng = np.random.default_rng([rows, num_opinions, 2])
         sizes = _sizes(rng, (rows, num_opinions + 1))
-        p = rng.random(rows)
-        p[rng.random(rows) < 0.2] = 0.0
+        p_shape = sizes.shape if p_per == "cell" else (rows,)
+        p = rng.random(p_shape)
+        p[rng.random(p_shape) < 0.2] = 0.0
+        p[rng.random(p_shape) < 0.1] = 1.0
         mine, theirs = _streams(3, rows), _streams(3, rows)
         drawn = binomial_rows(mine, sizes, p)
         assert np.array_equal(drawn, _reference_binomial_loop(theirs, sizes, p))
