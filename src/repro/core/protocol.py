@@ -651,20 +651,6 @@ class CountsProtocolTask:
         return int(self.num_nodes) + self.fault_sampler.num_faulty
 
 
-def _block_bias(distributions: np.ndarray, target: int) -> np.ndarray:
-    """Per-trial Definition-1 bias of one block toward its own target.
-
-    Evaluates the exact expression of
-    :meth:`~repro.core.state.EnsembleCountsState.bias_toward` on the block's
-    rows, so merged runs record bitwise-identical biases.
-    """
-    if distributions.shape[1] == 1:
-        return distributions[:, 0]
-    rivals = distributions.copy()
-    rivals[:, target - 1] = -np.inf
-    return distributions[:, target - 1] - rivals.max(axis=1)
-
-
 @dataclass
 class _PreparedPoint:
     """A grid point resolved to the state a serial run would start from."""
@@ -801,8 +787,9 @@ def _check_histogram_bound(
 
 
 def _gather_submodel(parts, cache):
-    """Gathered rows, local slices, delivery model and per-row tracked
-    population (``n_h`` under faults) for one substep.
+    """Gathered rows, local slices, delivery model, per-row tracked
+    population (``n_h`` under faults) and per-row target cells for one
+    substep.
 
     The active point set is stable across most substeps (points retire only
     when their schedule ends), so the gathered tuple is cached in ``cache``
@@ -826,13 +813,38 @@ def _gather_submodel(parts, cache):
         [point.task.num_bins for point in parts],
         [point.task.noise for point in parts],
     )
+    block_rows = [sl.stop - sl.start for sl in local_slices]
     tracked = np.repeat(
         np.asarray([point.task.num_nodes for point in parts], dtype=np.int64),
-        [sl.stop - sl.start for sl in local_slices],
+        block_rows,
     )
-    gathered = (np.concatenate(rows), local_slices, sub_model, tracked)
+    target_cells = (
+        np.arange(offset),
+        np.repeat(
+            np.asarray([point.target_opinion - 1 for point in parts]),
+            block_rows,
+        ),
+    )
+    gathered = (
+        np.concatenate(rows), local_slices, sub_model, tracked, target_cells
+    )
     cache[key] = gathered
     return gathered
+
+
+def _row_bias(distributions: np.ndarray, target_cells) -> np.ndarray:
+    """Per-row Definition-1 bias, each row toward its own point's target.
+
+    ``target_cells`` indexes every row's target cell.  Evaluates the exact
+    expression of :meth:`~repro.core.state.EnsembleCountsState.bias_toward`,
+    whose max and difference are row-local, so a merged substep records
+    bitwise the biases of each point's serial run.
+    """
+    if distributions.shape[1] == 1:
+        return distributions[:, 0]
+    rivals = distributions.copy()
+    rivals[target_cells] = -np.inf
+    return distributions[target_cells] - rivals.max(axis=1)
 
 
 def _substep_randomness(generators, rows):
@@ -871,45 +883,63 @@ def _phase_histograms(counts_sub, generators, parts, local_slices, step):
 
 
 def _run_stage1_substep(counts, generators, parts, step, cache) -> None:
-    """One merged Stage-1 phase over every block whose plan says "s1" now."""
-    rows, local_slices, sub_model, tracked = _gather_submodel(parts, cache)
+    """One merged Stage-1 phase over every block whose plan says "s1" now.
+
+    Every phase-record field is computed once over the merged rows; each
+    point's record holds its own rows of them.
+    """
+    rows, local_slices, sub_model, tracked, target_cells = _gather_submodel(
+        parts, cache
+    )
     counts_sub = counts[rows]
     gens_sub = _substep_randomness(generators, rows)
     histograms = _phase_histograms(
         counts_sub, gens_sub, parts, local_slices, step
     )
     noisy = sub_model.recolor(histograms, gens_sub)
-    undecided = tracked - counts_sub.sum(axis=1, dtype=np.int64)
-    adopted = sub_model.sample_adoptions(noisy, undecided, gens_sub)
+    opinionated_before = counts_sub.sum(axis=1, dtype=np.int64)
+    adopted = sub_model.sample_adoptions(
+        noisy, tracked - opinionated_before, gens_sub
+    )
     new_counts = counts_sub + adopted[:, 1:]
     counts[rows] = new_counts
+    opinionated_after = new_counts.sum(axis=1, dtype=np.int64)
+    newly_opinionated = adopted[:, 1:].sum(axis=1, dtype=np.int64)
+    distributions = new_counts / tracked[:, np.newaxis]
+    bias = _row_bias(distributions, target_cells)
+    messages_sent = histograms.sum(axis=1, dtype=np.int64)
     for point, lsl in zip(parts, local_slices):
         _, phase_index, phase_rounds = point.plan[step]
-        distributions = new_counts[lsl] / point.task.num_nodes
         point.stage1_records.append(
             EnsembleStage1PhaseRecord(
                 phase_index=phase_index,
                 num_rounds=phase_rounds,
-                opinionated_before=counts_sub[lsl].sum(axis=1, dtype=np.int64),
-                opinionated_after=new_counts[lsl].sum(axis=1, dtype=np.int64),
-                newly_opinionated=adopted[lsl, 1:].sum(axis=1, dtype=np.int64),
-                opinion_distributions=distributions,
-                bias=_block_bias(distributions, point.target_opinion),
-                messages_sent=histograms[lsl].sum(axis=1, dtype=np.int64),
+                opinionated_before=opinionated_before[lsl],
+                opinionated_after=opinionated_after[lsl],
+                newly_opinionated=newly_opinionated[lsl],
+                opinion_distributions=distributions[lsl],
+                bias=bias[lsl],
+                messages_sent=messages_sent[lsl],
             )
         )
 
 
 def _run_stage2_substep(counts, generators, parts, step, cache) -> None:
-    """One merged Stage-2 phase over every block whose plan says "s2" now."""
-    rows, local_slices, sub_model, tracked = _gather_submodel(parts, cache)
+    """One merged Stage-2 phase over every block whose plan says "s2" now.
+
+    Every phase-record field is computed once over the merged rows; each
+    point's record holds its own rows of them.
+    """
+    rows, local_slices, sub_model, tracked, target_cells = _gather_submodel(
+        parts, cache
+    )
     sample_sizes = [point.plan[step][3] for point in parts]
     sample_sizes_rows = np.repeat(
         np.asarray(sample_sizes, dtype=np.int64),
         [sl.stop - sl.start for sl in local_slices],
     )
     counts_sub = counts[rows]
-    distributions_before = counts_sub / tracked[:, np.newaxis]
+    bias_before = _row_bias(counts_sub / tracked[:, np.newaxis], target_cells)
     gens_sub = _substep_randomness(generators, rows)
     histograms = _phase_histograms(
         counts_sub, gens_sub, parts, local_slices, step
@@ -927,22 +957,23 @@ def _run_stage2_substep(counts, generators, parts, step, cache) -> None:
     )
     new_counts = counts_sub + votes - updaters[:, 1:]
     counts[rows] = new_counts
+    distributions = new_counts / tracked[:, np.newaxis]
+    bias_after = _row_bias(distributions, target_cells)
+    messages_sent = histograms.sum(axis=1, dtype=np.int64)
+    consensus_after = new_counts[target_cells] == tracked
     for point, lsl, vote_path in zip(parts, local_slices, vote_paths):
         _, phase_index, phase_rounds, sample_size = point.plan[step]
-        target = point.target_opinion
-        distributions = new_counts[lsl] / point.task.num_nodes
         point.stage2_records.append(
             EnsembleStage2PhaseRecord(
                 phase_index=phase_index,
                 num_rounds=phase_rounds,
                 sample_size=sample_size,
-                updated_nodes=updaters[lsl].sum(axis=1, dtype=np.int64),
-                opinion_distributions=distributions,
-                bias_before=_block_bias(distributions_before[lsl], target),
-                bias_after=_block_bias(distributions, target),
-                messages_sent=histograms[lsl].sum(axis=1, dtype=np.int64),
-                consensus_after=new_counts[lsl, target - 1]
-                == point.task.num_nodes,
+                updated_nodes=voters[lsl],
+                opinion_distributions=distributions[lsl],
+                bias_before=bias_before[lsl],
+                bias_after=bias_after[lsl],
+                messages_sent=messages_sent[lsl],
+                consensus_after=consensus_after[lsl],
                 vote_path=vote_path,
             )
         )

@@ -60,6 +60,10 @@ TOPOLOGIES = ("complete", "random_regular")
 
 _PROTOCOL_WORKLOADS = ("rumor", "plurality")
 
+#: The largest population a scenario accepts: every tier holds opinion
+#: counts as int64.
+_MAX_NUM_NODES = int(np.iinfo(np.int64).max)
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -199,6 +203,11 @@ class Scenario:
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or value < 1:
                 raise ScenarioError(f"{name} must be a positive int, got {value!r}")
+        if self.num_nodes > _MAX_NUM_NODES:
+            raise ScenarioError(
+                f"num_nodes must be at most {_MAX_NUM_NODES} (2^63 - 1), the "
+                f"int64 count limit of every tier; got {self.num_nodes}"
+            )
         if self.seed is not None and (
             isinstance(self.seed, bool)
             or not isinstance(self.seed, (int, np.integer))

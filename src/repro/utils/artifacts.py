@@ -66,8 +66,11 @@ class ResultStore:
     """Content-keyed persistence of result payloads under one directory.
 
     Entries are JSON files named ``<label>_<key-prefix>.json``; the key is
-    the SHA-256 of a canonical identity mapping.  The ``fetch``/``store``
-    pair works on arbitrary JSON payloads (sweep points,
+    the SHA-256 of a canonical identity mapping.  An entry is one line of
+    compact, key-sorted JSON, which CPython's C encoder writes (``indent``
+    would force the pure-Python encoder); :meth:`fetch` reads any JSON
+    layout, so entries written indented are still served.  The
+    ``fetch``/``store`` pair works on arbitrary JSON payloads (sweep points,
     ``examples/scaling_study.py``); ``get``/``put``/``has`` work on
     :class:`~repro.experiments.results.ExperimentTable` objects keyed by an
     :class:`~repro.experiments.orchestrator.ExperimentJob`'s identity
@@ -122,7 +125,9 @@ class ResultStore:
             "identity": jsonify_value(identity),
             "payload": jsonify_value(payload),
         }
-        path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+        path.write_text(
+            json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
+        )
         return path
 
     # ---------------- experiment-table interface ---------------- #

@@ -155,6 +155,14 @@ def multinomial_rows(
     it.  The calls are scalar because numpy's vector-``n`` path draws the
     same values at 2-5x the cost.  The nonzero cells are found with array
     code, so the only Python loop is the one over the calls.
+
+    A two-cell law draws its first cell as ``binomial(n, p0)`` and sets
+    the second to ``n - first``.  That is the call numpy's multinomial
+    makes itself (``random_binomial(p0 / 1.0, n)`` on the same bit
+    generator and binomial state), so the draws and final generator
+    states are the same, at about half the cost per call.  Laws with a
+    cell outside ``[0, 1]`` or NaN keep the multinomial call, so its
+    ``ValueError`` stands.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     pvals = np.asarray(pvals, dtype=float)
@@ -163,12 +171,24 @@ def multinomial_rows(
     rows, columns = np.nonzero(cells)
     if rows.size:
         laws = pvals[rows, columns] if pvals.ndim == 3 else pvals[rows]
-        out[rows, columns] = [
-            generators[row].multinomial(size, law)
-            for row, size, law in zip(
-                rows.tolist(), cells[rows, columns].tolist(), laws
+        counts = cells[rows, columns]
+        if laws.shape[1] == 2 and ((laws >= 0.0) & (laws <= 1.0)).all():
+            first = np.array(
+                [
+                    generators[row].binomial(size, p0)
+                    for row, size, p0 in zip(
+                        rows.tolist(), counts.tolist(), laws[:, 0].tolist()
+                    )
+                ],
+                dtype=np.int64,
             )
-        ]
+            out[rows, columns, 0] = first
+            out[rows, columns, 1] = counts - first
+        else:
+            out[rows, columns] = [
+                generators[row].multinomial(size, law)
+                for row, size, law in zip(rows.tolist(), counts.tolist(), laws)
+            ]
     return out.reshape(sizes.shape + pvals.shape[-1:])
 
 

@@ -10,6 +10,8 @@ agreement lives in ``tests/integration/test_engine_agreement.py``.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,8 @@ from repro.core.protocol import (
     run_heterogeneous_counts_protocol,
 )
 from repro.core.schedule import ProtocolSchedule, Stage1Schedule, Stage2Schedule
+from repro.core.stage1 import EnsembleStage1PhaseRecord
+from repro.core.stage2 import EnsembleStage2PhaseRecord
 from repro.core.state import CountsState, EnsembleCountsState, PopulationState
 from repro.experiments.runner import stage2_trial_trajectories
 from repro.faults import FaultedPhaseSampler, FaultModel
@@ -299,6 +303,181 @@ class TestFaultHook:
             assert np.array_equal(
                 left.opinion_distributions, right.opinion_distributions
             )
+
+
+def _block_bias(distributions, target):
+    """Per-trial Definition-1 bias of one block toward its own target, the
+    per-point expression the merged phase records replaced."""
+    if distributions.shape[1] == 1:
+        return distributions[:, 0]
+    rivals = distributions.copy()
+    rivals[:, target - 1] = -np.inf
+    return distributions[:, target - 1] - rivals.max(axis=1)
+
+
+def _reference_records(stage, step, parts, before, after, calls):
+    """Each point's phase record, built block by block as the per-point
+    loop built it, from one merged substep's counts and draws."""
+    histograms = calls["recolor"][0][0]
+    records = []
+    offset = 0
+    for block, point in enumerate(parts):
+        lsl = slice(offset, offset + point.slice.stop - point.slice.start)
+        offset = lsl.stop
+        target = point.target_opinion
+        distributions = after[lsl] / point.task.num_nodes
+        messages_sent = histograms[lsl].sum(axis=1, dtype=np.int64)
+        if stage == "s1":
+            adopted = calls["sample_adoptions"][1]
+            _, phase_index, phase_rounds = point.plan[step]
+            records.append(
+                EnsembleStage1PhaseRecord(
+                    phase_index=phase_index,
+                    num_rounds=phase_rounds,
+                    opinionated_before=before[lsl].sum(axis=1, dtype=np.int64),
+                    opinionated_after=after[lsl].sum(axis=1, dtype=np.int64),
+                    newly_opinionated=adopted[lsl, 1:].sum(
+                        axis=1, dtype=np.int64
+                    ),
+                    opinion_distributions=distributions,
+                    bias=_block_bias(distributions, target),
+                    messages_sent=messages_sent,
+                )
+            )
+            continue
+        updaters = calls["sample_updaters"][1]
+        _, phase_index, phase_rounds, sample_size = point.plan[step]
+        records.append(
+            EnsembleStage2PhaseRecord(
+                phase_index=phase_index,
+                num_rounds=phase_rounds,
+                sample_size=sample_size,
+                updated_nodes=updaters[lsl].sum(axis=1, dtype=np.int64),
+                opinion_distributions=distributions,
+                bias_before=_block_bias(
+                    before[lsl] / point.task.num_nodes, target
+                ),
+                bias_after=_block_bias(distributions, target),
+                messages_sent=messages_sent,
+                consensus_after=after[lsl, target - 1] == point.task.num_nodes,
+                vote_path=calls["sample_vote_counts"][1][1][block],
+            )
+        )
+    return records
+
+
+def _assert_same_record(record, reference):
+    """Field by field: equal bytes, dtype and shape for every array."""
+    assert type(record) is type(reference)
+    for field in dataclasses.fields(reference):
+        mine = getattr(record, field.name)
+        theirs = getattr(reference, field.name)
+        if isinstance(theirs, np.ndarray):
+            assert isinstance(mine, np.ndarray), field.name
+            assert (mine.dtype, mine.shape) == (theirs.dtype, theirs.shape), (
+                field.name
+            )
+            assert mine.tobytes() == theirs.tobytes(), field.name
+        else:
+            assert (type(mine), mine) == (type(theirs), theirs), field.name
+
+
+class TestMergedPhaseRecords:
+    """A merged substep computes every phase-record field once over all of
+    its rows; each point's record must equal, field by field and dtype by
+    dtype, the one the per-point loop builds from the same substep."""
+
+    def tasks(self, noise):
+        """k = 3 points with targets 1, 2 and 3 and schedules of different
+        lengths, plus an omission-faulted rumor point."""
+        plurality = [
+            (800, [300, 200, 100], 1, 3),
+            (5000, [100, 400, 200], 2, 2),
+            (40000, [0, 50, 1000], 3, 2),
+        ]
+        tasks = [
+            CountsProtocolTask(
+                num_nodes=num_nodes,
+                noise=noise,
+                initial_state=CountsState(counts, num_nodes),
+                num_trials=num_trials,
+                epsilon=EPSILON,
+                target_opinion=target,
+                random_state=target,
+            )
+            for num_nodes, counts, target, num_trials in plurality
+        ]
+        honest = CountsState.single_source(NUM_NODES - 80, 3, 1)
+        tasks.append(
+            CountsProtocolTask(
+                num_nodes=honest.num_nodes,
+                noise=noise,
+                initial_state=honest,
+                num_trials=3,
+                epsilon=EPSILON,
+                target_opinion=1,
+                random_state=4,
+                fault_sampler=FaultedPhaseSampler(
+                    FaultModel(kind="omission", fraction=0.1),
+                    80,
+                    np.array([80, 0, 0]),
+                    3,
+                ),
+            )
+        )
+        return tasks
+
+    def test_records_match_the_per_point_reference(self, noise, monkeypatch):
+        calls = {}
+        for name in (
+            "recolor", "sample_adoptions", "sample_updaters",
+            "sample_vote_counts",
+        ):
+            original = getattr(HeterogeneousCountsDeliveryModel, name)
+
+            def recorded(model, *args, _name=name, _original=original):
+                result = _original(model, *args)
+                calls[_name] = (args, result)
+                return result
+
+            monkeypatch.setattr(HeterogeneousCountsDeliveryModel, name, recorded)
+        checked = []
+
+        def checking(stage, substep):
+            def run(counts, generators, parts, step, cache):
+                rows = np.concatenate(
+                    [np.arange(p.slice.start, p.slice.stop) for p in parts]
+                )
+                before = counts[rows].copy()
+                calls.clear()
+                substep(counts, generators, parts, step, cache)
+                references = _reference_records(
+                    stage, step, parts, before, counts[rows], calls
+                )
+                for point, reference in zip(parts, references):
+                    records = getattr(point, f"stage{stage[1]}_records")
+                    _assert_same_record(records[-1], reference)
+                checked.append((stage, [p.target_opinion for p in parts]))
+
+            return run
+
+        monkeypatch.setattr(
+            repro.core.protocol, "_run_stage1_substep",
+            checking("s1", repro.core.protocol._run_stage1_substep),
+        )
+        monkeypatch.setattr(
+            repro.core.protocol, "_run_stage2_substep",
+            checking("s2", repro.core.protocol._run_stage2_substep),
+        )
+        results = run_heterogeneous_counts_protocol(self.tasks(noise))
+        phases = [
+            len(result.stage1_records) + len(result.stage2_records)
+            for result in results
+        ]
+        assert len(set(phases)) > 1
+        assert sum(len(targets) for _, targets in checked) == sum(phases)
+        assert any(len(set(targets)) == 3 for _, targets in checked)
+        assert {stage for stage, _ in checked} == {"s1", "s2"}
 
 
 class TestCountsProtocol:

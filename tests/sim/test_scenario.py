@@ -117,6 +117,23 @@ class TestValidation:
         document = json.loads(simulate(scenario).to_json())
         assert document["provenance"]["seed"] == 7
 
+    @pytest.mark.parametrize(
+        "knobs",
+        [dict(workload="dynamics", rule="voter", max_rounds=3), dict()],
+        ids=["dynamics", "plurality"],
+    )
+    def test_num_nodes_past_the_int64_count_limit_is_rejected(self, knobs):
+        """Every tier holds opinion counts as int64: a larger population is
+        a ScenarioError from validate, not an OverflowError while the entry
+        state is built."""
+        knobs = {
+            "workload": "plurality", "num_opinions": 2, "engine": "counts",
+            "num_trials": 2, **knobs,
+        }
+        with pytest.raises(ScenarioError, match="int64 count limit"):
+            simulate(Scenario(num_nodes=2**63, **knobs))
+        assert Scenario(num_nodes=2**63 - 1, **knobs).num_nodes == 2**63 - 1
+
     def test_sample_size_rejected_for_other_rules(self):
         with pytest.raises(ValueError, match="does not take a sample_size"):
             Scenario(workload="dynamics", rule="voter", sample_size=3)

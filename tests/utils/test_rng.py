@@ -203,6 +203,78 @@ class TestRowDraws:
         assert np.array_equal(drawn, _reference_binomial_loop(theirs, sizes, p))
         _assert_same_streams(mine, theirs)
 
+    @pytest.mark.parametrize("rows", [1, 3, 64])
+    @pytest.mark.parametrize("laws_per", ["row", "cell"])
+    @pytest.mark.parametrize("second_cell", ["rest", "any"])
+    def test_two_cell_laws_match_the_multinomial_loop(
+        self, rows, laws_per, second_cell
+    ):
+        """A two-cell law draws ``binomial(n, p0)``: numpy's multinomial
+        makes that very call, so the draws and final streams are the
+        multinomial loop's, for ``p0`` in ``{0, 1}`` and ``n`` up to 10^12.
+        Like numpy, the draw reads only ``p0``: any second cell in
+        ``[0, 1]`` gives the same draws."""
+        rng = np.random.default_rng([rows, 2, 4])
+        sizes = _sizes(rng, (rows, 3))
+        law_shape = (rows, 3, 2) if laws_per == "cell" else (rows, 2)
+        p0 = rng.random(law_shape[:-1])
+        p0[rng.random(p0.shape) < 0.2] = 0.0
+        p0[rng.random(p0.shape) < 0.2] = 1.0
+        p1 = 1.0 - p0 if second_cell == "rest" else rng.random(p0.shape)
+        pvals = np.stack([p0, p1], axis=-1)
+        mine, theirs = _streams(4, rows), _streams(4, rows)
+        drawn = multinomial_rows(mine, sizes, pvals)
+        assert drawn.dtype == np.int64
+        assert np.array_equal(drawn, _reference_multinomial_loop(theirs, sizes, pvals))
+        _assert_same_streams(mine, theirs)
+
+    def test_two_cell_laws_make_binomial_calls(self):
+        """The two-cell path makes one binomial call per nonzero cell and
+        no multinomial call."""
+        calls = []
+
+        class Recording:
+            def __init__(self, generator):
+                self.generator = generator
+
+            def binomial(self, *args):
+                calls.append("binomial")
+                return self.generator.binomial(*args)
+
+            def multinomial(self, *args):
+                calls.append("multinomial")
+                return self.generator.multinomial(*args)
+
+        sizes = np.array([[5, 0], [10**12, 7]])
+        pvals = np.array([[0.25, 0.75], [1.0, 0.0]])
+        drawn = multinomial_rows(
+            [Recording(g) for g in _streams(5, 2)], sizes, pvals
+        )
+        assert calls == ["binomial"] * 3
+        assert np.array_equal(drawn.sum(axis=2), sizes)
+        assert np.array_equal(
+            drawn, _reference_multinomial_loop(_streams(5, 2), sizes, pvals)
+        )
+
+    @pytest.mark.parametrize(
+        "law", [[np.nan, 0.5], [0.5, np.nan], [1.5, -0.5], [0.5, 1.5]]
+    )
+    def test_an_invalid_two_cell_law_raises_the_multinomial_error(self, law):
+        """A NaN or a cell outside [0, 1] keeps the multinomial call, so the
+        error is numpy's multinomial error, raised after the same draws
+        (``binomial(n, 0.5)`` alone would accept ``[0.5, 1.5]``)."""
+        with pytest.raises(ValueError) as expected:
+            np.random.default_rng(0).multinomial(4, law)
+        sizes = np.array([3, 4])
+        pvals = np.array([[0.5, 0.5], law])
+        mine, theirs = _streams(6, 2), _streams(6, 2)
+        with pytest.raises(ValueError) as raised:
+            multinomial_rows(mine, sizes, pvals)
+        with pytest.raises(ValueError):
+            _reference_multinomial_loop(theirs, sizes, pvals)
+        assert str(raised.value) == str(expected.value)
+        _assert_same_streams(mine, theirs)
+
     def test_zero_rows_and_generator_count_check(self):
         assert multinomial_rows([], np.zeros((0, 3)), np.zeros((0, 3))).shape == (0, 3, 3)
         assert binomial_rows([], np.zeros(0), np.zeros(0)).shape == (0,)
