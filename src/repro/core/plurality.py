@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.core.protocol import ProtocolResult, TwoStageProtocol
 from repro.core.schedule import ProtocolSchedule
-from repro.core.state import PopulationState
+from repro.core.state import PopulationState, counts_from_shares
 from repro.noise.matrix import NoiseMatrix
 from repro.utils.rng import RandomState, as_generator
 from repro.utils.validation import require_positive_int
@@ -121,8 +121,7 @@ class PluralityInstance:
             raise ValueError("fractions must be a non-empty vector")
         if np.any(shares < 0) or abs(shares.sum() - 1.0) > 1e-6:
             raise ValueError("fractions must be non-negative and sum to 1")
-        counts = np.floor(shares * support_size).astype(np.int64)
-        counts[int(np.argmax(shares))] += support_size - int(counts.sum())
+        counts = counts_from_shares(shares, support_size)
         opinion_counts = {
             index + 1: int(count) for index, count in enumerate(counts) if count > 0
         }

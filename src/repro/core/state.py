@@ -486,6 +486,23 @@ class EnsembleState:
         )
 
 
+def counts_from_shares(shares: np.ndarray, total: int) -> np.ndarray:
+    """``floor(shares * total)`` as int64 counts that sum to ``total``.
+
+    The floors are taken in float64, as :meth:`PopulationState.from_fractions`
+    takes them, and the largest share absorbs the rounding slack, so the
+    plurality is never lost to rounding.  The slack is summed and applied in
+    Python ints: near ``2**63`` a product ``shares * total`` can round up to
+    ``2**63``, where int64 counts or their sum would wrap.  Wherever the
+    floors sum to at most ``total`` and ``from_fractions``' target
+    ``round(sum(shares) * total)`` is ``total``, the counts are those of
+    ``from_fractions``.
+    """
+    counts = [int(value) for value in np.floor(shares * total)]
+    counts[int(np.argmax(shares))] += total - sum(counts)
+    return np.asarray(counts, dtype=np.int64)
+
+
 # reprolint: counts-tier
 class CountsState:
     """The sufficient statistic of one trial: per-opinion supporter counts.

@@ -36,8 +36,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from itertools import groupby
-from typing import ClassVar, Dict, List, Optional, Sequence, Tuple, Union
+from typing import ClassVar, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -51,6 +50,7 @@ from repro.core.state import (
 from repro.network.pull_model import (
     EnsemblePullModel,
     UniformPullModel,
+    _size_runs,
     block_majority_vote_law,
     block_matmul,
 )
@@ -740,10 +740,10 @@ def _run_merged_counts_group(
     Every floating-point operation either is elementwise / a per-row
     reduction (row-stable by construction) or is a matmul applied at one
     point's own active-row shape (one stacked matmul per run of
-    equal-size blocks, see :func:`_size_runs`), and every draw comes from
-    the row's own generator — so a point's trajectory does not depend on
-    what else shares its batch.  Mutates ``states`` in place; callers
-    finish with ``_finish``.
+    equal-size blocks, see :func:`~repro.network.pull_model._size_runs`),
+    and every draw comes from the row's own generator — so a point's
+    trajectory does not depend on what else shares its batch.  Mutates
+    ``states`` in place; callers finish with ``_finish``.
     """
     num_opinions = tasks[0].dynamics.num_opinions
     # Imported lazily: the rule modules import this one.
@@ -929,13 +929,6 @@ def _run_merged_counts_group(
                 still_live.append(index)
             live = still_live
             rebuild = True
-
-
-def _size_runs(block_sizes: Sequence[int]) -> List[Tuple[int, int]]:
-    """``(count, size)`` runs of consecutive blocks with equal row counts:
-    the ``runs`` of :func:`~repro.network.pull_model.block_matmul`, one
-    stacked matmul each."""
-    return [(len(list(group)), size) for size, group in groupby(block_sizes)]
 
 
 def _sample_size_groups(blocks, block_sizes):

@@ -429,21 +429,25 @@ class HeterogeneousCountsDeliveryModel:
         row's tallies by at most the certified total variation distance
         ``voters * beta <= 2^-53``.
 
-        A ``"dense"`` block evaluates the exact law of
-        :func:`~repro.network.pull_model.dense_majority_vote_law` at the
-        block's own row shape (its GEMM is not row-stable across batch
-        sizes), so a sweep point's rows get the law of its serial run; the
-        per-row multinomials are merged over every law row.  Blocks beyond
+        The ``"dense"`` blocks of one sample size share one call of
+        :func:`~repro.network.pull_model.dense_majority_vote_law`, whose
+        ``runs`` evaluate each block at its own row shape (the law's GEMM
+        is not row-stable across batch sizes), so a sweep point's rows get
+        the law of its serial run.  The ``"point"`` rows get their point
+        laws in one array operation, and the per-row multinomials are merged
+        over every law row.  Blocks beyond
         the dense budget use the bounded-chunk per-voter sampler
-        (:meth:`_sample_chunk_votes`).  The dense law is the *same
-        distribution* as the chunk sampler but consumes different raw
-        draws, so moving a phase from one to the other is a distributional
-        (not bitwise) change — see ``docs/performance.md``.
+        (:meth:`_sample_chunk_votes`), one block at a time in block order.
+        The dense law is the *same distribution* as the chunk sampler but
+        consumes different raw draws, so moving a phase from one to the
+        other is a distributional (not bitwise) change — see
+        ``docs/performance.md``.
 
         ``generators`` is one source per row (each row consumes exactly its
         serial draws) or a single shared stream.
         """
         from repro.network.pull_model import (  # local: avoid import cycle
+            _size_runs,
             dense_majority_vote_law,
         )
 
@@ -455,29 +459,50 @@ class HeterogeneousCountsDeliveryModel:
         vote_law_probabilities = self.vote_probabilities(noisy)
         votes = np.empty((self.num_rows, self.num_opinions), dtype=np.int64)
         vote_pmf = np.zeros((self.num_rows, self.num_opinions), dtype=float)
-        law_rows = np.zeros(self.num_rows, dtype=bool)
+        law_rows = np.ones(self.num_rows, dtype=bool)
+        point_blocks: List[int] = []
+        dense_blocks: Dict[int, List[int]] = {}
         for block, sl in enumerate(self.block_slices):
-            sample_size = int(sample_sizes[block])
-            vote_path = vote_paths[block]
-            if vote_path == "point":
-                vote_pmf[sl] = np.eye(self.num_opinions)[
-                    vote_law_probabilities[sl].argmax(axis=1)
-                ]
-            elif vote_path == "dense":
-                vote_pmf[sl] = dense_majority_vote_law(
-                    vote_law_probabilities[sl], sample_size
+            if vote_paths[block] == "point":
+                point_blocks.append(block)
+            elif vote_paths[block] == "dense":
+                dense_blocks.setdefault(int(sample_sizes[block]), []).append(
+                    block
                 )
-            else:
+            elif vote_paths[block] == "chunk":
+                law_rows[sl] = False
                 votes[sl] = self._sample_chunk_votes(
                     vote_law_probabilities[sl],
                     voters[sl],
-                    sample_size,
+                    int(sample_sizes[block]),
                     generators[sl]
                     if per_trial
                     else [shared_rng] * (sl.stop - sl.start),
                 )
-                continue
-            law_rows[sl] = True
+        if point_blocks:
+            rows = self._rows_of(point_blocks)
+            vote_pmf[rows] = np.eye(self.num_opinions)[
+                vote_law_probabilities[rows].argmax(axis=1)
+            ]
+        if dense_blocks:
+            # The dense rows grouped by sample size: one gather, then one
+            # law call per size on a contiguous slice, then one scatter.
+            ordered = [block for blocks in dense_blocks.values() for block in blocks]
+            rows = self._rows_of(ordered)
+            dense_probabilities = vote_law_probabilities[rows]
+            dense_pmf = np.empty_like(dense_probabilities)
+            first = 0
+            for sample_size, blocks in dense_blocks.items():
+                sizes = [
+                    self.block_slices[block].stop - self.block_slices[block].start
+                    for block in blocks
+                ]
+                last = first + sum(sizes)
+                dense_pmf[first:last] = dense_majority_vote_law(
+                    dense_probabilities[first:last], sample_size, _size_runs(sizes)
+                )
+                first = last
+            vote_pmf[rows] = dense_pmf
         if law_rows.any():
             if per_trial:
                 drawn = multinomial_rows(
@@ -489,6 +514,20 @@ class HeterogeneousCountsDeliveryModel:
                     voters[law_rows], vote_pmf[law_rows]
                 )
         return votes, vote_paths
+
+    def _rows_of(self, blocks: List[int]):
+        """The merged rows of ``blocks``, in that order: a slice when the
+        blocks are consecutive and ascending, as one block always is (it
+        spares a one-block call the copies of a gather), else an index
+        array."""
+        slices = [self.block_slices[block] for block in blocks]
+        if blocks == list(range(blocks[0], blocks[0] + len(blocks))):
+            return slice(slices[0].start, slices[-1].stop)
+        # Each block's rows are its start plus 0, 1, ...: one arange over
+        # all the rows, shifted per block by start minus the block's offset.
+        sizes = np.array([sl.stop - sl.start for sl in slices])
+        shifts = np.array([sl.start for sl in slices]) - (np.cumsum(sizes) - sizes)
+        return np.arange(sizes.sum()) + np.repeat(shifts, sizes)
 
     #: Bounded chunk size of the per-voter sampler: keeps every
     #: intermediate array ``O(chunk * k)`` regardless of how many of the

@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Dict, Sequence, Tuple, Union
+from itertools import groupby
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -183,6 +184,19 @@ def majority_vote_law(
     return composition_probabilities @ vote_law
 
 
+def _size_runs(block_sizes: Sequence[int]) -> List[Tuple[int, int]]:
+    """``(count, size)`` runs of consecutive blocks with equal row counts:
+    the ``runs`` of :func:`block_matmul` and
+    :func:`dense_majority_vote_law`, one stacked matmul each."""
+    return [(len(list(group)), size) for size, group in groupby(block_sizes)]
+
+
+def _check_runs(runs: Sequence[Tuple[int, int]], rows: int) -> None:
+    """Raise ``ValueError`` unless ``runs`` cover exactly ``rows`` rows."""
+    if sum(count * size for count, size in runs) != rows:
+        raise ValueError(f"runs {list(runs)} do not cover {rows} rows")
+
+
 def block_matmul(
     left: np.ndarray, right: np.ndarray, runs: Sequence[Tuple[int, int]]
 ) -> np.ndarray:
@@ -197,14 +211,10 @@ def block_matmul(
     over all rows would not be, because the BLAS kernel it picks depends
     on the row count.
     """
-    blocks = sum(count for count, _ in runs)
-    if (
-        sum(count * rows for count, rows in runs) != left.shape[0]
-        or blocks != right.shape[0]
-    ):
+    _check_runs(runs, left.shape[0])
+    if sum(count for count, _ in runs) != right.shape[0]:
         raise ValueError(
-            f"runs {list(runs)} do not cover {left.shape[0]} rows in "
-            f"{right.shape[0]} blocks"
+            f"runs {list(runs)} do not cover {right.shape[0]} blocks"
         )
     out = np.empty((left.shape[0], right.shape[2]))
     start = first = 0
@@ -289,17 +299,17 @@ def _composition_probabilities(
     return composition_probabilities, vote_law
 
 
-def _compositions(total: int, width: int) -> np.ndarray:
+def _composition_columns(total: int, width: int) -> List[np.ndarray]:
     """Every composition of ``total`` into ``width`` non-negative parts.
 
-    Returns the ``(C, width)`` int64 matrix, ``C = C(total + width - 1,
-    width - 1)``, in lexicographic order of the parts, which is the
-    stars-and-bars order of ``itertools.combinations`` over the dividers:
-    the compositions with a leading 0 form a prefix.  Built one part at a
-    time: each partial composition with ``r`` left to place expands into
-    ``r + 1`` rows whose next part runs 0..r (``np.repeat`` of the parent
-    row, minus the ``cumsum`` offset of its run), and the last part takes
-    what is left.  Time and memory are ``O(C · width)``.
+    Returns the ``width`` int64 columns, each of length ``C = C(total +
+    width - 1, width - 1)``, in lexicographic order of the parts, which is
+    the stars-and-bars order of ``itertools.combinations`` over the
+    dividers: the compositions with a leading 0 form a prefix.  Built one
+    part at a time: each partial composition with ``r`` left to place
+    expands into ``r + 1`` rows whose next part runs 0..r (``np.repeat``
+    of the parent row, minus the ``cumsum`` offset of its run), and the
+    last part takes what is left.  Time and memory are ``O(C · width)``.
     """
     columns = []
     remaining = np.array([total], dtype=np.int64)
@@ -312,7 +322,12 @@ def _compositions(total: int, width: int) -> np.ndarray:
         remaining = remaining[parent]
         remaining -= part
     columns.append(remaining)
-    return np.stack(columns, axis=1)
+    return columns
+
+
+def _compositions(total: int, width: int) -> np.ndarray:
+    """:func:`_composition_columns` as one ``(C, width)`` int64 matrix."""
+    return np.stack(_composition_columns(total, width), axis=1)
 
 
 @lru_cache(maxsize=None)
@@ -387,6 +402,12 @@ _DENSE_LOG_ZERO = -1.0e6
 #: size and the evaluation allocates no ``(rows, C)`` matrix.
 _DENSE_CHUNK_ELEMENTS = 2**15
 
+#: Elements of one stacked chunk of the dense law: a run of equal-sized
+#: blocks is evaluated in stacks of as many blocks as fit this many
+#: elements (2 MB, eight blocks' chunks), so the transient stays bounded
+#: however many grid points share a sample size.
+_DENSE_STACK_ELEMENTS = 2**18
+
 
 def dense_vote_law_is_tractable(sample_size: int, num_opinions: int) -> bool:
     """Can the dense (opinionated-only) ``maj()`` law be evaluated exactly?
@@ -416,38 +437,52 @@ def dense_vote_law_is_tractable(sample_size: int, num_opinions: int) -> bool:
 @lru_cache(maxsize=32)
 def _dense_majority_vote_table(
     sample_size: int, num_opinions: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Composition table of the dense ``maj()`` law (opinionated-only).
 
     Enumerates every composition ``m = (m_1, …, m_k)`` of ``sample_size``
-    observations over the ``k`` opinions and tabulates
+    observations over the ``k`` opinions and tabulates the two operands of
+    the law's chunked GEMMs, both float64 and column major, so that a
+    block of rows of either is a BLAS operand without a copy:
 
-    * ``exponents`` — the ``(C, k)`` composition matrix (float64, column
-      major, so that the transpose of a block of its rows is a row-major
-      operand of the law's log-space GEMM),
-    * ``log_coefficients`` — ``log(sample_size! / prod(m_i!))``, exact in
-      log space for arbitrarily large ``sample_size``,
-    * ``win_weight`` — the ``(C, k)`` conditional vote law given the
-      composition: uniform over the most frequent opinions (the paper's
+    * ``table`` — ``(C, k + 1)``: the compositions, then the column
+      ``log(sample_size! / prod(m_i!))`` (the parts' log-factorials summed
+      left to right), exact in log space for arbitrarily large
+      ``sample_size``.  A log-probability row ending in 1.0 times the
+      transpose of a block of its rows is those compositions' log-pmf;
+    * ``win_weight`` — ``(C, k)``: the conditional vote law given the
+      composition, uniform over the most frequent opinions (the paper's
       tie-break, folded in analytically).  With ``sample_size >= 1`` some
       opinion always wins, so there is no "no vote" column.
+
+    Built one column at a time from :func:`_composition_columns`, whose
+    int columns are released before the win weights are built: there is
+    no ``(C, k)`` temporary and no layout copy.
     """
-    compositions = _compositions(sample_size, num_opinions)
+    columns = _composition_columns(sample_size, num_opinions)
     log_factorial = np.concatenate(
         [[0.0], np.cumsum(np.log(np.arange(1, sample_size + 1)))]
     )
-    log_coefficients = log_factorial[sample_size] - log_factorial[
-        compositions
-    ].sum(axis=1)
-    row_max = compositions.max(axis=1)
-    tied = compositions == row_max[:, np.newaxis]
-    win_weight = tied / tied.sum(axis=1, keepdims=True)
-    exponents = np.asfortranarray(compositions, dtype=float)
-    return exponents, log_coefficients, win_weight
+    table = np.zeros((columns[0].size, num_opinions + 1), order="F")
+    log_coefficients = table[:, num_opinions]
+    for part in range(num_opinions):
+        table[:, part] = columns[part]
+        log_coefficients += log_factorial[columns[part]]
+    del columns
+    np.subtract(
+        log_factorial[sample_size], log_coefficients, out=log_coefficients
+    )
+    parts = table[:, :num_opinions]
+    tied = parts == parts.max(axis=1, keepdims=True)
+    win_weight = np.empty(parts.shape, order="F")
+    np.divide(tied, tied.sum(axis=1, keepdims=True), out=win_weight)
+    return table, win_weight
 
 
 def dense_majority_vote_law(
-    probabilities: np.ndarray, sample_size: int
+    probabilities: np.ndarray,
+    sample_size: int,
+    runs: Optional[Sequence[Tuple[int, int]]] = None,
 ) -> np.ndarray:
     """Exact ``maj()`` pmf over *opinionated* observations.
 
@@ -460,17 +495,29 @@ def dense_majority_vote_law(
     Rows summing to zero (empty histograms, never voted from) come back
     uniform.
 
-    All rows are evaluated together in log space, one column chunk of the
-    cached table at a time: one ``(R, k) @ (k, c)`` GEMM of
-    log-probabilities, plus ``log_coefficients``, ``exp`` in place, and
-    ``@ win_weight`` accumulated into the law.  The chunk width ``c`` is
-    :data:`_DENSE_CHUNK_ELEMENTS` divided by ``R``, so a row's value
-    depends on the row count (and the GEMM kernel on the shape): the law
-    is stable per call, not per row, and a block must be evaluated at its
-    own row count to reproduce it.
+    The rows of a block are evaluated together in log space, one column
+    chunk of the cached table at a time: one ``(rows, k + 1) @ (k + 1,
+    c)`` GEMM of log-probabilities with a last entry of 1.0, which picks
+    up the table's log coefficients, so it yields the log-pmf; ``exp`` in
+    place; and ``@ win_weight`` accumulated into the law.  The chunk width
+    ``c`` is :data:`_DENSE_CHUNK_ELEMENTS` divided by the block's row
+    count, so a row's value depends on that count (and the GEMM kernel on
+    the shape): the law is stable per block, not per row, and a block must
+    be evaluated at its own row count to reproduce it.
+
+    ``runs`` are :func:`block_matmul`'s ``(count, rows)`` runs of
+    consecutive equal-sized blocks; the default is one block of all ``R``
+    rows.  A run is evaluated in stacks of blocks, each one stacked
+    ``(count, rows, k + 1) @ (k + 1, c)`` computation per chunk, as many
+    blocks a stack as fit :data:`_DENSE_STACK_ELEMENTS`.  numpy applies
+    the 2-D kernel to every slice at the shape and strides of a one-block
+    call, and ``exp``, the accumulation and the normalization are
+    elementwise or per row, so every block's law is bitwise the law of
+    that block alone.
 
     Raises ``ValueError`` when ``(sample_size, k)`` is beyond the dense
-    budget — check :func:`dense_vote_law_is_tractable` first.
+    budget — check :func:`dense_vote_law_is_tractable` first — or when
+    ``runs`` do not cover the rows.
     """
     probabilities = np.asarray(probabilities, dtype=float)
     if probabilities.ndim != 2 or probabilities.shape[1] < 1:
@@ -478,6 +525,9 @@ def dense_majority_vote_law(
             f"probabilities must have shape (R, k), got {probabilities.shape}"
         )
     rows, num_opinions = probabilities.shape
+    if runs is None:
+        runs = [(1, rows)]
+    _check_runs(runs, rows)
     sample_size = require_positive_int(sample_size, "sample_size")
     if not dense_vote_law_is_tractable(sample_size, num_opinions):
         raise ValueError(
@@ -486,24 +536,42 @@ def dense_majority_vote_law(
             "dense_vote_law_is_tractable and use per-voter observation "
             "sampling instead"
         )
-    exponents, log_coefficients, win_weight = _dense_majority_vote_table(
-        sample_size, num_opinions
-    )
+    table, win_weight = _dense_majority_vote_table(sample_size, num_opinions)
+    compositions, width = table.shape
     # A zero-probability color gets a finite log surrogate, so a row with
     # no positive entry has every composition underflow to 0 and comes
     # back uniform from the renormalization below.
-    log_probabilities = np.full(probabilities.shape, _DENSE_LOG_ZERO)
-    np.log(probabilities, out=log_probabilities, where=probabilities > 0)
+    log_probabilities = np.full((rows, width), _DENSE_LOG_ZERO)
+    np.log(
+        probabilities,
+        out=log_probabilities[:, :num_opinions],
+        where=probabilities > 0,
+    )
+    log_probabilities[:, num_opinions] = 1.0
     law = np.zeros((rows, num_opinions))
-    width = max(1, _DENSE_CHUNK_ELEMENTS // max(rows, 1))
-    buffer = np.empty(rows * min(width, exponents.shape[0]))
-    for start in range(0, exponents.shape[0], width):
-        stop = min(start + width, exponents.shape[0])
-        chunk = buffer[: rows * (stop - start)].reshape(rows, stop - start)
-        np.matmul(log_probabilities, exponents[start:stop].T, out=chunk)
-        chunk += log_coefficients[start:stop]
-        np.exp(chunk, out=chunk)
-        law += chunk @ win_weight[start:stop]
+    stacks = _stacks(runs, compositions)
+    # One chunk buffer, sized for the largest stack and reused by all.
+    buffer = np.empty(
+        max(
+            (count * size * min(_chunk_width(size), compositions) for count, size in stacks),
+            default=0,
+        )
+    )
+    first = 0
+    for count, size in stacks:
+        last = first + count * size
+        left = log_probabilities[first:last].reshape(count, size, width)
+        block_law = law[first:last].reshape(count, size, num_opinions)
+        chunk_width = _chunk_width(size)
+        for start in range(0, compositions, chunk_width):
+            stop = min(start + chunk_width, compositions)
+            chunk = buffer[: count * size * (stop - start)].reshape(
+                count, size, stop - start
+            )
+            np.matmul(left, table[start:stop].T, out=chunk)
+            np.exp(chunk, out=chunk)
+            block_law += chunk @ win_weight[start:stop]
+        first = last
     np.clip(law, 0.0, 1.0, out=law)
     row_sums = law.sum(axis=1, keepdims=True)
     return np.divide(
@@ -512,6 +580,24 @@ def dense_majority_vote_law(
         out=np.full(law.shape, 1.0 / num_opinions),
         where=row_sums > 0,
     )
+
+
+def _chunk_width(rows: int) -> int:
+    """Columns of one block's chunk of the dense law."""
+    return max(1, _DENSE_CHUNK_ELEMENTS // max(rows, 1))
+
+
+def _stacks(
+    runs: Sequence[Tuple[int, int]], compositions: int
+) -> List[Tuple[int, int]]:
+    """``runs`` split into stacks whose chunks hold at most
+    :data:`_DENSE_STACK_ELEMENTS` elements (at least one block each)."""
+    stacks = []
+    for count, size in runs:
+        chunk = size * min(_chunk_width(size), compositions)
+        most = max(1, _DENSE_STACK_ELEMENTS // max(chunk, 1))
+        stacks += [(min(most, count - done), size) for done in range(0, count, most)]
+    return stacks
 
 
 def majority_vote_miss_bound(

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.analysis.bias import make_biased_distribution
 from repro.core.plurality import PluralityInstance
-from repro.core.state import CountsState, PopulationState
+from repro.core.state import CountsState, PopulationState, counts_from_shares
 from repro.dynamics import DYNAMICS_RULES
 from repro.faults.injection import split_faulty_population
 from repro.faults.model import FaultModel, coerce_fault_model
@@ -514,19 +514,15 @@ class Scenario:
         if self.workload == "dynamics" and (
             self.support_size is None and self.shares is None
         ):
-            # Mirror PopulationState.from_fractions' count derivation:
-            # floor, then the largest-fraction opinion absorbs the slack.
+            # PopulationState.from_fractions' count derivation (floor, then
+            # the largest-fraction opinion absorbs the slack), conserving n.
             fractions = np.asarray(
                 make_biased_distribution(self.num_opinions, self.bias, 1),
                 dtype=float,
             )
-            counts = np.floor(fractions * self.num_nodes).astype(np.int64)
-            slack = int(round(fractions.sum() * self.num_nodes)) - int(
-                counts.sum()
+            return CountsState(
+                counts_from_shares(fractions, self.num_nodes), self.num_nodes
             )
-            if slack > 0:
-                counts[int(np.argmax(fractions))] += slack
-            return CountsState(counts, self.num_nodes)
         instance = self.plurality_instance()
         counts = np.zeros(self.num_opinions, dtype=np.int64)
         for opinion, count in instance.opinion_counts.items():

@@ -358,12 +358,16 @@ def simulate_sweep(
         for engine, scenario in zip(resolved, scenarios)
     ]
     identities: List[Optional[Dict[str, Any]]] = [None] * size
+    keys: List[Optional[str]] = [None] * size
     if store is not None:
         for index, scenario in enumerate(scenarios):
             identities[index] = _point_identity(scenario, code_version)
             if draw_mode != "per-trial" and counts_protocol[index]:
                 identities[index]["draw_mode"] = draw_mode
-            payload = store.fetch(store_label, identities[index])
+            keys[index] = store.key_of(identities[index])
+            payload = store.fetch(
+                store_label, identities[index], key=keys[index]
+            )
             if payload is not None:
                 cached = SimulationResult.from_json(payload)
                 results[index] = cached
@@ -432,7 +436,10 @@ def simulate_sweep(
     if store is not None:
         for index in pending:
             store.store(
-                store_label, identities[index], results[index].to_json_dict()
+                store_label,
+                identities[index],
+                results[index].to_json_dict(),
+                key=keys[index],
             )
 
     elapsed = time.perf_counter() - started

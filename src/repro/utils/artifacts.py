@@ -70,8 +70,8 @@ class ResultStore:
     compact, key-sorted JSON, which CPython's C encoder writes (``indent``
     would force the pure-Python encoder); :meth:`fetch` reads any JSON
     layout, so entries written indented are still served.  The
-    ``fetch``/``store`` pair works on arbitrary JSON payloads (sweep points,
-    ``examples/scaling_study.py``); ``get``/``put``/``has`` work on
+    ``fetch``/``store`` pair works on arbitrary plain-JSON payloads (sweep
+    points, ``examples/scaling_study.py``); ``get``/``put``/``has`` work on
     :class:`~repro.experiments.results.ExperimentTable` objects keyed by an
     :class:`~repro.experiments.orchestrator.ExperimentJob`'s identity
     (experiment id + canonical config + seed + engine + code version), and
@@ -95,10 +95,20 @@ class ResultStore:
         return self.root / f"{label}_{key[:16]}.json"
 
     def fetch(
-        self, label: str, identity: Mapping[str, Any]
+        self,
+        label: str,
+        identity: Mapping[str, Any],
+        *,
+        key: Optional[str] = None,
     ) -> Optional[Dict[str, Any]]:
-        """The stored payload for ``identity`` (``None`` on a cache miss)."""
-        key = self.key_of(identity)
+        """The stored payload for ``identity`` (``None`` on a cache miss).
+
+        ``key`` is :meth:`key_of` of ``identity``, for a caller that
+        already has it (a sweep keys each point once, for the lookup and
+        for the write).
+        """
+        if key is None:
+            key = self.key_of(identity)
         path = self._payload_path(label, key)
         if not path.exists():
             return None
@@ -115,15 +125,24 @@ class ResultStore:
         label: str,
         identity: Mapping[str, Any],
         payload: Mapping[str, Any],
+        *,
+        key: Optional[str] = None,
     ) -> Path:
-        """Persist ``payload`` under ``identity``'s content key."""
-        key = self.key_of(identity)
+        """Persist ``payload`` under ``identity``'s content key.
+
+        ``payload`` must be plain JSON, as the ``to_json_dict`` methods of
+        results and tables return it (they normalize through
+        :func:`jsonify_value`); it is written as given.  ``identity`` is
+        normalized here, and ``key`` is as for :meth:`fetch`.
+        """
+        if key is None:
+            key = self.key_of(identity)
         path = self._payload_path(label, key)
         self.root.mkdir(parents=True, exist_ok=True)
         document = {
             "store_key": key,
             "identity": jsonify_value(identity),
-            "payload": jsonify_value(payload),
+            "payload": payload,
         }
         path.write_text(
             json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"

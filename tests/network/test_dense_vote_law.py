@@ -23,7 +23,8 @@ import pytest
 from repro.network import pull_model
 from repro.network.balls_bins import HeterogeneousCountsDeliveryModel
 from repro.network.pull_model import (
-    _dense_majority_vote_table,
+    _compositions,
+    _size_runs,
     clear_vote_law_cache,
     dense_majority_vote_law,
     dense_vote_law_is_tractable,
@@ -45,16 +46,32 @@ def _drop_tables():
     clear_vote_law_cache()
 
 
+def _row_loop_table(sample_size, num_opinions):
+    """The dense table as the row loop read it: row-major float exponents,
+    the log multinomial coefficients and the win weights, each built from
+    :func:`_compositions` by the arithmetic the loop used then."""
+    compositions = _compositions(sample_size, num_opinions)
+    log_factorial = np.concatenate(
+        [[0.0], np.cumsum(np.log(np.arange(1, sample_size + 1)))]
+    )
+    log_coefficients = log_factorial[sample_size] - log_factorial[
+        compositions
+    ].sum(axis=1)
+    tied = compositions == compositions.max(axis=1, keepdims=True)
+    win_weight = tied / tied.sum(axis=1, keepdims=True)
+    return compositions.astype(float), log_coefficients, win_weight
+
+
 def _row_loop_law(probabilities, sample_size):
     """The dense law as evaluated before the block GEMM: one GEMV, ``exp``
-    and GEMV per row over the whole table (kept as the reference)."""
+    and GEMV per row over the whole table (kept as the reference, with a
+    table of its own, so the law's tolerance is checked against arithmetic
+    that the law's table and GEMMs do not share)."""
     probabilities = np.asarray(probabilities, dtype=float)
     num_opinions = probabilities.shape[1]
-    exponents, log_coefficients, win_weight = _dense_majority_vote_table(
+    exponents, log_coefficients, win_weight = _row_loop_table(
         sample_size, num_opinions
     )
-    # Row-major, as the table was then: the GEMV runs the same kernel.
-    exponents = np.ascontiguousarray(exponents)
     law = np.empty(probabilities.shape, dtype=float)
     log_probabilities = np.full(num_opinions, pull_model._DENSE_LOG_ZERO)
     for row in range(probabilities.shape[0]):
@@ -135,6 +152,73 @@ class TestAgainstTheRowLoop:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+
+class TestStackedRuns:
+    """One call over ``runs`` of equal-sized blocks gives every block
+    bitwise the law of its own one-block call."""
+
+    #: Blocks of 1, 3, 8, 16 and 64 rows, in runs of one and of two.
+    BLOCK_SIZES = [1, 3, 3, 8, 16, 64, 64, 1, 16, 16, 8, 3]
+
+    @pytest.mark.parametrize(
+        "num_opinions,sample_size",
+        [(2, 1), (2, 35), (2, 1000), (3, 35), (3, 300), (4, 20), (5, 35)],
+    )
+    def test_runs_are_bitwise_the_per_block_calls(
+        self, num_opinions, sample_size
+    ):
+        """Blocks from 3 rows on hold an all-zero row and a row with a
+        zero-probability color; 64-row blocks take 512-column chunks, so
+        every case but ``L = 1`` spans several chunks for some block."""
+        rng = np.random.default_rng([num_opinions, sample_size])
+        blocks = [
+            _color_laws(rng, size, num_opinions) for size in self.BLOCK_SIZES
+        ]
+        runs = _size_runs(self.BLOCK_SIZES)
+        assert sorted(set(count for count, _ in runs)) == [1, 2]
+        law = dense_majority_vote_law(np.concatenate(blocks), sample_size, runs)
+        expected = np.concatenate(
+            [dense_majority_vote_law(block, sample_size) for block in blocks]
+        )
+        assert np.array_equal(law, expected)
+
+    def test_a_long_run_is_split_into_bounded_stacks(self):
+        """Twenty 16-row blocks at k = 5, L = 35 (a 2^15-element chunk
+        each) are evaluated in stacks of 8, 8 and 4 blocks, each block
+        bitwise its own call, and the call's traced peak stays near the
+        2 MB stack (twenty chunks would take 5 MB)."""
+        assert pull_model._stacks([(20, 16)], 82_251) == [
+            (8, 16), (8, 16), (4, 16),
+        ]
+        rng = np.random.default_rng(6)
+        blocks = [_color_laws(rng, 16, 5) for _ in range(20)]
+        merged = np.concatenate(blocks)
+        dense_majority_vote_law(blocks[0], 35)
+        tracemalloc.start()
+        try:
+            law = dense_majority_vote_law(merged, 35, [(20, 16)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
+        expected = np.concatenate(
+            [dense_majority_vote_law(block, 35) for block in blocks]
+        )
+        assert np.array_equal(law, expected)
+
+    def test_default_is_one_block(self):
+        laws = _color_laws(np.random.default_rng(4), 8, 3)
+        assert np.array_equal(
+            dense_majority_vote_law(laws, 35),
+            dense_majority_vote_law(laws, 35, [(1, 8)]),
+        )
+
+    @pytest.mark.parametrize("runs", [[(2, 3)], [(1, 8), (1, 1)], [(0, 8)]])
+    def test_runs_must_cover_the_rows(self, runs):
+        laws = _color_laws(np.random.default_rng(5), 8, 3)
+        with pytest.raises(ValueError, match="do not cover"):
+            dense_majority_vote_law(laws, 35, runs)
 
 
 class TestAgreementWithClosedForm:

@@ -322,6 +322,13 @@ def _reference_dense_table(sample_size, num_opinions):
     return compositions.astype(float), log_coefficients, win_weight
 
 
+def _dense_layout(exponents, log_coefficients, win_weight):
+    """The three arrays of the old dense table in the two-operand layout:
+    the exponents with the log coefficients as a last column, and the win
+    weights."""
+    return np.column_stack([exponents, log_coefficients]), win_weight
+
+
 def _assert_tables_equal(built, reference):
     assert len(built) == len(reference)
     for array, expected in zip(built, reference):
@@ -365,10 +372,14 @@ class TestCompositionTableBuilders:
         self, sample_size, num_opinions
     ):
         assert dense_vote_law_is_tractable(sample_size, num_opinions)
+        built = _dense_majority_vote_table.__wrapped__(sample_size, num_opinions)
         _assert_tables_equal(
-            _dense_majority_vote_table.__wrapped__(sample_size, num_opinions),
-            _reference_dense_table(sample_size, num_opinions),
+            built,
+            _dense_layout(*_reference_dense_table(sample_size, num_opinions)),
         )
+        # Column major: a block of rows of either operand is a BLAS
+        # operand without a copy.
+        assert all(array.flags.f_contiguous for array in built)
 
     @pytest.mark.parametrize("sample_size,num_opinions", [(35, 5), (665, 3)])
     def test_dense_build_allocates_no_transient_grid(
@@ -385,6 +396,24 @@ class TestCompositionTableBuilders:
         finally:
             tracemalloc.stop()
         assert peak < 2 * sum(array.nbytes for array in table)
+
+    @pytest.mark.parametrize("sample_size,num_opinions", [(35, 5), (665, 3)])
+    def test_dense_build_makes_no_full_size_copy(
+        self, sample_size, num_opinions
+    ):
+        """Built column by column, the build peaks near 1.2x its table
+        (8.4 MB for 7.2 MB at k = 5, L = 35).  A ``(C, k)`` float temporary
+        or a copy of the compositions into the column-major layout, as the
+        row-major build made, adds about 0.45x."""
+        tracemalloc.start()
+        try:
+            table = _dense_majority_vote_table.__wrapped__(
+                sample_size, num_opinions
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * sum(array.nbytes for array in table)
 
 
 def _per_block(function, rows, block_sizes):

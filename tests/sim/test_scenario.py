@@ -134,6 +134,38 @@ class TestValidation:
             simulate(Scenario(num_nodes=2**63, **knobs))
         assert Scenario(num_nodes=2**63 - 1, **knobs).num_nodes == 2**63 - 1
 
+    @pytest.mark.parametrize("num_opinions", [2, 3, 5])
+    def test_dynamics_entry_state_at_the_int64_count_limit_conserves_n(
+        self, num_opinions
+    ):
+        """``fractions * n`` rounds to 2^63 in float64 here, where the int64
+        counts or their sum used to wrap (an OverflowError); the run starts
+        from counts that sum to n and keeps them."""
+        num_nodes = 2**63 - 1
+        scenario = Scenario(
+            workload="dynamics", rule="voter", num_nodes=num_nodes,
+            num_opinions=num_opinions, engine="counts", num_trials=2,
+            max_rounds=3,
+        )
+        assert sum(scenario.initial_counts_state().counts.tolist()) == num_nodes
+        result = simulate(scenario)
+        assert [sum(row) for row in result.final_opinion_counts.tolist()] == [
+            num_nodes
+        ] * 2
+
+    def test_plurality_at_the_int64_count_limit_reaches_the_histogram_bound(
+        self,
+    ):
+        """The entry state builds (it used to raise an OverflowError), so the
+        counts protocol's own int64 histogram check names the largest n."""
+        scenario = Scenario(
+            workload="plurality", num_nodes=2**63 - 1, num_opinions=2,
+            engine="counts", num_trials=2,
+        )
+        assert sum(scenario.initial_counts_state().counts.tolist()) == 2**63 - 1
+        with pytest.raises(ScenarioError, match="int64 phase histograms"):
+            simulate(scenario)
+
     def test_sample_size_rejected_for_other_rules(self):
         with pytest.raises(ValueError, match="does not take a sample_size"):
             Scenario(workload="dynamics", rule="voter", sample_size=3)
@@ -277,6 +309,30 @@ class TestCountsNativeEntryStates:
             counts_state.counts, per_node.opinion_counts()
         )
         assert counts_state.num_nodes == per_node.num_nodes
+
+    def test_entry_counts_below_a_trillion_are_the_per_node_rounding(self):
+        """The int-safe derivation gives the per-node construction's counts
+        (float floors, then the slack to ``round(sum * n)`` when positive,
+        kept here as the reference) wherever that construction conserves
+        n, which covers every population below 10^12 sampled here."""
+        from repro.analysis.bias import make_biased_distribution
+        from repro.core.state import counts_from_shares
+
+        rng = np.random.default_rng(11)
+        sizes = [*range(1, 400), *rng.integers(400, 10**12, size=400).tolist()]
+        for num_opinions in (1, 2, 3, 5, 8):
+            for bias in (0.0, 0.1, 0.2, 0.3, 0.5):
+                shares = make_biased_distribution(num_opinions, bias, 1)
+                for num_nodes in sizes:
+                    floors = np.floor(shares * num_nodes).astype(np.int64)
+                    slack = round(shares.sum() * num_nodes) - int(floors.sum())
+                    assert slack >= 0 and int(floors.sum()) + slack == num_nodes
+                    floors[int(np.argmax(shares))] += slack
+                    counts = counts_from_shares(shares, num_nodes)
+                    assert counts.dtype == np.int64
+                    assert np.array_equal(counts, floors), (
+                        num_opinions, bias, num_nodes,
+                    )
 
     def test_counts_tier_runs_beyond_materializable_n(self):
         """A population far beyond memory must still simulate on counts."""

@@ -14,6 +14,7 @@ trips, seed derivation) under random shapes.
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -353,6 +354,49 @@ class TestProtocolCountsEquivalence:
         assert_sweep_matches_serial(grid)
 
 
+class TestStackedDenseLaw:
+    """A fused sweep evaluates the dense ``maj()`` law once per Stage-2
+    phase and sample size, over every block of that size, and each block
+    still gets the law of its serial run."""
+
+    def test_one_law_call_per_phase_and_sample_size(self, monkeypatch):
+        """k = 5, R = 16: epsilon 0.3 and 0.35 give Stage-2 sample sizes 35
+        and 25, each shared by two bias points, so each of the six dense
+        phases makes two calls of 32 rows (the serial loop makes 24 calls
+        of 16 rows)."""
+        from repro.network import pull_model
+
+        calls = []
+        law = pull_model.dense_majority_vote_law
+
+        def counting_law(probabilities, sample_size, runs=None):
+            calls.append((len(probabilities), sample_size, runs))
+            return law(probabilities, sample_size, runs)
+
+        monkeypatch.setattr(pull_model, "dense_majority_vote_law", counting_law)
+        grid = ScenarioGrid(
+            Scenario(
+                workload="plurality", num_nodes=10**5, num_opinions=5,
+                epsilon=0.3, engine="counts", num_trials=16, seed=7,
+            ),
+            {"epsilon": (0.3, 0.35), "bias": (0.1, 0.2)},
+        )
+        sweep = simulate_sweep(grid)
+        assert sorted(calls) == sorted(
+            [(32, 35, [(2, 16)]), (32, 25, [(2, 16)])] * 6
+        )
+        calls.clear()
+        serial = [simulate(scenario) for scenario in grid.scenarios()]
+        assert len(calls) == 24
+        assert all(rows == 16 and runs == [(1, 16)] for rows, _, runs in calls)
+        for index, (alone, fused) in enumerate(zip(serial, sweep)):
+            assert_results_equal(alone, fused, f"point {index}")
+            paths = fused.provenance["stage2_vote_paths"]
+            assert paths == alone.provenance["stage2_vote_paths"]
+            assert paths.count("dense") == 6
+            assert set(paths) == {"dense", "point"}
+
+
 class TestFallbackTiers:
     """Points that cannot fuse fall back to per-point simulate()."""
 
@@ -558,6 +602,41 @@ class TestSweepStore:
                 batched[1][index], per_trial[1][index], f"dynamics {index}"
             )
         assert_results_equal(batched[0][1], per_trial[0][1], "sequential")
+
+    def test_each_point_is_keyed_once_and_written_as_computed(
+        self, tmp_path, monkeypatch
+    ):
+        """A fresh point's key serves both its lookup and its write, and
+        its payload is written as ``to_json_dict`` returned it: that output
+        is already plain JSON, so normalizing it again would change no
+        byte of the entry."""
+        from repro.utils.artifacts import jsonify_value
+
+        store = ResultStore(tmp_path / "results")
+        keyed = []
+        key_of = ResultStore.key_of
+
+        def counting_key_of(identity):
+            keyed.append(identity)
+            return key_of(identity)
+
+        monkeypatch.setattr(ResultStore, "key_of", staticmethod(counting_key_of))
+        grid = ScenarioGrid(
+            protocol_base(num_nodes=200, num_trials=2),
+            {"epsilon": (0.3, 0.4), "engine": ("counts", "sequential")},
+        )
+        first = simulate_sweep(grid, store=store, store_label="keyed")
+        assert len(keyed) == grid.size
+        for result in first:
+            payload = result.to_json_dict()
+            assert json.dumps(payload, sort_keys=True) == json.dumps(
+                jsonify_value(payload), sort_keys=True
+            )
+        keyed.clear()
+        resumed = simulate_sweep(grid, store=store, store_label="keyed")
+        assert resumed.cache_hits == grid.size and len(keyed) == grid.size
+        for index in range(grid.size):
+            assert_results_equal(first[index], resumed[index], f"point {index}")
 
     def test_cache_is_label_scoped(self, tmp_path):
         store = ResultStore(tmp_path / "results")
