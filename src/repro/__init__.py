@@ -57,70 +57,76 @@ Baseline opinion dynamics go through the identical entry point:
 True
 """
 
-from repro.core.memory import memory_bound_bits, protocol_memory_usage
-from repro.core.plurality import PluralityConsensus, PluralityInstance
-from repro.core.protocol import (
-    CountsProtocol,
-    EnsembleProtocol,
-    EnsembleResult,
-    ProtocolResult,
-    TwoStageProtocol,
-)
-from repro.core.rumor import RumorSpreading, RumorSpreadingInstance
-from repro.core.schedule import ProtocolSchedule, Stage1Schedule, Stage2Schedule
-from repro.core.state import (
-    CountsState,
-    EnsembleCountsState,
-    EnsembleState,
-    PopulationState,
-)
-from repro.dynamics import (
-    DYNAMICS_RULES,
-    EnsembleCountsDynamics,
-    EnsembleDynamicsResult,
-    EnsembleOpinionDynamics,
-)
-from repro.network.balls_bins import BallsIntoBinsProcess
-from repro.network.mailbox import EnsembleReceivedMessages, ReceivedMessages
-from repro.network.poisson_model import PoissonizedProcess
-from repro.network.pull_model import (
-    EnsemblePullModel,
-    UniformPullModel,
-)
-from repro.network.push_model import UniformPushModel
-from repro.network.topology import GraphPushModel, standard_topology
-from repro.noise.estimation import (
-    calibrate_epsilon,
-    collect_channel_observations,
-    estimate_noise_matrix,
-    estimation_error,
-)
-from repro.noise.families import (
-    binary_flip_matrix,
-    cyclic_shift_matrix,
-    diagonally_dominant_counterexample,
-    identity_matrix,
-    near_uniform_matrix,
-    reset_matrix,
-    uniform_noise_matrix,
-)
-from repro.noise.majority_preserving import (
-    MajorityPreservationReport,
-    check_majority_preserving,
-    epsilon_for_delta,
-    sufficient_condition_epsilon,
-)
-from repro.noise.matrix import NoiseMatrix
-from repro.sim import Scenario, SimulationResult, simulate
+from typing import Any
+
+from repro.utils.lazy import lazy_exports
+
+#: Public name -> the module that defines it, loaded on first use.
+_EXPORTS = {
+    "BallsIntoBinsProcess": "repro.network.balls_bins",
+    "CountsProtocol": "repro.core.protocol",
+    "CountsState": "repro.core.state",
+    "DYNAMICS_RULES": "repro.dynamics",
+    "EnsembleCountsDynamics": "repro.dynamics",
+    "EnsembleCountsState": "repro.core.state",
+    "EnsembleDynamicsResult": "repro.dynamics",
+    "EnsembleOpinionDynamics": "repro.dynamics",
+    "EnsembleProtocol": "repro.core.protocol",
+    "EnsemblePullModel": "repro.network.pull_model",
+    "EnsembleReceivedMessages": "repro.network.mailbox",
+    "EnsembleResult": "repro.core.protocol",
+    "EnsembleState": "repro.core.state",
+    "GraphPushModel": "repro.network.topology",
+    "MajorityPreservationReport": "repro.noise.majority_preserving",
+    "NoiseMatrix": "repro.noise.matrix",
+    "PluralityConsensus": "repro.core.plurality",
+    "PluralityInstance": "repro.core.plurality",
+    "PoissonizedProcess": "repro.network.poisson_model",
+    "PopulationState": "repro.core.state",
+    "ProtocolResult": "repro.core.protocol",
+    "ProtocolSchedule": "repro.core.schedule",
+    "ReceivedMessages": "repro.network.mailbox",
+    "RumorSpreading": "repro.core.rumor",
+    "RumorSpreadingInstance": "repro.core.rumor",
+    "Scenario": "repro.sim",
+    "SimulationResult": "repro.sim",
+    "Stage1Schedule": "repro.core.schedule",
+    "Stage2Schedule": "repro.core.schedule",
+    "TwoStageProtocol": "repro.core.protocol",
+    "UniformPullModel": "repro.network.pull_model",
+    "UniformPushModel": "repro.network.push_model",
+    "binary_flip_matrix": "repro.noise.families",
+    "calibrate_epsilon": "repro.noise.estimation",
+    "check_majority_preserving": "repro.noise.majority_preserving",
+    "collect_channel_observations": "repro.noise.estimation",
+    "cyclic_shift_matrix": "repro.noise.families",
+    "diagonally_dominant_counterexample": "repro.noise.families",
+    "epsilon_for_delta": "repro.noise.majority_preserving",
+    "estimate_noise_matrix": "repro.noise.estimation",
+    "estimation_error": "repro.noise.estimation",
+    "identity_matrix": "repro.noise.families",
+    "memory_bound_bits": "repro.core.memory",
+    "near_uniform_matrix": "repro.noise.families",
+    "protocol_memory_usage": "repro.core.memory",
+    "reset_matrix": "repro.noise.families",
+    "simulate": "repro.sim",
+    "standard_topology": "repro.network.topology",
+    "sufficient_condition_epsilon": "repro.noise.majority_preserving",
+    "uniform_noise_matrix": "repro.noise.families",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+_lazy_getattr, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 
-def __getattr__(name: str) -> str:
+def __getattr__(name: str) -> Any:
     # The version is sourced from the installed package metadata on first
     # access, since the metadata lookup costs tens of milliseconds and no
     # simulation reads it; a source checkout on PYTHONPATH (not
     # pip-installed) falls back to the pyproject version it tracks.
     if name != "__version__":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        return _lazy_getattr(name)
     from importlib.metadata import PackageNotFoundError, version
 
     try:  # pragma: no cover - depends on the install mode
@@ -129,58 +135,3 @@ def __getattr__(name: str) -> str:
         value = "1.0.0"
     globals()["__version__"] = value
     return value
-
-
-__all__ = [
-    "BallsIntoBinsProcess",
-    "CountsProtocol",
-    "CountsState",
-    "DYNAMICS_RULES",
-    "EnsembleCountsDynamics",
-    "EnsembleCountsState",
-    "EnsembleDynamicsResult",
-    "EnsembleOpinionDynamics",
-    "EnsembleProtocol",
-    "EnsemblePullModel",
-    "EnsembleReceivedMessages",
-    "EnsembleResult",
-    "EnsembleState",
-    "GraphPushModel",
-    "MajorityPreservationReport",
-    "NoiseMatrix",
-    "PluralityConsensus",
-    "PluralityInstance",
-    "PoissonizedProcess",
-    "PopulationState",
-    "ProtocolResult",
-    "ProtocolSchedule",
-    "ReceivedMessages",
-    "RumorSpreading",
-    "RumorSpreadingInstance",
-    "Scenario",
-    "SimulationResult",
-    "Stage1Schedule",
-    "Stage2Schedule",
-    "TwoStageProtocol",
-    "UniformPullModel",
-    "UniformPushModel",
-    "__version__",
-    "binary_flip_matrix",
-    "calibrate_epsilon",
-    "check_majority_preserving",
-    "collect_channel_observations",
-    "cyclic_shift_matrix",
-    "diagonally_dominant_counterexample",
-    "epsilon_for_delta",
-    "estimate_noise_matrix",
-    "estimation_error",
-    "identity_matrix",
-    "memory_bound_bits",
-    "near_uniform_matrix",
-    "protocol_memory_usage",
-    "reset_matrix",
-    "simulate",
-    "standard_topology",
-    "sufficient_condition_epsilon",
-    "uniform_noise_matrix",
-]

@@ -18,62 +18,37 @@ compare measured behaviour against the proved bounds:
   delivery processes O, B and P (Claim 1 and Lemma 2/3);
 * :mod:`repro.analysis.convergence` — success-rate estimation and scaling
   fits of measured convergence times against ``log n / eps^2``.
+
+Every name in ``__all__`` loads from its submodule on first use
+(:mod:`repro.utils.lazy`).
 """
 
-from repro.analysis.amplification import (
-    amplification_lower_bound,
-    binary_majority_gap_exact,
-    majority_gap_monte_carlo,
-    majority_probabilities_exact,
-)
-from repro.analysis.bias import (
-    bias_toward,
-    distribution_after_noise,
-    is_delta_biased,
-    plurality_of,
-)
-from repro.analysis.concentration import (
-    chernoff_upper_tail,
-    hoeffding_bound,
-    three_point_chernoff_bound,
-)
-from repro.analysis.convergence import (
-    estimate_success_probability,
-    fit_round_complexity,
-    wilson_interval,
-)
-from repro.analysis.poisson import (
-    poisson_transfer_factor,
-    process_count_distribution,
-    total_variation_distance,
-)
-from repro.analysis.theory import (
-    binomial_beta_survival,
-    central_binomial_bounds,
-    g_function,
-    stage1_growth_envelope,
-)
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "amplification_lower_bound",
-    "bias_toward",
-    "binary_majority_gap_exact",
-    "binomial_beta_survival",
-    "central_binomial_bounds",
-    "chernoff_upper_tail",
-    "distribution_after_noise",
-    "estimate_success_probability",
-    "fit_round_complexity",
-    "g_function",
-    "hoeffding_bound",
-    "is_delta_biased",
-    "majority_gap_monte_carlo",
-    "majority_probabilities_exact",
-    "plurality_of",
-    "poisson_transfer_factor",
-    "process_count_distribution",
-    "stage1_growth_envelope",
-    "three_point_chernoff_bound",
-    "total_variation_distance",
-    "wilson_interval",
-]
+_EXPORTS = {
+    "amplification_lower_bound": "repro.analysis.amplification",
+    "bias_toward": "repro.analysis.bias",
+    "binary_majority_gap_exact": "repro.analysis.amplification",
+    "binomial_beta_survival": "repro.analysis.theory",
+    "central_binomial_bounds": "repro.analysis.theory",
+    "chernoff_upper_tail": "repro.analysis.concentration",
+    "distribution_after_noise": "repro.analysis.bias",
+    "estimate_success_probability": "repro.analysis.convergence",
+    "fit_round_complexity": "repro.analysis.convergence",
+    "g_function": "repro.analysis.theory",
+    "hoeffding_bound": "repro.analysis.concentration",
+    "is_delta_biased": "repro.analysis.bias",
+    "majority_gap_monte_carlo": "repro.analysis.amplification",
+    "majority_probabilities_exact": "repro.analysis.amplification",
+    "plurality_of": "repro.analysis.bias",
+    "poisson_transfer_factor": "repro.analysis.poisson",
+    "process_count_distribution": "repro.analysis.poisson",
+    "stage1_growth_envelope": "repro.analysis.theory",
+    "three_point_chernoff_bound": "repro.analysis.concentration",
+    "total_variation_distance": "repro.analysis.poisson",
+    "wilson_interval": "repro.analysis.convergence",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -49,12 +49,9 @@ prints can also be obtained programmatically (see README).
 from __future__ import annotations
 
 import argparse
-import cProfile
-import io
-import pstats
 import sys
 import time
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.dynamics import DYNAMICS_RULES
 from repro.faults import FAULT_KINDS, FaultModel
@@ -62,12 +59,13 @@ from repro.sim import (
     ENGINE_POLICIES,
     WORKLOADS,
     Scenario,
-    ScenarioGrid,
     set_default_counts_threshold,
     simulate,
-    simulate_sweep,
 )
 from repro.utils.artifacts import DEFAULT_STORE_DIR
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    import cProfile
 
 __all__ = ["main", "build_parser"]
 
@@ -480,6 +478,9 @@ def _run_scenario(
 
 def _profile_report(profiler: cProfile.Profile, limit: int = 20) -> str:
     """The top-``limit`` cumulative-time functions of a finished profile."""
+    import io
+    import pstats
+
     stream = io.StringIO()
     stats = pstats.Stats(profiler, stream=stream)
     stats.sort_stats("cumulative").print_stats(limit)
@@ -549,8 +550,12 @@ def _command_simulate(
         )
     except ValueError as error:
         parser.error(str(error))
-    profiler = cProfile.Profile() if args.profile else None
-    if profiler is not None:
+    # The profiler modules load only for --profile: they cost a cold
+    # process about 9 ms.
+    if args.profile:
+        import cProfile
+
+        profiler = cProfile.Profile()
         profiler.enable()
         try:
             result = _run_scenario(scenario, parser)
@@ -622,6 +627,8 @@ def _command_sweep(
     args: argparse.Namespace, parser: argparse.ArgumentParser
 ) -> int:
     import json as json_module
+
+    from repro.sim import ScenarioGrid, simulate_sweep
 
     axes = {}
     for spec in args.axis:

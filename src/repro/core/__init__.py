@@ -16,38 +16,37 @@ wrappers built on top of it:
   and plurality-consensus problem set-ups of Theorems 1 and 2;
 * :mod:`repro.core.sampling` — the per-node reservoir sampler (footnote 4);
 * :mod:`repro.core.memory` — per-node memory accounting in bits.
+
+Every name in ``__all__`` loads from its submodule on first use
+(:mod:`repro.utils.lazy`).
 """
 
-from repro.core.memory import MemoryUsage, memory_bound_bits, protocol_memory_usage
-from repro.core.plurality import PluralityConsensus, PluralityInstance
-from repro.core.protocol import CountsProtocol, ProtocolResult, TwoStageProtocol
-from repro.core.rumor import RumorSpreading, RumorSpreadingInstance
-from repro.core.sampling import ReservoirSampler
-from repro.core.schedule import ProtocolSchedule, Stage1Schedule, Stage2Schedule
-from repro.core.stage1 import Stage1Executor, Stage1PhaseRecord
-from repro.core.stage2 import Stage2Executor, Stage2PhaseRecord
-from repro.core.state import CountsState, EnsembleCountsState, PopulationState
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "CountsProtocol",
-    "CountsState",
-    "EnsembleCountsState",
-    "MemoryUsage",
-    "PluralityConsensus",
-    "PluralityInstance",
-    "PopulationState",
-    "ProtocolResult",
-    "ProtocolSchedule",
-    "ReservoirSampler",
-    "RumorSpreading",
-    "RumorSpreadingInstance",
-    "Stage1Executor",
-    "Stage1PhaseRecord",
-    "Stage1Schedule",
-    "Stage2Executor",
-    "Stage2PhaseRecord",
-    "Stage2Schedule",
-    "TwoStageProtocol",
-    "memory_bound_bits",
-    "protocol_memory_usage",
-]
+_EXPORTS = {
+    "CountsProtocol": "repro.core.protocol",
+    "CountsState": "repro.core.state",
+    "EnsembleCountsState": "repro.core.state",
+    "MemoryUsage": "repro.core.memory",
+    "PluralityConsensus": "repro.core.plurality",
+    "PluralityInstance": "repro.core.plurality",
+    "PopulationState": "repro.core.state",
+    "ProtocolResult": "repro.core.protocol",
+    "ProtocolSchedule": "repro.core.schedule",
+    "ReservoirSampler": "repro.core.sampling",
+    "RumorSpreading": "repro.core.rumor",
+    "RumorSpreadingInstance": "repro.core.rumor",
+    "Stage1Executor": "repro.core.stage1",
+    "Stage1PhaseRecord": "repro.core.stage1",
+    "Stage1Schedule": "repro.core.schedule",
+    "Stage2Executor": "repro.core.stage2",
+    "Stage2PhaseRecord": "repro.core.stage2",
+    "Stage2Schedule": "repro.core.schedule",
+    "TwoStageProtocol": "repro.core.protocol",
+    "memory_bound_bits": "repro.core.memory",
+    "protocol_memory_usage": "repro.core.memory",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -42,7 +42,6 @@ from repro.core.state import (
 )
 from repro.faults.injection import FaultedPhaseSampler
 from repro.network.balls_bins import HeterogeneousCountsDeliveryModel
-from repro.network.delivery import make_delivery_engine
 from repro.noise.matrix import NoiseMatrix
 from repro.utils.rng import (
     EnsembleRandomState,
@@ -231,6 +230,8 @@ class TwoStageProtocol:
             Stop Stage 2 early once consensus on ``target_opinion`` is
             reached (the success criterion is unaffected).
         """
+        from repro.network.delivery import make_delivery_engine
+
         if initial_state.num_nodes != self.num_nodes:
             raise ValueError(
                 f"initial_state has {initial_state.num_nodes} nodes but the "
@@ -466,6 +467,8 @@ class EnsembleProtocol:
             The correct opinion ``m``; defaults to the plurality opinion of
             the pooled initial counts.
         """
+        from repro.network.delivery import make_delivery_engine
+
         if isinstance(initial_state, PopulationState):
             if num_trials is None:
                 raise ValueError(

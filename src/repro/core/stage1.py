@@ -25,12 +25,6 @@ import numpy as np
 
 from repro.core.schedule import Stage1Schedule
 from repro.core.state import EnsembleState, PopulationState
-from repro.network.delivery import (
-    deliver_ensemble_phase,
-    deliver_phase,
-    supports_ensemble_delivery,
-    supports_population_delivery,
-)
 from repro.utils.rng import (
     EnsembleRandomState,
     RandomState,
@@ -104,6 +98,8 @@ class Stage1Executor:
         schedule: Stage1Schedule,
         random_state: RandomState = None,
     ) -> None:
+        from repro.network.delivery import supports_population_delivery
+
         if not (
             hasattr(engine, "run_phase_from_senders")
             or supports_population_delivery(engine)
@@ -159,6 +155,8 @@ class Stage1Executor:
         track_opinion: Optional[int] = None,
     ) -> Stage1PhaseRecord:
         """Execute a single Stage-1 phase, mutating ``state`` in place."""
+        from repro.network.delivery import deliver_phase
+
         opinionated_before = state.opinionated_count()
         if opinionated_before > 0:
             received = deliver_phase(self.engine, state.opinions, num_rounds)
@@ -236,6 +234,8 @@ class EnsembleStage1Executor:
         schedule: Stage1Schedule,
         random_state: EnsembleRandomState = None,
     ) -> None:
+        from repro.network.delivery import supports_ensemble_delivery
+
         if not supports_ensemble_delivery(engine):
             raise TypeError(
                 "engine must expose run_ensemble_phase_from_senders"
@@ -286,6 +286,8 @@ class EnsembleStage1Executor:
 
         ``generators`` holds one stream per trial of ``state``.
         """
+        from repro.network.delivery import deliver_ensemble_phase
+
         opinionated_before = state.opinionated_counts()
         received = deliver_ensemble_phase(
             self.engine, state.opinions, num_rounds, generators

@@ -24,12 +24,6 @@ import numpy as np
 
 from repro.core.schedule import Stage2Schedule
 from repro.core.state import EnsembleState, PopulationState
-from repro.network.delivery import (
-    deliver_ensemble_phase,
-    deliver_phase,
-    supports_ensemble_delivery,
-    supports_population_delivery,
-)
 from repro.utils.rng import (
     EnsembleRandomState,
     RandomState,
@@ -110,6 +104,8 @@ class Stage2Executor:
         sampling_method: str = "without_replacement",
         use_full_multiset: bool = False,
     ) -> None:
+        from repro.network.delivery import supports_population_delivery
+
         if not (
             hasattr(engine, "run_phase_from_senders")
             or supports_population_delivery(engine)
@@ -184,6 +180,8 @@ class Stage2Executor:
         track_opinion: Optional[int] = None,
     ) -> Stage2PhaseRecord:
         """Execute a single Stage-2 phase, mutating ``state`` in place."""
+        from repro.network.delivery import deliver_phase
+
         bias_before = (
             state.bias_toward(track_opinion) if track_opinion is not None else None
         )
@@ -276,6 +274,8 @@ class EnsembleStage2Executor:
         sampling_method: str = "without_replacement",
         use_full_multiset: bool = False,
     ) -> None:
+        from repro.network.delivery import supports_ensemble_delivery
+
         if not supports_ensemble_delivery(engine):
             raise TypeError(
                 "engine must expose run_ensemble_phase_from_senders"
@@ -332,6 +332,8 @@ class EnsembleStage2Executor:
 
         ``generators`` holds one stream per trial of ``state``.
         """
+        from repro.network.delivery import deliver_ensemble_phase
+
         bias_before = (
             state.bias_toward(track_opinion) if track_opinion is not None else None
         )

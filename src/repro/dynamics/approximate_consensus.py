@@ -42,14 +42,17 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.core.state import EnsembleState, PopulationState
+from repro.core.state import (
+    EnsembleState,
+    PopulationState,
+    opinion_counts_matrix,
+)
 from repro.dynamics.base import (
     EnsembleCountsDynamics,
     EnsembleOpinionDynamics,
     OpinionDynamics,
 )
 from repro.noise.matrix import NoiseMatrix
-from repro.utils.multiset import opinion_counts_matrix
 from repro.utils.rng import EnsembleRandomState, RandomState
 
 __all__ = [

@@ -46,6 +46,7 @@ from repro.core.state import (
     EnsembleState,
     PopulationState,
     coerce_to_ensemble_counts,
+    opinion_counts_matrix,
 )
 from repro.network.pull_model import (
     EnsemblePullModel,
@@ -55,7 +56,6 @@ from repro.network.pull_model import (
     block_matmul,
 )
 from repro.noise.matrix import NoiseMatrix
-from repro.utils.multiset import opinion_counts_matrix
 from repro.utils.rng import (
     EnsembleRandomState,
     RandomState,

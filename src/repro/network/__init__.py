@@ -21,35 +21,29 @@ experiment E8 validates both statements statistically using these engines.
 A noisy uniform *pull* substrate is also provided for the baseline dynamics
 of the related-work comparison (3-majority, h-majority, …), which are
 classically stated in terms of pulling a few random opinions per round.
+
+Every name in ``__all__`` loads from its submodule on first use
+(:mod:`repro.utils.lazy`).
 """
 
-from repro.network.balls_bins import (
-    BallsIntoBinsProcess,
-    HeterogeneousCountsDeliveryModel,
-    poisson_tail_probability,
-)
-from repro.network.delivery import deliver_phase, supports_population_delivery
-from repro.network.mailbox import ReceivedMessages
-from repro.network.poisson_model import PoissonizedProcess
-from repro.network.pull_model import (
-    EnsemblePullModel,
-    UniformPullModel,
-)
-from repro.network.push_model import PushPhaseStatistics, UniformPushModel
-from repro.network.topology import GraphPushModel, standard_topology
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "BallsIntoBinsProcess",
-    "EnsemblePullModel",
-    "GraphPushModel",
-    "HeterogeneousCountsDeliveryModel",
-    "PoissonizedProcess",
-    "PushPhaseStatistics",
-    "ReceivedMessages",
-    "UniformPullModel",
-    "UniformPushModel",
-    "deliver_phase",
-    "poisson_tail_probability",
-    "standard_topology",
-    "supports_population_delivery",
-]
+_EXPORTS = {
+    "BallsIntoBinsProcess": "repro.network.balls_bins",
+    "EnsemblePullModel": "repro.network.pull_model",
+    "GraphPushModel": "repro.network.topology",
+    "HeterogeneousCountsDeliveryModel": "repro.network.balls_bins",
+    "PoissonizedProcess": "repro.network.poisson_model",
+    "PushPhaseStatistics": "repro.network.push_model",
+    "ReceivedMessages": "repro.network.mailbox",
+    "UniformPullModel": "repro.network.pull_model",
+    "UniformPushModel": "repro.network.push_model",
+    "deliver_phase": "repro.network.delivery",
+    "poisson_tail_probability": "repro.network.balls_bins",
+    "standard_topology": "repro.network.topology",
+    "supports_population_delivery": "repro.network.delivery",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -17,11 +17,10 @@ compare the two empirically.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.network.mailbox import EnsembleReceivedMessages, ReceivedMessages
 from repro.noise.matrix import NoiseMatrix
 from repro.utils.rng import (
     EnsembleRandomState,
@@ -33,6 +32,9 @@ from repro.utils.rng import (
     multinomial_rows,
 )
 from repro.utils.validation import require_positive_int
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.network.mailbox import EnsembleReceivedMessages, ReceivedMessages
 
 __all__ = [
     "BallsIntoBinsProcess",
@@ -203,6 +205,13 @@ class HeterogeneousCountsDeliveryModel:
         self.num_rows = total
         #: Per-row bin count, shape ``(A,)``.
         self.num_nodes = np.concatenate(rows_nodes)
+        #: First row and row count of each block, shape ``(blocks,)``.
+        self._block_starts = np.array(
+            [sl.start for sl in self.block_slices], dtype=np.intp
+        )
+        self._block_rows = np.array(
+            [sl.stop - sl.start for sl in self.block_slices], dtype=np.intp
+        )
         self._vote_paths: Dict[int, str] = {}
 
     def _validate_histograms(self, histograms: np.ndarray) -> np.ndarray:
@@ -388,7 +397,8 @@ class HeterogeneousCountsDeliveryModel:
         probability below float64 resolution.  Otherwise the block's exact
         path, :meth:`_resolve_vote_path`.  The choice is made per block,
         not per row, because the dense law's GEMM is not row-stable across
-        row subsets.
+        row subsets; one ``logical_and.reduceat`` over the block starts
+        decides every block.
         """
         from repro.network.pull_model import (  # local: avoid import cycle
             majority_vote_miss_bound,
@@ -396,18 +406,17 @@ class HeterogeneousCountsDeliveryModel:
 
         voters = np.asarray(num_voters, dtype=np.int64)
         row_sample_sizes = np.repeat(
-            np.asarray(sample_sizes, dtype=np.int64),
-            [sl.stop - sl.start for sl in self.block_slices],
+            np.asarray(sample_sizes, dtype=np.int64), self._block_rows
         )
         _, bounds = majority_vote_miss_bound(
             self.vote_probabilities(noisy_histograms), row_sample_sizes
         )
-        certified = voters * bounds <= _POINT_LAW_MAX_MISS
+        certified = np.logical_and.reduceat(
+            voters * bounds <= _POINT_LAW_MAX_MISS, self._block_starts
+        )
         return [
-            "point"
-            if certified[sl].all()
-            else self._resolve_vote_path(int(sample_sizes[block]))
-            for block, sl in enumerate(self.block_slices)
+            "point" if block_certified else self._resolve_vote_path(int(size))
+            for block_certified, size in zip(certified.tolist(), sample_sizes)
         ]
 
     def sample_vote_counts(
@@ -590,6 +599,8 @@ def ensemble_recolor_and_throw(
     Trial ``r``'s balls consume only trial ``r``'s generator (see
     :func:`~repro.utils.rng.as_trial_generators`).
     """
+    from repro.network.mailbox import EnsembleReceivedMessages
+
     histograms = np.asarray(message_histograms, dtype=np.int64)
     if histograms.ndim != 2 or histograms.shape[1] != noise.num_opinions:
         raise ValueError(
@@ -666,6 +677,8 @@ class BallsIntoBinsProcess:
 
     def throw(self, noisy_histogram: Sequence[int]) -> ReceivedMessages:
         """Step 2: throw every (already re-colored) ball into a uniform bin."""
+        from repro.network.mailbox import ReceivedMessages
+
         histogram = self._validate_histogram(noisy_histogram)
         counts = np.zeros((self.num_nodes, self.num_opinions), dtype=np.int64)
         for opinion_index in np.nonzero(histogram)[0]:

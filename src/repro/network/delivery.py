@@ -13,20 +13,24 @@ executors: it prefers the population-aware entry point when the engine
 provides one and falls back to the anonymous one otherwise.
 
 :func:`make_delivery_engine` is the one factory for the three
-complete-graph engines (processes O, B and P) by name; it backs both the
-protocol drivers and the :mod:`repro.sim` facade's engine registry.
+complete-graph engines (processes O, B and P) by name, one of
+:data:`~repro.sim.scenario.DELIVERY_PROCESSES`; it backs the per-node
+protocol drivers.  Only the per-node tiers load this module: the counts
+tier delivers through
+:class:`~repro.network.balls_bins.HeterogeneousCountsDeliveryModel`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core.state import opinion_counts_matrix
 from repro.network.balls_bins import BallsIntoBinsProcess
 from repro.network.mailbox import EnsembleReceivedMessages, ReceivedMessages
 from repro.network.poisson_model import PoissonizedProcess
 from repro.network.push_model import UniformPushModel
 from repro.noise.matrix import NoiseMatrix
-from repro.utils.multiset import opinion_counts_matrix
+from repro.sim.scenario import DELIVERY_PROCESSES
 from repro.utils.rng import EnsembleRandomState, RandomState
 
 __all__ = [
@@ -37,9 +41,6 @@ __all__ = [
     "deliver_ensemble_phase",
     "supports_ensemble_delivery",
 ]
-
-#: Delivery processes accepted by :func:`make_delivery_engine`.
-DELIVERY_PROCESSES = ("push", "balls_bins", "poisson")
 
 
 def make_delivery_engine(

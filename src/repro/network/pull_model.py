@@ -31,13 +31,12 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import groupby
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.network.mailbox import EnsembleReceivedMessages, ReceivedMessages
+from repro.core.state import opinion_counts_matrix
 from repro.noise.matrix import NoiseMatrix
-from repro.utils.multiset import opinion_counts_matrix
 from repro.utils.rng import (
     EnsembleRandomState,
     RandomState,
@@ -45,6 +44,9 @@ from repro.utils.rng import (
     as_trial_generators,
 )
 from repro.utils.validation import require_positive_int
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.network.mailbox import EnsembleReceivedMessages, ReceivedMessages
 
 __all__ = [
     "UniformPullModel",
@@ -714,6 +716,8 @@ class UniformPullModel:
         ReceivedMessages
             Per-node counts of (noisy) observed opinions.
         """
+        from repro.network.mailbox import ReceivedMessages
+
         sample_size = require_positive_int(sample_size, "sample_size")
         opinions = self._validate_opinions(opinions)
         return ReceivedMessages(
@@ -874,6 +878,8 @@ class EnsemblePullModel:
         node).  One uniform block per trial, one batched inverse-CDF pass,
         one flattened bincount.
         """
+        from repro.network.mailbox import EnsembleReceivedMessages
+
         sample_size = require_positive_int(sample_size, "sample_size")
         opinions = self._validate_opinions(opinions)
         num_trials = opinions.shape[0]

@@ -11,50 +11,34 @@ This subpackage implements Section 2.1/2.2 and Section 4 of the paper:
 * verification of the ``(epsilon, delta)``-majority-preserving property
   (:mod:`repro.noise.majority_preserving`), both exactly via the paper's
   linear program and via the Eq. (17)/(18) sufficient condition.
+
+Every name in ``__all__`` loads from its submodule on first use
+(:mod:`repro.utils.lazy`).
 """
 
-from repro.noise.estimation import (
-    calibrate_epsilon,
-    collect_channel_observations,
-    estimate_noise_matrix,
-    estimation_error,
-)
-from repro.noise.families import (
-    binary_flip_matrix,
-    cyclic_shift_matrix,
-    diagonally_dominant_counterexample,
-    identity_matrix,
-    near_uniform_matrix,
-    reset_matrix,
-    uniform_noise_matrix,
-)
-from repro.noise.majority_preserving import (
-    MajorityPreservationReport,
-    check_majority_preserving,
-    epsilon_for_delta,
-    minimal_bias_gap,
-    sufficient_condition_epsilon,
-    worst_case_distribution,
-)
-from repro.noise.matrix import NoiseMatrix
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "MajorityPreservationReport",
-    "NoiseMatrix",
-    "binary_flip_matrix",
-    "calibrate_epsilon",
-    "check_majority_preserving",
-    "collect_channel_observations",
-    "estimate_noise_matrix",
-    "estimation_error",
-    "cyclic_shift_matrix",
-    "diagonally_dominant_counterexample",
-    "epsilon_for_delta",
-    "identity_matrix",
-    "minimal_bias_gap",
-    "near_uniform_matrix",
-    "reset_matrix",
-    "sufficient_condition_epsilon",
-    "uniform_noise_matrix",
-    "worst_case_distribution",
-]
+_EXPORTS = {
+    "MajorityPreservationReport": "repro.noise.majority_preserving",
+    "NoiseMatrix": "repro.noise.matrix",
+    "binary_flip_matrix": "repro.noise.families",
+    "calibrate_epsilon": "repro.noise.estimation",
+    "check_majority_preserving": "repro.noise.majority_preserving",
+    "collect_channel_observations": "repro.noise.estimation",
+    "estimate_noise_matrix": "repro.noise.estimation",
+    "estimation_error": "repro.noise.estimation",
+    "cyclic_shift_matrix": "repro.noise.families",
+    "diagonally_dominant_counterexample": "repro.noise.families",
+    "epsilon_for_delta": "repro.noise.majority_preserving",
+    "identity_matrix": "repro.noise.families",
+    "minimal_bias_gap": "repro.noise.majority_preserving",
+    "near_uniform_matrix": "repro.noise.families",
+    "reset_matrix": "repro.noise.families",
+    "sufficient_condition_epsilon": "repro.noise.majority_preserving",
+    "uniform_noise_matrix": "repro.noise.families",
+    "worst_case_distribution": "repro.noise.majority_preserving",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -25,50 +25,38 @@ engine tier.
 True
 """
 
-from repro.sim.engines import (
-    DELIVERY_PROCESSES,
-    ENGINE_REGISTRY,
-    ENGINE_TIERS,
-    EngineRegistry,
-    build_dynamics,
-    make_delivery_engine,
-)
-from repro.sim.facade import (
-    DEFAULT_COUNTS_THRESHOLD,
-    resolve_trial_engine,
-    set_default_counts_threshold,
-    sim_code_version,
-    simulate,
-)
-from repro.sim.result import SimulationResult
-from repro.sim.sweep import ScenarioGrid, SweepResult, simulate_sweep
-from repro.sim.scenario import (
-    ENGINE_POLICIES,
-    TOPOLOGIES,
-    WORKLOADS,
-    Scenario,
-    ScenarioError,
-)
+from repro.sim import facade  # noqa: F401
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_COUNTS_THRESHOLD",
-    "DELIVERY_PROCESSES",
-    "ENGINE_POLICIES",
-    "ENGINE_REGISTRY",
-    "ENGINE_TIERS",
-    "EngineRegistry",
-    "Scenario",
-    "ScenarioError",
-    "ScenarioGrid",
-    "SimulationResult",
-    "SweepResult",
-    "TOPOLOGIES",
-    "WORKLOADS",
-    "build_dynamics",
-    "make_delivery_engine",
-    "resolve_trial_engine",
-    "set_default_counts_threshold",
-    "sim_code_version",
-    "simulate",
-    "simulate_sweep",
-]
+# The facade loads with the package, and with it every module a counts
+# run executes, so no counts call pays for an import; their names are
+# bound here at once.  The sweep layer and the per-node delivery factory
+# load on first use.
+
+#: Public name -> the module that defines it.
+_EXPORTS = {
+    "DEFAULT_COUNTS_THRESHOLD": "repro.sim.facade",
+    "DELIVERY_PROCESSES": "repro.sim.scenario",
+    "ENGINE_POLICIES": "repro.sim.scenario",
+    "ENGINE_REGISTRY": "repro.sim.engines",
+    "ENGINE_TIERS": "repro.sim.engines",
+    "EngineRegistry": "repro.sim.engines",
+    "Scenario": "repro.sim.scenario",
+    "ScenarioError": "repro.sim.scenario",
+    "ScenarioGrid": "repro.sim.sweep",
+    "SimulationResult": "repro.sim.result",
+    "SweepResult": "repro.sim.sweep",
+    "TOPOLOGIES": "repro.sim.scenario",
+    "WORKLOADS": "repro.sim.scenario",
+    "build_dynamics": "repro.sim.engines",
+    "make_delivery_engine": "repro.network.delivery",
+    "resolve_trial_engine": "repro.sim.facade",
+    "set_default_counts_threshold": "repro.sim.facade",
+    "sim_code_version": "repro.sim.facade",
+    "simulate": "repro.sim.facade",
+    "simulate_sweep": "repro.sim.sweep",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -11,8 +11,9 @@ Two layers live here:
   backends (sharded, async, remote) plug in new pairs without touching any
   call site.
 
-The complete-graph delivery engines are built by
-:func:`repro.network.delivery.make_delivery_engine` (re-exported here).
+The complete-graph delivery engines of the per-node tiers are built by
+:func:`repro.network.delivery.make_delivery_engine` (exported by
+:mod:`repro.sim`, which loads it on first use).
 """
 
 from __future__ import annotations
@@ -53,18 +54,15 @@ from repro.dynamics.voter import (
     EnsembleVoterDynamics,
     VoterDynamics,
 )
-from repro.network.delivery import DELIVERY_PROCESSES, make_delivery_engine
 from repro.noise.matrix import NoiseMatrix
 from repro.utils.rng import EnsembleRandomState
 
 __all__ = [
     "ENGINE_TIERS",
     "DYNAMICS_RULES",
-    "DELIVERY_PROCESSES",
     "EngineRegistry",
     "ENGINE_REGISTRY",
     "build_dynamics",
-    "make_delivery_engine",
 ]
 
 #: The concrete execution tiers every workload can be served on.  The

@@ -6,6 +6,10 @@ up the ``(workload, engine)`` runner in the
 result with provenance (resolved engine, seed, facade code version, wall
 time, the scenario itself).
 
+This module imports at module level only what a counts run executes.
+The analytic tier and the per-node fault and topology engines load inside
+the runners that use them, on their first call.
+
 Every runner derives its per-trial streams from the scenario's seed alone,
 so under a fixed seed a scenario is bitwise reproducible per engine tier
 (``tests/core/test_counts_golden.py`` pins per-seed outputs of every
@@ -22,13 +26,8 @@ from __future__ import annotations
 import hashlib
 import time
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
-from repro.core.analytic import (
-    AnalyticProtocol,
-    MeanFieldProtocol,
-    exact_protocol_is_tractable,
-)
 from repro.core.protocol import (
     CountsProtocolTask,
     EnsembleProtocol,
@@ -36,19 +35,16 @@ from repro.core.protocol import (
     run_heterogeneous_counts_protocol,
 )
 from repro.core.state import PopulationState
-from repro.dynamics.analytic import (
-    ExactDynamicsChain,
-    MeanFieldDynamics,
-    exact_dynamics_is_tractable,
-)
-from repro.faults import FaultedDeliveryEngine, FaultedPhaseSampler
+from repro.faults.injection import FaultedPhaseSampler
 from repro.network.pull_model import vote_law_cache_info, vote_table_is_tractable
-from repro.network.topology import GraphPushModel, standard_topology
 from repro.noise.matrix import NoiseMatrix
 from repro.sim.engines import ENGINE_REGISTRY, build_dynamics
 from repro.sim.result import SimulationResult
 from repro.sim.scenario import ENGINE_POLICIES, Scenario
 from repro.utils.rng import RandomState, as_trial_generators, spawn_generators
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.network.topology import GraphPushModel
 
 __all__ = [
     "DEFAULT_COUNTS_THRESHOLD",
@@ -68,6 +64,16 @@ __all__ = [
 DRAW_ORDER_VERSION = 1
 
 _code_version: Optional[str] = None
+
+#: The source files :func:`sim_code_version` hashes, relative to the
+#: ``repro`` package directory, in hashing order.
+_VERSIONED_SOURCES = (
+    "sim/scenario.py", "sim/engines.py", "sim/result.py", "sim/facade.py",
+    "sim/sweep.py",
+    "analytic/simplex.py", "analytic/verify.py",
+    "dynamics/analytic.py", "core/analytic.py",
+    "faults/model.py", "faults/injection.py", "faults/delivery.py",
+)
 
 #: Population size at which ``engine="auto"`` switches from the batched
 #: ``(R, n)`` tier to the counts tier.  At ``n = 10^5`` the counts tier is
@@ -149,39 +155,22 @@ def sim_code_version() -> str:
     """A short fingerprint of the facade's code, recorded in provenance.
 
     Hashes the source files of the sim layer's own modules (scenario,
-    engines, result, facade), read as bytes, then
-    :data:`DRAW_ORDER_VERSION`.  The engine tiers underneath are not
-    hashed: the golden and engine-agreement test-suites cover them, and a
-    change there that moves a seeded result bumps the version, so the
-    stores key on it.
+    engines, result, facade, sweep), the analytic tier and the fault
+    subsystem (:data:`_VERSIONED_SOURCES`), read as bytes, then
+    :data:`DRAW_ORDER_VERSION`.  The files are found from this package's
+    directory, so hashing imports none of them.  The engine tiers
+    underneath are not hashed: the golden and engine-agreement test-suites
+    cover them, and a change there that moves a seeded result bumps the
+    version, so the stores key on it.
     """
     global _code_version
     if _code_version is None:
-        from repro.analytic import simplex as simplex_module
-        from repro.analytic import verify as verify_module
-        from repro.core import analytic as core_analytic_module
-        from repro.dynamics import analytic as dynamics_analytic_module
-        from repro.faults import delivery as faults_delivery_module
-        from repro.faults import injection as faults_injection_module
-        from repro.faults import model as faults_model_module
-        from repro.sim import engines as engines_module
-        from repro.sim import result as result_module
-        from repro.sim import scenario as scenario_module
-        from repro.sim import sweep as sweep_module
-        import repro.sim.facade as facade_module
-
+        package = Path(__file__).resolve().parent.parent
         digest = hashlib.sha256()
-        for module in (
-            scenario_module, engines_module, result_module, facade_module,
-            sweep_module,
-            simplex_module, verify_module,
-            dynamics_analytic_module, core_analytic_module,
-            faults_model_module, faults_injection_module,
-            faults_delivery_module,
-        ):
+        for source in _VERSIONED_SOURCES:
             try:
-                digest.update(Path(module.__file__).read_bytes())
-            except (OSError, TypeError):  # pragma: no cover - frozen builds
+                digest.update((package / source).read_bytes())
+            except OSError:  # pragma: no cover - frozen builds
                 pass
         digest.update(f"draw-order {DRAW_ORDER_VERSION}".encode())
         _code_version = digest.hexdigest()[:16]
@@ -197,12 +186,16 @@ def _exactly_tractable(scenario: Scenario) -> bool:
     answer over any sampled one.
     """
     if scenario.workload == "dynamics":
+        from repro.dynamics.analytic import exact_dynamics_is_tractable
+
         return exact_dynamics_is_tractable(
             scenario.rule,
             scenario.num_nodes,
             scenario.num_opinions,
             sample_size=scenario.sample_size,
         )
+    from repro.core.analytic import exact_protocol_is_tractable
+
     opinionated = int(scenario.initial_counts_state().counts.sum())
     return exact_protocol_is_tractable(
         scenario.num_nodes,
@@ -259,9 +252,10 @@ def simulate(scenario: Scenario) -> SimulationResult:
     (rumor / plurality / dynamics) and every engine tier (sequential /
     batched / counts).  Provenance on the result records the resolved
     engine, the seed, the facade code version, the wall time and the full
-    scenario dictionary, so any stored result is self-describing; a counts
-    protocol run adds the vote path of each Stage-2 phase
-    (``stage2_vote_paths``).
+    scenario dictionary, so any stored result is self-describing; a
+    sampled protocol run adds the delivery process it simulated
+    (``delivery_process``), and a counts protocol run the vote path of
+    each Stage-2 phase (``stage2_vote_paths``).
     """
     scenario.validate()
     engine, degraded_reason = _resolve_engine(scenario)
@@ -270,7 +264,48 @@ def simulate(scenario: Scenario) -> SimulationResult:
     cache_before = vote_law_cache_info() if engine == "counts" else None
     started = time.perf_counter()
     result = runner(scenario, noise, engine)
-    elapsed = time.perf_counter() - started
+    _stamp_provenance(
+        result, scenario, engine, time.perf_counter() - started
+    )
+    if degraded_reason is not None:
+        result.provenance["engine_degraded_reason"] = degraded_reason
+    if cache_before is not None:
+        result.provenance["vote_law_cache"] = _cache_delta(cache_before)
+    return result
+
+
+def _delivery_process(scenario: Scenario, engine: str) -> Optional[str]:
+    """The delivery process a protocol run of ``scenario`` on ``engine``
+    simulates, or ``None`` for the dynamics and the analytic tier.
+
+    The counts tier always delivers under process P (``"poisson"``),
+    whatever ``scenario.process`` says; a faulted per-node run throws its
+    balls through the balls-into-bins engine (``"balls_bins"``), and a run
+    on a non-complete topology pushes along the graph's edges
+    (``"push"``); any other per-node run uses ``scenario.process``.
+    """
+    if scenario.workload == "dynamics" or engine == "analytic":
+        return None
+    if engine == "counts":
+        return "poisson"
+    if scenario.faults is not None:
+        return "balls_bins"
+    if scenario.topology != "complete":
+        return "push"
+    return scenario.process
+
+
+def _stamp_provenance(
+    result: SimulationResult, scenario: Scenario, engine: str, elapsed: float
+) -> None:
+    """Stamp the provenance every result of ``scenario`` on ``engine``
+    carries, before the entries the engine's adapter set.
+
+    :func:`simulate` and the fused points of
+    :func:`~repro.sim.sweep.simulate_sweep` both stamp through here; a
+    fused point's ``elapsed`` is its batch's time.
+    """
+    process = _delivery_process(scenario, engine)
     result.provenance = {
         "workload": scenario.workload,
         "engine": engine,
@@ -280,13 +315,9 @@ def simulate(scenario: Scenario) -> SimulationResult:
         "code_version": sim_code_version(),
         "wall_time_seconds": round(elapsed, 6),
         "scenario": scenario.to_dict(),
+        **({} if process is None else {"delivery_process": process}),
         **result.provenance,
     }
-    if degraded_reason is not None:
-        result.provenance["engine_degraded_reason"] = degraded_reason
-    if cache_before is not None:
-        result.provenance["vote_law_cache"] = _cache_delta(cache_before)
-    return result
 
 
 def _cache_delta(before: dict) -> dict:
@@ -312,6 +343,8 @@ def _cache_delta(before: dict) -> dict:
 def _build_graph_engine(
     scenario: Scenario, noise: NoiseMatrix, random_state: RandomState
 ) -> GraphPushModel:
+    from repro.network.topology import GraphPushModel, standard_topology
+
     graph = standard_topology(
         scenario.topology,
         scenario.num_nodes,
@@ -370,6 +403,8 @@ def _protocol_sequential(
     phase through a per-trial :class:`FaultedDeliveryEngine` (fresh crash
     counter per trial) over the full ``n`` bins.
     """
+    from repro.faults.delivery import FaultedDeliveryEngine
+
     faulted = scenario.faults is not None
     initial_state = (
         _honest_initial_state(scenario) if faulted else scenario.initial_state()
@@ -418,6 +453,8 @@ def _protocol_batched(
     batch — the phase schedule (and hence the crash-round clock) is common
     to every trial, while each trial's ball draws stay on its own stream.
     """
+    from repro.faults.delivery import FaultedDeliveryEngine
+
     faulted = scenario.faults is not None
     initial_state = (
         _honest_initial_state(scenario) if faulted else scenario.initial_state()
@@ -562,6 +599,8 @@ def _protocol_analytic(
     correction (:class:`MeanFieldProtocol`).  Both consume the counts-native
     entry state — the analytic tier never materializes per-node opinions.
     """
+    from repro.core.analytic import AnalyticProtocol, MeanFieldProtocol
+
     counts_state = scenario.initial_counts_state()
     protocol_cls = (
         AnalyticProtocol if _exactly_tractable(scenario) else MeanFieldProtocol
@@ -585,6 +624,8 @@ def _dynamics_analytic(
     scenario: Scenario, noise: NoiseMatrix, engine: str
 ) -> SimulationResult:
     """The sampling-free dynamics tier: exact chain or mean-field recursion."""
+    from repro.dynamics.analytic import ExactDynamicsChain, MeanFieldDynamics
+
     counts_state = scenario.initial_counts_state()
     dynamics_cls = (
         ExactDynamicsChain

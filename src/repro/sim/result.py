@@ -17,15 +17,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.analytic import AnalyticProtocolResult
 from repro.core.protocol import EnsembleResult, ProtocolResult
-from repro.dynamics.analytic import AnalyticDynamicsResult
 from repro.dynamics.base import DynamicsResult, EnsembleDynamicsResult
 from repro.utils.artifacts import jsonify_value
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.core.analytic import AnalyticProtocolResult
+    from repro.dynamics.analytic import AnalyticDynamicsResult
 
 __all__ = ["SimulationResult"]
 
@@ -102,8 +104,11 @@ class SimulationResult:
         only).
     provenance:
         How the result was produced: resolved engine, requested policy,
-        seed, facade code version, wall time, and the full scenario
-        dictionary.  Filled in by :func:`~repro.sim.facade.simulate`, which
+        seed, facade code version, wall time, the full scenario
+        dictionary, and for a sampled protocol run the delivery process it
+        simulated (``delivery_process``: ``"poisson"`` on the counts tier,
+        ``"balls_bins"`` for a faulted per-node run, ``"push"`` on a
+        non-complete topology, ``scenario.process`` otherwise).  Filled in by :func:`~repro.sim.facade.simulate`, which
         keeps the entries the engine's adapter set (a counts protocol
         result's ``stage2_vote_paths``).
     """

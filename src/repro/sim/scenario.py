@@ -27,7 +27,6 @@ from repro.core.state import CountsState, PopulationState, counts_from_shares
 from repro.dynamics import DYNAMICS_RULES
 from repro.faults.injection import split_faulty_population
 from repro.faults.model import FaultModel, coerce_fault_model
-from repro.network.delivery import DELIVERY_PROCESSES
 from repro.network.pull_model import vote_table_is_tractable
 from repro.noise.families import uniform_noise_matrix
 from repro.noise.matrix import NoiseMatrix
@@ -39,6 +38,7 @@ __all__ = [
     "WORKLOADS",
     "ENGINE_POLICIES",
     "TOPOLOGIES",
+    "DELIVERY_PROCESSES",
 ]
 
 
@@ -52,6 +52,11 @@ WORKLOADS = ("rumor", "plurality", "dynamics")
 #: state budget, the mean-field ODE with a Gaussian-diffusion correction
 #: otherwise.
 ENGINE_POLICIES = ("sequential", "batched", "counts", "auto", "analytic")
+
+#: Delivery processes of the protocol workloads on the per-node tiers:
+#: process O (``"push"``), B (``"balls_bins"``) and P (``"poisson"``),
+#: built by :func:`repro.network.delivery.make_delivery_engine`.
+DELIVERY_PROCESSES = ("push", "balls_bins", "poisson")
 
 #: Communication topologies (non-complete graphs run on the sequential
 #: engine only — the batched/counts reformulations assume the complete
@@ -122,8 +127,8 @@ class Scenario:
         Stop a dynamics trial at consensus (``dynamics`` only).
     process:
         Delivery process for the protocol workloads (one of
-        :data:`~repro.network.delivery.DELIVERY_PROCESSES`); the counts
-        engine always uses its Claim-1/Poissonized delivery.
+        :data:`DELIVERY_PROCESSES`); the counts engine always uses its
+        Claim-1/Poissonized delivery (process P).
     round_scale:
         Multiplier for the protocol schedule's phase lengths.
     sampling_method, use_full_multiset:

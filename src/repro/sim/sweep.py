@@ -57,6 +57,7 @@ from repro.sim.facade import (
     _cache_delta,
     _counts_protocol_task,
     _resolve_engine,
+    _stamp_provenance,
     sim_code_version,
     simulate,
 )
@@ -276,31 +277,6 @@ def _dynamics_task(scenario: Scenario) -> CountsDynamicsTask:
     )
 
 
-def _stamp_provenance(
-    result: SimulationResult,
-    scenario: Scenario,
-    engine: str,
-    code_version: str,
-    elapsed: float,
-) -> None:
-    """The same provenance dictionary :func:`simulate` stamps.
-
-    ``wall_time_seconds`` is the containing batch's time (per-point
-    attribution is meaningless inside one merged computation).
-    """
-    result.provenance = {
-        "workload": scenario.workload,
-        "engine": engine,
-        "engine_policy": scenario.engine,
-        "seed": scenario.seed,
-        "num_trials": scenario.num_trials,
-        "code_version": code_version,
-        "wall_time_seconds": round(elapsed, 6),
-        "scenario": scenario.to_dict(),
-        **result.provenance,
-    }
-
-
 def simulate_sweep(
     grid: ScenarioGrid,
     *,
@@ -405,9 +381,9 @@ def simulate_sweep(
             result = SimulationResult.from_ensemble_result(
                 ensemble_result, workload=scenario.workload, engine="counts"
             )
-            _stamp_provenance(
-                result, scenario, "counts", code_version, batch_elapsed
-            )
+            # wall_time_seconds is the batch's time: per-point
+            # attribution is meaningless inside one merged computation.
+            _stamp_provenance(result, scenario, "counts", batch_elapsed)
             result.provenance["rng_draw_order"] = draw_mode
             # Batch-level counters, like wall time: per-point attribution
             # is meaningless inside one merged computation.
@@ -424,9 +400,7 @@ def simulate_sweep(
             result = SimulationResult.from_ensemble_dynamics_result(
                 dynamics_result, engine="counts"
             )
-            _stamp_provenance(
-                result, scenario, "counts", code_version, batch_elapsed
-            )
+            _stamp_provenance(result, scenario, "counts", batch_elapsed)
             result.provenance["rng_draw_order"] = "per-trial"
             results[index] = result
 

@@ -1,29 +1,27 @@
-"""Shared utilities: RNG management, validation, multisets, tables, logging."""
+"""Shared utilities: RNG management, validation, multisets, tables, logging.
 
-from repro.utils.logging import get_logger
-from repro.utils.multiset import Multiset, majority_vote, mode_set, occurrences
-from repro.utils.rng import as_generator, spawn_generators
-from repro.utils.tables import format_table
-from repro.utils.validation import (
-    require_fraction,
-    require_in_range,
-    require_positive,
-    require_positive_int,
-    require_probability_vector,
-)
+Every name in ``__all__`` loads from its submodule on first use
+(:mod:`repro.utils.lazy`).
+"""
 
-__all__ = [
-    "Multiset",
-    "as_generator",
-    "format_table",
-    "get_logger",
-    "majority_vote",
-    "mode_set",
-    "occurrences",
-    "require_fraction",
-    "require_in_range",
-    "require_positive",
-    "require_positive_int",
-    "require_probability_vector",
-    "spawn_generators",
-]
+from repro.utils.lazy import lazy_exports
+
+_EXPORTS = {
+    "Multiset": "repro.utils.multiset",
+    "as_generator": "repro.utils.rng",
+    "format_table": "repro.utils.tables",
+    "get_logger": "repro.utils.logging",
+    "majority_vote": "repro.utils.multiset",
+    "mode_set": "repro.utils.multiset",
+    "occurrences": "repro.utils.multiset",
+    "require_fraction": "repro.utils.validation",
+    "require_in_range": "repro.utils.validation",
+    "require_positive": "repro.utils.validation",
+    "require_positive_int": "repro.utils.validation",
+    "require_probability_vector": "repro.utils.validation",
+    "spawn_generators": "repro.utils.rng",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

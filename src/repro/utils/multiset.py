@@ -28,45 +28,7 @@ __all__ = [
     "majority_vote",
     "majority_from_counts",
     "mode_from_counts",
-    "opinion_counts_matrix",
 ]
-
-
-def opinion_counts_matrix(
-    opinions: np.ndarray, num_opinions: int, *, validate: bool = True
-) -> np.ndarray:
-    """Per-trial opinion histograms of an ``(R, n)`` opinion matrix.
-
-    Entry ``(r, i)`` of the result is the number of nodes of trial ``r``
-    holding opinion ``i + 1``; undecided nodes (0) are not counted.  The
-    whole batch is histogrammed with a single offset :func:`numpy.bincount`
-    — no Python loop over trials — after validating that every entry lies in
-    ``[0, num_opinions]`` (an out-of-range value would otherwise silently
-    leak into a neighbouring trial's slice of the flattened bincount).
-    Callers that have already range-checked the matrix may pass
-    ``validate=False`` to skip the extra min/max scans on hot paths.
-    """
-    opinions = np.asarray(opinions, dtype=np.int64)
-    if opinions.ndim != 2:
-        raise ValueError(
-            f"opinions must be an (R, n) matrix, got shape {opinions.shape}"
-        )
-    if validate and opinions.size and (
-        opinions.min() < 0 or opinions.max() > num_opinions
-    ):
-        raise ValueError(
-            f"opinions must lie in [0, {num_opinions}] (0 = undecided); "
-            f"got range [{opinions.min()}, {opinions.max()}]"
-        )
-    num_trials = opinions.shape[0]
-    width = num_opinions + 1
-    offsets = np.arange(num_trials, dtype=np.int64)[:, np.newaxis] * width
-    flat = np.bincount(
-        (opinions + offsets).ravel(), minlength=num_trials * width
-    )
-    # bincount returns the platform intp; pin to int64 so count arithmetic
-    # cannot silently wrap on 32-bit-int platforms once n grows past 2**31.
-    return flat.reshape(num_trials, width)[:, 1:].astype(np.int64, copy=False)
 
 
 class Multiset:

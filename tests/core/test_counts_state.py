@@ -18,7 +18,7 @@ from repro.core.state import (
     EnsembleState,
     PopulationState,
 )
-from repro.utils.multiset import opinion_counts_matrix
+from repro.core.state import opinion_counts_matrix
 
 
 class TestCountsState:

@@ -209,3 +209,64 @@ class TestPointPath:
         phases = len(result.provenance["stage2_vote_paths"])
         assert phases > 1
         assert len(calls) == phases
+
+
+def per_block_vote_paths(model, noisy_histograms, num_voters, sample_sizes):
+    """The per-block loop ``vote_paths`` replaced: ``certified[sl].all()``
+    and the exact path, one block at a time."""
+    voters = np.asarray(num_voters, dtype=np.int64)
+    row_sample_sizes = np.repeat(
+        np.asarray(sample_sizes, dtype=np.int64),
+        [sl.stop - sl.start for sl in model.block_slices],
+    )
+    _, bounds = majority_vote_miss_bound(
+        model.vote_probabilities(noisy_histograms), row_sample_sizes
+    )
+    certified = voters * bounds <= balls_bins._POINT_LAW_MAX_MISS
+    return [
+        "point"
+        if certified[sl].all()
+        else model._resolve_vote_path(int(sample_sizes[block]))
+        for block, sl in enumerate(model.block_slices)
+    ]
+
+
+def mixed_batch(num_opinions, seed):
+    """Ten blocks of 1 to 6 rows (one-row blocks first and last) with
+    mostly dominated rows, a few near ties, and per-block sample sizes."""
+    rng = np.random.default_rng(seed)
+    sizes = [1, *rng.integers(1, 7, size=8).tolist(), 1]
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    slices = [slice(int(a), int(b)) for a, b in zip(starts, starts[1:])]
+    noise = uniform_noise_matrix(num_opinions, 0.3)
+    model = HeterogeneousCountsDeliveryModel(
+        slices, [10**6] * len(slices), [noise] * len(slices)
+    )
+    histograms = np.array([
+        dominated_row(num_opinions)
+        if rng.random() < 0.85
+        else near_tie_row(num_opinions)
+        for _ in range(int(starts[-1]))
+    ])
+    voters = rng.choice([0, 1, 1000, 10**6], size=len(histograms))
+    sample_sizes = rng.choice([35, 201, 665], size=len(slices)).tolist()
+    return model, histograms, voters, sample_sizes
+
+
+class TestBlockDecision:
+    """``vote_paths`` decides every block with one ``reduceat`` and must
+    name the paths the per-block loop named."""
+
+    @pytest.mark.parametrize("num_opinions", [2, 3, 5])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_reduceat_matches_the_per_block_loop(self, num_opinions, seed):
+        model, histograms, voters, sizes = mixed_batch(num_opinions, seed)
+        assert model.vote_paths(
+            histograms, voters, sizes
+        ) == per_block_vote_paths(model, histograms, voters, sizes)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_each_batch_mixes_certified_and_exact_blocks(self, seed):
+        model, histograms, voters, sizes = mixed_batch(3, seed)
+        paths = model.vote_paths(histograms, voters, sizes)
+        assert "point" in paths and set(paths) - {"point"}, paths

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import sys
 import numpy as np
 
 from repro.experiments.orchestrator import ResultStore
+from repro.faults import FaultModel
 from repro.sim import (
     ENGINE_REGISTRY,
     Scenario,
@@ -173,6 +175,49 @@ class TestProvenanceAndJson:
         assert dominated[-1] == "point"
         assert set(dominated) <= {"table", "dense", "chunk", "point"}
         assert "point" not in paths(0.0)
+
+    def test_counts_runs_record_process_p_whatever_the_scenario_asks(self):
+        for process in ("push", "balls_bins", "poisson"):
+            scenario = dataclasses.replace(
+                protocol_scenario("rumor", "counts"), process=process
+            )
+            provenance = simulate(scenario).provenance
+            assert provenance["delivery_process"] == "poisson"
+
+    def test_per_node_runs_record_the_process_they_simulated(self):
+        for engine in ("sequential", "batched"):
+            for process in ("push", "balls_bins", "poisson"):
+                scenario = dataclasses.replace(
+                    protocol_scenario("plurality", engine),
+                    process=process, num_trials=2,
+                )
+                assert simulate(scenario).provenance[
+                    "delivery_process"
+                ] == process
+            # Faults keep process="push" but throw balls into bins.
+            faulted = dataclasses.replace(
+                protocol_scenario("rumor", engine),
+                num_trials=2, faults=FaultModel(kind="crash", fraction=0.1),
+            )
+            assert simulate(faulted).provenance[
+                "delivery_process"
+            ] == "balls_bins"
+        # A graph topology pushes along its edges whatever process says.
+        graph = dataclasses.replace(
+            protocol_scenario("rumor", "sequential"), num_trials=1,
+            process="poisson", topology="random_regular", degree=8,
+        )
+        assert simulate(graph).provenance["delivery_process"] == "push"
+
+    def test_dynamics_and_analytic_runs_record_no_delivery_process(self):
+        for scenario in (
+            dynamics_scenario("counts"),
+            dynamics_scenario("batched"),
+            dataclasses.replace(
+                protocol_scenario("rumor", "analytic"), num_trials=1
+            ),
+        ):
+            assert "delivery_process" not in simulate(scenario).provenance
 
     def test_json_round_trip_is_exact(self):
         result = simulate(dynamics_scenario("batched"))

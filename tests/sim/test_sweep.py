@@ -63,9 +63,10 @@ def assert_sweep_matches_serial(grid: ScenarioGrid) -> SweepResult:
         assert_results_equal(serial, fused, context)
         # The sweep reports the same resolved engine the serial call used.
         assert sweep.engines[index] == serial.provenance["engine"], context
-        assert fused.provenance.get(
-            "stage2_vote_paths"
-        ) == serial.provenance.get("stage2_vote_paths"), context
+        for key in ("stage2_vote_paths", "delivery_process"):
+            assert fused.provenance.get(key) == serial.provenance.get(
+                key
+            ), f"{context}: provenance {key!r}"
         assert fused.provenance["sweep"]["grid_index"] == index
         assert not sweep.from_cache[index]
     return sweep
@@ -424,6 +425,23 @@ class TestFallbackTiers:
         )
         sweep = assert_sweep_matches_serial(grid)
         assert sweep.engines == ["batched", "counts"]
+
+    def test_points_record_the_process_their_tier_simulated(self):
+        """A fused counts point runs process P whatever ``process`` says;
+        a batched point runs the process it names."""
+        grid = ScenarioGrid(
+            protocol_base(engine="auto", counts_threshold=400, num_trials=2),
+            {"num_nodes": (200, 600), "process": ("push", "balls_bins")},
+        )
+        sweep = assert_sweep_matches_serial(grid)
+        recorded = [
+            (engine, result.provenance["delivery_process"])
+            for engine, result in zip(sweep.engines, sweep)
+        ]
+        assert recorded == [
+            ("batched", "push"), ("batched", "balls_bins"),
+            ("counts", "poisson"), ("counts", "poisson"),
+        ]
 
 
 def count_point_calls(monkeypatch) -> list:
