@@ -3,19 +3,22 @@
 ``dense_majority_vote_law`` evaluates the exact vote pmf over opinionated
 ``k``-color compositions in log space, one chunked GEMM over all rows of a
 block, covering sample sizes far past the closed-form table budget
-(``sample_size <= 170``) and every size that budget admits.  It must agree
-with the per-row loop it replaced and, on Stage-2 rows (no "no opinion"
-mass), with the closed-form law, to a tolerance fixed from float64
-(``256 * eps``): the dense law is a different rounding of the same law,
-not an approximation.  Its tractability predicate must gate exactly the
-budgets it claims, so that no ``(L, k)`` moves onto or off the chunk
-sampler.
+(``sample_size <= 170``) and every size that budget admits.  From
+``k = 4`` on it factors the pmf over a head and a tail of the colors.  It
+must agree with the per-row loop it replaced and, on Stage-2 rows (no "no
+opinion" mass), with the closed-form law, to a tolerance fixed from
+float64 (``256 * eps``): the dense law is a different rounding of the same
+law, not an approximation.  Without a head (``k <= 3``) it must be bitwise
+the unsplit evaluator, kept here as the reference.  Its tractability
+predicate must gate exactly the budgets it claims, so that no ``(L, k)``
+moves onto or off the chunk sampler.
 """
 
 from __future__ import annotations
 
 import math
 import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -44,6 +47,7 @@ def _drop_tables():
     unbounded, and the large dense tables take tens of MB)."""
     yield
     clear_vote_law_cache()
+    _unsplit_operands.cache_clear()
 
 
 def _row_loop_table(sample_size, num_opinions):
@@ -96,6 +100,80 @@ def _row_loop_law(probabilities, sample_size):
     )
 
 
+@lru_cache(maxsize=1)
+def _unsplit_operands(sample_size, num_opinions):
+    """The unsplit evaluator's two column-major operands, from the row
+    loop's table: the compositions with the log coefficients as a last
+    column, and the win weights."""
+    exponents, log_coefficients, win_weight = _row_loop_table(
+        sample_size, num_opinions
+    )
+    return (
+        np.asfortranarray(np.column_stack([exponents, log_coefficients])),
+        np.asfortranarray(win_weight),
+    )
+
+
+def _unsplit_law(probabilities, sample_size, runs=None):
+    """The dense law as evaluated before the head/tail split: per stack of
+    equal-sized blocks, one ``(rows, k + 1) @ (k + 1, c)`` GEMM, ``exp``
+    and ``@ win_weight`` per column chunk of the whole table (kept as the
+    ``k <= 3`` reference, which the split evaluator must equal bitwise)."""
+    probabilities = np.asarray(probabilities, dtype=float)
+    rows, num_opinions = probabilities.shape
+    if runs is None:
+        runs = [(1, rows)]
+    table, win_weight = _unsplit_operands(sample_size, num_opinions)
+    compositions, width = table.shape
+    log_probabilities = np.full((rows, width), pull_model._DENSE_LOG_ZERO)
+    np.log(
+        probabilities,
+        out=log_probabilities[:, :num_opinions],
+        where=probabilities > 0,
+    )
+    log_probabilities[:, num_opinions] = 1.0
+
+    def chunk_width(size):
+        return max(1, pull_model._DENSE_CHUNK_ELEMENTS // max(size, 1))
+
+    stacks = []
+    for count, size in runs:
+        chunk = size * min(chunk_width(size), compositions)
+        most = max(1, pull_model._DENSE_STACK_ELEMENTS // max(chunk, 1))
+        stacks += [
+            (min(most, count - done), size) for done in range(0, count, most)
+        ]
+    buffer = np.empty(
+        max(
+            count * size * min(chunk_width(size), compositions)
+            for count, size in stacks
+        )
+    )
+    law = np.zeros((rows, num_opinions))
+    first = 0
+    for count, size in stacks:
+        last = first + count * size
+        left = log_probabilities[first:last].reshape(count, size, width)
+        block_law = law[first:last].reshape(count, size, num_opinions)
+        for start in range(0, compositions, chunk_width(size)):
+            stop = min(start + chunk_width(size), compositions)
+            chunk = buffer[: count * size * (stop - start)].reshape(
+                count, size, stop - start
+            )
+            np.matmul(left, table[start:stop].T, out=chunk)
+            np.exp(chunk, out=chunk)
+            block_law += chunk @ win_weight[start:stop]
+        first = last
+    np.clip(law, 0.0, 1.0, out=law)
+    row_sums = law.sum(axis=1, keepdims=True)
+    return np.divide(
+        law,
+        row_sums,
+        out=np.full(law.shape, 1.0 / num_opinions),
+        where=row_sums > 0,
+    )
+
+
 def _color_laws(rng, rows, num_opinions, empty_rows=True):
     """Random color laws; from 3 rows on, one row has a zero-probability
     color (``k >= 2``) and (``empty_rows``) one row is all zero."""
@@ -108,6 +186,27 @@ def _color_laws(rng, rows, num_opinions, empty_rows=True):
             laws[0] = 0.0
     return laws
 
+
+def _edge_rows(num_opinions):
+    """One color at ``1 - 1e-12`` and the rest equal (the first color, in
+    the head from k = 4 on, and the last, in the tail), two zero colors
+    (one in each part), the uniform row and an all-zero row."""
+    dominant = np.full(num_opinions, 1e-12 / (num_opinions - 1))
+    dominant[0] = 1.0 - 1e-12
+    two_zero = np.full(num_opinions, 1.0 / (num_opinions - 2))
+    two_zero[[1, num_opinions - 1]] = 0.0
+    return np.array([
+        dominant,
+        dominant[::-1],
+        two_zero,
+        np.full(num_opinions, 1.0 / num_opinions),
+        np.zeros(num_opinions),
+    ])
+
+
+#: The largest tractable sample size of each k from 4 to 8, where a head
+#: or a tail factor is largest and smallest.
+_EDGE_CASES = [(124, 4), (36, 5), (17, 6), (13, 7), (11, 8)]
 
 _ROW_LOOP_CASES = [
     (sample_size, num_opinions)
@@ -140,6 +239,32 @@ class TestAgainstTheRowLoop:
                 assert np.all(law[0] == 1.0 / num_opinions)
                 assert law[1][laws[1] == 0].tolist() == [0.0]
 
+    @pytest.mark.parametrize("sample_size,num_opinions", _EDGE_CASES)
+    def test_the_dense_budget_edge_matches_the_row_loop(
+        self, sample_size, num_opinions
+    ):
+        """At each k's largest tractable L the head factor reaches
+        ``C(L, s)`` (``2^124`` at most) and the tail factor falls far
+        below 1; no term may overflow or be lost to underflow, alone and
+        among random rows (at 64 rows the largest head sizes of k = 6 and
+        8 are tiled)."""
+        assert dense_vote_law_is_tractable(sample_size, num_opinions)
+        assert not dense_vote_law_is_tractable(sample_size + 1, num_opinions)
+        edge = _edge_rows(num_opinions)
+        rng = np.random.default_rng([sample_size, num_opinions])
+        for rows in (5, 16, 64):
+            laws = np.concatenate(
+                [edge, _color_laws(rng, rows - 5, num_opinions)]
+            )
+            law = dense_majority_vote_law(laws, sample_size)
+            reference = _row_loop_law(laws, sample_size)
+            assert np.max(np.abs(law - reference)) <= TOLERANCE
+            assert law[0, 0] == pytest.approx(1.0)
+            assert law[1, -1] == pytest.approx(1.0)
+            assert law[2, [1, -1]].tolist() == [0.0, 0.0]
+            assert np.allclose(law[3], 1.0 / num_opinions)
+            assert np.all(law[4] == 1.0 / num_opinions)
+
     def test_evaluation_allocates_no_rows_by_compositions_matrix(self):
         """With the table cached, a 16-row k = 5, L = 35 law stays far
         below its 10.5 MB ``(rows, C)`` matrix."""
@@ -163,14 +288,21 @@ class TestStackedRuns:
 
     @pytest.mark.parametrize(
         "num_opinions,sample_size",
-        [(2, 1), (2, 35), (2, 1000), (3, 35), (3, 300), (4, 20), (5, 35)],
+        [
+            (2, 1), (2, 35), (2, 1000), (3, 35), (3, 300),
+            (4, 1), (4, 20), (4, 100), (5, 25), (5, 35), (5, 36),
+            (6, 9), (6, 17), (8, 11),
+        ],
     )
     def test_runs_are_bitwise_the_per_block_calls(
         self, num_opinions, sample_size
     ):
         """Blocks from 3 rows on hold an all-zero row and a row with a
-        zero-probability color; 64-row blocks take 512-column chunks, so
-        every case but ``L = 1`` spans several chunks for some block."""
+        zero-probability color; 64-row blocks take 512-column windows, so
+        every case but ``L = 1`` spans several windows for some block,
+        and at k = 5, L >= 35 (666 tail compositions of L), k = 6,
+        L = 17 (171 head compositions of 17, times 6) and k = 8 a 64-row
+        block's largest head sizes are tiled."""
         rng = np.random.default_rng([num_opinions, sample_size])
         blocks = [
             _color_laws(rng, size, num_opinions) for size in self.BLOCK_SIZES
@@ -183,14 +315,13 @@ class TestStackedRuns:
         )
         assert np.array_equal(law, expected)
 
-    def test_a_long_run_is_split_into_bounded_stacks(self):
-        """Twenty 16-row blocks at k = 5, L = 35 (a 2^15-element chunk
-        each) are evaluated in stacks of 8, 8 and 4 blocks, each block
-        bitwise its own call, and the call's traced peak stays near the
-        2 MB stack (twenty chunks would take 5 MB)."""
-        assert pull_model._stacks([(20, 16)], 82_251) == [
-            (8, 16), (8, 16), (4, 16),
-        ]
+    def test_a_long_run_is_split_into_bounded_stacks(self, monkeypatch):
+        """Twenty 16-row blocks at k = 5, L = 35: a block's buffers for the
+        widest windows (2,035 tail compositions, 405 head compositions
+        times 5 colors of sums and 405 of ``h``) take 71,440 elements, so
+        the run is evaluated in stacks of 3 blocks (the last of 2), each
+        block bitwise its own call, and the call's traced peak stays
+        under 3 MB (one stack of twenty blocks would take 11 MB)."""
         rng = np.random.default_rng(6)
         blocks = [_color_laws(rng, 16, 5) for _ in range(20)]
         merged = np.concatenate(blocks)
@@ -207,6 +338,23 @@ class TestStackedRuns:
         )
         assert np.array_equal(law, expected)
 
+        plan = pull_model._plan(
+            pull_model._dense_majority_vote_table(35, 5),
+            pull_model._chunk_width(16),
+        )
+        assert (plan.tails, plan.heads) == (2035, 405)
+        stacks = []
+        split = pull_model._split
+
+        def recording_split(buffer, shape, widths):
+            stacks.append(shape)
+            return split(buffer, shape, widths)
+
+        monkeypatch.setattr(pull_model, "_split", recording_split)
+        dense_majority_vote_law(merged, 35, [(20, 16)])
+        windows = len(plan.windows)
+        assert stacks == [(3, 16)] * (6 * windows) + [(2, 16)] * windows
+
     def test_default_is_one_block(self):
         laws = _color_laws(np.random.default_rng(4), 8, 3)
         assert np.array_equal(
@@ -219,6 +367,33 @@ class TestStackedRuns:
         laws = _color_laws(np.random.default_rng(5), 8, 3)
         with pytest.raises(ValueError, match="do not cover"):
             dense_majority_vote_law(laws, 35, runs)
+
+
+class TestUnsplitLawIsBitwise:
+    """Without a head (k <= 3) the evaluator is the unsplit chunked GEMM:
+    every block's law is bitwise the law of the evaluator it replaced,
+    alone and in mixed runs."""
+
+    BLOCK_SIZES = [1, 3, 3, 16, 64, 64, 16, 1]
+
+    @pytest.mark.parametrize("num_opinions", [2, 3])
+    @pytest.mark.parametrize("sample_size", [1, 35, 665, 1413])
+    def test_bitwise_the_unsplit_evaluator(self, num_opinions, sample_size):
+        rng = np.random.default_rng([num_opinions, sample_size, 1])
+        for rows in (1, 3, 16, 64):
+            laws = _color_laws(rng, rows, num_opinions)
+            assert np.array_equal(
+                dense_majority_vote_law(laws, sample_size),
+                _unsplit_law(laws, sample_size),
+            ), rows
+        laws = np.concatenate(
+            [_color_laws(rng, size, num_opinions) for size in self.BLOCK_SIZES]
+        )
+        runs = _size_runs(self.BLOCK_SIZES)
+        assert np.array_equal(
+            dense_majority_vote_law(laws, sample_size, runs),
+            _unsplit_law(laws, sample_size, runs),
+        )
 
 
 class TestAgreementWithClosedForm:

@@ -295,38 +295,100 @@ def _reference_vote_table(sample_size, num_opinions):
     return exponents, coefficients, vote_law
 
 
-def _reference_dense_table(sample_size, num_opinions):
-    """The dense table filtered out of the ``(sample_size + 1)**(k - 1)``
-    ``np.indices`` grid."""
-    width = num_opinions
+def _grid_compositions(total, width):
+    """The compositions of ``total`` into ``width`` parts, filtered out of
+    the ``(total + 1)**(width - 1)`` ``np.indices`` grid (lexicographic)."""
     if width == 1:
-        compositions = np.asarray([[sample_size]], dtype=np.int64)
-    else:
-        grid = np.indices((sample_size + 1,) * (width - 1))
-        partial = grid.reshape(width - 1, -1).T
-        totals = partial.sum(axis=1)
-        keep = totals <= sample_size
-        compositions = np.concatenate(
-            [partial[keep], (sample_size - totals[keep])[:, np.newaxis]],
-            axis=1,
-        ).astype(np.int64, copy=False)
-    log_factorial = np.concatenate(
+        return np.asarray([[total]], dtype=np.int64)
+    grid = np.indices((total + 1,) * (width - 1))
+    partial = grid.reshape(width - 1, -1).T
+    totals = partial.sum(axis=1)
+    keep = totals <= total
+    return np.concatenate(
+        [partial[keep], (total - totals[keep])[:, np.newaxis]], axis=1
+    ).astype(np.int64, copy=False)
+
+
+def _log_factorials(sample_size):
+    return np.concatenate(
         [[0.0], np.cumsum(np.log(np.arange(1, sample_size + 1)))]
     )
+
+
+def _win_weights(compositions):
+    """Uniform over each composition's most frequent colors."""
+    row_max = compositions.max(axis=1)
+    tied = compositions == row_max[:, np.newaxis]
+    return tied / tied.sum(axis=1, keepdims=True)
+
+
+def _reference_dense_table(sample_size, num_opinions):
+    """The unsplit dense table filtered out of the grid."""
+    compositions = _grid_compositions(sample_size, num_opinions)
+    log_factorial = _log_factorials(sample_size)
     log_coefficients = log_factorial[sample_size] - log_factorial[
         compositions
     ].sum(axis=1)
-    row_max = compositions.max(axis=1)
-    tied = compositions == row_max[:, np.newaxis]
-    win_weight = tied / tied.sum(axis=1, keepdims=True)
-    return compositions.astype(float), log_coefficients, win_weight
+    return (
+        compositions.astype(float),
+        log_coefficients,
+        _win_weights(compositions),
+    )
 
 
 def _dense_layout(exponents, log_coefficients, win_weight):
-    """The three arrays of the old dense table in the two-operand layout:
+    """The three arrays of the unsplit table in the two-operand layout:
     the exponents with the log coefficients as a last column, and the win
     weights."""
     return np.column_stack([exponents, log_coefficients]), win_weight
+
+
+def _reference_split_table(sample_size, num_opinions):
+    """The split dense table (``a = k // 2`` head colors) built block by
+    block from grid-filtered compositions: per head size ``s`` the head
+    compositions of ``s`` in reverse lexicographic order with
+    ``log(L! / ((L - s)! Π x!))``, the tail compositions of ``L - s`` in
+    lexicographic order with ``log((L - s)! / Π y!)``, and the win weights
+    of the pairs ``(x, y)``, ``y`` major, enumerated with ``np.repeat`` and
+    ``np.tile``.  Returns ``(tail, head, blocks, tail_starts,
+    head_starts)``."""
+    head_width = num_opinions // 2
+    log_factorial = _log_factorials(sample_size)
+    tails, heads, blocks = [], [], []
+    for s in range(sample_size + 1):
+        rest = sample_size - s
+        x = _grid_compositions(s, head_width)[::-1]
+        y = _grid_compositions(rest, num_opinions - head_width)
+        heads.append(np.column_stack([
+            x,
+            (log_factorial[sample_size] - log_factorial[rest])
+            - log_factorial[x].sum(axis=1),
+        ]))
+        tails.append(np.column_stack([
+            y, log_factorial[rest] - log_factorial[y].sum(axis=1)
+        ]))
+        pairs = np.concatenate(
+            [np.tile(x, (len(y), 1)), np.repeat(y, len(x), axis=0)], axis=1
+        )
+        blocks.append(
+            _win_weights(pairs).reshape(len(y), len(x) * num_opinions)
+        )
+    starts = lambda parts: tuple(np.cumsum([0] + [len(p) for p in parts]).tolist())
+    return (
+        np.concatenate(tails),
+        np.concatenate(heads),
+        blocks,
+        starts(tails),
+        starts(heads),
+    )
+
+
+def _table_bytes(table):
+    return (
+        table.tail.nbytes
+        + table.head.nbytes
+        + sum(block.nbytes for block in table.win_weight)
+    )
 
 
 def _assert_tables_equal(built, reference):
@@ -346,17 +408,26 @@ _VOTE_TABLE_CASES = [
     (max(s for s in range(1, 171) if vote_table_is_tractable(s, 3)), 3),
 ]
 
-_DENSE_TABLE_CASES = [
+_UNSPLIT_TABLE_CASES = [
     (sample_size, num_opinions)
-    for num_opinions in range(1, 6)
+    for num_opinions in range(1, 4)
     for sample_size in (1, 2, 3, 35, 36)
 ] + [(665, 3), (1413, 3), (3000, 2)]
 
+_SPLIT_TABLE_CASES = [
+    (sample_size, num_opinions)
+    for num_opinions in (4, 5)
+    for sample_size in (1, 2, 3, 35, 36)
+] + [(124, 4), (17, 6), (13, 7), (11, 8)]
+
 
 class TestCompositionTableBuilders:
-    """Both composition tables come from one array-built enumerator and
-    equal the composition-by-composition and grid-filter builders they
-    replace, array by array, value and dtype."""
+    """Both composition tables come from one array-built enumerator.  The
+    closed-form table equals the composition-by-composition builder it
+    replaced; the dense table equals, array by array, value and dtype,
+    the grid-filter builder for ``k <= 3`` (no head: the unsplit table)
+    and a block-by-block grid-filter reference of the head/tail split
+    for ``k >= 4``."""
 
     @pytest.mark.parametrize("sample_size,num_opinions", _VOTE_TABLE_CASES)
     def test_closed_form_table_is_bitwise_the_loop(
@@ -367,19 +438,48 @@ class TestCompositionTableBuilders:
             _reference_vote_table(sample_size, num_opinions),
         )
 
-    @pytest.mark.parametrize("sample_size,num_opinions", _DENSE_TABLE_CASES)
-    def test_dense_table_is_bitwise_the_grid_filter(
+    @pytest.mark.parametrize("sample_size,num_opinions", _UNSPLIT_TABLE_CASES)
+    def test_unsplit_dense_table_is_bitwise_the_grid_filter(
         self, sample_size, num_opinions
     ):
         assert dense_vote_law_is_tractable(sample_size, num_opinions)
         built = _dense_majority_vote_table.__wrapped__(sample_size, num_opinions)
         _assert_tables_equal(
-            built,
+            (built.tail, *built.win_weight),
             _dense_layout(*_reference_dense_table(sample_size, num_opinions)),
         )
+        # The one block: no head colors, so one empty head composition
+        # with log coefficient log(L! / L!) = 0.
+        assert np.array_equal(built.head, [[0.0]])
+        assert built.tail_starts == (0, len(built.tail))
+        assert built.head_starts == (0, 1)
         # Column major: a block of rows of either operand is a BLAS
         # operand without a copy.
-        assert all(array.flags.f_contiguous for array in built)
+        assert built.tail.flags.f_contiguous
+        assert built.win_weight[0].flags.f_contiguous
+
+    @pytest.mark.parametrize("sample_size,num_opinions", _SPLIT_TABLE_CASES)
+    def test_split_dense_table_is_bitwise_the_block_reference(
+        self, sample_size, num_opinions
+    ):
+        assert dense_vote_law_is_tractable(sample_size, num_opinions)
+        built = _dense_majority_vote_table.__wrapped__(sample_size, num_opinions)
+        tail, head, blocks, tail_starts, head_starts = _reference_split_table(
+            sample_size, num_opinions
+        )
+        _assert_tables_equal(
+            (built.tail, built.head, *built.win_weight),
+            (tail, head, *blocks),
+        )
+        assert built.tail_starts == tail_starts
+        assert built.head_starts == head_starts
+        assert built.tail.flags.f_contiguous and built.head.flags.f_contiguous
+        assert all(block.flags.c_contiguous for block in built.win_weight)
+        # Every composition of L into k parts exactly once.
+        assert sum(block.size for block in built.win_weight) == (
+            math.comb(sample_size + num_opinions - 1, num_opinions - 1)
+            * num_opinions
+        )
 
     @pytest.mark.parametrize("sample_size,num_opinions", [(35, 5), (665, 3)])
     def test_dense_build_allocates_no_transient_grid(
@@ -395,16 +495,17 @@ class TestCompositionTableBuilders:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * sum(array.nbytes for array in table)
+        assert peak < 2 * _table_bytes(table)
 
     @pytest.mark.parametrize("sample_size,num_opinions", [(35, 5), (665, 3)])
     def test_dense_build_makes_no_full_size_copy(
         self, sample_size, num_opinions
     ):
-        """Built column by column, the build peaks near 1.2x its table
-        (8.4 MB for 7.2 MB at k = 5, L = 35).  A ``(C, k)`` float temporary
-        or a copy of the compositions into the column-major layout, as the
-        row-major build made, adds about 0.45x."""
+        """Built column by column and block by block, the build peaks near
+        1.15x its table (4.1 MB for 3.6 MB at k = 5, L = 35).  A ``(C, k)``
+        float temporary or a copy of the compositions into the
+        column-major layout, as the row-major build made, adds about
+        0.45x."""
         tracemalloc.start()
         try:
             table = _dense_majority_vote_table.__wrapped__(
@@ -413,7 +514,7 @@ class TestCompositionTableBuilders:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * sum(array.nbytes for array in table)
+        assert peak < 1.5 * _table_bytes(table)
 
 
 def _per_block(function, rows, block_sizes):
