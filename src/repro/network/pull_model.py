@@ -827,7 +827,9 @@ def dense_majority_vote_law(
         for done in range(0, count, most):
             stack = min(most, count - done)
             last = first + stack * size
-            block_tail = left_tail[first:last].reshape(stack, size, -1)
+            block_tail = left_tail[first:last].reshape(
+                stack, size, left_tail.shape[1]
+            )
             block_law = law[first:last].reshape(stack, size, num_opinions)
             for window in plan.windows:
                 tails = window.tail.stop - window.tail.start
@@ -845,7 +847,9 @@ def dense_majority_vote_law(
                     )
                 if head_width:
                     np.matmul(
-                        left_head[first:last].reshape(stack, size, -1),
+                        left_head[first:last].reshape(
+                            stack, size, head_width + 1
+                        ),
                         table.head[window.head].T,
                         out=head_pmf,
                     )

@@ -355,6 +355,11 @@ class TestStackedRuns:
         windows = len(plan.windows)
         assert stacks == [(3, 16)] * (6 * windows) + [(2, 16)] * windows
 
+    @pytest.mark.parametrize("num_opinions", [3, 5])
+    def test_no_rows_give_no_law(self, num_opinions):
+        law = dense_majority_vote_law(np.zeros((0, num_opinions)), 35)
+        assert law.shape == (0, num_opinions)
+
     def test_default_is_one_block(self):
         laws = _color_laws(np.random.default_rng(4), 8, 3)
         assert np.array_equal(
