@@ -701,10 +701,12 @@ def _windows(table: _DenseTable, width: int) -> Tuple[_Window, ...]:
             continue
         # One block wider than a window: its tiles, each a window.
         block = table.win_weight[first]
-        for head_lo in range(0, head_starts[first + 1] - head_start, head_step):
-            head_hi = min(head_lo + head_step, head_starts[first + 1] - head_start)
-            for tail_lo in range(0, block.shape[0], width):
-                tail_hi = min(tail_lo + width, block.shape[0])
+        heads = head_starts[first + 1] - head_start
+        for head_lo in range(0, heads, head_step):
+            head_hi = min(head_lo + head_step, heads)
+            columns = slice(head_lo * num_opinions, head_hi * num_opinions)
+            for tail_lo in range(0, len(block), width):
+                tail_hi = min(tail_lo + width, len(block))
                 windows.append(
                     _Window(
                         slice(tail_start + tail_lo, tail_start + tail_hi),
@@ -713,12 +715,9 @@ def _windows(table: _DenseTable, width: int) -> Tuple[_Window, ...]:
                             (
                                 0,
                                 tail_hi - tail_lo,
-                                block[
-                                    tail_lo:tail_hi,
-                                    head_lo * num_opinions : head_hi * num_opinions,
-                                ],
+                                block[tail_lo:tail_hi, columns],
                                 0,
-                                (head_hi - head_lo) * num_opinions,
+                                columns.stop - columns.start,
                             ),
                         ),
                     )
