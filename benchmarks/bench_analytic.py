@@ -3,19 +3,14 @@
 The analytic tier's costs are structural, not statistical: the exact
 Markov tier pays ``O(S^2)`` to build the one-round kernel over the
 ``S = C(n + k, k)`` count states and ``O(S^2)`` per round to evolve the
-distribution, while the mean-field tier pays ``O(k^2)`` per round
-regardless of ``n``.  This bench pins those costs at the tier's
-operating points so regressions in the kernel convolution or the
-mean-field recursion show up as data:
+distribution.  This bench pins those costs at the tier's operating points
+so regressions in the kernel convolution show up as data:
 
 * exact kernel construction and distribution evolution at ``n = 40``,
   ``k = 2`` (``S = 861``, near the default state budget) for 3-majority
   dynamics under uniform noise;
 * an exact two-stage protocol run at ``n = 14`` (the agreement suite's
-  protocol operating point);
-* mean-field dynamics at ``n = 10^6`` and a mean-field protocol run at
-  ``n = 10^5`` — both must be near-instant, since neither touches an
-  ``n``-sized object.
+  protocol operating point).
 
 All measurements are recorded to ``BENCH_analytic.json`` in one
 schema-versioned document via :func:`record.record_benchmark_results`,
@@ -40,12 +35,8 @@ import numpy as np
 
 from record import record_benchmark_results
 
-from repro.core.analytic import AnalyticProtocol, MeanFieldProtocol
-from repro.dynamics.analytic import (
-    _KERNEL_CACHE,
-    ExactDynamicsChain,
-    MeanFieldDynamics,
-)
+from repro.core.analytic import AnalyticProtocol
+from repro.dynamics.analytic import _KERNEL_CACHE, ExactDynamicsChain
 from repro.noise.families import uniform_noise_matrix
 
 RULE = "3-majority"
@@ -57,21 +48,12 @@ EXACT_INITIAL = np.array([22, 15])  # 3 undecided nodes
 PROTOCOL_NODES = 14
 PROTOCOL_INITIAL = np.array([6, 5])
 PROTOCOL_EPSILON = 0.3
-MEAN_FIELD_NODES = 1_000_000
-MEAN_FIELD_PROTOCOL_NODES = 100_000
 RESULTS_PATH = Path(__file__).resolve().parents[1] / "BENCH_analytic.json"
 
 
 def build_exact_chain():
     noise = uniform_noise_matrix(2, EPSILON)
     return ExactDynamicsChain(RULE, EXACT_NODES, noise)
-
-
-def run_mean_field_dynamics():
-    noise = uniform_noise_matrix(2, EPSILON)
-    initial = np.array([550_000, 375_000])  # 75k undecided
-    dynamic = MeanFieldDynamics(RULE, MEAN_FIELD_NODES, noise)
-    return dynamic.run(initial, MAX_ROUNDS, target_opinion=1)
 
 
 def run_exact_protocol():
@@ -82,20 +64,10 @@ def run_exact_protocol():
     return protocol.run(PROTOCOL_INITIAL, target_opinion=1)
 
 
-def run_mean_field_protocol():
-    noise = uniform_noise_matrix(2, PROTOCOL_EPSILON)
-    protocol = MeanFieldProtocol(
-        MEAN_FIELD_PROTOCOL_NODES, noise, epsilon=PROTOCOL_EPSILON
-    )
-    initial = np.zeros(2, dtype=np.int64)
-    initial[0] = 1  # rumor source; everyone else undecided
-    return protocol.run(initial, target_opinion=1)
-
-
 def test_analytic_tier_timings():
-    """Kernel construction, exact evolution, and both mean-field
-    integrations stay within their structural cost envelopes; the
-    measurements land together in BENCH_analytic.json."""
+    """Kernel construction, exact evolution and the exact protocol stay
+    within their structural cost envelopes; the measurements land together
+    in BENCH_analytic.json."""
     _KERNEL_CACHE.clear()  # time a cold kernel build, not a cache hit
 
     started = time.perf_counter()
@@ -110,14 +82,6 @@ def test_analytic_tier_timings():
     started = time.perf_counter()
     protocol = run_exact_protocol()
     protocol_seconds = time.perf_counter() - started
-
-    started = time.perf_counter()
-    mean_field = run_mean_field_dynamics()
-    mean_field_seconds = time.perf_counter() - started
-
-    started = time.perf_counter()
-    mf_protocol = run_mean_field_protocol()
-    mf_protocol_seconds = time.perf_counter() - started
 
     num_states = len(chain.states)
     entries = record_benchmark_results(
@@ -142,21 +106,6 @@ def test_analytic_tier_timings():
                 "seconds": round(protocol_seconds, 4),
                 "success_probability": protocol.success_probability,
             },
-            "mean_field_dynamics_3majority": {
-                "num_nodes": MEAN_FIELD_NODES,
-                "num_opinions": 2,
-                "epsilon": EPSILON,
-                "max_rounds": MAX_ROUNDS,
-                "seconds": round(mean_field_seconds, 4),
-                "success_probability": mean_field.success_probability,
-            },
-            "mean_field_protocol": {
-                "num_nodes": MEAN_FIELD_PROTOCOL_NODES,
-                "num_opinions": 2,
-                "epsilon": PROTOCOL_EPSILON,
-                "seconds": round(mf_protocol_seconds, 4),
-                "success_probability": mf_protocol.success_probability,
-            },
         },
     )
     print(
@@ -164,34 +113,17 @@ def test_analytic_tier_timings():
         f"{build_seconds:.3f} s, {len(exact.bias_trajectory)}-round evolution "
         f"{evolve_seconds:.3f} s, P(success)={exact.success_probability:.4f}"
         f"\nexact protocol n={PROTOCOL_NODES}: {protocol_seconds:.3f} s, "
-        f"P(success)={protocol.success_probability:.4f}"
-        f"\nmean-field n={MEAN_FIELD_NODES:,}: dynamics "
-        f"{mean_field_seconds:.3f} s, protocol (n={MEAN_FIELD_PROTOCOL_NODES:,}) "
-        f"{mf_protocol_seconds:.3f} s (recorded to {RESULTS_PATH.name})"
+        f"P(success)={protocol.success_probability:.4f} "
+        f"(recorded to {RESULTS_PATH.name})"
     )
-    assert set(entries) == {
-        "exact_dynamics_3majority",
-        "exact_protocol",
-        "mean_field_dynamics_3majority",
-        "mean_field_protocol",
-    }
+    assert set(entries) == {"exact_dynamics_3majority", "exact_protocol"}
     assert 0.0 <= exact.success_probability <= 1.0
-    assert 0.0 <= mf_protocol.success_probability <= 1.0
     # Structural envelopes, generous enough for slow CI runners: the
-    # S = 861 kernel must build and evolve in seconds, and the
-    # mean-field tiers must not secretly scale with n.
+    # S = 861 kernel must build and evolve in seconds.
     assert build_seconds < 60.0, (
         f"exact kernel build took {build_seconds:.1f} s at S={num_states} "
         "(target: seconds, < 60 s)"
     )
     assert evolve_seconds < 30.0, (
         f"exact evolution took {evolve_seconds:.1f} s (target: < 30 s)"
-    )
-    assert mean_field_seconds < 5.0, (
-        f"mean-field dynamics took {mean_field_seconds:.1f} s at "
-        f"n={MEAN_FIELD_NODES:,} (must be n-independent, < 5 s)"
-    )
-    assert mf_protocol_seconds < 5.0, (
-        f"mean-field protocol took {mf_protocol_seconds:.1f} s at "
-        f"n={MEAN_FIELD_PROTOCOL_NODES:,} (must be n-independent, < 5 s)"
     )

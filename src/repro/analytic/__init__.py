@@ -1,4 +1,4 @@
-"""Sampling-free engines: exact Markov chains and mean-field integration.
+"""Sampling-free engines: exact Markov chains over opinion counts.
 
 This package holds the shared machinery of the ``analytic`` engine tier —
 count-simplex enumeration, exact grouped-multinomial convolution, and the

@@ -44,8 +44,8 @@ __all__ = [
 #: Largest count-simplex size the exact tier will build a dense
 #: ``S x S`` kernel for.  ``S = C(n + k, k)``, so the default admits
 #: ``k = 2`` up to ``n = 43`` and ``k = 3`` up to ``n = 16`` — the
-#: "small n*k" regime the exact tier is meant for; larger scenarios fall
-#: back to the mean-field tier.
+#: "small n*k" regime the exact tier is meant for; ``engine="analytic"``
+#: refuses larger scenarios, and the counts tier samples them.
 DEFAULT_STATE_BUDGET = 1_000
 
 

@@ -32,9 +32,10 @@ dynamic on the noisy pull substrate (``--rule h-majority`` needs
 ``--sample-size``); ``--trials 1 --engine sequential`` is one reference run.
 ``--engine`` picks the tier: ``batched`` (vectorized ensemble), ``counts``
 (sufficient statistics, scales to millions of nodes), ``sequential``
-(reference loop), ``analytic`` (exact Markov chain / mean-field, no
-sampling), or ``auto`` (the default: analytic when exactly tractable, else
-counts from ``--counts-threshold`` nodes up, else batched).
+(reference loop), ``analytic`` (exact Markov chain, no sampling; it
+refuses a scenario past its state or ``maj()`` table budget and names
+``counts``), or ``auto`` (the default: analytic when exactly tractable,
+else counts from ``--counts-threshold`` nodes up, else batched).
 
 ``run-experiment`` and ``run-all`` accept the same ``--engine`` /
 ``--counts-threshold`` pair and override the experiment configs' trial
@@ -315,7 +316,7 @@ def _add_engine_arguments(
         "--engine", choices=ENGINE_POLICIES, default=default,
         help="engine tier: batched (R,n) vectorized ensemble, counts "
              "(R,k) sufficient statistics, sequential reference loop, "
-             "analytic (exact Markov chain / mean-field, no sampling; "
+             "analytic (exact Markov chain, no sampling, small n*k only; "
              "simulate/sweep only), or auto (simulate/sweep: analytic when "
              "exactly tractable; everywhere: counts from --counts-threshold "
              "nodes up, else batched)"

@@ -23,9 +23,10 @@ effects vanish as the phase message totals grow; the agreement suite
 therefore asserts the protocol tier against a documented, looser TVD
 threshold than the dynamics tier (which is exact outright).
 
-A mean-field tier (:class:`MeanFieldProtocol`) integrates the same phase
-laws at the share level with a Gaussian-diffusion correction for
-populations far beyond the exact state budget.
+The tier serves only scenarios within the state budget whose every
+Stage-2 sample size has a closed-form ``maj()`` table
+(:func:`exact_protocol_is_tractable`); past either budget it refuses, and
+the counts tier samples the process instead.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ __all__ = [
     "exact_protocol_is_tractable",
     "AnalyticProtocolResult",
     "AnalyticProtocol",
-    "MeanFieldProtocol",
 ]
 
 
@@ -92,48 +92,12 @@ def _stage1_group_laws(
     return laws
 
 
-def _approximate_vote_pmf(shares: np.ndarray, sample_size: int) -> np.ndarray:
-    """Gaussian plurality approximation of the ``maj()`` law for huge ``L``.
-
-    Beyond the exact composition-table budget the winner of ``L`` i.i.d.
-    draws from ``shares`` is estimated pairwise against the strongest
-    rival: the count difference is asymptotically
-    ``N(L (w_j - w_r), L (w_j + w_r - (w_j - w_r)^2))``.  The pairwise
-    tail probabilities are normalized into a pmf — only the mean-field
-    tier uses this path, and at these sample sizes the law is within
-    ``O(1/sqrt(L))`` of a point mass on the plurality color anyway.
-    """
-    num_opinions = shares.shape[0]
-    if num_opinions == 1:
-        return np.ones(1)
-    tails = np.empty(num_opinions)
-    for opinion in range(num_opinions):
-        rivals = np.delete(shares, opinion)
-        rival_share = float(rivals.max())
-        margin = sample_size * (shares[opinion] - rival_share)
-        variance = sample_size * (
-            shares[opinion] + rival_share - (shares[opinion] - rival_share) ** 2
-        )
-        if variance <= 1e-30:
-            tails[opinion] = 1.0 if margin > 0 else (0.5 if margin == 0 else 0.0)
-        else:
-            tails[opinion] = 0.5 * (
-                1.0 + math.erf(margin / math.sqrt(2.0 * variance))
-            )
-    total = tails.sum()
-    if total <= 0.0:
-        return np.full(num_opinions, 1.0 / num_opinions)
-    return tails / total
-
-
 def _stage2_group_laws(
     counts: np.ndarray,
     num_rounds: int,
     sample_size: int,
     num_nodes: int,
     noise: NoiseMatrix,
-    *,
-    allow_approximate_votes: bool = False,
 ) -> np.ndarray:
     """Per-group outcome laws of one Stage-2 phase from count vector."""
     width = counts.shape[0] + 1
@@ -149,30 +113,26 @@ def _stage2_group_laws(
             int(sample_size), np.asarray([total / num_nodes])
         )[0]
     )
-    if vote_table_is_tractable(int(sample_size), num_opinions):
-        observation = np.concatenate([[0.0], shares])
-        vote_pmf = np.clip(
-            majority_vote_law(observation[np.newaxis, :], int(sample_size)),
-            0.0,
-            1.0,
-        )[0, 1:]
-        # Mirror sample_vote_counts: renormalize away the rounding dust
-        # (the no-vote mass is exactly zero — every sampled message has a
-        # color).
-        row_sum = vote_pmf.sum()
-        vote_pmf = (
-            vote_pmf / row_sum
-            if row_sum > 0
-            else np.full(num_opinions, 1.0 / num_opinions)
-        )
-    elif allow_approximate_votes:
-        vote_pmf = _approximate_vote_pmf(shares, int(sample_size))
-    else:
+    if not vote_table_is_tractable(int(sample_size), num_opinions):
         raise ValueError(
             f"the exact Stage-2 vote law needs the closed-form maj() "
             f"table, which is intractable for sample_size={int(sample_size)}, "
             f"k={num_opinions}"
         )
+    observation = np.concatenate([[0.0], shares])
+    vote_pmf = np.clip(
+        majority_vote_law(observation[np.newaxis, :], int(sample_size)),
+        0.0,
+        1.0,
+    )[0, 1:]
+    # Mirror sample_vote_counts: renormalize away the rounding dust (the
+    # no-vote mass is exactly zero — every sampled message has a color).
+    row_sum = vote_pmf.sum()
+    vote_pmf = (
+        vote_pmf / row_sum
+        if row_sum > 0
+        else np.full(num_opinions, 1.0 / num_opinions)
+    )
     laws[0, 0] = 1.0 - update
     laws[0, 1:] = update * vote_pmf
     for group in range(1, width):
@@ -236,7 +196,7 @@ class AnalyticProtocolResult:
     stage1_phases: int
     stage1_rounds: int
     total_rounds: int
-    state_space_size: Optional[int] = None
+    state_space_size: int
 
 
 class AnalyticProtocol:
@@ -381,7 +341,7 @@ class AnalyticProtocol:
                 f"exact protocol needs C(n + k, k) <= {self.state_budget} "
                 f"states, got "
                 f"{state_space_size(self.num_nodes, self.num_opinions)}; "
-                "use the mean-field tier instead"
+                "use engine='counts'"
             )
         for size in schedule.stage2.sample_sizes:
             if not vote_table_is_tractable(int(size), self.num_opinions):
@@ -428,199 +388,4 @@ class AnalyticProtocol:
             stage1_rounds=schedule.stage1.total_rounds,
             total_rounds=schedule.total_rounds,
             state_space_size=states.shape[0],
-        )
-
-
-class MeanFieldProtocol:
-    """Share-level integration of the protocol's phase laws for huge ``n``.
-
-    Propagates the expected group shares and their Gaussian-diffusion
-    covariance phase by phase through the same Stage-1/Stage-2 laws as
-    :class:`AnalyticProtocol`; success and convergence probabilities are
-    Gaussian-tail estimates of the lead events after the final phase.
-    """
-
-    method = "mean-field"
-
-    _JACOBIAN_STEP = 1e-6
-
-    def __init__(
-        self,
-        num_nodes: int,
-        noise: NoiseMatrix,
-        *,
-        epsilon: Optional[float] = None,
-        schedule: Optional[ProtocolSchedule] = None,
-        round_scale: float = 1.0,
-    ) -> None:
-        if schedule is None and epsilon is None:
-            raise ValueError("either schedule or epsilon must be provided")
-        self.num_nodes = require_positive_int(num_nodes, "num_nodes")
-        if not isinstance(noise, NoiseMatrix):
-            raise TypeError(
-                f"noise must be a NoiseMatrix, got {type(noise).__name__}"
-            )
-        self.noise = noise
-        self.epsilon = epsilon
-        self.round_scale = round_scale
-        self._schedule = schedule
-
-    @property
-    def num_opinions(self) -> int:
-        """Number of opinions ``k``."""
-        return self.noise.num_opinions
-
-    def build_schedule(self, initial_opinionated: int = 1) -> ProtocolSchedule:
-        """The schedule used by :meth:`run` (built lazily when not supplied)."""
-        if self._schedule is not None:
-            return self._schedule
-        return ProtocolSchedule.for_population(
-            self.num_nodes,
-            float(self.epsilon),
-            initial_opinionated=max(1, initial_opinionated),
-            round_scale=self.round_scale,
-        )
-
-    def _phase_laws(
-        self, group_shares: np.ndarray, num_rounds: int, sample_size: Optional[int]
-    ) -> np.ndarray:
-        counts = group_shares[1:] * self.num_nodes
-        if sample_size is None:
-            return _stage1_group_laws(
-                counts, num_rounds, self.num_nodes, self.noise
-            )
-        return _stage2_group_laws(
-            counts,
-            num_rounds,
-            sample_size,
-            self.num_nodes,
-            self.noise,
-            allow_approximate_votes=True,
-        )
-
-    def _phase_step(
-        self,
-        group_shares: np.ndarray,
-        covariance: np.ndarray,
-        num_rounds: int,
-        sample_size: Optional[int],
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        def mean_map(shares: np.ndarray) -> np.ndarray:
-            return shares @ self._phase_laws(shares, num_rounds, sample_size)
-
-        width = group_shares.shape[0]
-        step = self._JACOBIAN_STEP
-        jacobian = np.empty((width, width))
-        for column in range(width):
-            forward = group_shares.copy()
-            backward = group_shares.copy()
-            forward[column] += step
-            backward[column] -= step
-            jacobian[:, column] = (mean_map(forward) - mean_map(backward)) / (
-                2.0 * step
-            )
-        laws = self._phase_laws(group_shares, num_rounds, sample_size)
-        outcome_covariance = np.zeros((width, width))
-        for group in range(width):
-            law = laws[group]
-            outcome_covariance += group_shares[group] * (
-                np.diag(law) - np.outer(law, law)
-            )
-        outcome_covariance /= self.num_nodes
-        return (
-            mean_map(group_shares),
-            jacobian @ covariance @ jacobian.T + outcome_covariance,
-        )
-
-    @staticmethod
-    def _bias_of(group_shares: np.ndarray, target_opinion: int) -> float:
-        opinion_shares = group_shares[1:]
-        if opinion_shares.shape[0] == 1:
-            return float(opinion_shares[0])
-        rivals = np.delete(opinion_shares, target_opinion - 1)
-        return float(opinion_shares[target_opinion - 1] - rivals.max())
-
-    def _lead_probability(
-        self,
-        group_shares: np.ndarray,
-        covariance: np.ndarray,
-        opinion: int,
-    ) -> float:
-        if self.num_opinions == 1:
-            rival = 0
-        else:
-            rival_groups = [
-                g for g in range(1, self.num_opinions + 1) if g != opinion
-            ]
-            rival = max(rival_groups, key=lambda g: group_shares[g])
-        margin = float(group_shares[opinion] - group_shares[rival])
-        variance = float(
-            covariance[opinion, opinion]
-            + covariance[rival, rival]
-            - 2.0 * covariance[opinion, rival]
-        )
-        if variance <= 1e-30:
-            return 1.0 if margin > 0 else (0.5 if margin == 0 else 0.0)
-        return 0.5 * (1.0 + math.erf(margin / math.sqrt(2.0 * variance)))
-
-    def run(
-        self,
-        initial_counts: np.ndarray,
-        *,
-        target_opinion: Optional[int] = None,
-    ) -> AnalyticProtocolResult:
-        """Integrate both stages from a single initial count vector."""
-        counts = np.asarray(initial_counts, dtype=float).ravel()
-        if counts.shape[0] != self.num_opinions:
-            raise ValueError(
-                f"initial_counts must have length {self.num_opinions}, "
-                f"got {counts.shape[0]}"
-            )
-        if target_opinion is None:
-            target_opinion = int(counts.argmax()) + 1 if counts.max() > 0 else 0
-        target_opinion = int(target_opinion)
-        if target_opinion <= 0:
-            raise ValueError(
-                "target_opinion could not be inferred: the initial state "
-                "has no opinionated node"
-            )
-        schedule = self.build_schedule(int(counts.sum()))
-        undecided = self.num_nodes - counts.sum()
-        shares = np.concatenate([[undecided], counts]) / self.num_nodes
-        width = shares.shape[0]
-        covariance = np.zeros((width, width))
-        phase_biases: List[float] = []
-        for num_rounds in schedule.stage1.phase_lengths:
-            shares, covariance = self._phase_step(
-                shares, covariance, int(num_rounds), None
-            )
-            phase_biases.append(self._bias_of(shares, target_opinion))
-        bias_after_stage1 = phase_biases[-1]
-        for num_rounds, sample_size in zip(
-            schedule.stage2.phase_lengths, schedule.stage2.sample_sizes
-        ):
-            shares, covariance = self._phase_step(
-                shares, covariance, int(num_rounds), int(sample_size)
-            )
-            phase_biases.append(self._bias_of(shares, target_opinion))
-
-        lead = [
-            self._lead_probability(shares, covariance, opinion)
-            for opinion in range(1, self.num_opinions + 1)
-        ]
-        return AnalyticProtocolResult(
-            num_nodes=self.num_nodes,
-            num_opinions=self.num_opinions,
-            target_opinion=target_opinion,
-            method=self.method,
-            success_probability=lead[target_opinion - 1],
-            convergence_probability=min(1.0, float(sum(lead))),
-            expected_bias_after_stage1=bias_after_stage1,
-            expected_final_bias=self._bias_of(shares, target_opinion),
-            expected_final_counts=shares[1:] * self.num_nodes,
-            phase_biases=np.asarray(phase_biases, dtype=float),
-            stage1_phases=schedule.stage1.num_phases,
-            stage1_rounds=schedule.stage1.total_rounds,
-            total_rounds=schedule.total_rounds,
-            state_space_size=None,
         )

@@ -1,26 +1,15 @@
-"""Analytic (sampling-free) engines for the five baseline dynamics.
+"""Analytic (sampling-free) engine for the five baseline dynamics.
 
-Two tiers, both driven by the same per-group outcome laws the counts
-engines sample from:
-
-* :class:`ExactDynamicsChain` — for small ``n * k``, the full Markov
-  chain over the opinion-count simplex.  One round from count vector
-  ``x`` is the convolution over current-opinion groups of
-  ``Multinomial(m_g, law_g(x))`` — *exactly* the distribution of the
-  counts engine's grouped draws (and hence of the sequential and batched
-  engines, which the counts tier aggregates).  Evolving the probability
-  vector through the dense one-round kernel therefore yields exact
-  success/convergence probabilities and expected-bias trajectories, with
-  no sampling noise at all.
-
-* :class:`MeanFieldDynamics` — for large ``n``, the deterministic
-  expected-share recursion ``x' = x @ L(x)`` plus a Gaussian-diffusion
-  correction: the share covariance propagates as
-  ``Sigma' = J Sigma J^T + C(x) / n`` where ``J`` is the Jacobian of the
-  recursion and ``C(x)`` the single-node outcome covariance averaged
-  over groups.  Success probabilities are Gaussian-tail estimates of the
-  event "the target opinion leads every rival at the horizon" — an
-  ``O(1/n)``-accurate approximation, not an exact law.
+:class:`ExactDynamicsChain` is, for small ``n * k``, the full Markov
+chain over the opinion-count simplex.  One round from count vector ``x``
+is the convolution over current-opinion groups of
+``Multinomial(m_g, law_g(x))`` — *exactly* the distribution of the counts
+engine's grouped draws (and hence of the sequential and batched engines,
+which the counts tier aggregates).  Evolving the probability vector
+through the dense one-round kernel therefore yields exact
+success/convergence probabilities and expected-bias trajectories, with no
+sampling noise at all.  Past the state budget the chain refuses, and the
+counts tier samples the process instead.
 
 The per-group laws (:func:`rule_group_laws`) are read off the counts
 engines' update rules: group 0 holds the undecided nodes and groups
@@ -31,8 +20,9 @@ probability that one such node ends the round with value ``j``
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -56,7 +46,6 @@ __all__ = [
     "exact_dynamics_is_tractable",
     "AnalyticDynamicsResult",
     "ExactDynamicsChain",
-    "MeanFieldDynamics",
 ]
 
 #: Mass below which the remaining active probability is treated as fully
@@ -171,11 +160,10 @@ def exact_dynamics_is_tractable(
 class AnalyticDynamicsResult:
     """Outcome of an analytic dynamics run (no per-trial arrays).
 
-    ``method`` is ``"exact"`` (probabilities exact to float64) or
-    ``"mean-field"`` (Gaussian-diffusion estimates).  ``bias_trajectory``
-    holds the expected Definition-1 bias toward the target after each
-    executed round, mirroring the sampled tiers' ``bias_history`` rows in
-    expectation.
+    ``method`` is ``"exact"``: the probabilities are exact to float64.
+    ``bias_trajectory`` holds the expected Definition-1 bias toward the
+    target after each executed round, mirroring the sampled tiers'
+    ``bias_history`` rows in expectation.
     """
 
     num_nodes: int
@@ -188,22 +176,29 @@ class AnalyticDynamicsResult:
     expected_final_bias: float
     expected_final_counts: np.ndarray
     bias_trajectory: np.ndarray
-    state_space_size: Optional[int] = None
+    state_space_size: int
 
 
-#: Dense one-round kernels keyed by (rule, n, sample_size, noise bytes) —
-#: kernel construction is the expensive part of the exact tier, and
-#: agreement tests reuse the same configuration many times.
-_KERNEL_CACHE: Dict[Tuple, np.ndarray] = {}
+#: Dense one-round kernels keyed by (rule, n, sample_size, noise bytes),
+#: least recently used first — kernel construction is the expensive part
+#: of the exact tier, and agreement tests reuse the same configuration
+#: many times.
+_KERNEL_CACHE: OrderedDict[Tuple, np.ndarray] = OrderedDict()
+
+#: How many kernels :data:`_KERNEL_CACHE` keeps.  A kernel at the state
+#: budget takes 8 MB, so a sweep over many noise levels holds about
+#: 32 MB of them; in the test-suites at most two other configurations run
+#: between two uses of one kernel.
+_KERNEL_CACHE_SIZE = 4
 
 
 class ExactDynamicsChain:
     """The exact Markov chain of a baseline dynamic over count states.
 
     Tractable when ``C(n + k, k)`` fits the state budget (the dense
-    kernel is ``S x S``); construction raises otherwise so callers can
-    fall back to :class:`MeanFieldDynamics`.  Majority rules additionally
-    need the closed-form ``maj()`` table, exactly like the counts engine.
+    kernel is ``S x S``); construction raises otherwise.  Majority rules
+    additionally need the closed-form ``maj()`` table, exactly like the
+    counts engine.
     """
 
     def __init__(
@@ -237,8 +232,8 @@ class ExactDynamicsChain:
             raise ValueError(
                 f"exact chain needs C(n + k, k) <= {state_budget} states, "
                 f"got {state_space_size(self.num_nodes, self.num_opinions)} "
-                f"for n={self.num_nodes}, k={self.num_opinions}; use the "
-                "mean-field tier instead"
+                f"for n={self.num_nodes}, k={self.num_opinions}; use "
+                "engine='counts'"
             )
 
     @property
@@ -268,13 +263,17 @@ class ExactDynamicsChain:
             self.noise.matrix.tobytes(),
         )
         kernel = _KERNEL_CACHE.get(key)
-        if kernel is None:
-            states = self.states
-            kernel = np.empty((states.shape[0], states.shape[0]))
-            for index, counts in enumerate(states):
-                kernel[index] = self.one_round_distribution(counts)
-            kernel.setflags(write=False)
-            _KERNEL_CACHE[key] = kernel
+        if kernel is not None:
+            _KERNEL_CACHE.move_to_end(key)
+            return kernel
+        states = self.states
+        kernel = np.empty((states.shape[0], states.shape[0]))
+        for index, counts in enumerate(states):
+            kernel[index] = self.one_round_distribution(counts)
+        kernel.setflags(write=False)
+        _KERNEL_CACHE[key] = kernel
+        if len(_KERNEL_CACHE) > _KERNEL_CACHE_SIZE:
+            _KERNEL_CACHE.popitem(last=False)
         return kernel
 
     def one_round_distribution(self, counts: np.ndarray) -> np.ndarray:
@@ -370,199 +369,4 @@ class ExactDynamicsChain:
             expected_final_counts=final @ states,
             bias_trajectory=np.asarray(trajectory, dtype=float),
             state_space_size=states.shape[0],
-        )
-
-
-def _gaussian_tail(mean: float, variance: float) -> float:
-    """``P(N(mean, variance) > 0)``; degenerates to an indicator."""
-    import math
-
-    if variance <= 1e-30:
-        return 1.0 if mean > 0 else (0.5 if mean == 0 else 0.0)
-    return 0.5 * (1.0 + math.erf(mean / math.sqrt(2.0 * variance)))
-
-
-class MeanFieldDynamics:
-    """Mean-field share recursion with a Gaussian-diffusion correction.
-
-    Tracks the expected group-share vector ``x`` (undecided plus the
-    ``k`` opinions) through the exact single-node laws, and the share
-    covariance through the linearized recursion.  Serves arbitrarily
-    large ``n`` at ``O(k^2)`` per round; its estimates converge to the
-    exact chain's at rate ``O(1/n)``.
-    """
-
-    method = "mean-field"
-
-    #: Finite-difference step of the Jacobian used by the covariance
-    #: propagation (central differences on the share coordinates).
-    _JACOBIAN_STEP = 1e-6
-
-    def __init__(
-        self,
-        rule: str,
-        num_nodes: int,
-        noise: NoiseMatrix,
-        *,
-        sample_size: Optional[int] = None,
-    ) -> None:
-        self.rule = str(rule)
-        self.num_nodes = require_positive_int(num_nodes, "num_nodes")
-        if not isinstance(noise, NoiseMatrix):
-            raise TypeError(
-                f"noise must be a NoiseMatrix, got {type(noise).__name__}"
-            )
-        self.noise = noise
-        self.sample_size = _resolve_sample_size(self.rule, sample_size)
-        # Fail eagerly (like the counts/exact engines) when the rule's
-        # closed-form vote law is out of reach.
-        if self.rule in ("3-majority", "h-majority") and not vote_table_is_tractable(
-            self.sample_size, self.num_opinions
-        ):
-            raise ValueError(
-                f"the analytic engine needs the closed-form maj() table, "
-                f"which is intractable for sample_size={self.sample_size}, "
-                f"k={self.num_opinions}; use the batched engine instead"
-            )
-
-    @property
-    def num_opinions(self) -> int:
-        """Number of opinions ``k``."""
-        return self.noise.num_opinions
-
-    def group_laws(self, group_shares: np.ndarray) -> np.ndarray:
-        """The per-group outcome laws at a group-share vector."""
-        observation = observation_law(group_shares[1:], self.noise)
-        return rule_group_laws(
-            self.rule, observation, sample_size=self.sample_size
-        )
-
-    def _mean_step(self, group_shares: np.ndarray) -> np.ndarray:
-        # Renormalize onto the simplex: observation_law clips a slightly
-        # negative undecided mass to zero, so a float-epsilon excess in
-        # the share total would otherwise be *amplified* every round
-        # (roughly 4x per round under 3-majority) instead of cancelling.
-        stepped = group_shares @ self.group_laws(group_shares)
-        return stepped / stepped.sum()
-
-    def _jacobian(self, group_shares: np.ndarray) -> np.ndarray:
-        width = group_shares.shape[0]
-        step = self._JACOBIAN_STEP
-        jacobian = np.empty((width, width))
-        for column in range(width):
-            forward = group_shares.copy()
-            backward = group_shares.copy()
-            forward[column] += step
-            backward[column] -= step
-            jacobian[:, column] = (
-                self._mean_step(forward) - self._mean_step(backward)
-            ) / (2.0 * step)
-        return jacobian
-
-    def _outcome_covariance(self, group_shares: np.ndarray) -> np.ndarray:
-        """Single-round share covariance ``C(x) / n`` given shares ``x``."""
-        laws = self.group_laws(group_shares)
-        width = group_shares.shape[0]
-        covariance = np.zeros((width, width))
-        for group in range(width):
-            law = laws[group]
-            covariance += group_shares[group] * (
-                np.diag(law) - np.outer(law, law)
-            )
-        return covariance / self.num_nodes
-
-    @staticmethod
-    def _bias_of(group_shares: np.ndarray, target_opinion: int) -> float:
-        opinion_shares = group_shares[1:]
-        if opinion_shares.shape[0] == 1:
-            return float(opinion_shares[0])
-        rivals = np.delete(opinion_shares, target_opinion - 1)
-        return float(opinion_shares[target_opinion - 1] - rivals.max())
-
-    def _lead_probability(
-        self,
-        group_shares: np.ndarray,
-        covariance: np.ndarray,
-        opinion: int,
-    ) -> float:
-        """Gaussian-tail estimate of "opinion leads every rival"."""
-        index = opinion  # group index of the opinion
-        if self.num_opinions == 1:
-            rival = 0  # the undecided group
-        else:
-            rival_groups = [
-                g for g in range(1, self.num_opinions + 1) if g != index
-            ]
-            rival = max(rival_groups, key=lambda g: group_shares[g])
-        margin = float(group_shares[index] - group_shares[rival])
-        variance = float(
-            covariance[index, index]
-            + covariance[rival, rival]
-            - 2.0 * covariance[index, rival]
-        )
-        return _gaussian_tail(margin, max(variance, 0.0))
-
-    def run(
-        self,
-        initial_counts: np.ndarray,
-        max_rounds: int,
-        *,
-        target_opinion: int,
-        stop_at_consensus: bool = True,
-        record_history: bool = True,
-    ) -> AnalyticDynamicsResult:
-        """Integrate the mean-field recursion for up to ``max_rounds``.
-
-        ``success_probability`` / ``convergence_probability`` are
-        Gaussian-tail estimates of the lead events at the stopping
-        horizon; ``expected_rounds`` is the deterministic hitting round of
-        the consensus threshold (``max_rounds`` when never hit).
-        """
-        max_rounds = require_positive_int(max_rounds, "max_rounds")
-        target_opinion = int(target_opinion)
-        counts = np.asarray(initial_counts, dtype=float)
-        undecided = self.num_nodes - counts.sum()
-        shares = np.concatenate([[undecided], counts]) / self.num_nodes
-
-        width = shares.shape[0]
-        covariance = np.zeros((width, width))
-        consensus_threshold = 1.0 - 0.5 / self.num_nodes
-        trajectory = []
-        hitting_round = max_rounds
-        for round_number in range(1, max_rounds + 1):
-            jacobian = self._jacobian(shares)
-            noise_term = self._outcome_covariance(shares)
-            shares = self._mean_step(shares)
-            covariance = jacobian @ covariance @ jacobian.T + noise_term
-            if record_history and target_opinion > 0:
-                trajectory.append(self._bias_of(shares, target_opinion))
-            if (
-                stop_at_consensus
-                and shares[1:].max() >= consensus_threshold
-            ):
-                hitting_round = round_number
-                break
-
-        lead = [
-            self._lead_probability(shares, covariance, opinion)
-            for opinion in range(1, self.num_opinions + 1)
-        ]
-        return AnalyticDynamicsResult(
-            num_nodes=self.num_nodes,
-            num_opinions=self.num_opinions,
-            target_opinion=target_opinion,
-            method=self.method,
-            success_probability=(
-                lead[target_opinion - 1] if target_opinion > 0 else 0.0
-            ),
-            convergence_probability=min(1.0, float(sum(lead))),
-            expected_rounds=float(hitting_round),
-            expected_final_bias=(
-                self._bias_of(shares, target_opinion)
-                if target_opinion > 0
-                else 0.0
-            ),
-            expected_final_counts=shares[1:] * self.num_nodes,
-            bias_trajectory=np.asarray(trajectory, dtype=float),
-            state_space_size=None,
         )

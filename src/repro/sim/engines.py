@@ -67,7 +67,7 @@ __all__ = [
 
 #: The concrete execution tiers every workload can be served on.  The
 #: first three sample trajectories; ``analytic`` evolves the exact state
-#: distribution (or its mean-field limit) and draws no randomness at all.
+#: distribution and draws no randomness at all.
 ENGINE_TIERS = ("sequential", "batched", "counts", "analytic")
 
 #: The one dynamics-class table all three tiers share, keyed ``(tier, rule)``.

@@ -40,7 +40,7 @@ from repro.network.pull_model import vote_law_cache_info, vote_table_is_tractabl
 from repro.noise.matrix import NoiseMatrix
 from repro.sim.engines import ENGINE_REGISTRY, build_dynamics
 from repro.sim.result import SimulationResult
-from repro.sim.scenario import ENGINE_POLICIES, Scenario
+from repro.sim.scenario import ENGINE_POLICIES, Scenario, ScenarioError
 from repro.utils.rng import RandomState, as_trial_generators, spawn_generators
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -206,6 +206,34 @@ def _exactly_tractable(scenario: Scenario) -> bool:
     )
 
 
+def _analytic_refusal(scenario: Scenario) -> str:
+    """Why ``engine="analytic"`` cannot answer ``scenario`` exactly: its
+    size against the state and ``maj()`` table budgets, and the tier that
+    samples it instead."""
+    from repro.analytic.simplex import DEFAULT_STATE_BUDGET, state_space_size
+    from repro.core.schedule import ProtocolSchedule
+
+    num_nodes, num_opinions = scenario.num_nodes, scenario.num_opinions
+    facts = [f"{state_space_size(num_nodes, num_opinions)} count states"]
+    if scenario.workload != "dynamics":
+        schedule = ProtocolSchedule.for_population(
+            num_nodes, float(scenario.epsilon), round_scale=scenario.round_scale
+        )
+        largest = max(int(size) for size in schedule.stage2.sample_sizes)
+        fits = vote_table_is_tractable(largest, num_opinions)
+        facts.append(
+            f"a largest Stage-2 sample size L = {largest}, "
+            f"{'within' if fits else 'past'} the table budget"
+        )
+    return (
+        f"engine='analytic' computes exact answers only, which needs at most "
+        f"{DEFAULT_STATE_BUDGET} count states C(n + k, k) and a closed-form "
+        f"maj() table for every vote sample size; {scenario.workload} at "
+        f"n = {num_nodes}, k = {num_opinions} has {' and '.join(facts)}; use "
+        "engine='counts' to sample it"
+    )
+
+
 def _resolve_engine(scenario: Scenario) -> Tuple[str, Optional[str]]:
     """The concrete tier for the scenario's engine policy, plus the
     degradation reason (``None`` when the policy was served as asked).
@@ -213,9 +241,12 @@ def _resolve_engine(scenario: Scenario) -> Tuple[str, Optional[str]]:
     ``auto`` prefers the analytic tier whenever the scenario is exactly
     tractable (tiny ``n * k``): the exact chain answers in one kernel
     evolution with zero sampling noise, which no trial count can beat.
-    Faulted scenarios never resolve analytic — no exact chain or
-    mean-field law covers them.
+    Faulted scenarios never resolve analytic — no exact chain covers
+    them.  An explicit ``engine="analytic"`` past the exact budgets raises
+    a :class:`ScenarioError` that names ``engine="counts"``.
     """
+    if scenario.engine == "analytic" and not _exactly_tractable(scenario):
+        raise ScenarioError(_analytic_refusal(scenario))
     if scenario.engine != "auto":
         return scenario.engine, None
     engine = resolve_trial_engine(
@@ -591,21 +622,16 @@ def _dynamics_ensemble(
 def _protocol_analytic(
     scenario: Scenario, noise: NoiseMatrix, engine: str
 ) -> SimulationResult:
-    """The sampling-free protocol tier: exact chain or mean-field ODE.
-
-    Exactly tractable scenarios evolve the full count-state distribution
-    through both stages (:class:`AnalyticProtocol`); everything else
-    integrates the mean-field phase recursion with a Gaussian-diffusion
-    correction (:class:`MeanFieldProtocol`).  Both consume the counts-native
-    entry state — the analytic tier never materializes per-node opinions.
+    """The sampling-free protocol tier: the full count-state distribution
+    evolved through both stages (:class:`AnalyticProtocol`), from the
+    counts-native entry state — the analytic tier never materializes
+    per-node opinions.  :func:`_resolve_engine` has refused every scenario
+    past the exact budgets.
     """
-    from repro.core.analytic import AnalyticProtocol, MeanFieldProtocol
+    from repro.core.analytic import AnalyticProtocol
 
     counts_state = scenario.initial_counts_state()
-    protocol_cls = (
-        AnalyticProtocol if _exactly_tractable(scenario) else MeanFieldProtocol
-    )
-    protocol = protocol_cls(
+    protocol = AnalyticProtocol(
         scenario.num_nodes,
         noise,
         epsilon=scenario.epsilon,
@@ -623,16 +649,12 @@ def _protocol_analytic(
 def _dynamics_analytic(
     scenario: Scenario, noise: NoiseMatrix, engine: str
 ) -> SimulationResult:
-    """The sampling-free dynamics tier: exact chain or mean-field recursion."""
-    from repro.dynamics.analytic import ExactDynamicsChain, MeanFieldDynamics
+    """The sampling-free dynamics tier: the exact Markov chain over count
+    states (:class:`ExactDynamicsChain`)."""
+    from repro.dynamics.analytic import ExactDynamicsChain
 
     counts_state = scenario.initial_counts_state()
-    dynamics_cls = (
-        ExactDynamicsChain
-        if _exactly_tractable(scenario)
-        else MeanFieldDynamics
-    )
-    dynamic = dynamics_cls(
+    dynamic = ExactDynamicsChain(
         scenario.rule,
         scenario.num_nodes,
         noise,

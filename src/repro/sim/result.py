@@ -85,23 +85,21 @@ class SimulationResult:
         analytic tier stores its single expected-bias trajectory as the
         one row of a ``(1, T)`` matrix.
     success_probability, convergence_probability:
-        Analytic tier only: the computed (exact or mean-field) outcome
-        probabilities.  When set, :attr:`success_rate` /
-        :attr:`convergence_rate` return them instead of empirical
-        frequencies (the analytic tier samples no trials, so the
-        per-trial arrays are empty).
+        Analytic tier only: the exact outcome probabilities.  When set,
+        :attr:`success_rate` / :attr:`convergence_rate` return them
+        instead of empirical frequencies (the analytic tier samples no
+        trials, so the per-trial arrays are empty).
     expected_rounds, expected_final_bias, expected_final_counts:
-        Analytic tier only: exact / mean-field expectations of the
-        matching per-trial statistics.
+        Analytic tier only: exact expectations of the matching
+        per-trial statistics.
     expected_bias_after_stage1:
         Analytic tier, protocol workloads only: the expected end-of-
         Stage-1 bias.
     analytic_method:
-        ``"exact"`` or ``"mean-field"`` when the analytic tier produced
-        the result; ``None`` for the sampling tiers.
+        ``"exact"`` when the analytic tier produced the result; ``None``
+        for the sampling tiers.
     state_space_size:
-        Size of the enumerated count simplex (exact analytic method
-        only).
+        Size of the enumerated count simplex (analytic tier only).
     provenance:
         How the result was produced: resolved engine, requested policy,
         seed, facade code version, wall time, the full scenario
@@ -413,7 +411,7 @@ class SimulationResult:
         *,
         engine: str = "analytic",
     ) -> "SimulationResult":
-        """Adapt an :class:`AnalyticDynamicsResult` (exact or mean-field).
+        """Adapt an :class:`AnalyticDynamicsResult`.
 
         The analytic tier evolves the state *distribution*, so there are
         no trials: the per-trial arrays are empty (``num_trials == 0``)
@@ -459,7 +457,7 @@ class SimulationResult:
         workload: str,
         engine: str = "analytic",
     ) -> "SimulationResult":
-        """Adapt an :class:`AnalyticProtocolResult` (exact or mean-field)."""
+        """Adapt an :class:`AnalyticProtocolResult`."""
         phase_biases = np.asarray(result.phase_biases, dtype=float)
         return cls(
             workload=workload,

@@ -48,9 +48,9 @@ WORKLOADS = ("rumor", "plurality", "dynamics")
 #: Engine policies a scenario can request (``"auto"`` resolves to a concrete
 #: tier by population size; see :func:`repro.sim.facade.
 #: resolve_trial_engine`).  ``"analytic"`` runs no sampling at all: the
-#: exact Markov chain over opinion counts when ``C(n + k, k)`` fits the
-#: state budget, the mean-field ODE with a Gaussian-diffusion correction
-#: otherwise.
+#: exact Markov chain over opinion counts, for scenarios whose
+#: ``C(n + k, k)`` states fit the state budget; :func:`~repro.sim.simulate`
+#: refuses the rest with a :class:`ScenarioError` naming ``counts``.
 ENGINE_POLICIES = ("sequential", "batched", "counts", "auto", "analytic")
 
 #: Delivery processes of the protocol workloads on the per-node tiers:
@@ -437,7 +437,7 @@ class Scenario:
         if self.engine == "analytic":
             raise ScenarioError(
                 "faults are not supported by engine 'analytic' (no exact "
-                "chain or mean-field law is implemented for faulted runs); "
+                "chain is implemented for faulted runs); "
                 "use one of the sampling engines "
                 "('sequential', 'batched', 'counts', 'auto')"
             )

@@ -1,8 +1,7 @@
-"""Tests for the analytic dynamics tier: exact Markov chain + mean field.
+"""Tests for the analytic dynamics tier: the exact Markov chain.
 
 The exact chain is checked against first principles (stochastic kernel,
-hand-computed voter law at n = 2, noise-free absorption) and the mean
-field against the exact tier at a scale where both are available.
+hand-computed voter law at n = 2, noise-free absorption).
 """
 
 from __future__ import annotations
@@ -10,10 +9,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.dynamics import analytic
 from repro.dynamics.analytic import (
     AnalyticDynamicsResult,
     ExactDynamicsChain,
-    MeanFieldDynamics,
     exact_dynamics_is_tractable,
     observation_law,
     rule_group_laws,
@@ -113,6 +112,24 @@ class TestExactChainKernel:
         second = ExactDynamicsChain("voter", 10, noise)
         assert first.transition_kernel() is second.transition_kernel()
 
+    def test_kernel_cache_keeps_the_four_most_recent_kernels(self):
+        kernels = [
+            ExactDynamicsChain(
+                "voter", 10, uniform_noise_matrix(2, epsilon)
+            ).transition_kernel()
+            for epsilon in (0.1, 0.15, 0.2, 0.25, 0.3, 0.35)
+        ]
+        assert len(analytic._KERNEL_CACHE) <= 4
+        # The newest kernel is served from the cache; the oldest is gone.
+        newest = ExactDynamicsChain("voter", 10, uniform_noise_matrix(2, 0.35))
+        assert newest.transition_kernel() is kernels[-1]
+        oldest = ExactDynamicsChain("voter", 10, uniform_noise_matrix(2, 0.1))
+        assert oldest.transition_kernel() is not kernels[0]
+
+    def test_population_beyond_state_budget_names_counts(self):
+        with pytest.raises(ValueError, match="engine='counts'"):
+            ExactDynamicsChain("voter", 44, uniform_noise_matrix(2, 0.4))
+
 
 class TestRuleGroupLaws:
     @pytest.mark.parametrize("rule,sample_size", ALL_RULES)
@@ -123,35 +140,3 @@ class TestRuleGroupLaws:
         assert laws.shape == (3, 3)
         assert np.all(laws >= 0)
         assert np.allclose(laws.sum(axis=1), 1.0, atol=1e-12)
-
-
-class TestMeanField:
-    def test_tracks_exact_success_probability_at_moderate_n(self):
-        # At n = 40 (k = 2) the exact chain is still within budget; the
-        # Gaussian-diffusion mean field must land close to it.
-        noise = uniform_noise_matrix(2, 0.5)
-        initial = np.array([26, 14])
-        exact = ExactDynamicsChain("3-majority", 40, noise).run(
-            initial, 80, target_opinion=1, record_history=False
-        )
-        mean_field = MeanFieldDynamics("3-majority", 40, noise).run(
-            initial, 80, target_opinion=1, record_history=False
-        )
-        assert mean_field.method == "mean-field"
-        assert mean_field.success_probability == pytest.approx(
-            exact.success_probability, abs=0.1
-        )
-
-    def test_runs_at_scales_the_exact_tier_cannot(self):
-        result = MeanFieldDynamics(
-            "3-majority", 1_000_000, uniform_noise_matrix(2, 0.3)
-        ).run(np.array([550_000, 450_000]), 40, target_opinion=1)
-        assert 0.0 <= result.success_probability <= 1.0
-        assert result.expected_final_counts.sum() <= 1_000_000 + 1e-6
-
-    def test_expected_shares_are_conserved(self):
-        result = MeanFieldDynamics(
-            "voter", 10_000, uniform_noise_matrix(2, 0.4)
-        ).run(np.array([6_000, 4_000]), 25, target_opinion=1)
-        assert result.expected_final_counts.sum() <= 10_000 + 1e-6
-        assert np.all(result.expected_final_counts >= -1e-9)

@@ -1,9 +1,8 @@
-"""Tests for the analytic protocol tier: exact distribution + mean field.
+"""Tests for the analytic protocol tier: the exact state distribution.
 
 The exact tier is checked against first principles (normalization, the
-noise-free limit, tractability gating) and the mean field against the
-exact tier at a scale where both are available.  Distribution-level
-agreement with the *sampling* tiers lives in
+noise-free limit, tractability gating).  Distribution-level agreement
+with the *sampling* tiers lives in
 ``tests/integration/test_engine_agreement.py``.
 """
 
@@ -15,7 +14,6 @@ import pytest
 from repro.core.analytic import (
     AnalyticProtocol,
     AnalyticProtocolResult,
-    MeanFieldProtocol,
     exact_protocol_is_tractable,
 )
 from repro.noise.families import identity_matrix, uniform_noise_matrix
@@ -99,7 +97,7 @@ class TestAnalyticProtocol:
 
     def test_run_rejects_population_beyond_state_budget(self):
         protocol = AnalyticProtocol(300, uniform_noise_matrix(3, 0.3), epsilon=0.3)
-        with pytest.raises(ValueError, match="mean-field tier"):
+        with pytest.raises(ValueError, match="use engine='counts'"):
             protocol.run(np.array([1, 0, 0]))
 
     def test_run_rejects_intractable_stage2_vote_table(self):
@@ -117,35 +115,3 @@ class TestAnalyticProtocol:
         protocol = AnalyticProtocol(14, self.NOISE, epsilon=0.3)
         with pytest.raises(ValueError, match="no opinionated node"):
             protocol.run(np.array([0, 0]))
-
-
-class TestMeanFieldProtocol:
-    def test_tracks_exact_success_probability_at_moderate_n(self):
-        noise = uniform_noise_matrix(2, 0.5)
-        exact = AnalyticProtocol(40, noise, epsilon=0.5).run(np.array([3, 0]))
-        mean_field = MeanFieldProtocol(40, noise, epsilon=0.5).run(
-            np.array([3, 0])
-        )
-        assert mean_field.method == "mean-field"
-        assert mean_field.success_probability == pytest.approx(
-            exact.success_probability, abs=0.1
-        )
-
-    def test_runs_at_scales_the_exact_tier_cannot(self):
-        result = MeanFieldProtocol(
-            100_000, uniform_noise_matrix(2, 0.3), epsilon=0.3
-        ).run(np.array([60_000, 40_000]))
-        assert 0.0 <= result.success_probability <= 1.0
-        assert result.convergence_probability <= 1.0
-        assert result.expected_final_counts.sum() <= 100_000 + 1e-3
-        assert result.state_space_size is None
-
-    def test_phase_biases_cover_both_stages(self):
-        result = MeanFieldProtocol(
-            10_000, uniform_noise_matrix(3, 0.4), epsilon=0.4
-        ).run(np.array([5_000, 3_000, 2_000]))
-        assert result.phase_biases.shape[0] > result.stage1_phases
-        assert (
-            result.phase_biases[result.stage1_phases - 1]
-            == pytest.approx(result.expected_bias_after_stage1)
-        )

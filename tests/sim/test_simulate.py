@@ -9,14 +9,20 @@ import sys
 
 import numpy as np
 
+import pytest
+
+from repro.core.analytic import AnalyticProtocol
 from repro.experiments.orchestrator import ResultStore
 from repro.faults import FaultModel
 from repro.sim import (
     ENGINE_REGISTRY,
     Scenario,
+    ScenarioError,
+    ScenarioGrid,
     SimulationResult,
     sim_code_version,
     simulate,
+    simulate_sweep,
 )
 
 SEED = 13
@@ -92,6 +98,76 @@ class TestAutoPolicy:
             )
         )
         assert result.engine == "batched"
+
+
+def analytic_rumor(num_nodes: int, engine: str = "analytic") -> Scenario:
+    return Scenario(
+        workload="rumor", num_nodes=num_nodes, num_opinions=2, epsilon=0.3,
+        round_scale=0.2, engine=engine, num_trials=2, seed=SEED,
+    )
+
+
+class TestAnalyticAnswersExactlyOrRefuses:
+    """``engine="analytic"`` past the state or maj() table budget raises a
+    ScenarioError naming the counts tier; within both it stays exact."""
+
+    @pytest.mark.parametrize(
+        "refused",
+        [
+            # C(46, 2) = 1,035 count states, past the 1,000-state budget.
+            dynamics_scenario(
+                "analytic", num_nodes=44, num_opinions=2, epsilon=0.4
+            ),
+            # 969 states fit, but the final Stage-2 L = 135 is past the
+            # closed-form maj() table at k = 3.
+            Scenario(
+                workload="plurality", num_nodes=16, num_opinions=3,
+                epsilon=0.3, engine="analytic", seed=SEED,
+            ),
+            analytic_rumor(1000),
+        ],
+        ids=["3-majority-n44", "plurality-k3-n16", "rumor-n1000"],
+    )
+    def test_scenarios_past_the_budgets_raise_naming_counts(self, refused):
+        with pytest.raises(ScenarioError, match="engine='counts'"):
+            simulate(refused)
+
+    @pytest.mark.parametrize(
+        "exact",
+        [
+            dynamics_scenario(
+                "analytic", num_nodes=43, num_opinions=2, epsilon=0.4
+            ),
+            Scenario(
+                workload="plurality", num_nodes=16, num_opinions=3,
+                epsilon=0.5, engine="analytic", seed=SEED,
+            ),
+        ],
+        ids=["3-majority-n43", "plurality-k3-n16-eps0.5"],
+    )
+    def test_scenarios_within_the_budgets_stay_exact(self, exact):
+        assert simulate(exact).analytic_method == "exact"
+
+    def test_sweep_rejects_the_grid_before_any_point_runs(self, monkeypatch):
+        calls = []
+        run = AnalyticProtocol.run
+
+        def spy(self, *args, **kwargs):
+            calls.append(self.num_nodes)
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(AnalyticProtocol, "run", spy)
+        grid = ScenarioGrid(analytic_rumor(14), {"num_nodes": (14, 1000)})
+        with pytest.raises(ScenarioError, match="engine='counts'"):
+            simulate_sweep(grid)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "num_nodes,tier",
+        [(14, "analytic"), (1000, "batched"), (10**4, "batched")],
+    )
+    def test_auto_routing_is_unchanged(self, num_nodes, tier):
+        assert simulate(analytic_rumor(num_nodes, "auto")).engine == tier
 
 
 class TestProvenanceAndJson:
@@ -214,7 +290,8 @@ class TestProvenanceAndJson:
             dynamics_scenario("counts"),
             dynamics_scenario("batched"),
             dataclasses.replace(
-                protocol_scenario("rumor", "analytic"), num_trials=1
+                protocol_scenario("rumor", "analytic"),
+                num_nodes=14, num_opinions=2, num_trials=1,
             ),
         ):
             assert "delivery_process" not in simulate(scenario).provenance

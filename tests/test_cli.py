@@ -207,6 +207,13 @@ class TestSimulateCommand:
             )
         assert "maj() table budget" in capsys.readouterr().err
 
+    def test_simulate_analytic_past_the_budgets_names_counts(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["simulate", "--workload", "rumor", "--nodes", "100000",
+                  "--engine", "analytic"])
+        assert raised.value.code == 2
+        assert "engine='counts'" in capsys.readouterr().err
+
     def test_simulate_auto_threshold_resolves_to_counts(self, capsys):
         exit_code = main(
             [
