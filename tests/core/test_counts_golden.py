@@ -44,6 +44,13 @@ helpers are gone.  The faulted and process points were captured while the
 per-node engines still carried a shared-stream mode next to their
 per-trial streams.
 
+The one-trial points repeat the protocol and dynamics points with
+``num_trials = 1``, and the per-trial-list points run a plurality ``k = 3``
+point, plain and under omission faults, from an explicit per-trial seed
+list.  A counts point draws one stream per point from a single seed
+(draw-order version 2) but the one-trial and per-trial-list runs draw what
+they drew before it: they were captured at version 1 and must not move.
+
 The fixture records :data:`repro.sim.facade.DRAW_ORDER_VERSION`, the
 version the stores key on.  Regenerate (only when a change to the draw
 order or to a law value is intended and has passed ``pytest -m
@@ -67,6 +74,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.protocol import run_heterogeneous_counts_protocol
 from repro.core.state import EnsembleCountsState, PopulationState
 from repro.experiments.runner import (
     stage1_trial_trajectories,
@@ -76,7 +84,7 @@ from repro.faults import FaultModel
 from repro.noise.families import uniform_noise_matrix
 from repro.sim import Scenario, simulate
 from repro.sim.engines import build_dynamics
-from repro.sim.facade import DRAW_ORDER_VERSION
+from repro.sim.facade import DRAW_ORDER_VERSION, _counts_protocol_task
 from repro.sim.result import SimulationResult
 
 GOLDEN_PATH = Path(__file__).with_name("counts_golden.json")
@@ -131,6 +139,10 @@ DYNAMICS_POINTS = {
         num_opinions=4, epsilon=0.3, bias=0.1, max_rounds=8,
     ),
 }
+
+#: The protocol points run from an explicit per-trial seed list.
+PER_TRIAL_LIST_POINTS = ("plurality-k3-n2000", "omission-plurality-k3")
+PER_TRIAL_SEEDS = [21, 22, 23, 24]
 
 #: Distinct per-trial starting rows (``n = 200``, ``k = 3``): a biased
 #: row, a near-tie, a row already at consensus and a mostly undecided one.
@@ -210,9 +222,9 @@ def _capture_ensemble_results():
         SimulationResult.from_ensemble_result = descriptor
 
 
-def simulate_record(label: str, seed: int) -> dict:
+def simulate_record(label: str, seed: int, num_trials: int = NUM_TRIALS) -> dict:
     scenario = Scenario(
-        engine="counts", num_trials=NUM_TRIALS, seed=seed, **POINTS[label]
+        engine="counts", num_trials=num_trials, seed=seed, **POINTS[label]
     )
     with _capture_ensemble_results() as captured:
         result = simulate(scenario)
@@ -222,6 +234,25 @@ def simulate_record(label: str, seed: int) -> dict:
         "final_counts": np.asarray(result.final_opinion_counts).tolist(),
         "rounds": np.asarray(result.rounds).tolist(),
         "successes": np.asarray(result.successes).tolist(),
+        "phase_distributions_sha256": _digest(
+            record.opinion_distributions for record in records
+        ),
+    }
+
+
+def per_trial_list_record(label: str) -> dict:
+    """``simulate``'s counts task of ``label``, run from the explicit
+    per-trial seed list :data:`PER_TRIAL_SEEDS`."""
+    scenario = Scenario(
+        engine="counts", num_trials=len(PER_TRIAL_SEEDS), **POINTS[label]
+    )
+    task = _counts_protocol_task(scenario, scenario.build_noise())
+    task.random_state = list(PER_TRIAL_SEEDS)
+    (result,) = run_heterogeneous_counts_protocol([task])
+    records = list(result.stage1_records) + list(result.stage2_records)
+    return {
+        "final_counts": result.final_states.counts.tolist(),
+        "successes": result.successes.tolist(),
         "phase_distributions_sha256": _digest(
             record.opinion_distributions for record in records
         ),
@@ -249,9 +280,11 @@ def trajectory_records(seed: int) -> dict:
     }
 
 
-def dynamics_record(label: str, stop: bool, seed: int) -> dict:
+def dynamics_record(
+    label: str, stop: bool, seed: int, num_trials: int = NUM_TRIALS
+) -> dict:
     result = simulate(Scenario(
-        engine="counts", num_trials=NUM_TRIALS, seed=seed,
+        engine="counts", num_trials=num_trials, seed=seed,
         stop_at_consensus=stop, record_trajectories=True,
         **DYNAMICS_POINTS[label],
     ))
@@ -325,6 +358,23 @@ def compute_golden() -> dict:
         },
         "dynamics_ensemble_rows": {
             rule: ensemble_rows_record(rule) for rule in ENSEMBLE_RULES
+        },
+        "points_one_trial": {
+            label: {
+                str(seed): simulate_record(label, seed, 1) for seed in SEEDS
+            }
+            for label in POINTS
+        },
+        "dynamics_one_trial": {
+            key: {
+                str(seed): dynamics_record(label, stop, seed, 1)
+                for seed in SEEDS
+            }
+            for label, stop, key in _dynamics_keys()
+        },
+        "points_per_trial_list": {
+            label: per_trial_list_record(label)
+            for label in PER_TRIAL_LIST_POINTS
         },
         "per_node": {
             f"{label}-{tier}": {
@@ -437,6 +487,35 @@ def test_simulate_counts_dynamics_matches_golden(golden, label, stop, key,
 @pytest.mark.parametrize("rule", list(ENSEMBLE_RULES))
 def test_counts_dynamics_run_from_ensemble_rows_matches_golden(golden, rule):
     assert ensemble_rows_record(rule) == golden["dynamics_ensemble_rows"][rule]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("label", list(POINTS))
+def test_one_trial_counts_protocol_matches_golden(golden, label, seed):
+    assert (
+        simulate_record(label, seed, 1)
+        == golden["points_one_trial"][label][str(seed)]
+    )
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize(
+    "label,stop,key", _dynamics_keys(), ids=[key for *_, key in _dynamics_keys()]
+)
+def test_one_trial_counts_dynamics_matches_golden(golden, label, stop, key,
+                                                  seed):
+    assert (
+        dynamics_record(label, stop, seed, 1)
+        == golden["dynamics_one_trial"][key][str(seed)]
+    )
+
+
+@pytest.mark.parametrize("label", PER_TRIAL_LIST_POINTS)
+def test_counts_protocol_from_a_per_trial_list_matches_golden(golden, label):
+    assert (
+        per_trial_list_record(label)
+        == golden["points_per_trial_list"][label]
+    )
 
 
 @pytest.mark.parametrize("seed", SEEDS)
