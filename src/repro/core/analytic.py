@@ -25,8 +25,8 @@ threshold than the dynamics tier (which is exact outright).
 
 The tier serves only scenarios within the state budget whose every
 Stage-2 sample size has a closed-form ``maj()`` table
-(:func:`exact_protocol_is_tractable`); past either budget it refuses, and
-the counts tier samples the process instead.
+(:func:`exact_protocol_schedule`, the one check); past either budget it
+refuses, and the counts tier samples the process instead.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from repro.noise.matrix import NoiseMatrix
 from repro.utils.validation import require_positive_int
 
 __all__ = [
+    "exact_protocol_schedule",
     "exact_protocol_is_tractable",
     "AnalyticProtocolResult",
     "AnalyticProtocol",
@@ -141,6 +142,48 @@ def _stage2_group_laws(
     return laws
 
 
+def exact_protocol_schedule(
+    num_nodes: int,
+    num_opinions: int,
+    epsilon: Optional[float] = None,
+    *,
+    schedule: Optional[ProtocolSchedule] = None,
+    initial_opinionated: int = 1,
+    round_scale: float = 1.0,
+    state_budget: int = DEFAULT_STATE_BUDGET,
+) -> ProtocolSchedule:
+    """The schedule :class:`AnalyticProtocol` runs, checked to be exact.
+
+    The analytic protocol's one tractability check: the count simplex
+    must fit the dense-kernel budget, and every Stage-2 sample size of the
+    schedule (``schedule``, or the one built from ``epsilon``) needs a
+    tractable closed-form ``maj()`` table (the final phase's
+    ``L' ~ log n / eps^2`` is the binding constraint).  Raises
+    :class:`ValueError` naming the budget the run is past.
+    """
+    if not states_within_budget(num_nodes, num_opinions, state_budget):
+        raise ValueError(
+            f"exact protocol needs C(n + k, k) <= {state_budget} states, "
+            f"got {state_space_size(num_nodes, num_opinions)}; "
+            "use engine='counts'"
+        )
+    if schedule is None:
+        schedule = ProtocolSchedule.for_population(
+            num_nodes,
+            float(epsilon),
+            initial_opinionated=max(1, int(initial_opinionated)),
+            round_scale=round_scale,
+        )
+    for size in schedule.stage2.sample_sizes:
+        if not vote_table_is_tractable(int(size), num_opinions):
+            raise ValueError(
+                f"the analytic engine needs the closed-form maj() table "
+                f"for every Stage-2 phase, which is intractable for "
+                f"sample_size={int(size)}, k={num_opinions}"
+            )
+    return schedule
+
+
 def exact_protocol_is_tractable(
     num_nodes: int,
     num_opinions: int,
@@ -150,28 +193,20 @@ def exact_protocol_is_tractable(
     round_scale: float = 1.0,
     state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> bool:
-    """Whether :class:`AnalyticProtocol` can run this scenario exactly.
-
-    Needs the count simplex within the dense-kernel budget *and* a
-    tractable closed-form ``maj()`` table for every Stage-2 sample size
-    of the schedule (the final phase's ``L' ~ log n / eps^2`` is the
-    binding constraint).
-    """
-    if not states_within_budget(num_nodes, num_opinions, state_budget):
-        return False
+    """Whether :class:`AnalyticProtocol` can run this scenario exactly:
+    whether :func:`exact_protocol_schedule` accepts it."""
     try:
-        schedule = ProtocolSchedule.for_population(
+        exact_protocol_schedule(
             num_nodes,
-            float(epsilon),
-            initial_opinionated=max(1, int(initial_opinionated)),
+            num_opinions,
+            epsilon,
+            initial_opinionated=initial_opinionated,
             round_scale=round_scale,
+            state_budget=state_budget,
         )
     except ValueError:
         return False
-    return all(
-        vote_table_is_tractable(int(size), num_opinions)
-        for size in schedule.stage2.sample_sizes
-    )
+    return True
 
 
 @dataclass(frozen=True)
@@ -205,7 +240,8 @@ class AnalyticProtocol:
     The analytic mirror of :class:`~repro.core.protocol.CountsProtocol`
     under the expected-recoloring approximation discussed in the module
     docstring.  Construction mirrors the counts protocol; tractability is
-    checked lazily per run (the schedule depends on the initial state).
+    checked per run by :func:`exact_protocol_schedule` (the schedule
+    depends on the initial state).
     """
 
     def __init__(
@@ -332,25 +368,15 @@ class AnalyticProtocol:
                 "target_opinion could not be inferred: the initial state "
                 "has no opinionated node"
             )
-        opinionated = int(counts.sum())
-        schedule = self.build_schedule(opinionated)
-        if not states_within_budget(
-            self.num_nodes, self.num_opinions, self.state_budget
-        ):
-            raise ValueError(
-                f"exact protocol needs C(n + k, k) <= {self.state_budget} "
-                f"states, got "
-                f"{state_space_size(self.num_nodes, self.num_opinions)}; "
-                "use engine='counts'"
-            )
-        for size in schedule.stage2.sample_sizes:
-            if not vote_table_is_tractable(int(size), self.num_opinions):
-                raise ValueError(
-                    f"the analytic engine needs the closed-form maj() table "
-                    f"for every Stage-2 phase, which is intractable for "
-                    f"sample_size={int(size)}, k={self.num_opinions}"
-                )
-
+        schedule = exact_protocol_schedule(
+            self.num_nodes,
+            self.num_opinions,
+            self.epsilon,
+            schedule=self._schedule,
+            initial_opinionated=int(counts.sum()),
+            round_scale=self.round_scale,
+            state_budget=self.state_budget,
+        )
         states = enumerate_states(self.num_nodes, self.num_opinions)
         bias = _bias_from_counts(states, target_opinion, self.num_nodes)
         distribution = self.initial_distribution(counts)

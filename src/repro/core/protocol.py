@@ -46,8 +46,10 @@ from repro.noise.matrix import NoiseMatrix
 from repro.utils.rng import (
     EnsembleRandomState,
     RandomState,
+    RowGenerators,
     as_generator,
     as_trial_generators,
+    point_generators,
 )
 from repro.utils.validation import ScenarioError
 
@@ -569,8 +571,10 @@ class CountsProtocol:
         As in :class:`TwoStageProtocol`; the schedule is built from
         ``epsilon`` at run time.
     random_state:
-        One source (spawned into per-trial child streams, so a counts batch
-        is bitwise reproducible trial by trial) or one source per trial.
+        One source, whose one stream every trial draws from in turn (see
+        :func:`~repro.utils.rng.point_generators`), or one source per
+        trial, whose streams keep a batch bitwise reproducible trial by
+        trial.
     """
 
     def __init__(
@@ -661,7 +665,7 @@ class _PreparedPoint:
     task: CountsProtocolTask
     ensemble: EnsembleCountsState
     target_opinion: int
-    generators: list
+    generators: list  # one per row, see point_generators
     plan: list  # [("s1", phase_index, num_rounds)] + [("s2", j, nr, L)]
     slice: Optional[slice] = None
     stage1_records: list = field(default_factory=list)
@@ -669,14 +673,14 @@ class _PreparedPoint:
 
 
 def _prepare_point(
-    task: CountsProtocolTask, *, spawn_generators: bool = True
+    task: CountsProtocolTask, *, shared_stream=None
 ) -> _PreparedPoint:
-    """Validate one task and resolve its initial state, target and plan.
+    """Validate one task and resolve its initial state, target, row
+    generators and plan.
 
-    ``spawn_generators=False`` skips resolving the per-trial streams —
-    batched-draw runs never touch them (only the shared stream of the
-    batch's first point), so spawning one child generator per trial per
-    point would be pure setup waste.
+    A batched-draw run hands every point after the first the first point's
+    stream as ``shared_stream``: each row then draws from it, and the
+    point's own source is never resolved.
     """
     if task.schedule is None and task.epsilon is None:
         raise ValueError("either schedule or epsilon must be provided")
@@ -715,10 +719,10 @@ def _prepare_point(
             round_scale=task.round_scale,
         )
     _check_histogram_bound(task, schedule)
-    if spawn_generators:
-        generators = as_trial_generators(task.random_state, ensemble.num_trials)
+    if shared_stream is None:
+        generators = point_generators(task.random_state, ensemble.num_trials)
     else:
-        generators = []
+        generators = [shared_stream] * ensemble.num_trials
     plan = [
         ("s1", phase_index, int(num_rounds))
         for phase_index, num_rounds in enumerate(schedule.stage1.phase_lengths)
@@ -791,7 +795,8 @@ def _check_histogram_bound(
 
 def _gather_submodel(parts, cache):
     """Gathered rows, local slices, delivery model, per-row tracked
-    population (``n_h`` under faults) and per-row target cells for one
+    population (``n_h`` under faults), per-row target cells and per-row
+    generators (a :class:`~repro.utils.rng.RowGenerators`) for one
     substep.
 
     The active point set is stable across most substeps (points retire only
@@ -828,8 +833,16 @@ def _gather_submodel(parts, cache):
             block_rows,
         ),
     )
+    generators = RowGenerators(
+        generator for point in parts for generator in point.generators
+    )
     gathered = (
-        np.concatenate(rows), local_slices, sub_model, tracked, target_cells
+        np.concatenate(rows),
+        local_slices,
+        sub_model,
+        tracked,
+        target_cells,
+        generators,
     )
     cache[key] = gathered
     return gathered
@@ -850,24 +863,12 @@ def _row_bias(distributions: np.ndarray, target_cells) -> np.ndarray:
     return distributions[target_cells] - rivals.max(axis=1)
 
 
-def _substep_randomness(generators, rows):
-    """The randomness a merged substep hands the delivery model.
-
-    Per-trial mode (a list of one generator per merged row) gathers the
-    active rows' own streams; batched mode (a single shared generator)
-    passes the stream through untouched.
-    """
-    if isinstance(generators, list):
-        return [generators[row] for row in rows]
-    return generators
-
-
 def _phase_histograms(counts_sub, generators, parts, local_slices, step):
     """The merged substep's message histograms, faulty balls included.
 
     Every opinionated node pushes once per round of its point's phase; a
     faulted point then appends its sampler's ball deltas, drawn from the
-    point's own rows' streams before anything else in the phase.
+    point's rows' generators before anything else in the phase.
     """
     num_rounds = np.repeat(
         np.asarray([point.plan[step][2] for point in parts], dtype=np.int64),
@@ -880,22 +881,21 @@ def _phase_histograms(counts_sub, generators, parts, local_slices, step):
             histograms[lsl] += sampler.phase_ball_deltas(
                 counts_sub[lsl],
                 point.plan[step][2],
-                generators[lsl] if isinstance(generators, list) else generators,
+                generators[lsl],
             )
     return histograms
 
 
-def _run_stage1_substep(counts, generators, parts, step, cache) -> None:
+def _run_stage1_substep(counts, parts, step, cache) -> None:
     """One merged Stage-1 phase over every block whose plan says "s1" now.
 
     Every phase-record field is computed once over the merged rows; each
     point's record holds its own rows of them.
     """
-    rows, local_slices, sub_model, tracked, target_cells = _gather_submodel(
-        parts, cache
-    )
+    (
+        rows, local_slices, sub_model, tracked, target_cells, gens_sub
+    ) = _gather_submodel(parts, cache)
     counts_sub = counts[rows]
-    gens_sub = _substep_randomness(generators, rows)
     histograms = _phase_histograms(
         counts_sub, gens_sub, parts, local_slices, step
     )
@@ -927,15 +927,15 @@ def _run_stage1_substep(counts, generators, parts, step, cache) -> None:
         )
 
 
-def _run_stage2_substep(counts, generators, parts, step, cache) -> None:
+def _run_stage2_substep(counts, parts, step, cache) -> None:
     """One merged Stage-2 phase over every block whose plan says "s2" now.
 
     Every phase-record field is computed once over the merged rows; each
     point's record holds its own rows of them.
     """
-    rows, local_slices, sub_model, tracked, target_cells = _gather_submodel(
-        parts, cache
-    )
+    (
+        rows, local_slices, sub_model, tracked, target_cells, gens_sub
+    ) = _gather_submodel(parts, cache)
     sample_sizes = [point.plan[step][3] for point in parts]
     sample_sizes_rows = np.repeat(
         np.asarray(sample_sizes, dtype=np.int64),
@@ -943,7 +943,6 @@ def _run_stage2_substep(counts, generators, parts, step, cache) -> None:
     )
     counts_sub = counts[rows]
     bias_before = _row_bias(counts_sub / tracked[:, np.newaxis], target_cells)
-    gens_sub = _substep_randomness(generators, rows)
     histograms = _phase_histograms(
         counts_sub, gens_sub, parts, local_slices, step
     )
@@ -986,7 +985,7 @@ def _run_stage2_substep(counts, generators, parts, step, cache) -> None:
 def run_heterogeneous_counts_protocol(
     tasks: List[CountsProtocolTask],
     *,
-    draw_mode: str = "per-trial",
+    draw_mode: str = "per-point",
 ) -> List[EnsembleResult]:
     """Run many counts-protocol grid points as one merged batched computation.
 
@@ -995,12 +994,13 @@ def run_heterogeneous_counts_protocol(
     all come here.  Each task is one grid point; the per-point
     :class:`EnsembleResult` is **bitwise identical** to running that task
     alone (``run_heterogeneous_counts_protocol([task])``) — same values,
-    same random draws.  The equivalence holds because randomness is always
-    per-trial (trial ``r`` of point ``g`` draws only from its own spawned
-    generator, in the same order as alone) and every merged floating-point
-    operation is row-stable; the one op that is not (the wide ``maj()``
-    composition matmul) is evaluated per block at the block's own row shape
-    by :class:`~repro.network.balls_bins.HeterogeneousCountsDeliveryModel`.
+    same random draws.  The equivalence holds because randomness is per
+    point (every row of point ``g`` draws from the point's own generators,
+    :func:`~repro.utils.rng.point_generators`, rows in order within each
+    draw step, exactly as alone) and every merged floating-point operation
+    is row-stable; the one op that is not (the wide ``maj()`` composition
+    matmul) is evaluated per block at the block's own row shape by
+    :class:`~repro.network.balls_bins.HeterogeneousCountsDeliveryModel`.
     Faulted points (``task.fault_sampler``) merge with fault-free ones:
     each phase adds the point's faulty ball deltas before recoloring.
 
@@ -1010,26 +1010,30 @@ def run_heterogeneous_counts_protocol(
     early and stop paying any per-step cost.  All points must share the
     number of opinions ``k`` (callers group by ``k`` first).
 
-    ``draw_mode="batched"`` gives up the bitwise guarantee for throughput:
-    every merged substep draws from one shared stream via column-wise
-    batched multinomials/binomials instead of one generator call per row.
-    The per-row *laws* are untouched, so results are samples of exactly the
-    same distribution (verified by the ``pytest -m agreement`` TVD/Wilson
-    harness); only the raw draw order differs from the serial loop.  The
-    shared stream is the first point's first spawned trial generator, so
-    batched runs are themselves deterministic given the task seeds.
+    ``draw_mode="batched"`` gives up the bitwise guarantee: every row of
+    the fused batch draws from one stream, the first point's first row's,
+    through the same row helpers, so a substep's rows make one vector call
+    per draw step.  The per-row *laws* are untouched, so results are
+    samples of exactly the same distribution (verified by the ``pytest -m
+    agreement`` TVD/Wilson harness); only the raw draw order differs from
+    the serial loop.  Batched runs are themselves deterministic given the
+    task seeds.
     """
-    if draw_mode not in ("per-trial", "batched"):
+    if draw_mode not in ("per-point", "batched"):
         raise ValueError(
-            f"draw_mode must be 'per-trial' or 'batched', got {draw_mode!r}"
+            f"draw_mode must be 'per-point' or 'batched', got {draw_mode!r}"
         )
     if not tasks:
         return []
-    batched = draw_mode == "batched"
-    points = [
-        _prepare_point(task, spawn_generators=(not batched or index == 0))
-        for index, task in enumerate(tasks)
+    points = [_prepare_point(tasks[0])]
+    shared_stream = (
+        points[0].generators[0] if draw_mode == "batched" else None
+    )
+    points += [
+        _prepare_point(task, shared_stream=shared_stream) for task in tasks[1:]
     ]
+    if shared_stream is not None:
+        points[0].generators = [shared_stream] * points[0].ensemble.num_trials
     num_opinions = points[0].ensemble.num_opinions
     if any(p.ensemble.num_opinions != num_opinions for p in points):
         raise ValueError(
@@ -1049,12 +1053,6 @@ def run_heterogeneous_counts_protocol(
         np.concatenate(per_row_nodes),
     )
     counts = merged.counts
-    if draw_mode == "batched":
-        generators = points[0].generators[0]
-    else:
-        generators = [
-            generator for point in points for generator in point.generators
-        ]
     submodel_cache = {}
     step = 0
     while True:
@@ -1064,13 +1062,9 @@ def run_heterogeneous_counts_protocol(
         stage1_parts = [p for p in active if p.plan[step][0] == "s1"]
         stage2_parts = [p for p in active if p.plan[step][0] == "s2"]
         if stage1_parts:
-            _run_stage1_substep(
-                counts, generators, stage1_parts, step, submodel_cache
-            )
+            _run_stage1_substep(counts, stage1_parts, step, submodel_cache)
         if stage2_parts:
-            _run_stage2_substep(
-                counts, generators, stage2_parts, step, submodel_cache
-            )
+            _run_stage2_substep(counts, stage2_parts, step, submodel_cache)
         step += 1
     results = []
     for point in points:

@@ -27,8 +27,10 @@ counts, a few multinomials or binomials per trial per round (see
 one round loop is
 :func:`run_heterogeneous_counts_dynamics`, which advances any number of
 counts runs (a single :meth:`EnsembleCountsDynamics.run`, or a whole sweep
-grid) as merged per-family batches.  Counts trials draw from per-trial
-streams too, and report in the same :class:`EnsembleDynamicsResult` with an
+grid) as merged per-family batches.  A counts run draws from one stream
+per run (:func:`~repro.utils.rng.point_generators`; a per-trial source
+sequence keeps its per-trial streams), and reports in the same
+:class:`EnsembleDynamicsResult` with an
 :class:`~repro.core.state.EnsembleCountsState` as the final state.
 """
 
@@ -59,10 +61,12 @@ from repro.noise.matrix import NoiseMatrix
 from repro.utils.rng import (
     EnsembleRandomState,
     RandomState,
+    RowGenerators,
     as_generator,
     as_trial_generators,
     binomial_rows,
     multinomial_rows,
+    point_generators,
 )
 from repro.utils.validation import require_opinion, require_positive_int
 
@@ -532,12 +536,14 @@ class EnsembleCountsDynamics:
     merged loop of :func:`run_heterogeneous_counts_dynamics`; :meth:`run`
     is a one-task call into it.
 
-    Trial ``r`` consumes draws from its own generator only (spawned from
-    ``random_state``, or taken from a per-trial sequence), so a counts batch
-    is bitwise identical to ``R`` batch-size-1 counts runs with the same
-    sources; agreement with the ``sequential`` and ``batched`` per-node
-    engines is distributional and is checked by the statistical
-    engine-agreement test-suite.
+    A single ``random_state`` gives the run one stream, which its trials
+    draw from in turn within each round
+    (:func:`~repro.utils.rng.point_generators`), so a one-trial run draws
+    what that trial's spawned stream would.  A per-trial sequence gives
+    trial ``r`` its own generator, so the batch is bitwise identical to
+    ``R`` batch-size-1 counts runs with the same sources.  Agreement with
+    the ``sequential`` and ``batched`` per-node engines is distributional
+    and is checked by the statistical engine-agreement test-suite.
     """
 
     #: Human-readable name used in comparison tables.
@@ -594,7 +600,7 @@ class EnsembleCountsDynamics:
             target_opinion=target_opinion,
             stop_at_consensus=task.stop_at_consensus,
             record_history=task.record_history,
-            randomness=as_trial_generators(self._random_state, num_trials),
+            randomness=point_generators(self._random_state, num_trials),
             rounds_executed=np.zeros(num_trials, dtype=np.int64),
             active=np.arange(num_trials),
             last_bias=np.zeros(num_trials, dtype=float),
@@ -730,9 +736,10 @@ def _run_merged_counts_group(
       still.  A point's phase is its round index, so points (and tasks
       sharing one dynamics object) never share a phase counter.
 
-    Every draw is one scalar call per nonempty group
-    (:func:`~repro.utils.rng.multinomial_rows`,
-    :func:`~repro.utils.rng.binomial_rows`).
+    Every draw is one draw per nonempty group, through
+    :func:`~repro.utils.rng.multinomial_rows` and
+    :func:`~repro.utils.rng.binomial_rows`; the batch's
+    :class:`~repro.utils.rng.RowGenerators` is rebuilt with the batch.
 
     All heterogeneity is per row or per block: per-row population sizes,
     per-block noise matrices, ``maj()`` sample sizes and phase budgets,
@@ -741,8 +748,9 @@ def _run_merged_counts_group(
     reduction (row-stable by construction) or is a matmul applied at one
     point's own active-row shape (one stacked matmul per run of
     equal-size blocks, see :func:`~repro.network.pull_model._size_runs`),
-    and every draw comes from the row's own generator — so a point's
-    trajectory does not depend on what else shares its batch.  Mutates
+    and every draw comes from the row's generator, the point's rows in
+    order — so a point's trajectory does not depend on what else shares
+    its batch.  Mutates
     ``states`` in place; callers finish with ``_finish``.
     """
     num_opinions = tasks[0].dynamics.num_opinions
@@ -794,6 +802,7 @@ def _run_merged_counts_group(
                 )
                 generators.extend(state.randomness[row] for row in state.active)
                 position += size
+            generators = RowGenerators(generators)
             counts_active = np.vstack(counts_parts)
             nodes_active = np.concatenate(node_parts)
             stop_mask = np.concatenate(stop_parts)
@@ -884,8 +893,8 @@ def _run_merged_counts_group(
                     sizes[decided, 1:] = 0
                 # drawn[r, g, o]: row-r nodes of group g (0 = undecided, or
                 # the whole row when it has none) whose draw came out o (0 =
-                # no opinion seen), one scalar multinomial per nonempty
-                # group (multinomial_rows).
+                # no opinion seen), one multinomial draw per nonempty group
+                # (multinomial_rows).
                 drawn = multinomial_rows(generators, sizes, draw_pmf)
                 if kind == "median":
                     counts_active = np.einsum(

@@ -29,10 +29,8 @@ import numpy as np
 from repro.faults.model import FaultModel
 from repro.utils.rng import (
     EnsembleRandomState,
-    as_generator,
     as_trial_generators,
     binomial_rows,
-    is_generator_sequence,
     multinomial_rows,
 )
 
@@ -143,7 +141,10 @@ class FaultedPhaseSampler:
 
         ``honest_histograms`` is the ``(R, k)`` honest *sender* histogram
         (one ball per sender per round before scaling by ``num_rounds``);
-        only the adaptive family reads it.  Advances the round counter.
+        only the adaptive family reads it.  Trial ``r`` draws from the
+        ``r``-th stream of ``as_trial_generators(random_state, R)`` (rows
+        may share one generator), rows in order.  Advances the round
+        counter.
         """
         honest = np.asarray(honest_histograms, dtype=np.int64)
         if honest.ndim != 2 or honest.shape[1] != self.num_opinions:
@@ -165,30 +166,20 @@ class FaultedPhaseSampler:
             sent = self.faulty_histogram * np.int64(num_rounds)
             keep = 1.0 - self.model.drop_rate
             if sent.any():
-                if is_generator_sequence(random_state):
-                    deltas[:] = binomial_rows(
-                        as_trial_generators(random_state, num_trials),
-                        np.broadcast_to(sent, deltas.shape),
-                        np.full(num_trials, keep),
-                    )
-                else:
-                    rng = as_generator(random_state)
-                    deltas[:] = rng.binomial(
-                        np.broadcast_to(sent, deltas.shape), keep
-                    )
+                deltas[:] = binomial_rows(
+                    as_trial_generators(random_state, num_trials),
+                    np.broadcast_to(sent, deltas.shape),
+                    np.full(num_trials, keep),
+                )
         elif kind == "liar":
             balls = self.num_faulty * num_rounds
             if balls:
                 uniform = np.full(self.num_opinions, 1.0 / self.num_opinions)
-                if is_generator_sequence(random_state):
-                    deltas[:] = multinomial_rows(
-                        as_trial_generators(random_state, num_trials),
-                        np.full(num_trials, balls),
-                        np.broadcast_to(uniform, deltas.shape),
-                    )
-                else:
-                    rng = as_generator(random_state)
-                    deltas[:] = rng.multinomial(balls, uniform, size=num_trials)
+                deltas[:] = multinomial_rows(
+                    as_trial_generators(random_state, num_trials),
+                    np.full(num_trials, balls),
+                    np.broadcast_to(uniform, deltas.shape),
+                )
         elif kind == "adaptive":
             balls = self.num_faulty * num_rounds
             if balls:

@@ -28,7 +28,6 @@ from repro.utils.rng import (
     as_generator,
     as_trial_generators,
     binomial_rows,
-    is_generator_sequence,
     multinomial_rows,
 )
 from repro.utils.validation import require_positive_int
@@ -251,51 +250,36 @@ class HeterogeneousCountsDeliveryModel:
         return path
 
     def recolor(
-        self, histograms: np.ndarray, generators
+        self, histograms: np.ndarray, generators: Sequence
     ) -> np.ndarray:
         """Exact per-row noise re-coloring (one block's channel per row).
 
-        ``generators`` is either one source per row (per-trial mode: row
-        ``r`` consumes exactly the draws
-        :meth:`~repro.noise.matrix.NoiseMatrix.apply_to_counts` makes, one
-        scalar multinomial per nonzero source opinion in ascending order,
-        through :func:`~repro.utils.rng.multinomial_rows`) or a single
-        shared stream (batched mode: one column-wise multinomial per
-        source opinion — far fewer generator calls, different draw order).
+        ``generators`` holds one generator per row.  Row ``r`` draws what
+        :meth:`~repro.noise.matrix.NoiseMatrix.apply_to_counts` draws, one
+        multinomial per nonzero source opinion in ascending order, through
+        :func:`~repro.utils.rng.multinomial_rows`.
         """
         histograms = self._validate_histograms(histograms)
-        stacked = self._stacked_noise_rows()
-        if is_generator_sequence(generators):
-            return multinomial_rows(
-                generators, histograms, stacked.transpose(1, 0, 2)
-            ).sum(axis=1)
-        rng = as_generator(generators)
-        noisy = np.zeros_like(histograms)
-        for source in range(self.num_opinions):
-            column = histograms[:, source]
-            if column.any():
-                noisy += rng.multinomial(column, stacked[source])
-        return noisy
+        return multinomial_rows(
+            generators, histograms, self._row_channels()
+        ).sum(axis=1)
 
-    def _stacked_noise_rows(self) -> np.ndarray:
-        """Per-source per-row channel laws, shape ``(k, A, k)``.
+    def _row_channels(self) -> np.ndarray:
+        """Per-row channel laws, shape ``(A, k, k)``.
 
-        ``stacked[s, r]`` is row ``s`` of the noise matrix governing merged
-        row ``r`` — the pvals layout that lets shared-stream recoloring draw
-        one batched multinomial per *source opinion* across every block at
-        once, and whose ``(A, k, k)`` transpose gives per-trial recoloring
-        every row's own channel in one call.  Built once per (cached)
-        submodel.
+        ``channels[r, s]`` is row ``s`` of the noise matrix governing merged
+        row ``r``: every row's own channel, one law per source opinion, for
+        one :func:`~repro.utils.rng.multinomial_rows` call.  Built once per
+        (cached) submodel.
         """
-        cached = self.__dict__.get("_stacked_noise_rows_cache")
+        cached = self.__dict__.get("_row_channels_cache")
         if cached is None:
-            k = self.num_opinions
-            cached = np.empty((k, self.num_rows, k))
-            for block, sl in enumerate(self.block_slices):
-                cached[:, sl, :] = self.noises[block].matrix[
-                    :, np.newaxis, :
-                ]
-            self.__dict__["_stacked_noise_rows_cache"] = cached
+            cached = np.repeat(
+                np.stack([noise.matrix for noise in self.noises]),
+                self._block_rows,
+                axis=0,
+            )
+            self.__dict__["_row_channels_cache"] = cached
         return cached
 
     def adoption_probabilities(self, noisy_histograms: np.ndarray) -> np.ndarray:
@@ -319,18 +303,13 @@ class HeterogeneousCountsDeliveryModel:
         self,
         noisy_histograms: np.ndarray,
         undecided_counts: np.ndarray,
-        generators,
+        generators: Sequence,
     ) -> np.ndarray:
-        """Stage-1 adoptions: one multinomial per row from its own stream
-        (per-trial mode) or one batched multinomial (shared-stream mode)."""
+        """Stage-1 adoptions: one multinomial per row, from the row's
+        generator."""
         noisy = self._validate_histograms(noisy_histograms)
         undecided = np.asarray(undecided_counts, dtype=np.int64)
         probabilities = self.adoption_probabilities(noisy)
-        if not is_generator_sequence(generators):
-            rng = as_generator(generators)
-            return rng.multinomial(undecided, probabilities).astype(
-                np.int64, copy=False
-            )
         return multinomial_rows(generators, undecided, probabilities)
 
     def update_probability(
@@ -357,18 +336,12 @@ class HeterogeneousCountsDeliveryModel:
         self,
         group_sizes: np.ndarray,
         update_probability: np.ndarray,
-        generators,
+        generators: Sequence,
     ) -> np.ndarray:
-        """Stage-2 re-voter counts: one binomial per nonzero (row, group)
-        from the row's own stream (per-trial mode) or one batched binomial
-        over the whole matrix (shared-stream)."""
+        """Stage-2 re-voter counts: one binomial per nonzero (row, group),
+        from the row's generator."""
         group_sizes = np.asarray(group_sizes, dtype=np.int64)
         probabilities = np.asarray(update_probability)
-        if not is_generator_sequence(generators):
-            rng = as_generator(generators)
-            return rng.binomial(
-                group_sizes, probabilities[:, np.newaxis]
-            ).astype(np.int64, copy=False)
         return binomial_rows(generators, group_sizes, probabilities)
 
     def vote_probabilities(self, noisy_histograms: np.ndarray) -> np.ndarray:
@@ -452,8 +425,9 @@ class HeterogeneousCountsDeliveryModel:
         other is a distributional (not bitwise) change — see
         ``docs/performance.md``.
 
-        ``generators`` is one source per row (each row consumes exactly its
-        serial draws) or a single shared stream.
+        ``generators`` holds one generator per row; the chunk blocks draw
+        first, in block order, then every law row through one
+        :func:`~repro.utils.rng.multinomial_rows` call.
         """
         from repro.network.pull_model import (  # local: avoid import cycle
             _size_runs,
@@ -462,8 +436,6 @@ class HeterogeneousCountsDeliveryModel:
 
         noisy = self._validate_histograms(noisy_histograms)
         voters = np.asarray(num_voters, dtype=np.int64)
-        per_trial = is_generator_sequence(generators)
-        shared_rng = None if per_trial else as_generator(generators)
         vote_paths = self.vote_paths(noisy, voters, sample_sizes)
         vote_law_probabilities = self.vote_probabilities(noisy)
         votes = np.empty((self.num_rows, self.num_opinions), dtype=np.int64)
@@ -484,9 +456,7 @@ class HeterogeneousCountsDeliveryModel:
                     vote_law_probabilities[sl],
                     voters[sl],
                     int(sample_sizes[block]),
-                    generators[sl]
-                    if per_trial
-                    else [shared_rng] * (sl.stop - sl.start),
+                    generators[sl],
                 )
         if point_blocks:
             rows = self._rows_of(point_blocks)
@@ -513,15 +483,10 @@ class HeterogeneousCountsDeliveryModel:
                 first = last
             vote_pmf[rows] = dense_pmf
         if law_rows.any():
-            if per_trial:
-                drawn = multinomial_rows(
-                    generators, np.where(law_rows, voters, 0), vote_pmf
-                )
-                votes[law_rows] = drawn[law_rows]
-            else:
-                votes[law_rows] = shared_rng.multinomial(
-                    voters[law_rows], vote_pmf[law_rows]
-                )
+            drawn = multinomial_rows(
+                generators, np.where(law_rows, voters, 0), vote_pmf
+            )
+            votes[law_rows] = drawn[law_rows]
         return votes, vote_paths
 
     def _rows_of(self, blocks: List[int]):

@@ -10,10 +10,11 @@ This module imports at module level only what a counts run executes.
 The analytic tier and the per-node fault and topology engines load inside
 the runners that use them, on their first call.
 
-Every runner derives its per-trial streams from the scenario's seed alone,
-so under a fixed seed a scenario is bitwise reproducible per engine tier
-(``tests/core/test_counts_golden.py`` pins per-seed outputs of every
-sampling tier).
+Every runner derives its randomness from the scenario's seed alone (one
+stream per trial on the per-node tiers, one stream for the whole run on
+the counts tier), so under a fixed seed a scenario is bitwise reproducible
+per engine tier (``tests/core/test_counts_golden.py`` pins per-seed
+outputs of every sampling tier).
 
 The ``auto`` policy resolves through :func:`resolve_trial_engine`, the one
 owner of the batched/counts switch-over population size
@@ -26,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from repro.core.protocol import (
     CountsProtocolTask,
@@ -44,6 +45,7 @@ from repro.sim.scenario import ENGINE_POLICIES, Scenario, ScenarioError
 from repro.utils.rng import RandomState, as_trial_generators, spawn_generators
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.core.schedule import ProtocolSchedule
     from repro.network.topology import GraphPushModel
 
 __all__ = [
@@ -60,8 +62,10 @@ __all__ = [
 #: ``tests/core/counts_golden.json``, which records it): it is mixed into
 #: :func:`sim_code_version`, so sweep points and experiment tables stored
 #: under the old draws miss instead of being served.  1: the counts
-#: dynamics draw a row with no undecided node as one group.
-DRAW_ORDER_VERSION = 1
+#: dynamics draw a row with no undecided node as one group.  2: a counts
+#: grid point draws every row from one stream, rows in order within each
+#: draw step, instead of one spawned stream per trial.
+DRAW_ORDER_VERSION = 2
 
 _code_version: Optional[str] = None
 
@@ -177,10 +181,24 @@ def sim_code_version() -> str:
     return _code_version
 
 
-def _exactly_tractable(scenario: Scenario) -> bool:
-    """Whether the analytic tier can serve ``scenario`` *exactly*.
+class _Resolution(NamedTuple):
+    """The concrete tier a scenario runs on.
 
-    True when the full count-simplex Markov chain fits the analytic state
+    ``degraded_reason`` is ``None`` when the policy was served as asked.
+    ``schedule`` is the schedule an analytic protocol point was checked on,
+    which its runner then runs, so the point builds it once.
+    """
+
+    engine: str
+    degraded_reason: Optional[str] = None
+    schedule: Optional["ProtocolSchedule"] = None
+
+
+def _exact_resolution(scenario: Scenario) -> Optional[_Resolution]:
+    """The analytic resolution of ``scenario`` when that tier can serve it
+    *exactly*, else ``None``.
+
+    Exact when the full count-simplex Markov chain fits the analytic state
     budget (and, for the protocol workloads, every Stage-2 vote table is
     closed-form) — the regime where ``auto`` should prefer the exact
     answer over any sampled one.
@@ -188,22 +206,27 @@ def _exactly_tractable(scenario: Scenario) -> bool:
     if scenario.workload == "dynamics":
         from repro.dynamics.analytic import exact_dynamics_is_tractable
 
-        return exact_dynamics_is_tractable(
+        if exact_dynamics_is_tractable(
             scenario.rule,
             scenario.num_nodes,
             scenario.num_opinions,
             sample_size=scenario.sample_size,
-        )
-    from repro.core.analytic import exact_protocol_is_tractable
+        ):
+            return _Resolution("analytic")
+        return None
+    from repro.core.analytic import exact_protocol_schedule
 
-    opinionated = int(scenario.initial_counts_state().counts.sum())
-    return exact_protocol_is_tractable(
-        scenario.num_nodes,
-        scenario.num_opinions,
-        scenario.epsilon,
-        initial_opinionated=opinionated,
-        round_scale=scenario.round_scale,
-    )
+    try:
+        schedule = exact_protocol_schedule(
+            scenario.num_nodes,
+            scenario.num_opinions,
+            scenario.epsilon,
+            initial_opinionated=int(scenario.initial_counts_state().counts.sum()),
+            round_scale=scenario.round_scale,
+        )
+    except ValueError:
+        return None
+    return _Resolution("analytic", schedule=schedule)
 
 
 def _analytic_refusal(scenario: Scenario) -> str:
@@ -234,27 +257,35 @@ def _analytic_refusal(scenario: Scenario) -> str:
     )
 
 
-def _resolve_engine(scenario: Scenario) -> Tuple[str, Optional[str]]:
-    """The concrete tier for the scenario's engine policy, plus the
-    degradation reason (``None`` when the policy was served as asked).
+def _resolve_engine(scenario: Scenario) -> _Resolution:
+    """The concrete tier for the scenario's engine policy.
 
     ``auto`` prefers the analytic tier whenever the scenario is exactly
     tractable (tiny ``n * k``): the exact chain answers in one kernel
     evolution with zero sampling noise, which no trial count can beat.
     Faulted scenarios never resolve analytic — no exact chain covers
     them.  An explicit ``engine="analytic"`` past the exact budgets raises
-    a :class:`ScenarioError` that names ``engine="counts"``.
+    a :class:`ScenarioError` that names ``engine="counts"``.  Every point
+    is resolved once: :func:`simulate` and
+    :func:`~repro.sim.sweep.simulate_sweep` hand the resolution to
+    :func:`_simulate_resolved`.
     """
-    if scenario.engine == "analytic" and not _exactly_tractable(scenario):
-        raise ScenarioError(_analytic_refusal(scenario))
+    if scenario.engine == "analytic":
+        exact = _exact_resolution(scenario)
+        if exact is None:
+            raise ScenarioError(_analytic_refusal(scenario))
+        return exact
     if scenario.engine != "auto":
-        return scenario.engine, None
+        return _Resolution(scenario.engine)
+    exact = _exact_resolution(scenario) if scenario.faults is None else None
     engine = resolve_trial_engine(
         "auto",
         scenario.num_nodes,
         scenario.counts_threshold,
-        allow_analytic=scenario.faults is None and _exactly_tractable(scenario),
+        allow_analytic=exact is not None,
     )
+    if exact is not None:
+        return exact
     if (
         engine == "counts"
         and scenario.rule == "h-majority"
@@ -266,12 +297,13 @@ def _resolve_engine(scenario: Scenario) -> Tuple[str, Optional[str]]:
         if not vote_table_is_tractable(
             scenario.sample_size, scenario.num_opinions
         ):
-            return "batched", (
+            return _Resolution(
+                "batched",
                 f"h-majority sample_size {scenario.sample_size} with "
                 f"{scenario.num_opinions} opinions exceeds the closed-form "
-                "maj() table budget; degraded counts -> batched"
+                "maj() table budget; degraded counts -> batched",
             )
-    return engine, None
+    return _Resolution(engine)
 
 
 def simulate(scenario: Scenario) -> SimulationResult:
@@ -286,20 +318,33 @@ def simulate(scenario: Scenario) -> SimulationResult:
     scenario dictionary, so any stored result is self-describing; a
     sampled protocol run adds the delivery process it simulated
     (``delivery_process``), and a counts protocol run the vote path of
-    each Stage-2 phase (``stage2_vote_paths``).
+    each Stage-2 phase (``stage2_vote_paths``).  Every counts result names
+    its draw order (``rng_draw_order``).
     """
     scenario.validate()
-    engine, degraded_reason = _resolve_engine(scenario)
+    return _simulate_resolved(scenario, _resolve_engine(scenario))
+
+
+def _simulate_resolved(
+    scenario: Scenario, resolution: _Resolution
+) -> SimulationResult:
+    """:func:`simulate` of a validated ``scenario`` on the tier its
+    :func:`_resolve_engine` call named (a sweep's serial points come here
+    with the grid's resolution)."""
+    engine = resolution.engine
     noise = scenario.build_noise()
     runner = ENGINE_REGISTRY.get(scenario.workload, engine)
     cache_before = vote_law_cache_info() if engine == "counts" else None
     started = time.perf_counter()
-    result = runner(scenario, noise, engine)
+    if resolution.schedule is None:
+        result = runner(scenario, noise, engine)
+    else:
+        result = runner(scenario, noise, engine, schedule=resolution.schedule)
     _stamp_provenance(
         result, scenario, engine, time.perf_counter() - started
     )
-    if degraded_reason is not None:
-        result.provenance["engine_degraded_reason"] = degraded_reason
+    if resolution.degraded_reason is not None:
+        result.provenance["engine_degraded_reason"] = resolution.degraded_reason
     if cache_before is not None:
         result.provenance["vote_law_cache"] = _cache_delta(cache_before)
     return result
@@ -327,14 +372,21 @@ def _delivery_process(scenario: Scenario, engine: str) -> Optional[str]:
 
 
 def _stamp_provenance(
-    result: SimulationResult, scenario: Scenario, engine: str, elapsed: float
+    result: SimulationResult,
+    scenario: Scenario,
+    engine: str,
+    elapsed: float,
+    draw_order: str = "per-point",
 ) -> None:
     """Stamp the provenance every result of ``scenario`` on ``engine``
     carries, before the entries the engine's adapter set.
 
     :func:`simulate` and the fused points of
     :func:`~repro.sim.sweep.simulate_sweep` both stamp through here; a
-    fused point's ``elapsed`` is its batch's time.
+    fused point's ``elapsed`` is its batch's time.  A counts result names
+    its ``draw_order`` as ``rng_draw_order``: ``"per-point"`` (one stream
+    per grid point, see :func:`~repro.utils.rng.point_generators`) unless
+    a sweep fused it under ``draw_mode="batched"``.
     """
     process = _delivery_process(scenario, engine)
     result.provenance = {
@@ -347,6 +399,7 @@ def _stamp_provenance(
         "wall_time_seconds": round(elapsed, 6),
         "scenario": scenario.to_dict(),
         **({} if process is None else {"delivery_process": process}),
+        **({"rng_draw_order": draw_order} if engine == "counts" else {}),
         **result.provenance,
     }
 
@@ -620,13 +673,16 @@ def _dynamics_ensemble(
 @ENGINE_REGISTRY.register("rumor", "analytic")
 @ENGINE_REGISTRY.register("plurality", "analytic")
 def _protocol_analytic(
-    scenario: Scenario, noise: NoiseMatrix, engine: str
+    scenario: Scenario,
+    noise: NoiseMatrix,
+    engine: str,
+    schedule: Optional["ProtocolSchedule"] = None,
 ) -> SimulationResult:
     """The sampling-free protocol tier: the full count-state distribution
     evolved through both stages (:class:`AnalyticProtocol`), from the
     counts-native entry state — the analytic tier never materializes
     per-node opinions.  :func:`_resolve_engine` has refused every scenario
-    past the exact budgets.
+    past the exact budgets, and hands over the ``schedule`` it checked.
     """
     from repro.core.analytic import AnalyticProtocol
 
@@ -635,6 +691,7 @@ def _protocol_analytic(
         scenario.num_nodes,
         noise,
         epsilon=scenario.epsilon,
+        schedule=schedule,
         round_scale=scenario.round_scale,
     )
     result = protocol.run(

@@ -57,9 +57,9 @@ from repro.sim.facade import (
     _cache_delta,
     _counts_protocol_task,
     _resolve_engine,
+    _simulate_resolved,
     _stamp_provenance,
     sim_code_version,
-    simulate,
 )
 from repro.sim.result import SimulationResult
 from repro.sim.scenario import Scenario
@@ -282,7 +282,7 @@ def simulate_sweep(
     *,
     store: Optional["ResultStore"] = None,
     store_label: str = "sweep",
-    draw_mode: str = "per-trial",
+    draw_mode: str = "per-point",
 ) -> SweepResult:
     """Execute every point of ``grid``, batching the counts tier.
 
@@ -291,8 +291,8 @@ def simulate_sweep(
     state shares its opinion axis), dynamics points merged per rule
     family into one stacked counts ensemble that advances every row in
     the same vectorized round loop — and evolved with per-row
-    parameters; every other point runs through a per-point
-    :func:`simulate` call.  Results slot back into
+    parameters; every other point runs alone, on the tier the grid resolved
+    for it, as its :func:`simulate` call would.  Results slot back into
     flat grid order and are bitwise identical to the serial loop
     ``[simulate(s) for s in grid.scenarios()]``.
 
@@ -301,22 +301,22 @@ def simulate_sweep(
     ``store`` interface), cached points are sliced out before the batch
     runs and merged back after; fresh points are stored on completion.
 
-    ``draw_mode="batched"`` opts the fused counts-protocol batches into
-    shared-stream column-wise draws (see
+    ``draw_mode="batched"`` has every row of a fused counts-protocol batch
+    draw from one stream, the batch's first point's (see
     :func:`~repro.core.protocol.run_heterogeneous_counts_protocol`):
     distributionally identical to — but no longer bitwise identical with —
-    the serial loop, and markedly faster when per-row generator calls
-    dominate.  Batched results are stamped with
+    the serial loop, whose points each draw from their own stream
+    (``"per-point"``).  Batched results are stamped with
     ``provenance["rng_draw_order"] = "batched"`` and cached under a
-    distinct store identity so they never masquerade as per-trial runs.
+    distinct store identity so they never masquerade as per-point runs.
     The mode touches only the counts-protocol points: counts-dynamics and
-    serial points run per-trial in either mode, under the per-trial
-    identity (fused dynamics points are stamped
-    ``rng_draw_order = "per-trial"``).
+    serial points run per-point in either mode, under the per-point
+    identity (their counts results are stamped
+    ``rng_draw_order = "per-point"``).
     """
-    if draw_mode not in ("per-trial", "batched"):
+    if draw_mode not in ("per-point", "batched"):
         raise ValueError(
-            f"draw_mode must be 'per-trial' or 'batched', got {draw_mode!r}"
+            f"draw_mode must be 'per-point' or 'batched', got {draw_mode!r}"
         )
     started = time.perf_counter()
     scenarios = grid.scenarios()
@@ -328,7 +328,8 @@ def simulate_sweep(
     engines: List[Optional[str]] = [None] * size
     from_cache = [False] * size
 
-    resolved = [_resolve_engine(scenario)[0] for scenario in scenarios]
+    resolutions = [_resolve_engine(scenario) for scenario in scenarios]
+    resolved = [resolution.engine for resolution in resolutions]
     counts_protocol = [
         engine == "counts" and scenario.workload in ("rumor", "plurality")
         for engine, scenario in zip(resolved, scenarios)
@@ -338,7 +339,7 @@ def simulate_sweep(
     if store is not None:
         for index, scenario in enumerate(scenarios):
             identities[index] = _point_identity(scenario, code_version)
-            if draw_mode != "per-trial" and counts_protocol[index]:
+            if draw_mode != "per-point" and counts_protocol[index]:
                 identities[index]["draw_mode"] = draw_mode
             keys[index] = store.key_of(identities[index])
             payload = store.fetch(
@@ -383,8 +384,9 @@ def simulate_sweep(
             )
             # wall_time_seconds is the batch's time: per-point
             # attribution is meaningless inside one merged computation.
-            _stamp_provenance(result, scenario, "counts", batch_elapsed)
-            result.provenance["rng_draw_order"] = draw_mode
+            _stamp_provenance(
+                result, scenario, "counts", batch_elapsed, draw_mode
+            )
             # Batch-level counters, like wall time: per-point attribution
             # is meaningless inside one merged computation.
             result.provenance["vote_law_cache"] = batch_cache
@@ -401,11 +403,12 @@ def simulate_sweep(
                 dynamics_result, engine="counts"
             )
             _stamp_provenance(result, scenario, "counts", batch_elapsed)
-            result.provenance["rng_draw_order"] = "per-trial"
             results[index] = result
 
     for index in serial_points:
-        results[index] = simulate(scenarios[index])
+        results[index] = _simulate_resolved(
+            scenarios[index], resolutions[index]
+        )
 
     if store is not None:
         for index in pending:

@@ -7,16 +7,27 @@ quick interactive use stay terse.  The helpers in this module centralize that
 conversion and provide deterministic "spawning" of independent generators for
 multi-trial experiments.
 
-Multi-trial engines draw from per-trial streams only: trial ``r`` of a batch
-consumes its own generator, so a batched run is bitwise ``R`` batch-size-1
-runs with the same sources.  :func:`as_trial_generators` is the one place
-that turns an ensemble randomness source into those streams — a sequence
-supplies one source per trial, and a single source is spawned into one
-independent child per trial.
+The per-node multi-trial engines draw from per-trial streams: trial ``r``
+of a batch consumes its own generator, so a batched run is bitwise ``R``
+batch-size-1 runs with the same sources.  :func:`as_trial_generators` is the
+one place that turns an ensemble randomness source into those streams — a
+sequence supplies one source per trial, and a single source is spawned into
+one independent child per trial.
+
+The counts tier draws one stream per grid point instead
+(:func:`point_generators`): a single source becomes the one stream
+``as_trial_generators(source, 1)[0]`` that every row of the point draws
+from, rows in order within each draw step, while a per-trial sequence keeps
+its per-trial streams.  A one-trial point therefore draws what its one trial
+stream would.
 
 :func:`multinomial_rows` and :func:`binomial_rows` are the one per-row draw
-kernel of the counts tier: one *scalar* generator call per nonzero (row,
-cell), rows in order and cells ascending within a row.
+kernel of the counts tier: one generator per row, rows in order and cells
+ascending within a row.  Each run of at least :data:`VECTOR_RUN` consecutive
+entries on one generator is drawn with one vector call, which numpy
+evaluates entry by entry on the same stream; shorter runs make one scalar
+call per entry.  The draws and every generator's end state are the same
+either way.
 """
 
 from __future__ import annotations
@@ -41,6 +52,9 @@ __all__ = [
     "derive_seed",
     "is_generator_sequence",
     "as_trial_generators",
+    "RowGenerators",
+    "point_generators",
+    "VECTOR_RUN",
     "multinomial_rows",
     "binomial_rows",
 ]
@@ -97,10 +111,9 @@ def spawn_generators(
 def is_generator_sequence(random_state) -> bool:
     """``True`` if ``random_state`` is a per-trial sequence of RNG sources.
 
-    How :func:`as_trial_generators` tells one source from one source per
-    trial (strings and arrays are not treated as sequences); the counts
-    sweep's opt-in shared-stream draw order uses it to tell a list of
-    per-row generators from its one shared generator.
+    How :func:`as_trial_generators` and :func:`point_generators` tell one
+    source from one source per trial (strings and arrays are not treated as
+    sequences).
     """
     return isinstance(random_state, (list, tuple))
 
@@ -126,6 +139,52 @@ def as_trial_generators(
     return spawn_generators(num_trials, random_state)
 
 
+#: The shortest run of consecutive entries on one generator that the row
+#: helpers draw with one vector call.  numpy's vector ``multinomial`` and
+#: ``binomial`` evaluate their entries one by one on the same stream, so
+#: the draws and the end state do not depend on this constant: it only
+#: trades a vector call's fixed cost against one scalar call per entry.
+#: Vector calls win from about 8 multinomial or 12 binomial entries in
+#: isolation; a fused sweep's short per-point runs stay scalar below 32.
+VECTOR_RUN = 32
+
+
+class RowGenerators(list):
+    """One generator per row, and the runs of rows that share one.
+
+    ``bounds`` holds the row bounds ``0 = b_0 < b_1 < ... < b_m = len``
+    of the runs of consecutive rows that hold the same generator object,
+    and ``longest`` the most rows of one run.  They are found once, when
+    the list is built, so the row helpers do not look for them in every
+    call; a plain sequence passed to a helper is scanned in that call.
+    """
+
+    def __init__(self, generators: Sequence[np.random.Generator] = ()) -> None:
+        super().__init__(generators)
+        starts = [
+            row for row in range(1, len(self)) if self[row] is not self[row - 1]
+        ]
+        self.bounds = np.array([0, *starts, len(self)], dtype=np.intp)
+        self.longest = int(np.diff(self.bounds).max())
+
+
+def point_generators(
+    random_state: "EnsembleRandomState", num_trials: int
+) -> RowGenerators:
+    """The generators of the ``num_trials`` rows of one counts-tier point.
+
+    A per-trial sequence keeps its per-trial streams (coerced by
+    :func:`as_trial_generators`).  Any single source gives every row the
+    one stream ``as_trial_generators(source, 1)[0]``: the point's rows draw
+    from it in order within each draw step, so a one-trial point draws
+    exactly what that trial's spawned stream would.
+    """
+    if is_generator_sequence(random_state):
+        return RowGenerators(as_trial_generators(random_state, num_trials))
+    (stream,) = as_trial_generators(random_state, 1)
+    return RowGenerators([stream] * num_trials)
+
+
 def _row_cells(generators, sizes: np.ndarray) -> np.ndarray:
     """``sizes`` as ``(R, G)`` cells, after checking one generator per row."""
     if len(generators) != sizes.shape[0]:
@@ -136,25 +195,79 @@ def _row_cells(generators, sizes: np.ndarray) -> np.ndarray:
     return sizes if sizes.ndim == 2 else sizes[:, np.newaxis]
 
 
+def _draw_entries(generators, cells, rows, method, counts, params):
+    """``generators[row].<method>(count, param)`` for every entry, in order.
+
+    ``rows`` (ascending) names each entry's row of ``cells``.  A run of at
+    least :data:`VECTOR_RUN` consecutive entries whose rows share one
+    generator is one vector call on it; every other entry is one scalar
+    call.
+    """
+    if not isinstance(generators, RowGenerators):
+        generators = RowGenerators(generators)
+    long_runs = []
+    if generators.longest * cells.shape[1] >= VECTOR_RUN:
+        edges = np.searchsorted(rows, generators.bounds)
+        long_runs = np.flatnonzero(np.diff(edges) >= VECTOR_RUN).tolist()
+    pieces = []
+    done = 0
+    for run in long_runs:
+        start, stop = int(edges[run]), int(edges[run + 1])
+        if done < start:
+            pieces.append(
+                _scalar_draws(generators, rows, method, counts, params, done, start)
+            )
+        generator = generators[int(generators.bounds[run])]
+        pieces.append(
+            getattr(generator, method)(counts[start:stop], params[start:stop])
+        )
+        done = stop
+    if done < rows.size:
+        pieces.append(
+            _scalar_draws(generators, rows, method, counts, params, done, rows.size)
+        )
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+
+
+def _scalar_draws(generators, rows, method, counts, params, start, stop):
+    """One scalar call per entry ``start, ..., stop - 1``."""
+    values = params[start:stop]
+    return np.array(
+        [
+            getattr(generators[row], method)(count, value)
+            for row, count, value in zip(
+                rows[start:stop].tolist(),
+                counts[start:stop].tolist(),
+                values.tolist() if values.ndim == 1 else values,
+            )
+        ],
+        dtype=np.int64,
+    )
+
+
 def multinomial_rows(
     generators: Sequence[np.random.Generator],
     sizes: np.ndarray,
     pvals: np.ndarray,
 ) -> np.ndarray:
-    """Per-row multinomial draws, one scalar call per nonzero (row, cell).
+    """Per-row multinomial draws, one draw per nonzero (row, cell).
 
     ``sizes`` is ``(R,)`` (one draw per row) or ``(R, G)`` (one draw per
     cell).  ``pvals`` is ``(R, d)`` (one law per row, shared by its cells)
     or ``(R, G, d)`` (one law per cell).  Row ``r`` draws
     ``multinomial(sizes[r, g], law)`` from ``generators[r]``, rows in order
     and cells ascending, into an int64 array of shape
-    ``sizes.shape + (d,)``.
+    ``sizes.shape + (d,)``.  Rows may share a generator: a run of
+    consecutive rows on one generator draws its entries in that order from
+    it (:class:`RowGenerators` carries the runs).
 
-    A zero cell stays 0 and makes no call: numpy consumes no bits for
+    A zero cell stays 0 and makes no draw: numpy consumes no bits for
     ``n = 0``, so every stream ends where one call per cell would leave
-    it.  The calls are scalar because numpy's vector-``n`` path draws the
-    same values at 2-5x the cost.  The nonzero cells are found with array
-    code, so the only Python loop is the one over the calls.
+    it.  The nonzero cells are found with array code.  A run of at least
+    :data:`VECTOR_RUN` of them on one generator is one vector call, which
+    numpy evaluates entry by entry on the same stream: at 64 entries it
+    takes about a third of the time of 64 scalar calls.  The other entries
+    make one scalar call each, the cheaper way for a few entries.
 
     A two-cell law draws its first cell as ``binomial(n, p0)`` and sets
     the second to ``n - first``.  That is the call numpy's multinomial
@@ -173,22 +286,15 @@ def multinomial_rows(
         laws = pvals[rows, columns] if pvals.ndim == 3 else pvals[rows]
         counts = cells[rows, columns]
         if laws.shape[1] == 2 and ((laws >= 0.0) & (laws <= 1.0)).all():
-            first = np.array(
-                [
-                    generators[row].binomial(size, p0)
-                    for row, size, p0 in zip(
-                        rows.tolist(), counts.tolist(), laws[:, 0].tolist()
-                    )
-                ],
-                dtype=np.int64,
+            first = _draw_entries(
+                generators, cells, rows, "binomial", counts, laws[:, 0]
             )
             out[rows, columns, 0] = first
             out[rows, columns, 1] = counts - first
         else:
-            out[rows, columns] = [
-                generators[row].multinomial(size, law)
-                for row, size, law in zip(rows.tolist(), counts.tolist(), laws)
-            ]
+            out[rows, columns] = _draw_entries(
+                generators, cells, rows, "multinomial", counts, laws
+            )
     return out.reshape(sizes.shape + pvals.shape[-1:])
 
 
@@ -197,14 +303,15 @@ def binomial_rows(
     sizes: np.ndarray,
     p: np.ndarray,
 ) -> np.ndarray:
-    """Per-row binomial draws, one scalar call per nonzero (row, cell).
+    """Per-row binomial draws, one draw per nonzero (row, cell).
 
     ``sizes`` is ``(R,)`` or ``(R, G)``.  ``p`` is ``(R,)`` (one success
     probability per row, shared by its cells) or shaped like an ``(R, G)``
     ``sizes`` (one per cell).  Row ``r`` draws ``binomial(sizes[r, g],
     p[r])`` (or ``p[r, g]``) from ``generators[r]``, rows in order and cells
-    ascending, into an int64 array shaped like ``sizes``.  Zero cells and
-    the call cost are as in :func:`multinomial_rows`.
+    ascending, into an int64 array shaped like ``sizes``.  Shared
+    generators, zero cells and vector runs are as in
+    :func:`multinomial_rows`.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     p = np.asarray(p, dtype=float)
@@ -213,14 +320,10 @@ def binomial_rows(
     rows, columns = np.nonzero(cells)
     if rows.size:
         probabilities = p[rows, columns] if p.ndim == 2 else p[rows]
-        out[rows, columns] = [
-            generators[row].binomial(size, probability)
-            for row, size, probability in zip(
-                rows.tolist(),
-                cells[rows, columns].tolist(),
-                probabilities.tolist(),
-            )
-        ]
+        out[rows, columns] = _draw_entries(
+            generators, cells, rows, "binomial", cells[rows, columns],
+            probabilities,
+        )
     return out.reshape(sizes.shape)
 
 

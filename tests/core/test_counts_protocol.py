@@ -86,14 +86,14 @@ class TestPoissonTail:
 class TestCountsDelivery:
     def test_recolor_preserves_totals(self, noise, rng):
         histograms = np.array([[100, 50, 0], [0, 0, 0]], dtype=np.int64)
-        noisy = one_block(noise, rows=2).recolor(histograms, rng)
+        noisy = one_block(noise, rows=2).recolor(histograms, [rng] * 2)
         assert noisy.dtype == np.int64
         assert np.array_equal(noisy.sum(axis=1), histograms.sum(axis=1))
 
     def test_identity_recolor_is_exact(self, rng):
         histograms = np.array([[7, 3, 2]], dtype=np.int64)
         delivery = one_block(identity_matrix(3))
-        assert np.array_equal(delivery.recolor(histograms, rng), histograms)
+        assert np.array_equal(delivery.recolor(histograms, [rng]), histograms)
 
     def test_adoption_probabilities_sum_to_one(self, noise):
         noisy = np.array([[400, 100, 0], [0, 0, 0]], dtype=np.int64)
@@ -109,7 +109,9 @@ class TestCountsDelivery:
         self, noise, rng
     ):
         noisy = np.array([[4000, 1000, 500]], dtype=np.int64)
-        adopted = one_block(noise).sample_adoptions(noisy, np.array([300]), rng)
+        adopted = one_block(noise).sample_adoptions(
+            noisy, np.array([300]), [rng]
+        )
         assert adopted.shape == (1, 4)
         assert adopted.sum() == 300
 
@@ -124,7 +126,7 @@ class TestCountsDelivery:
         noisy = np.array([[9000, 500, 500]], dtype=np.int64)
         voters = np.array([4000])
         tractable, _ = one_block(noise).sample_vote_counts(
-            noisy, voters, [5], np.random.default_rng(0)
+            noisy, voters, [5], [np.random.default_rng(0)]
         )
         chunked_model = one_block(uniform_noise_matrix(6, EPSILON))
         chunked_model.VOTE_CHUNK = 256
@@ -138,7 +140,7 @@ class TestCountsDelivery:
             chunked_noisy,
             voters,
             [201],
-            np.random.default_rng(1),
+            [np.random.default_rng(1)],
         )
         for votes in (tractable, chunked):
             assert votes.sum() == 4000
@@ -444,13 +446,13 @@ class TestMergedPhaseRecords:
         checked = []
 
         def checking(stage, substep):
-            def run(counts, generators, parts, step, cache):
+            def run(counts, parts, step, cache):
                 rows = np.concatenate(
                     [np.arange(p.slice.start, p.slice.stop) for p in parts]
                 )
                 before = counts[rows].copy()
                 calls.clear()
-                substep(counts, generators, parts, step, cache)
+                substep(counts, parts, step, cache)
                 references = _reference_records(
                     stage, step, parts, before, counts[rows], calls
                 )

@@ -1,9 +1,10 @@
 """Tests for the counts-engine (sufficient-statistics) baseline dynamics.
 
 Covers the per-rule update arithmetic (conservation laws, absorbing
-noise-free consensus), trial-by-trial bitwise reproducibility of the
-per-trial randomness contract, the merged round loop's independence from
-what shares its batch, the registry, and the result API.  Cross-engine
+noise-free consensus), the randomness contract (one stream per run from a
+single seed, trial-by-trial bitwise reproducibility from a per-trial
+source list), the merged round loop's independence from what shares its
+batch, the registry, and the result API.  Cross-engine
 statistical agreement lives in ``tests/integration/test_engine_agreement.py``.
 """
 
@@ -27,6 +28,7 @@ from repro.experiments.workloads import biased_population
 from repro.noise.families import identity_matrix, uniform_noise_matrix
 from repro.sim import Scenario, simulate
 from repro.sim.engines import build_dynamics
+from repro.utils.rng import as_trial_generators
 
 NUM_NODES = 600
 NUM_TRIALS = 6
@@ -256,13 +258,22 @@ class TestReproducibility:
             first.final_states.counts, second.final_states.counts
         )
 
-    def test_int_seed_spawns_stable_per_trial_streams(self, noise,
-                                                      initial_state):
-        small = run_counts("3-majority", None, noise, initial_state, 9, 2)
-        large = run_counts("3-majority", None, noise, initial_state, 9, 4)
+    @pytest.mark.parametrize("trials", [1, 4])
+    def test_int_seed_draws_one_stream_for_the_run(self, noise,
+                                                   initial_state, trials):
+        """A single seed gives the run the one stream
+        ``as_trial_generators(seed, 1)[0]``, which every trial draws from
+        in turn: the run equals one from a per-trial list repeating that
+        generator, and a one-trial run is that trial's spawned stream's."""
+        seeded = run_counts("3-majority", None, noise, initial_state, 9,
+                            trials)
+        (stream,) = as_trial_generators(9, 1)
+        shared = run_counts("3-majority", None, noise, initial_state,
+                            [stream] * trials, trials)
         assert np.array_equal(
-            small.final_states.counts, large.final_states.counts[:2]
+            seeded.final_states.counts, shared.final_states.counts
         )
+        assert np.array_equal(seeded.bias_history, shared.bias_history)
 
 
 class TestSharedBatch:

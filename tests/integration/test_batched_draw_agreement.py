@@ -1,12 +1,12 @@
 """Statistical agreement of the batched-draw sweep mode with serial runs.
 
 ``simulate_sweep(grid, draw_mode="batched")`` reorders the raw RNG draws
-of the fused counts-protocol batch (one shared stream, column-wise
-batched multinomials/binomials) while leaving every per-row *law*
-untouched, so its results must be samples of exactly the distribution
-the serial loop samples.  This is the TVD/Wilson-style gate the
-optimization contract requires for any draw-order-changing change (see
-``docs/performance.md``): the per-trial mode stays bitwise-pinned by
+of the fused counts-protocol batch (every row on the first point's
+stream) while leaving every per-row *law* untouched, so its results must
+be samples of exactly the distribution the serial loop samples.  This is
+the TVD/Wilson-style gate the optimization contract requires for any
+draw-order-changing change (see ``docs/performance.md``): the default
+per-point mode stays bitwise-pinned by
 ``test_sweep_bitwise_equivalence``-style suites, and this module pins
 the batched mode distributionally.
 
@@ -98,7 +98,7 @@ def sweep_pair():
             {"epsilon": (0.2, 0.28, 0.36, 0.44)},
         )
 
-    per_trial = simulate_sweep(grid(2024), draw_mode="per-trial")
+    per_trial = simulate_sweep(grid(2024), draw_mode="per-point")
     batched = simulate_sweep(grid(4202), draw_mode="batched")
     return per_trial, batched
 
@@ -189,11 +189,11 @@ def test_batched_mode_is_stamped_in_provenance():
         {"epsilon": (0.25, 0.4)},
     )
     batched = simulate_sweep(grid, draw_mode="batched")
-    per_trial = simulate_sweep(grid)
+    per_point = simulate_sweep(grid)
     for result in batched.results:
         assert result.provenance["rng_draw_order"] == "batched"
-    for result in per_trial.results:
-        assert result.provenance["rng_draw_order"] == "per-trial"
+    for result in per_point.results:
+        assert result.provenance["rng_draw_order"] == "per-point"
 
 
 def test_invalid_draw_mode_is_rejected():

@@ -179,7 +179,7 @@ class TestPointPath:
         assert model.vote_paths(histograms, voters, [1000]) == ["point"]
         for randomness in (
             [np.random.default_rng(1), np.random.default_rng(2)],
-            np.random.default_rng(3),
+            [np.random.default_rng(3)] * 2,
         ):
             votes, paths = model.sample_vote_counts(
                 histograms, voters, [1000], randomness

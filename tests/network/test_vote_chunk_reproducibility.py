@@ -38,7 +38,7 @@ SMALL_CHUNK = 8
 def model(monkeypatch):
     """``model(histograms, voters, random_state)``: one block's vote tallies.
 
-    ``random_state`` is a shared generator or one seed per row.
+    ``random_state`` is a generator every row shares, or one seed per row.
     """
     monkeypatch.setattr(
         HeterogeneousCountsDeliveryModel, "VOTE_CHUNK", SMALL_CHUNK
@@ -55,6 +55,8 @@ def model(monkeypatch):
         )
         if isinstance(random_state, list):
             random_state = [np.random.default_rng(seed) for seed in random_state]
+        else:
+            random_state = [random_state] * rows
         votes, paths = delivery.sample_vote_counts(
             histograms, voters, [FALLBACK_SAMPLE_SIZE], random_state
         )

@@ -53,8 +53,8 @@ class TestEngineResolution:
         below = Scenario(
             workload="rumor", num_nodes=63, engine="auto", counts_threshold=64
         )
-        assert _resolve_engine(at) == ("counts", None)
-        assert _resolve_engine(below) == ("batched", None)
+        assert _resolve_engine(at)[:2] == ("counts", None)
+        assert _resolve_engine(below)[:2] == ("batched", None)
 
     def test_auto_honours_explicit_threshold(self):
         assert resolve_trial_engine("auto", 100, counts_threshold=50) == "counts"

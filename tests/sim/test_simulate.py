@@ -169,6 +169,36 @@ class TestAnalyticAnswersExactlyOrRefuses:
     def test_auto_routing_is_unchanged(self, num_nodes, tier):
         assert simulate(analytic_rumor(num_nodes, "auto")).engine == tier
 
+    @pytest.mark.parametrize("engine", ["analytic", "auto"])
+    def test_an_analytic_point_builds_its_schedule_once(
+        self, monkeypatch, engine
+    ):
+        """The engine resolution checks the schedule it hands the runner:
+        one build per simulate() call and per sweep point, same result."""
+        from repro.core.schedule import ProtocolSchedule
+
+        reference = simulate(analytic_rumor(14, engine))
+        built = []
+        build = ProtocolSchedule.for_population.__func__
+
+        def counted(cls, *args, **kwargs):
+            built.append(args[0])
+            return build(cls, *args, **kwargs)
+
+        monkeypatch.setattr(
+            ProtocolSchedule, "for_population", classmethod(counted)
+        )
+        result = simulate(analytic_rumor(14, engine))
+        assert built == [14]
+        assert result.success_probability == reference.success_probability
+        assert np.array_equal(
+            result.final_opinion_counts, reference.final_opinion_counts
+        )
+        built.clear()
+        grid = ScenarioGrid(analytic_rumor(14, engine), {"epsilon": (0.3, 0.4)})
+        assert simulate_sweep(grid).engines == ["analytic"] * 2
+        assert built == [14, 14]
+
 
 class TestProvenanceAndJson:
     def test_provenance_is_self_describing(self):
@@ -229,6 +259,21 @@ class TestProvenanceAndJson:
         result = simulate(protocol_scenario("rumor", "batched"))
         assert "vote_law_cache" not in result.provenance
         assert "stage2_vote_paths" not in result.provenance
+
+    def test_counts_runs_name_their_draw_order(self):
+        """One stream per point: every counts result, single run or swept,
+        says so; the per-node and analytic tiers name no draw order."""
+        for scenario in (
+            protocol_scenario("plurality", "counts"),
+            dynamics_scenario("counts"),
+        ):
+            assert simulate(scenario).provenance["rng_draw_order"] == "per-point"
+        for scenario in (
+            protocol_scenario("rumor", "batched"),
+            dynamics_scenario("sequential", num_trials=1),
+            analytic_rumor(14),
+        ):
+            assert "rng_draw_order" not in simulate(scenario).provenance
 
     def test_counts_protocol_runs_record_each_stage2_vote_path(self):
         """A dominated final phase is certified onto the point law; a

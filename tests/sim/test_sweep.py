@@ -355,6 +355,46 @@ class TestProtocolCountsEquivalence:
         assert_sweep_matches_serial(grid)
 
 
+class TestOneStreamPerPoint:
+    """At R = 64 a point's draw steps are vector calls on its one stream
+    (runs of at least ``VECTOR_RUN`` entries); fused points stay bitwise
+    their serial runs and name the per-point draw order."""
+
+    def test_protocol_grid_at_64_trials(self):
+        from repro.faults import FaultModel
+
+        grid = ScenarioGrid(
+            protocol_base(
+                workload="plurality", num_nodes=10**5, bias=0.1,
+                num_trials=64,
+            ),
+            {
+                "epsilon": (0.3, 0.4),
+                "faults": (
+                    None,
+                    FaultModel(kind="omission", fraction=0.05),
+                    FaultModel(kind="liar", fraction=0.05),
+                ),
+            },
+        )
+        sweep = assert_sweep_matches_serial(grid)
+        assert {r.provenance["rng_draw_order"] for r in sweep} == {"per-point"}
+
+    def test_dynamics_grid_at_64_trials(self):
+        grid = ScenarioGrid(
+            dynamics_base(
+                num_nodes=10**4, num_opinions=3, num_trials=64, max_rounds=40
+            ),
+            {
+                "rule": ("voter", "3-majority", "undecided-state",
+                         "median-rule"),
+                "epsilon": (0.1, 0.3),
+            },
+        )
+        sweep = assert_sweep_matches_serial(grid)
+        assert {r.provenance["rng_draw_order"] for r in sweep} == {"per-point"}
+
+
 class TestStackedDenseLaw:
     """A fused sweep evaluates the dense ``maj()`` law once per Stage-2
     phase and sample size, over every block of that size, and each block
@@ -445,17 +485,18 @@ class TestFallbackTiers:
 
 
 def count_point_calls(monkeypatch) -> list:
-    """Record every per-point ``simulate()`` call ``simulate_sweep`` makes."""
+    """Record every point ``simulate_sweep`` runs alone (through
+    ``_simulate_resolved``, ``simulate()`` after its engine resolution)."""
     import repro.sim.sweep as sweep_module
 
     calls: list = []
-    original = sweep_module.simulate
+    original = sweep_module._simulate_resolved
 
-    def counting(scenario):
+    def counting(scenario, resolution):
         calls.append(scenario)
-        return original(scenario)
+        return original(scenario, resolution)
 
-    monkeypatch.setattr(sweep_module, "simulate", counting)
+    monkeypatch.setattr(sweep_module, "_simulate_resolved", counting)
     return calls
 
 
@@ -491,7 +532,7 @@ class TestFaultedSweep:
         assert sweep.engines == ["counts"] * grid.size
         for index, (left, right) in enumerate(zip(serial, sweep)):
             assert_results_equal(left, right, f"point {index}")
-            assert right.provenance["rng_draw_order"] == "per-trial"
+            assert right.provenance["rng_draw_order"] == "per-point"
 
     def test_batched_draw_mode_fuses_faulted_points(self, monkeypatch):
         from repro.faults import FaultModel
@@ -589,8 +630,8 @@ class TestSweepStore:
     def test_batched_draw_mode_keys_only_counts_protocol_points(
         self, tmp_path
     ):
-        """Dynamics and serial points run per-trial in either draw mode, so
-        a per-trial sweep reuses what a batched-mode sweep stored for them;
+        """Dynamics and serial points run per-point in either draw mode, so
+        a per-point sweep reuses what a batched-mode sweep stored for them;
         counts-protocol points are recomputed."""
         store = ResultStore(tmp_path / "results")
         grids = (
@@ -607,14 +648,14 @@ class TestSweepStore:
             for grid in grids
         ]
         assert batched[0][0].provenance["rng_draw_order"] == "batched"
-        assert batched[1][0].provenance["rng_draw_order"] == "per-trial"
+        assert batched[1][0].provenance["rng_draw_order"] == "per-point"
         per_trial = [
             simulate_sweep(grid, store=store, store_label="mixed")
             for grid in grids
         ]
         assert per_trial[0].from_cache == [False, True]
         assert per_trial[1].from_cache == [True, True]
-        assert per_trial[0][0].provenance["rng_draw_order"] == "per-trial"
+        assert per_trial[0][0].provenance["rng_draw_order"] == "per-point"
         for index in range(2):
             assert_results_equal(
                 batched[1][index], per_trial[1][index], f"dynamics {index}"

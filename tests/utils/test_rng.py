@@ -4,12 +4,19 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.utils import rng as rng_module
 from repro.utils.rng import (
+    RowGenerators,
+    VECTOR_RUN,
     as_generator,
+    as_trial_generators,
     binomial_rows,
     derive_seed,
     multinomial_rows,
+    point_generators,
     spawn_generators,
 )
 
@@ -75,6 +82,30 @@ class TestSpawnGenerators:
     def test_spawn_from_seed_sequence(self):
         generators = spawn_generators(2, np.random.SeedSequence(9))
         assert len(generators) == 2
+
+
+class TestPointGenerators:
+    def test_a_single_source_gives_every_row_its_one_trial_stream(self):
+        rows = point_generators(7, 5)
+        assert isinstance(rows, RowGenerators)
+        assert all(generator is rows[0] for generator in rows)
+        assert rows.bounds.tolist() == [0, 5] and rows.longest == 5
+        (alone,) = as_trial_generators(7, 1)
+        assert rows[0].bit_generator.state == alone.bit_generator.state
+
+    def test_a_per_trial_list_keeps_its_streams(self):
+        streams = _streams(0, 3)
+        rows = point_generators(streams, 3)
+        assert list(rows) == streams
+        assert rows.bounds.tolist() == [0, 1, 2, 3] and rows.longest == 1
+        with pytest.raises(ValueError, match="per-trial random states"):
+            point_generators(streams, 4)
+
+    def test_row_generators_find_runs_of_one_object(self):
+        first, second = _streams(1, 2)
+        rows = RowGenerators([first, first, second, first, first, first])
+        assert rows.bounds.tolist() == [0, 2, 3, 6] and rows.longest == 3
+        assert RowGenerators([]).bounds.tolist() == [0, 0]
 
 
 class TestDeriveSeed:
@@ -282,3 +313,135 @@ class TestRowDraws:
             multinomial_rows(_streams(0, 2), np.ones(3), np.full((3, 2), 0.5))
         with pytest.raises(ValueError, match="one generator per row"):
             binomial_rows(_streams(0, 1), np.ones((2, 2)), np.full(2, 0.5))
+
+
+#: Rows per run, each run on one of three generator objects (a run may
+#: repeat its neighbour's object, which then extends that run).
+runs_strategy = st.lists(
+    st.tuples(st.integers(1, 40), st.integers(0, 2)), min_size=1, max_size=5
+)
+
+
+def _shared_streams(seed, runs):
+    """``(mine, theirs)``: equal row lists whose runs share one generator."""
+    pools = [_streams(seed, 3), _streams(seed, 3)]
+    return [
+        [pool[obj] for rows, obj in runs for _ in range(rows)] for pool in pools
+    ]
+
+
+class TestSharedStreamRuns:
+    """Rows sharing a generator: a run of at least VECTOR_RUN entries is one
+    vector call, and the draws and every generator's end state equal the
+    scalar calls in row order, at any threshold."""
+
+    @given(
+        runs=runs_strategy,
+        groups=st.integers(1, 5),
+        cells=st.integers(2, 6),
+        laws_per=st.sampled_from(["row", "cell"]),
+        threshold=st.sampled_from([1, 6, VECTOR_RUN, 10**9]),
+        wrap=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_multinomial_rows_equal_scalar_row_order_draws(
+        self, runs, groups, cells, laws_per, threshold, wrap, seed
+    ):
+        rng = np.random.default_rng(seed)
+        rows = sum(count for count, _ in runs)
+        sizes = _sizes(rng, (rows, groups))
+        law_shape = (rows, groups, cells) if laws_per == "cell" else (rows, cells)
+        pvals = _laws(rng, law_shape)
+        mine, theirs = _shared_streams(seed, runs)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rng_module, "VECTOR_RUN", threshold)
+            drawn = multinomial_rows(
+                RowGenerators(mine) if wrap else mine, sizes, pvals
+            )
+        assert np.array_equal(
+            drawn, _reference_multinomial_loop(theirs, sizes, pvals)
+        )
+        _assert_same_streams(mine, theirs)
+
+    @given(
+        runs=runs_strategy,
+        groups=st.integers(1, 5),
+        p_per=st.sampled_from(["row", "cell"]),
+        threshold=st.sampled_from([1, 12, VECTOR_RUN, 10**9]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_binomial_rows_equal_scalar_row_order_draws(
+        self, runs, groups, p_per, threshold, seed
+    ):
+        rng = np.random.default_rng(seed)
+        rows = sum(count for count, _ in runs)
+        sizes = _sizes(rng, (rows, groups))
+        p_shape = sizes.shape if p_per == "cell" else (rows,)
+        p = rng.random(p_shape)
+        p[rng.random(p_shape) < 0.2] = 0.0
+        p[rng.random(p_shape) < 0.1] = 1.0
+        mine, theirs = _shared_streams(seed, runs)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rng_module, "VECTOR_RUN", threshold)
+            drawn = binomial_rows(RowGenerators(mine), sizes, p)
+        assert np.array_equal(drawn, _reference_binomial_loop(theirs, sizes, p))
+        _assert_same_streams(mine, theirs)
+
+    @pytest.mark.parametrize("entries", [1, VECTOR_RUN - 1, VECTOR_RUN, 3 * VECTOR_RUN])
+    @pytest.mark.parametrize("cells", [2, 3])
+    def test_one_shared_stream_makes_one_vector_call_from_the_threshold(
+        self, entries, cells
+    ):
+        """A one-stream point's rows make one vector call per draw step from
+        VECTOR_RUN entries on, and one scalar call per entry below it, two-cell
+        laws as binomials; zero cells make none."""
+        calls = []
+
+        class Recording:
+            def __init__(self, generator):
+                self.generator = generator
+
+            def binomial(self, n, p):
+                calls.append(("binomial", np.ndim(n)))
+                return self.generator.binomial(n, p)
+
+            def multinomial(self, n, p):
+                calls.append(("multinomial", np.ndim(n)))
+                return self.generator.multinomial(n, p)
+
+        rng = np.random.default_rng([entries, cells])
+        sizes = np.zeros(entries + 3, dtype=np.int64)
+        sizes[:entries] = rng.integers(1, 10**6, size=entries)
+        pvals = _laws(rng, (sizes.size, cells))
+        shared = Recording(np.random.default_rng(0))
+        drawn = multinomial_rows([shared] * sizes.size, sizes, pvals)
+        method = "binomial" if cells == 2 else "multinomial"
+        if entries >= VECTOR_RUN:
+            assert calls == [(method, 1)]
+        else:
+            assert calls == [(method, 0)] * entries
+        theirs = [np.random.default_rng(0)] * sizes.size
+        assert np.array_equal(
+            drawn, _reference_multinomial_loop(theirs, sizes, pvals)
+        )
+
+    @pytest.mark.parametrize("threshold", [1, 10**9])
+    @pytest.mark.parametrize(
+        "law,p",
+        [([0.5, np.nan, 0.5], np.nan), ([1.2, -0.1, -0.1], 1.5),
+         ([0.7, 0.7, 0.0], -0.1)],
+    )
+    def test_an_invalid_law_raises_on_both_paths(
+        self, monkeypatch, threshold, law, p
+    ):
+        """numpy's ValueError for a NaN, a cell outside [0, 1] or cells
+        summing past 1, whether the run is one vector call or scalar calls."""
+        monkeypatch.setattr(rng_module, "VECTOR_RUN", threshold)
+        shared = [np.random.default_rng(0)] * 4
+        pvals = np.array([[0.2, 0.3, 0.5]] * 3 + [law])
+        with pytest.raises(ValueError, match="pvals"):
+            multinomial_rows(shared, np.full(4, 10), pvals)
+        with pytest.raises(ValueError, match="p < 0"):
+            binomial_rows(shared, np.full(4, 10), np.array([0.5] * 3 + [p]))
