@@ -10,7 +10,7 @@ precomputation, round-loop fusion, batched sweep draws):
 * **Protocol sweep** — the 16-point protocol epsilon grid (rumor,
   ``n = 10^5``, ``R = 32``) must reach at least **3x** over the serial
   ``simulate()`` loop (it was 1.15x), using the batched draw mode.  The
-  bitwise per-trial mode is measured and recorded alongside it; the
+  bitwise per-point mode is measured and recorded alongside it; the
   batched mode's distributional correctness is pinned by the
   ``pytest -m agreement`` suite (``test_batched_draw_agreement.py``).
 
@@ -106,13 +106,13 @@ def test_protocol_fastpath_floors(capsys):
     serial_seconds, _ = _best_of(
         lambda: [simulate(s) for s in _sweep_grid().scenarios()]
     )
-    per_trial_seconds, _ = _best_of(
-        lambda: simulate_sweep(_sweep_grid(), draw_mode="per-trial")
+    per_point_seconds, _ = _best_of(
+        lambda: simulate_sweep(_sweep_grid(), draw_mode="per-point")
     )
     batched_seconds, _ = _best_of(
         lambda: simulate_sweep(_sweep_grid(), draw_mode="batched")
     )
-    per_trial_speedup = serial_seconds / max(per_trial_seconds, 1e-9)
+    per_point_speedup = serial_seconds / max(per_point_seconds, 1e-9)
     batched_speedup = serial_seconds / max(batched_seconds, 1e-9)
 
     with capsys.disabled():
@@ -123,7 +123,7 @@ def test_protocol_fastpath_floors(capsys):
             f"{MILLION_BASELINE_SECONDS:.2f}s baseline (floor "
             f">= {MILLION_MIN_SPEEDUP:.0f}x); {SWEEP_POINTS}-point protocol "
             f"sweep (n=10^5, R={SWEEP_TRIALS}): serial {serial_seconds:.2f}s, "
-            f"per-trial {per_trial_speedup:.1f}x, batched "
+            f"per-point {per_point_speedup:.1f}x, batched "
             f"{batched_speedup:.1f}x (floor >= {SWEEP_MIN_SPEEDUP:.0f}x "
             f"batched); best of {REPEATS}"
         )
@@ -157,8 +157,8 @@ def test_protocol_fastpath_floors(capsys):
                 "points": SWEEP_POINTS,
                 "timing_repeats": REPEATS,
                 "serial_seconds": round(serial_seconds, 4),
-                "per_trial_sweep_seconds": round(per_trial_seconds, 4),
-                "per_trial_speedup": round(per_trial_speedup, 2),
+                "per_point_sweep_seconds": round(per_point_seconds, 4),
+                "per_point_speedup": round(per_point_speedup, 2),
                 "batched_sweep_seconds": round(batched_seconds, 4),
                 "batched_speedup": round(batched_speedup, 2),
                 "min_speedup_target": SWEEP_MIN_SPEEDUP,

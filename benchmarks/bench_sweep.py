@@ -18,7 +18,7 @@ measures both halves of that contract:
 
 A protocol-workload grid (counts tier, rumor spreading) is measured as
 well — best-of-3 timings at a trial count large enough that the fused
-path's advantage is measurable, in both draw modes (per-trial, which is
+path's advantage is measurable, in both draw modes (per-point, which is
 bitwise-checked here, and batched, which is distribution-pinned by the
 ``pytest -m agreement`` suite) — and recorded without an assertion; the
 ``>= 3x`` protocol-sweep floor is asserted by
@@ -136,13 +136,13 @@ def _assert_point_equal(index: int, serial, fused) -> None:
         )
 
 
-def _measure(grid: ScenarioGrid, repeats: int = 1, draw_mode: str = "per-trial"):
+def _measure(grid: ScenarioGrid, repeats: int = 1, draw_mode: str = "per-point"):
     """(serial seconds, sweep seconds) for one grid, equivalence-checked.
 
     Both sides are timed ``repeats`` times and the minimum is kept —
     best-of-N is the standard estimator for the deterministic cost of a
     computation (every perturbation is additive noise).  Bitwise
-    equivalence is only asserted for the per-trial draw mode; the batched
+    equivalence is only asserted for the per-point draw mode; the batched
     mode reorders raw draws and is pinned distributionally by the
     ``pytest -m agreement`` suite instead.
     """
@@ -158,7 +158,7 @@ def _measure(grid: ScenarioGrid, repeats: int = 1, draw_mode: str = "per-trial")
         sweep = simulate_sweep(grid, draw_mode=draw_mode)
         sweep_seconds = min(sweep_seconds, time.perf_counter() - started)
 
-    if draw_mode == "per-trial":
+    if draw_mode == "per-point":
         for index, (serial, fused) in enumerate(zip(serial_results, sweep)):
             _assert_point_equal(index, serial, fused)
     return serial_seconds, sweep_seconds
@@ -212,8 +212,8 @@ def test_sweep_speedup_and_equivalence(capsys):
             f"{MIN_SPEEDUP:.0f}x at {ACCEPTANCE_GRID_SIZE}); protocol grid "
             f"(rumor, n=100k, R={PROTOCOL_TRIALS}, {PROTOCOL_GRID_SIZE} pts, "
             f"best of {PROTOCOL_REPEATS}) {protocol_entry['speedup']:.1f}x "
-            f"per-trial / {protocol_entry['batched_speedup']:.1f}x batched; "
-            f"every per-trial point bitwise equal; "
+            f"per-point / {protocol_entry['batched_speedup']:.1f}x batched; "
+            f"every point of the per-point sweep bitwise equal; "
             f"maj() table cache {cache_info['table_hits']} hits / "
             f"{cache_info['table_misses']} misses"
         )

@@ -98,8 +98,9 @@ class Scenario:
         Number of independent trials ``R``.
     seed:
         Base seed (``None`` or a non-negative int; numpy integers are
-        stored as ``int``); per-trial child streams derive from it, so a
-        scenario is bitwise reproducible per engine tier.
+        stored as ``int``); the tier's child streams derive from it (one
+        per trial on the per-node tiers, one per run on the counts tier),
+        so a scenario is bitwise reproducible per engine tier.
     counts_threshold:
         The ``"auto"`` switch-over population size (only meaningful with
         ``engine="auto"``; ``None`` uses the process-wide default).

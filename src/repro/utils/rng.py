@@ -161,11 +161,13 @@ class RowGenerators(list):
 
     def __init__(self, generators: Sequence[np.random.Generator] = ()) -> None:
         super().__init__(generators)
-        starts = [
+        bounds = [0]
+        bounds += [
             row for row in range(1, len(self)) if self[row] is not self[row - 1]
         ]
-        self.bounds = np.array([0, *starts, len(self)], dtype=np.intp)
-        self.longest = int(np.diff(self.bounds).max())
+        bounds.append(len(self))
+        self.bounds = bounds
+        self.longest = max(stop - start for start, stop in zip(bounds, bounds[1:]))
 
 
 def point_generators(
@@ -207,17 +209,21 @@ def _draw_entries(generators, cells, rows, method, counts, params):
         generators = RowGenerators(generators)
     long_runs = []
     if generators.longest * cells.shape[1] >= VECTOR_RUN:
-        edges = np.searchsorted(rows, generators.bounds)
-        long_runs = np.flatnonzero(np.diff(edges) >= VECTOR_RUN).tolist()
+        edges = np.searchsorted(rows, generators.bounds).tolist()
+        long_runs = [
+            run
+            for run in range(len(edges) - 1)
+            if edges[run + 1] - edges[run] >= VECTOR_RUN
+        ]
     pieces = []
     done = 0
     for run in long_runs:
-        start, stop = int(edges[run]), int(edges[run + 1])
+        start, stop = edges[run], edges[run + 1]
         if done < start:
             pieces.append(
                 _scalar_draws(generators, rows, method, counts, params, done, start)
             )
-        generator = generators[int(generators.bounds[run])]
+        generator = generators[generators.bounds[run]]
         pieces.append(
             getattr(generator, method)(counts[start:stop], params[start:stop])
         )
@@ -231,18 +237,18 @@ def _draw_entries(generators, cells, rows, method, counts, params):
 
 def _scalar_draws(generators, rows, method, counts, params, start, stop):
     """One scalar call per entry ``start, ..., stop - 1``."""
-    values = params[start:stop]
-    return np.array(
-        [
-            getattr(generators[row], method)(count, value)
-            for row, count, value in zip(
-                rows[start:stop].tolist(),
-                counts[start:stop].tolist(),
-                values.tolist() if values.ndim == 1 else values,
-            )
-        ],
-        dtype=np.int64,
+    entries = zip(
+        rows[start:stop].tolist(),
+        counts[start:stop].tolist(),
+        params[start:stop].tolist() if params.ndim == 1 else params[start:stop],
     )
+    if method == "binomial":
+        drawn = [generators[row].binomial(count, p) for row, count, p in entries]
+    else:
+        drawn = [
+            generators[row].multinomial(count, law) for row, count, law in entries
+        ]
+    return np.array(drawn, dtype=np.int64)
 
 
 def multinomial_rows(

@@ -89,7 +89,7 @@ class TestPointGenerators:
         rows = point_generators(7, 5)
         assert isinstance(rows, RowGenerators)
         assert all(generator is rows[0] for generator in rows)
-        assert rows.bounds.tolist() == [0, 5] and rows.longest == 5
+        assert rows.bounds == [0, 5] and rows.longest == 5
         (alone,) = as_trial_generators(7, 1)
         assert rows[0].bit_generator.state == alone.bit_generator.state
 
@@ -97,15 +97,15 @@ class TestPointGenerators:
         streams = _streams(0, 3)
         rows = point_generators(streams, 3)
         assert list(rows) == streams
-        assert rows.bounds.tolist() == [0, 1, 2, 3] and rows.longest == 1
+        assert rows.bounds == [0, 1, 2, 3] and rows.longest == 1
         with pytest.raises(ValueError, match="per-trial random states"):
             point_generators(streams, 4)
 
     def test_row_generators_find_runs_of_one_object(self):
         first, second = _streams(1, 2)
         rows = RowGenerators([first, first, second, first, first, first])
-        assert rows.bounds.tolist() == [0, 2, 3, 6] and rows.longest == 3
-        assert RowGenerators([]).bounds.tolist() == [0, 0]
+        assert rows.bounds == [0, 2, 3, 6] and rows.longest == 3
+        assert RowGenerators([]).bounds == [0, 0]
 
 
 class TestDeriveSeed:
