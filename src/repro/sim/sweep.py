@@ -13,8 +13,9 @@ grid advances as a single ``(sum of trials, k)`` counts computation with
 per-row parameters (see
 :func:`~repro.core.protocol.run_heterogeneous_counts_protocol` and
 :func:`~repro.dynamics.base.run_heterogeneous_counts_dynamics`) — while
-points on other tiers (sequential topologies, batched, analytic) fall
-back to per-point :func:`~repro.sim.facade.simulate` calls.  Per-point
+points on other tiers (sequential topologies, batched, analytic) run
+one at a time, each on the tier the grid resolved for it, as its
+:func:`~repro.sim.facade.simulate` call would.  Per-point
 results are **bitwise identical** to the serial loop
 ``[simulate(s) for s in grid.scenarios()]`` under the same seeds; only
 provenance wall times differ.
